@@ -5,12 +5,12 @@ each other's usefulness, and ban free-riders by majority report."""
 from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward, evaluate,
                        forward, select_largest, sgd_step)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams, allocate_budgets,
-                      calibrate_sigma, clip_per_example, compose_spent, dp_sgd_step)
-from .samplegen import AugmentConfig, SampleRelease, augment, generate_release
+                      calibrate_sigma, dp_sgd_step)
+from .samplegen import SampleRelease, augment, generate_release
 from .credibility import (CredibilityList, LabelMatrix, TokenAccount, consensus_exclude,
                           credibility_update, default_threshold, download_allocation,
                           init_credibility, init_tokens, majority_vote, normalize_and_screen,
-                          settle_tokens, sigmoid_map, supplement)
+                          sigmoid_map, supplement)
 from .ledger import (Block, EncryptedPayload, KeyPair, Ledger, Transaction, decrypt_payload,
                      dump_chain, load_chain, verify_chain)
 from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freerider_gradients,

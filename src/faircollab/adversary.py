@@ -35,7 +35,6 @@ class AdversaryConfig:
     # Magnitude of faked gradient coordinates; the default mimics the
     # typical size of honest parameter deltas at desk scale.
     crafted_scale: float = 0.05
-    response_latency: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AdversaryKind(self.kind))

@@ -221,14 +221,3 @@ def credibility_update(c_prev: float, acc: float, acc_without: float) -> float:
     total = acc + acc_without
     x = 0.5 if total == 0.0 else acc / total
     return (c_prev + sigmoid_map(x)) / 2.0
-
-
-def settle_tokens(buyer: TokenAccount, seller: TokenAccount, amount: int) -> None:
-    """Transfer `amount` tokens buyer -> seller; refuse on short balance."""
-    if amount < 0:
-        raise ValueError("transfer amount cannot be negative")
-    if buyer.balance < amount:
-        raise ValueError(
-            f"{buyer.party_id} holds {buyer.balance} tokens, cannot pay {amount}")
-    buyer.balance -= amount
-    seller.balance += amount

@@ -162,8 +162,7 @@ class ExperimentConfig:
     parallel_workers: int = 0
 
     def to_dict(self) -> dict:
-        obj = asdict(self)
-        return obj
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -253,10 +252,23 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-def save_config(config: ExperimentConfig, path) -> None:
+def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_config(config: ExperimentConfig, path) -> None:
+    _write_json(path, config.to_dict())
+
+
+def config_echo(config: ExperimentConfig) -> dict:
+    """The config as echoed next to a run's outputs. Execution details do
+    not affect results and stay out, so parallel and serial runs emit
+    identical files."""
+    echo = config.to_dict()
+    echo.pop("parallel_workers", None)
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +346,9 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
                           spread=ds.spread, centers=centers)
     else:
         full = load_csv(ds.path) if ds.kind == "csv" else load_idx(ds.images_path, ds.labels_path)
+        # The prototype release's sensitivity sqrt(dim) / n_c assumes this range.
+        if full.features.size and not (0.0 <= full.features.min() and full.features.max() <= 1.0):
+            raise ConfigError(f"{ds.kind} dataset has features outside [0, 1]")
         order = rng.permutation(len(full))
         test = full.subset(order[:ds.test_size])
         pool = order[ds.test_size:]
@@ -413,6 +428,7 @@ def run_experiment(config: ExperimentConfig, outdir,
     cells = [(fw, st, sd) for fw in frameworks for st in config.settings for sd in seeds]
 
     os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
+    _write_json(os.path.join(outdir, "config.json"), config_echo(config))
     results = []
     if config.parallel_workers > 1:
         args = [(config.to_dict(), fw, st, sd) for fw, st, sd in cells]
@@ -508,14 +524,8 @@ def generate_reports(results: list[dict], outdir, config: ExperimentConfig | Non
                        if any(r["chain_valid"] is not None for r in results) else None,
     }
     if config is not None:
-        echo = config.to_dict()
-        # Execution details do not affect results and stay out of the echo
-        # so parallel and serial runs emit identical reports.
-        echo.pop("parallel_workers", None)
-        summary["config"] = echo
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        summary["config"] = config_echo(config)
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 
 
@@ -565,8 +575,11 @@ def _cmd_verify_chain(args) -> int:
 
 def _cmd_report(args) -> int:
     results = load_results(args.traces)
+    # run_experiment writes config.json next to the traces directory.
+    config = load_config(os.path.join(os.path.dirname(os.path.abspath(args.traces)),
+                                      "config.json"))
     os.makedirs(args.out, exist_ok=True)
-    generate_reports(results, args.out)
+    generate_reports(results, args.out, config)
     print(json.dumps({"cells": len(results), "out": args.out}, sort_keys=True))
     return 0
 

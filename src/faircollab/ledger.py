@@ -30,9 +30,9 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .numerics import SparseUpdate
-from .credibility import TokenAccount, settle_tokens
+from .credibility import TokenAccount
 
-TRANSACTION_KINDS = ("register", "purchase_order", "fulfillment", "punishment", "token_transfer")
+TRANSACTION_KINDS = ("register", "purchase_order", "fulfillment", "punishment")
 
 _WRAP_INFO = b"faircollab payload key wrap"
 
@@ -166,16 +166,6 @@ class EncryptedPayload:
     def payload_hash(self) -> str:
         return sha256_hex(self.ciphertext)
 
-    def to_dict(self) -> dict:
-        return {"ciphertext": self.ciphertext.hex(), "nonce": self.nonce.hex(),
-                "wrapped_key": self.wrapped_key.hex(), "wrap_nonce": self.wrap_nonce.hex(),
-                "ephemeral_public": self.ephemeral_public.hex()}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EncryptedPayload":
-        return cls(*(bytes.fromhex(obj[k]) for k in
-                     ("ciphertext", "nonce", "wrapped_key", "wrap_nonce", "ephemeral_public")))
-
 
 def _wrap_key_for(recipient_pk_hex: str, fsk: bytes, rng: np.random.Generator) -> tuple[bytes, bytes, bytes]:
     ephemeral = X25519PrivateKey.from_private_bytes(rng.bytes(32))
@@ -187,14 +177,14 @@ def _wrap_key_for(recipient_pk_hex: str, fsk: bytes, rng: np.random.Generator) -
 
 
 def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, rng: np.random.Generator,
-                    aad: bytes = b"") -> tuple[EncryptedPayload, bytes, bytes]:
-    """Returns (payload, fsk, nonce); fsk and nonce stay with the sender
-    for later audit reveals."""
+                    aad: bytes = b"") -> EncryptedPayload:
+    """Seal the plaintext under a fresh key drawn from rng, wrapped for the
+    recipient."""
     fsk = rng.bytes(32)
     nonce = rng.bytes(12)
     ciphertext = AESGCM(fsk).encrypt(nonce, plaintext, aad)
     wrapped, wrap_nonce, eph_pub = _wrap_key_for(recipient_pk_hex, fsk, rng)
-    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce, eph_pub), fsk, nonce
+    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce, eph_pub)
 
 
 def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes = b"") -> bytes:
@@ -217,20 +207,11 @@ class Order:
     status: str = "open"  # open | fulfilled | expired
 
 
-@dataclass
-class RevealedShipment:
-    """Seller-side evidence for dispute audits."""
-
-    plaintext: bytes
-    fsk: bytes
-    nonce: bytes
-
-
 class Ledger:
     """Serialized ledger facade: token accounts, escrow, payload store,
     and the block chain itself."""
 
-    def __init__(self, fine_factor: float = 1.0):
+    def __init__(self):
         self.chain: list[Block] = []
         self.pending: list[Transaction] = []
         self.accounts: dict[str, TokenAccount] = {}
@@ -238,7 +219,6 @@ class Ledger:
         self.escrow: dict[str, int] = {}
         self.orders: dict[str, Order] = {}
         self.payload_store: dict[str, EncryptedPayload] = {}
-        self.fine_factor = fine_factor
         self.round_index = 0
 
     # -- genesis ------------------------------------------------------
@@ -265,20 +245,6 @@ class Ledger:
         self.round_index = 1
         return genesis
 
-    def register_party(self, party_id: str, keypair: KeyPair, tokens: int) -> Transaction:
-        """Late registration (a party joining after genesis). The caller
-        restarts the credibility initialisation; the registration itself
-        lands in the next sealed block."""
-        if party_id in self.accounts:
-            raise LedgerError(f"party {party_id!r} already registered")
-        payload = {"party": party_id, "verify_key": keypair.verify_key_hex,
-                   "tokens": int(tokens)}
-        tx = Transaction.signed("register", payload, party_id, keypair)
-        self.verify_keys[party_id] = keypair.verify_key_hex
-        self.accounts[party_id] = TokenAccount(party_id, int(tokens))
-        self.pending.append(tx)
-        return tx
-
     # -- trading ------------------------------------------------------
 
     def balance(self, party_id: str) -> int:
@@ -301,19 +267,22 @@ class Ledger:
                    "offered": int(offered_tokens), "encrypt_key": buyer_encrypt_key_hex,
                    "round": self.round_index}
         tx = Transaction.signed("purchase_order", payload, buyer, buyer_keypair)
+        order_id = tx.tx_id
+        # Signatures are deterministic, so a repeated order has the same id
+        # and would overwrite the first one's escrow.
+        if order_id in self.orders:
+            raise LedgerError(f"identical order {order_id} already placed this round")
         account.balance -= offered_tokens
-        self.escrow[tx.tx_id] = offered_tokens
-        self.orders[tx.tx_id] = Order(tx.tx_id, buyer, seller, count, offered_tokens,
+        self.escrow[order_id] = offered_tokens
+        self.orders[order_id] = Order(order_id, buyer, seller, count, offered_tokens,
                                       buyer_encrypt_key_hex, self.round_index)
         self.pending.append(tx)
         return tx
 
     def fulfill_order(self, seller_keypair: KeyPair, seller: str, order_id: str,
                       update: SparseUpdate, rng: np.random.Generator
-                      ) -> tuple[Transaction, EncryptedPayload, RevealedShipment]:
-        """Ship an order. Returns the transaction, the published payload,
-        and the reveal material (plaintext, fsk, nonce) the seller keeps
-        for later dispute audits."""
+                      ) -> tuple[Transaction, EncryptedPayload]:
+        """Ship an order. Returns the transaction and the published payload."""
         order = self.orders.get(order_id)
         if order is None:
             raise LedgerError(f"no such order {order_id}")
@@ -323,9 +292,8 @@ class Ledger:
             raise LedgerError(f"order {order_id} is not addressed to {seller}")
         if len(update) != order.count:
             raise LedgerError(f"order wants {order.count} gradients, got {len(update)}")
-        plaintext = update.to_bytes()
-        payload_obj, fsk, nonce = encrypt_payload(
-            plaintext, order.buyer_encrypt_key, rng, aad=order_id.encode())
+        payload_obj = encrypt_payload(update.to_bytes(), order.buyer_encrypt_key, rng,
+                                      aad=order_id.encode())
         self.payload_store[payload_obj.payload_hash] = payload_obj
         tx_payload = {"order": order_id, "payload_hash": payload_obj.payload_hash,
                       "seller": seller, "round": self.round_index}
@@ -334,66 +302,17 @@ class Ledger:
         order.status = "fulfilled"
         amount = self.escrow.pop(order_id)
         self.accounts[seller].balance += amount
-        return tx, payload_obj, RevealedShipment(plaintext, fsk, nonce)
-
-    def transfer_tokens(self, keypair: KeyPair, sender: str, recipient: str,
-                        amount: int, note: str = "") -> Transaction:
-        settle_tokens(self.accounts[sender], self.accounts[recipient], amount)
-        payload = {"from": sender, "to": recipient, "amount": int(amount),
-                   "note": note, "round": self.round_index}
-        tx = Transaction.signed("token_transfer", payload, sender, keypair)
-        self.pending.append(tx)
-        return tx
+        return tx, payload_obj
 
     def record_punishment(self, keypair: KeyPair, author: str, against: str,
-                          reason: str, fine: int = 0, order_id: str | None = None) -> Transaction:
-        payload = {"against": against, "reason": reason, "fine": int(fine),
-                   "order": order_id, "round": self.round_index}
+                          reason: str) -> Transaction:
+        # No fines are levied; "fine" and "order" keep the record's shape
+        # the same as the punishments written into the genesis block.
+        payload = {"against": against, "reason": reason, "fine": 0,
+                   "order": None, "round": self.round_index}
         tx = Transaction.signed("punishment", payload, author, keypair)
         self.pending.append(tx)
         return tx
-
-    def audit_and_punish(self, accuser: str, accuser_keypair: KeyPair, order_id: str,
-                         revealed: RevealedShipment) -> Transaction:
-        """Settle a delivery dispute from the seller's revealed shipment.
-
-        Re-encrypting the revealed plaintext under the recorded parameters
-        must reproduce the payload hash committed in the fulfillment, and
-        the plaintext must decode to a well-formed update of the ordered
-        size. A match convicts the buyer of a false accusation; a mismatch
-        convicts the seller. The fine moves to the wronged side, capped at
-        the cheater's balance.
-        """
-        order = self.orders.get(order_id)
-        if order is None or order.status != "fulfilled":
-            raise LedgerError("audit requires a fulfilled order")
-        recorded_hash = None
-        for block in self.chain:
-            for tx in block.transactions:
-                if tx.kind == "fulfillment" and tx.payload.get("order") == order_id:
-                    recorded_hash = tx.payload["payload_hash"]
-        for tx in self.pending:
-            if tx.kind == "fulfillment" and tx.payload.get("order") == order_id:
-                recorded_hash = tx.payload["payload_hash"]
-        if recorded_hash is None:
-            raise LedgerError("no fulfillment record for order")
-
-        valid = False
-        try:
-            recomputed = AESGCM(revealed.fsk).encrypt(
-                revealed.nonce, revealed.plaintext, order_id.encode())
-            if sha256_hex(recomputed) == recorded_hash:
-                update = SparseUpdate.from_bytes(revealed.plaintext)
-                valid = len(update) == order.count
-        except (ValueError, OverflowError):
-            valid = False
-
-        cheater, wronged = (order.buyer, order.seller) if valid else (order.seller, order.buyer)
-        fine = min(int(round(self.fine_factor * order.count)), self.accounts[cheater].balance)
-        if fine > 0:
-            settle_tokens(self.accounts[cheater], self.accounts[wronged], fine)
-        return self.record_punishment(accuser_keypair, accuser, cheater,
-                                      "delivery dispute", fine, order_id)
 
     # -- rounds -------------------------------------------------------
 
@@ -464,12 +383,3 @@ def load_chain(path) -> list[Block]:
             if line:
                 blocks.append(Block.from_dict(json.loads(line)))
     return blocks
-
-
-def dump_payload_store(store: dict[str, EncryptedPayload], directory) -> None:
-    """Content-addressed files named by payload hash."""
-    import os
-    os.makedirs(directory, exist_ok=True)
-    for payload_hash, payload in store.items():
-        with open(os.path.join(directory, f"{payload_hash}.json"), "w") as fh:
-            json.dump(payload.to_dict(), fh, sort_keys=True)

@@ -94,10 +94,6 @@ class MlpModel:
         return self.params.size
 
     @classmethod
-    def zeros(cls, dims) -> "MlpModel":
-        return cls(dims)
-
-    @classmethod
     def seeded(cls, dims, rng: np.random.Generator) -> "MlpModel":
         """He-scaled random weights, zero biases."""
         model = cls(dims)

@@ -12,8 +12,18 @@ Budgets compose through pluggable strategies:
   amplified-basic  each step first maps to (q * eps_i, q * delta_i) using
                    its sample ratio q = L / N, then sums
 
-Both are conservative stand-ins for a tighter accountant; exhausting the
-budget early only shortens training, never weakens the guarantee.
+Neither total is a proven upper bound on the privacy loss:
+
+  - amplified-basic charges q * eps_i, which is below the subsampling
+    amplification bound log(1 + q * (e^eps_i - 1)); at eps_i = 1 and
+    q = 0.0064 the bound is 1.7x larger.
+  - Lots are drawn with replacement, and build_parties replicates every
+    record (augment_replication copies), so one real record can enter a
+    lot several times. The per-step (eps_i, delta_i) then covers one row,
+    not one real record, and not even the basic sum bounds a record's loss.
+
+Both follow the paper's accounting and gate training for reproduction
+fidelity. ROADMAP item 3 tracks an accountant whose total is a bound.
 """
 
 from __future__ import annotations
@@ -137,14 +147,6 @@ class PrivacyAccountant:
     def exhausted(self) -> bool:
         return self._exhausted
 
-    def can_spend(self, epsilon: float, delta: float, q: float = 1.0) -> bool:
-        if self._exhausted:
-            return False
-        mapper = COMPOSITION_STRATEGIES[self.strategy]
-        step_eps, step_delta = mapper(StepRecord(epsilon, delta, q))
-        eps, d = self.spent()
-        return eps + step_eps <= self.epsilon_total and d + step_delta <= self.delta_total
-
     def spend(self, epsilon: float, delta: float, q: float = 1.0) -> None:
         """Record one release, or raise BudgetExhaustedError without recording."""
         self.spend_many(epsilon, delta, q, count=1)
@@ -188,11 +190,6 @@ class PrivacyAccountant:
         return acct
 
 
-def compose_spent(accountant: PrivacyAccountant) -> tuple[float, float]:
-    """Total (epsilon, delta) spent under the accountant's strategy."""
-    return accountant.spent()
-
-
 def allocate_budgets(stage: str, dataset_name: str) -> tuple[float, float]:
     """Stage budgets: initialisation (4, 1e-5), update (2, 1e-5); delta
     drops to 1e-6 for SVHN. The two stages compose to a (6, 2e-5) total."""
@@ -204,21 +201,8 @@ def allocate_budgets(stage: str, dataset_name: str) -> tuple[float, float]:
     raise ValueError(f"unknown stage {stage!r}")
 
 
-def clip_per_example(gradients, clip_norm: float) -> list[np.ndarray]:
-    """Rescale each gradient g to g / max(1, ||g|| / C)."""
-    if clip_norm <= 0.0:
-        raise ValueError("clip_norm must be positive")
-    clipped = []
-    for g in gradients:
-        g = np.asarray(g, dtype=np.float64)
-        norm = float(np.linalg.norm(g))
-        if norm > clip_norm:
-            g = g * (clip_norm / norm)
-        clipped.append(g)
-    return clipped
-
-
 def _clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Rescale each row g to g / max(1, ||g|| / C)."""
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     factors = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
     return grads * factors

@@ -26,12 +26,12 @@ import numpy as np
 
 from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
-from .ledger import Ledger, Block, KeyPair, decrypt_payload
+from .ledger import Block, KeyPair, Ledger, Transaction, decrypt_payload
 from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, decayed_lr, evaluate,
                        predict, select_largest, sgd_step, train_sgd)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams, allocate_budgets,
                       dp_sgd_step, lot_size_for)
-from .samplegen import AugmentConfig, SampleRelease, augment, generate_release
+from .samplegen import SampleRelease, augment, generate_release
 
 
 class ProtocolError(RuntimeError):
@@ -62,7 +62,6 @@ class ProtocolConfig:
     jitter_std: float = 0.02
     credibility_threshold: float | None = None  # None -> (1/n)(2/3)
     token_reserve: int = 1
-    fine_factor: float = 1.0
     baseline_epochs_per_round: int = 1
     dssgd_upload_rate: float = 0.1
     # Download budget d_i = min(p_i - reserve, fraction * total supply).
@@ -169,8 +168,7 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
         rng = np.random.default_rng(party_seeds[i])
         train, val = data.split(config.validation_fraction, rng)
         if config.augment_replication > 1:
-            dp_train = augment(train, AugmentConfig(
-                kind="tabular", replication=config.augment_replication), rng)
+            dp_train = augment(train, config.augment_replication)
         else:
             dp_train = train
         lot = config.lot_size or lot_size_for(len(dp_train))
@@ -291,8 +289,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
     return credible, genesis
 
 
-def ledger_punishment_tx(leader: Party, against: str, reason: str):
-    from .ledger import Transaction
+def ledger_punishment_tx(leader: Party, against: str, reason: str) -> Transaction:
     payload = {"against": against, "reason": reason, "fine": 0, "order": None, "round": 0}
     return Transaction.signed("punishment", payload, leader.id, leader.keypair)
 
@@ -376,8 +373,8 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             order = ledger.submit_purchase_order(buyer.keypair, pid, j, amount, amount,
                                                  buyer.keypair.encrypt_key_hex)
             selection = select_largest(deltas[j], amount)
-            _tx, payload, _reveal = ledger.fulfill_order(by_id[j].keypair, j,
-                                                         order.tx_id, selection, by_id[j].rng)
+            _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order.tx_id,
+                                                selection, by_id[j].rng)
             blob = decrypt_payload(payload, buyer.keypair, aad=order.tx_id.encode())
             update = SparseUpdate.from_bytes(blob)
             received[pid][j] = update
@@ -450,7 +447,7 @@ def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
                test_data: Dataset | None = None,
                ledger: Ledger | None = None) -> tuple[RunTrace, Ledger]:
     trace = RunTrace("fdpddl")
-    ledger = ledger or Ledger(config.fine_factor)
+    ledger = ledger or Ledger()
     pretrain(parties, config, test_data)
     for p in parties:
         trace.standalone_accuracies[p.id] = p.standalone_accuracy

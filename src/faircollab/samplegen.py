@@ -28,22 +28,6 @@ from .privacy import PrivacyAccountant, calibrate_sigma
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
-    """Data-expansion settings: image mode rotates/shifts, tabular repeats."""
-
-    kind: str = "tabular"
-    rotation_range: float = 0.0
-    shift_range: float = 0.0
-    replication: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("image", "tabular"):
-            raise ValueError("kind must be 'image' or 'tabular'")
-        if self.replication < 1:
-            raise ValueError("replication factor must be >= 1")
-
-
-@dataclass(frozen=True)
 class SampleRelease:
     """Label-free sample matrix published by one party.
 
@@ -82,48 +66,12 @@ class SampleRelease:
         return cls(data.reshape(rows, cols), pid)
 
 
-def _rotate_shift_nearest(image: np.ndarray, angle_deg: float, dy: float, dx: float) -> np.ndarray:
-    """Nearest-neighbour rotation about the centre plus translation."""
-    side = image.shape[0]
-    theta = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    centre = (side - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    r_rel = rows - centre - dy
-    c_rel = cols - centre - dx
-    src_r = np.rint(cos_t * r_rel + sin_t * c_rel + centre).astype(np.int64)
-    src_c = np.rint(-sin_t * r_rel + cos_t * c_rel + centre).astype(np.int64)
-    valid = (src_r >= 0) & (src_r < side) & (src_c >= 0) & (src_c < side)
-    out = np.zeros_like(image)
-    out[valid] = image[src_r[valid], src_c[valid]]
-    return out
-
-
-def augment(data: Dataset, cfg: AugmentConfig, rng: np.random.Generator) -> Dataset:
-    """Expand the dataset by the replication factor.
-
-    Image mode applies an independent rotation within +-rotation_range
-    degrees and shifts within +-shift_range * side pixels to each copy;
-    tabular mode repeats records verbatim. Labels are copied either way.
-    """
-    rep = cfg.replication
-    labels = np.repeat(data.labels, rep)
-    if cfg.kind == "tabular":
-        return Dataset(np.repeat(data.features, rep, axis=0), labels, data.num_classes)
-
-    side = math.isqrt(data.dim)
-    if side * side != data.dim:
-        raise ValueError("image augmentation needs square images")
-    out = np.empty((len(data) * rep, data.dim), dtype=np.float64)
-    max_shift = cfg.shift_range * side
-    for i in range(len(data)):
-        image = data.features[i].reshape(side, side)
-        for r in range(rep):
-            angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
-            dy = rng.uniform(-max_shift, max_shift)
-            dx = rng.uniform(-max_shift, max_shift)
-            out[i * rep + r] = _rotate_shift_nearest(image, angle, dy, dx).ravel()
-    return Dataset(out, labels, data.num_classes)
+def augment(data: Dataset, replication: int) -> Dataset:
+    """Repeat every record, with its label, `replication` times in a row."""
+    if replication < 1:
+        raise ValueError("replication factor must be >= 1")
+    return Dataset(np.repeat(data.features, replication, axis=0),
+                   np.repeat(data.labels, replication), data.num_classes)
 
 
 def noisy_class_prototypes(data: Dataset, budget: tuple[float, float],

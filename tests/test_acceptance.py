@@ -17,7 +17,7 @@ from faircollab.credibility import (LabelMatrix, download_allocation, init_credi
 from faircollab.harness import ExperimentConfig, fairness, run_cell, run_experiment
 from faircollab.ledger import load_chain, verify_chain
 from faircollab.numerics import MlpModel, Dataset, backward, loss, make_blobs, blob_centers
-from faircollab.privacy import PrivacyAccountant, allocate_budgets, calibrate_sigma, compose_spent
+from faircollab.privacy import PrivacyAccountant, allocate_budgets, calibrate_sigma
 from faircollab.protocol import ProtocolConfig, build_parties, run_fdpddl
 
 DESK_PROTOCOL = {"augment_replication": 100, "dp_steps_per_round": 8,
@@ -88,7 +88,7 @@ def test_criterion_03_privacy_accounting():
         last = (0.0, 0.0)
         for _ in range(1000):
             acct.spend(0.01, 1e-9, q=0.1)
-            now = compose_spent(acct)
+            now = acct.spent()
             monotone &= now[0] >= last[0] and now[1] >= last[1]
             last = now
     basic = PrivacyAccountant(1e9, 1.0, "basic")
@@ -96,8 +96,8 @@ def test_criterion_03_privacy_accounting():
     for _ in range(200):
         basic.spend(0.5, 1e-8, q=0.1)
         amplified.spend(0.5, 1e-8, q=0.1)
-    amp_ok = (compose_spent(amplified)[0] <= compose_spent(basic)[0]
-              and compose_spent(amplified)[1] <= compose_spent(basic)[1])
+    amp_ok = (amplified.spent()[0] <= basic.spent()[0]
+              and amplified.spent()[1] <= basic.spent()[1])
     e1, d1 = allocate_budgets("initialisation", "mnist")
     e2, d2 = allocate_budgets("update", "mnist")
     stages_ok = (e1 + e2, d1 + d2) == (6.0, 2e-5)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab.credibility import (ConsensusError, CredibilityList, LabelMatrix, TokenAccount,
+from faircollab.credibility import (ConsensusError, CredibilityList, LabelMatrix,
                                     consensus_exclude, credibility_update, default_threshold,
                                     download_allocation, init_credibility, init_tokens,
-                                    majority_vote, normalize_and_screen, settle_tokens,
-                                    sigmoid_map, supplement)
+                                    majority_vote, normalize_and_screen, sigmoid_map,
+                                    supplement)
 
 HAND_MATRIX = LabelMatrix(np.array([[1, 1, 0],
                                     [2, 2, 2],
@@ -302,40 +302,6 @@ class TestCredibilityUpdate:
         lo, hi = min(c_prev, f), max(c_prev, f)
         assert lo - 1e-12 <= out <= hi + 1e-12
         assert abs(out - f) <= abs(c_prev - f) + 1e-12
-
-
-class TestTokens:
-    def test_transfer_arithmetic(self):
-        buyer, seller = TokenAccount("b", 300), TokenAccount("s", 300)
-        settle_tokens(buyer, seller, 30)
-        assert (buyer.balance, seller.balance) == (270, 330)
-
-    def test_full_balance_transfer(self):
-        buyer, seller = TokenAccount("b", 50), TokenAccount("s", 0)
-        settle_tokens(buyer, seller, 50)
-        assert (buyer.balance, seller.balance) == (0, 50)
-
-    def test_overdraft_refused(self):
-        buyer, seller = TokenAccount("b", 10), TokenAccount("s", 0)
-        with pytest.raises(ValueError):
-            settle_tokens(buyer, seller, 11)
-        assert (buyer.balance, seller.balance) == (10, 0)
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 40)),
-                    max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_conservation_property(self, transfers):
-        accounts = [TokenAccount(f"p{i}", 100) for i in range(4)]
-        total = sum(a.balance for a in accounts)
-        for src, dst, amount in transfers:
-            if src == dst:
-                continue
-            try:
-                settle_tokens(accounts[src], accounts[dst], amount)
-            except ValueError:
-                pass
-            assert sum(a.balance for a in accounts) == total
-            assert all(a.balance >= 0 for a in accounts)
 
 
 class TestCredibilityListInvariants:

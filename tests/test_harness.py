@@ -219,8 +219,14 @@ class TestExperimentAndCli:
                    "--out", str(tmp_path / "b")])
         assert rc == 0
         for name in ("accuracy.csv", "fairness.csv", "detection.csv", "rounds.csv",
-                     "credibility.csv"):
+                     "credibility.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_report_without_config_exit_code(self, tmp_path):
+        run_experiment(small_config(), tmp_path / "a")
+        (tmp_path / "a" / "config.json").unlink()
+        assert main(["report", "--traces", str(tmp_path / "a" / "traces"),
+                     "--out", str(tmp_path / "b")]) == 2
 
     def test_cli_run_and_fairness(self, tmp_path, capsys):
         cfg = small_config()
@@ -259,6 +265,27 @@ class TestExperimentAndCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "n": 0}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def csv_config(tmp_path, rows):
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    return small_config(dataset={"kind": "csv", "path": str(data), "num_classes": 2,
+                                 "per_party": 20, "test_size": 10, "name": "csv"})
+
+
+class TestCsvFeatureRange:
+    def test_in_range_features_accepted(self, tmp_path):
+        rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
+        datasets, _spec, test, _adv = build_cell_data(csv_config(tmp_path, rows), 1, 0)
+        assert len(datasets) == 4 and len(test) == 10
+
+    def test_out_of_range_feature_exit_code(self, tmp_path):
+        rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
+        rows[37] = (1.5, 0.5, 1)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(csv_config(tmp_path, rows), cfg_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestAveragingAndDetectionTables:

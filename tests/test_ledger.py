@@ -2,18 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircollab.credibility import init_tokens
-from faircollab.ledger import (Ledger, LedgerError, KeyPair, RevealedShipment, Transaction,
-                               decrypt_payload, dump_chain, encrypt_payload, load_chain,
-                               sha256_hex, verify_chain)
+from faircollab.ledger import (Ledger, LedgerError, KeyPair, Transaction, decrypt_payload,
+                               dump_chain, encrypt_payload, load_chain, sha256_hex,
+                               verify_chain)
 from faircollab.numerics import SparseUpdate
+
+
+def make_keys():
+    rng = np.random.default_rng(0)
+    return {pid: KeyPair.generate(rng) for pid in ("p00", "p01", "p02", "p03")}
 
 
 @pytest.fixture
 def keys():
-    rng = np.random.default_rng(0)
-    return {pid: KeyPair.generate(rng) for pid in ("p00", "p01", "p02", "p03")}
+    return make_keys()
 
 
 def fresh_ledger(keys, tokens=300):
@@ -46,22 +52,22 @@ class TestKeysAndEnvelope:
     def test_hybrid_round_trip(self):
         kp = KeyPair.generate(np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        payload, fsk, nonce = encrypt_payload(b"secret gradients", kp.encrypt_key_hex, rng)
+        payload = encrypt_payload(b"secret gradients", kp.encrypt_key_hex, rng)
         assert decrypt_payload(payload, kp) == b"secret gradients"
-        assert len(fsk) == 32 and len(nonce) == 12
+        assert len(payload.nonce) == 12
 
     def test_wrong_recipient_cannot_decrypt(self):
         kp_a = KeyPair.generate(np.random.default_rng(4))
         kp_b = KeyPair.generate(np.random.default_rng(5))
-        payload, _, _ = encrypt_payload(b"x", kp_a.encrypt_key_hex, np.random.default_rng(6))
+        payload = encrypt_payload(b"x", kp_a.encrypt_key_hex, np.random.default_rng(6))
         with pytest.raises(Exception):
             decrypt_payload(payload, kp_b)
 
     def test_round_trip_at_full_model_size(self):
         kp = KeyPair.generate(np.random.default_rng(8))
         update = SparseUpdate(np.arange(5000), np.random.default_rng(9).normal(size=5000), 5000)
-        payload, _, _ = encrypt_payload(update.to_bytes(), kp.encrypt_key_hex,
-                                        np.random.default_rng(10))
+        payload = encrypt_payload(update.to_bytes(), kp.encrypt_key_hex,
+                                  np.random.default_rng(10))
         again = SparseUpdate.from_bytes(decrypt_payload(payload, kp))
         assert np.array_equal(again.values, update.values)
 
@@ -98,6 +104,15 @@ class TestTrading:
         assert ledger.escrow[tx.tx_id] == 30
         assert ledger.total_tokens() == 1200
 
+    def test_identical_order_in_one_round_rejected(self, keys):
+        ledger = fresh_ledger(keys)
+        ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1, 1, keys["p00"].encrypt_key_hex)
+        with pytest.raises(LedgerError):
+            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1, 1,
+                                         keys["p00"].encrypt_key_hex)
+        assert ledger.balance("p00") == 299
+        assert ledger.total_tokens() == 1200
+
     def test_order_exceeding_balance_rejected(self, keys):
         ledger = fresh_ledger(keys, tokens=20)
         with pytest.raises(LedgerError):
@@ -109,8 +124,8 @@ class TestTrading:
         update = sample_update()
         order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
                                              keys["p00"].encrypt_key_hex)
-        tx, payload, _reveal = ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
-                                                    update, np.random.default_rng(1))
+        tx, payload = ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
+                                           update, np.random.default_rng(1))
         blob = decrypt_payload(payload, keys["p00"], aad=order.tx_id.encode())
         recovered = SparseUpdate.from_bytes(blob)
         assert np.array_equal(recovered.indices, update.indices)
@@ -160,38 +175,41 @@ class TestTrading:
             assert ledger.total_tokens() == 1200
         assert verify_chain(ledger.chain)
 
-
-class TestAudit:
-    def _traded(self, keys):
+    # (buyer, seller, count, fulfil?): counts up to 400 overrun the 300-token
+    # balances, and repeats of an order within a round occur, so some orders
+    # must be refused.
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                       st.integers(1, 400), st.booleans()),
+                             max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_conservation_property(self, rounds):
+        keys = make_keys()
         ledger = fresh_ledger(keys)
-        update = sample_update()
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                             keys["p00"].encrypt_key_hex)
-        _tx, _payload, reveal = ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
-                                                     update, np.random.default_rng(1))
-        return ledger, order, reveal
-
-    def test_honest_seller_fines_accusing_buyer(self, keys):
-        ledger, order, reveal = self._traded(keys)
-        ptx = ledger.audit_and_punish("p00", keys["p00"], order.tx_id, reveal)
-        assert ptx.payload["against"] == "p00"
-        assert ledger.balance("p00") == 240  # escrowed 30 then fined 30
-        assert ledger.balance("p01") == 360
-
-    def test_garbage_reveal_fines_seller(self, keys):
-        ledger, order, reveal = self._traded(keys)
-        fake = RevealedShipment(b"not the shipped bytes", reveal.fsk, reveal.nonce)
-        ptx = ledger.audit_and_punish("p00", keys["p00"], order.tx_id, fake)
-        assert ptx.payload["against"] == "p01"
-        assert ledger.balance("p01") == 300  # earned 30, fined 30
-
-    def test_unfulfilled_order_cannot_be_audited(self, keys):
-        ledger = fresh_ledger(keys)
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 5, 5,
-                                             keys["p00"].encrypt_key_hex)
-        with pytest.raises(LedgerError):
-            ledger.audit_and_punish("p00", keys["p00"], order.tx_id,
-                                    RevealedShipment(b"", b"0" * 32, b"0" * 12))
+        pids = sorted(keys)
+        rng = np.random.default_rng(11)
+        for orders in rounds:
+            placed = set()
+            for b, s, count, fulfil in orders:
+                buyer, seller = pids[b], pids[s]
+                before = {pid: ledger.balance(pid) for pid in pids}
+                try:
+                    order = ledger.submit_purchase_order(keys[buyer], buyer, seller, count,
+                                                         count, keys[buyer].encrypt_key_hex)
+                except LedgerError:
+                    assert count > before[buyer] or (b, s, count) in placed
+                    assert {pid: ledger.balance(pid) for pid in pids} == before
+                    continue
+                placed.add((b, s, count))
+                if fulfil:
+                    ledger.fulfill_order(keys[seller], seller, order.tx_id,
+                                         SparseUpdate(np.arange(count), np.ones(count), 400),
+                                         rng)
+                assert ledger.total_tokens() == 1200
+                assert all(ledger.balance(pid) >= 0 for pid in pids)
+            ledger.seal_block(pids[0])
+            assert ledger.total_tokens() == 1200
+            assert not ledger.escrow
+        assert verify_chain(ledger.chain)
 
 
 class TestChainVerification:
@@ -264,50 +282,10 @@ class TestChainVerification:
     def test_foreign_signature_rejected(self, keys):
         ledger = fresh_ledger(keys)
         intruder = KeyPair.generate(np.random.default_rng(6))
-        tx = Transaction.signed("token_transfer",
-                                {"from": "p00", "to": "p01", "amount": 1,
-                                 "note": "", "round": 1},
+        tx = Transaction.signed("punishment",
+                                {"against": "p01", "reason": "forged", "fine": 0,
+                                 "order": None, "round": 1},
                                 "p00", intruder)  # not p00's registered key
         ledger.pending.append(tx)
         ledger.seal_block("p00")
         assert not verify_chain(ledger.chain)
-
-
-class TestLateRegistration:
-    def test_join_after_genesis_verifies(self, keys):
-        ledger = fresh_ledger(keys)
-        newcomer = KeyPair.generate(np.random.default_rng(77))
-        ledger.register_party("p09", newcomer, 120)
-        ledger.seal_block("p00")
-        assert verify_chain(ledger.chain)
-        assert ledger.balance("p09") == 120
-        # The newcomer can transact in later rounds.
-        tx = ledger.submit_purchase_order(newcomer, "p09", "p00", 5, 5,
-                                          newcomer.encrypt_key_hex)
-        ledger.fulfill_order(keys["p00"], "p00", tx.tx_id,
-                             SparseUpdate(np.arange(5), np.ones(5), 100),
-                             np.random.default_rng(78))
-        ledger.seal_block("p01")
-        assert verify_chain(ledger.chain)
-
-    def test_duplicate_registration_rejected(self, keys):
-        ledger = fresh_ledger(keys)
-        with pytest.raises(LedgerError):
-            ledger.register_party("p00", keys["p00"], 5)
-
-
-class TestPayloadStore:
-    def test_content_addressed_dump(self, keys, tmp_path):
-        from faircollab.ledger import dump_payload_store, EncryptedPayload
-        ledger = fresh_ledger(keys)
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 5, 5,
-                                             keys["p00"].encrypt_key_hex)
-        _tx, payload, _rev = ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
-                                                  SparseUpdate(np.arange(5), np.ones(5), 100),
-                                                  np.random.default_rng(79))
-        store_dir = tmp_path / "store"
-        dump_payload_store(ledger.payload_store, store_dir)
-        path = store_dir / f"{payload.payload_hash}.json"
-        assert path.exists()
-        loaded = EncryptedPayload.from_dict(json.loads(path.read_text()))
-        assert loaded.payload_hash == payload.payload_hash

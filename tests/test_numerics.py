@@ -32,7 +32,7 @@ def finite_difference_gradient(model, batch, step=1e-5):
 
 class TestForward:
     def test_zero_weights_give_uniform_probabilities(self):
-        model = MlpModel.zeros((4, 5, 3))
+        model = MlpModel((4, 5, 3))
         probs = forward(model, np.ones((6, 4)))
         assert np.allclose(probs, 1.0 / 3.0)
 
@@ -54,7 +54,7 @@ class TestForward:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_dimension_mismatch_rejected(self):
-        model = MlpModel.zeros((3, 2))
+        model = MlpModel((3, 2))
         with pytest.raises(ValueError):
             forward(model, np.ones((2, 4)))
 
@@ -96,7 +96,7 @@ class TestBackward:
         assert np.linalg.norm(backward(model, batch)) < 1e-6
 
     def test_empty_batch_rejected(self):
-        model = MlpModel.zeros((2, 2))
+        model = MlpModel((2, 2))
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError):
             backward(model, empty)
@@ -237,7 +237,7 @@ class TestEvaluate:
         assert evaluate(model, data) == 1.0
 
     def test_constant_model_on_balanced_binary(self):
-        model = MlpModel.zeros((2, 2))  # always predicts class 0 on ties
+        model = MlpModel((2, 2))  # always predicts class 0 on ties
         data = Dataset(np.random.default_rng(8).normal(size=(10, 2)),
                        np.array([0, 1] * 5), 2)
         assert evaluate(model, data) == 0.5

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from faircollab.numerics import Dataset, MlpModel, make_blobs
 from faircollab.privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
-                                allocate_budgets, calibrate_sigma, clip_per_example,
-                                compose_spent, dp_sgd_step, lot_size_for)
+                                _clip_rows, allocate_budgets, calibrate_sigma, dp_sgd_step,
+                                lot_size_for)
 
 
 class TestCalibrateSigma:
@@ -41,22 +41,22 @@ class TestCalibrateSigma:
 
 class TestClipping:
     def test_below_bound_unchanged(self):
-        g = np.array([0.3, 0.4])  # norm 0.5
-        out = clip_per_example([g], 1.0)[0]
+        g = np.array([[0.3, 0.4]])  # norm 0.5
+        out = _clip_rows(g, 1.0)
         assert np.array_equal(out, g)
 
     def test_norm_five_rescaled(self):
-        out = clip_per_example([np.array([3.0, 4.0])], 1.0)[0]
+        out = _clip_rows(np.array([[3.0, 4.0]]), 1.0)[0]
         assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
     def test_zero_stays_zero(self):
-        out = clip_per_example([np.zeros(4)], 1.0)[0]
+        out = _clip_rows(np.zeros((1, 4)), 1.0)[0]
         assert np.array_equal(out, np.zeros(4))
 
     def test_output_norms_bounded(self):
         rng = np.random.default_rng(0)
-        grads = [rng.normal(size=8) * s for s in (0.1, 1.0, 10.0)]
-        for g in clip_per_example(grads, 0.7):
+        grads = np.stack([rng.normal(size=8) * s for s in (0.1, 1.0, 10.0)])
+        for g in _clip_rows(grads, 0.7):
             assert np.linalg.norm(g) <= 0.7 + 1e-9
 
 
@@ -65,17 +65,17 @@ class TestAccountant:
         acct = PrivacyAccountant(10.0, 1.0, "basic")
         for _ in range(3):
             acct.spend(0.1, 1e-6)
-        assert compose_spent(acct) == pytest.approx((0.3, 3e-6), rel=1e-12)
+        assert acct.spent() == pytest.approx((0.3, 3e-6), rel=1e-12)
 
     def test_amplified_map(self):
         acct = PrivacyAccountant(10.0, 1.0, "amplified-basic")
         acct.spend(1.0, 1e-5, q=0.1)
-        eps, delta = compose_spent(acct)
+        eps, delta = acct.spent()
         assert eps == pytest.approx(0.1, rel=1e-12)
         assert delta == pytest.approx(1e-6, rel=1e-12)
 
     def test_empty_ledger(self):
-        assert compose_spent(PrivacyAccountant(1.0, 1e-5)) == (0.0, 0.0)
+        assert PrivacyAccountant(1.0, 1e-5).spent() == (0.0, 0.0)
 
     def test_monotone_and_exhaustion(self):
         acct = PrivacyAccountant(1.0, 1.0, "basic")
@@ -87,7 +87,7 @@ class TestAccountant:
             except BudgetExhaustedError:
                 break
             spent_steps += 1
-            current = compose_spent(acct)
+            current = acct.spent()
             assert current[0] >= previous[0] and current[1] >= previous[1]
             previous = current
         assert spent_steps == 3  # 4th step of 0.3 would exceed 1.0
@@ -109,8 +109,8 @@ class TestAccountant:
         for _ in range(50):
             basic.spend(0.5, 1e-7, q=0.1)
             amplified.spend(0.5, 1e-7, q=0.1)
-        assert compose_spent(amplified)[0] <= compose_spent(basic)[0]
-        assert compose_spent(amplified)[1] <= compose_spent(basic)[1]
+        assert amplified.spent()[0] <= basic.spent()[0]
+        assert amplified.spent()[1] <= basic.spent()[1]
 
     def test_spend_many_atomic(self):
         acct = PrivacyAccountant(1.0, 1.0, "basic")
@@ -125,7 +125,7 @@ class TestAccountant:
         again = PrivacyAccountant.from_json(acct.to_json())
         assert again.strategy == acct.strategy
         assert again.records == acct.records
-        assert compose_spent(again) == compose_spent(acct)
+        assert again.spent() == acct.spent()
         assert again.exhausted() == acct.exhausted()
 
     @given(st.lists(st.tuples(st.floats(0.01, 0.5), st.floats(1e-9, 1e-6),
@@ -137,7 +137,7 @@ class TestAccountant:
             last = (0.0, 0.0)
             for eps, delta, q in steps:
                 acct.spend(eps, delta, q)
-                now = compose_spent(acct)
+                now = acct.spent()
                 assert now[0] >= last[0] and now[1] >= last[1]
                 last = now
 
