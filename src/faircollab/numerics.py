@@ -193,6 +193,41 @@ def backward(model: MlpModel, batch: Dataset) -> np.ndarray:
     return grad
 
 
+def clipped_mean_gradient(model: MlpModel, batch: Dataset, clip_norm: float) -> np.ndarray:
+    """Mean over the batch of single-example gradients, each first rescaled
+    to g / max(1, ||g|| / clip_norm), without materialising them.
+
+    A dense layer's single-example gradient is the outer product a d^T of
+    its input and delta plus the bias gradient d, so its squared norm is
+    (||a||^2 + 1) * ||d||^2 ("ghost norm"). The per-example norms come from
+    the activations and deltas backprop already holds, and each layer's
+    clipped mean is one reweighted a^T (d * f). Equal, up to rounding, to
+    clipping the rows of per_example_gradients() and averaging them.
+    """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    n = len(batch)
+    activations, probs = _forward_cached(model, batch.features)
+    delta = probs.copy()
+    delta[np.arange(n), batch.labels] -= 1.0
+    pairs = _backprop_deltas(model, activations, delta)
+    sq_norms = np.zeros(n, dtype=np.float64)
+    for inp, d in pairs:
+        sq_norms += (np.einsum("ni,ni->n", inp, inp) + 1.0) * np.einsum("nj,nj->n", d, d)
+    factors = np.minimum(1.0, clip_norm / np.maximum(np.sqrt(sq_norms), 1e-300)) / n
+    grad = np.empty(model.param_count, dtype=np.float64)
+    offset = 0
+    for inp, d in pairs:
+        scaled = d * factors[:, None]
+        dw = inp.T @ scaled
+        grad[offset:offset + dw.size] = dw.ravel()
+        offset += dw.size
+        db = scaled.sum(axis=0)
+        grad[offset:offset + db.size] = db
+        offset += db.size
+    return grad
+
+
 def per_example_gradients(model: MlpModel, batch: Dataset) -> np.ndarray:
     """(n, param_count) matrix whose rows are single-example loss gradients.
 

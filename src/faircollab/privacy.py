@@ -1,8 +1,13 @@
 """Differentially private gradient release and budget accounting.
 
-A training step clips per-example gradients to an L2 bound C, averages a
-lot of L examples sampled with replacement from the N local examples, and
-adds per-coordinate Gaussian noise with standard deviation sigma * C / L,
+A training step draws a lot of L rows with replacement over N = r * n
+virtual rows, where n is the number of local records and r the
+replication factor (augment_replication). Virtual row i is record i // r,
+the layout augment() would store, so the replicated copies are never
+built. The step clips each example's gradient to an L2 bound C (the
+norms come from activations and deltas, see
+numerics.clipped_mean_gradient), averages the lot, and adds
+per-coordinate Gaussian noise with standard deviation sigma * C / L,
 where sigma = sqrt(2 * ln(1.25 / delta)) / epsilon. That calibration is
 only valid for epsilon <= 1, which the parameter container enforces.
 
@@ -17,10 +22,11 @@ Neither total is a proven upper bound on the privacy loss:
   - amplified-basic charges q * eps_i, which is below the subsampling
     amplification bound log(1 + q * (e^eps_i - 1)); at eps_i = 1 and
     q = 0.0064 the bound is 1.7x larger.
-  - Lots are drawn with replacement, and build_parties replicates every
-    record (augment_replication copies), so one real record can enter a
-    lot several times. The per-step (eps_i, delta_i) then covers one row,
-    not one real record, and not even the basic sum bounds a record's loss.
+  - Lots are drawn with replacement over r copies of every record, and
+    q = L / N counts virtual rows, so one real record can enter a lot
+    several times and is sampled r times more often than q says. The
+    per-step (eps_i, delta_i) then covers one row, not one real record,
+    and not even the basic sum bounds a record's loss.
 
 Both follow the paper's accounting and gate training for reproduction
 fidelity. ROADMAP item 3 tracks an accountant whose total is a bound.
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Dataset, MlpModel, per_example_gradients
+from .numerics import Dataset, MlpModel, clipped_mean_gradient
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -60,7 +66,7 @@ class PrivacyParams:
     delta_per_step: float
     clip_norm: float
     lot_size: int
-    dataset_size: int
+    dataset_size: int  # N = r * n virtual rows the lots are drawn over
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_per_step <= 1.0:
@@ -201,30 +207,28 @@ def allocate_budgets(stage: str, dataset_name: str) -> tuple[float, float]:
     raise ValueError(f"unknown stage {stage!r}")
 
 
-def _clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Rescale each row g to g / max(1, ||g|| / C)."""
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    factors = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-    return grads * factors
-
-
 def dp_sgd_step(model: MlpModel, data: Dataset, params: PrivacyParams,
                 rng: np.random.Generator, accountant: PrivacyAccountant,
                 sigma: float | None = None) -> np.ndarray:
     """One private gradient release.
 
-    Samples a lot with replacement, clips per-example gradients, averages,
-    and perturbs with Gaussian noise of std sigma * C / L per coordinate.
-    The budget is debited before anything is computed; an exhausted
-    accountant refuses the step. sigma=0.0 is a testing hook that skips
-    the noise while still exercising the full pipeline.
+    Samples a lot of L rows with replacement over params.dataset_size =
+    r * len(data) virtual rows, where row i is record i // r: the layout
+    of augment(data, r), read back from the raw records without storing
+    the copies. Clips per-example gradients (ghost norms, see
+    clipped_mean_gradient), averages, and perturbs with Gaussian noise of
+    std sigma * C / L per coordinate. The budget is debited before
+    anything is computed; an exhausted accountant refuses the step.
+    sigma=0.0 is a testing hook that skips the noise while still
+    exercising the full pipeline.
     """
-    if len(data) != params.dataset_size:
-        raise ValueError("dataset size differs from the calibrated parameters")
+    if len(data) == 0 or params.dataset_size % len(data):
+        raise ValueError("calibrated dataset size is not a whole multiple of the data size")
+    replication = params.dataset_size // len(data)
     accountant.spend(params.epsilon_per_step, params.delta_per_step, params.sample_ratio)
-    lot = data.subset(rng.integers(0, len(data), size=params.lot_size))
-    grads = _clip_rows(per_example_gradients(model, lot), params.clip_norm)
-    mean_grad = grads.mean(axis=0)
+    rows = rng.integers(0, params.dataset_size, size=params.lot_size)
+    lot = data.subset(rows // replication)
+    mean_grad = clipped_mean_gradient(model, lot, params.clip_norm)
     if sigma is None:
         sigma = params.sigma
     noise_std = sigma * params.clip_norm / params.lot_size

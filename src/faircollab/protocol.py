@@ -79,7 +79,6 @@ class Party:
     id: str
     train_data: Dataset           # raw local training split
     val_data: Dataset             # held-out 20 percent for leave-one-out scoring
-    dp_train: Dataset             # augmented training data used for private steps
     sharing_level: float
     model: MlpModel
     initial_params: np.ndarray
@@ -147,6 +146,11 @@ class RoundState:
     credible: set
 
 
+def _replication(config: ProtocolConfig) -> int:
+    """Copies of each record that DP-SGD lots and prototypes are taken over."""
+    return max(1, config.augment_replication)
+
+
 def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfig,
                   seed_seq: np.random.SeedSequence,
                   adversaries: dict[int, AdversaryConfig] | None = None) -> list[Party]:
@@ -167,22 +171,19 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
             raise ProtocolError(f"sharing level of party {i} outside (0, 1]")
         rng = np.random.default_rng(party_seeds[i])
         train, val = data.split(config.validation_fraction, rng)
-        if config.augment_replication > 1:
-            dp_train = augment(train, config.augment_replication)
-        else:
-            dp_train = train
-        lot = config.lot_size or lot_size_for(len(dp_train))
+        # DP-SGD samples over the replicated size without storing the copies.
+        virtual_size = len(train) * _replication(config)
+        lot = config.lot_size or lot_size_for(virtual_size)
         eps_update, delta_update = allocate_budgets("update", config.dataset_name)
         eps_init, delta_init = allocate_budgets("initialisation", config.dataset_name)
         # Per-step delta scaled so epsilon and delta budgets exhaust together.
         delta_step = delta_update * config.epsilon_per_step / eps_update
         params = PrivacyParams(config.epsilon_per_step, delta_step,
-                               config.clip_norm, lot, len(dp_train))
+                               config.clip_norm, lot, virtual_size)
         parties.append(Party(
             id=f"p{i:02d}",
             train_data=train,
             val_data=val,
-            dp_train=dp_train,
             sharing_level=float(lam),
             model=w0.copy(),
             initial_params=w0.params.copy(),
@@ -255,8 +256,11 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
         count = int(p.sharing_level * (len(p.train_data) + len(p.val_data)))
         if count < 1:
             raise ProtocolError(f"{pid} would release zero samples; enlarge its data")
+        # The prototypes are taken over the replicated data; the copy lives
+        # only for this party's release.
         releases[pid] = generate_release(
-            p.dp_train, p.sharing_level, budget, p.rng, party_id=pid,
+            augment(p.train_data, _replication(config)), p.sharing_level, budget, p.rng,
+            party_id=pid,
             accountant=p.accountant_init, jitter_std=config.jitter_std,
             release_count=count)
 
@@ -311,12 +315,12 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
                                    echo=p.last_received_aggregate)
     if not p.publishing:
         return None
-    steps = config.dp_steps_per_round or max(1, len(p.dp_train) // p.privacy.lot_size)
+    steps = config.dp_steps_per_round or max(1, p.privacy.dataset_size // p.privacy.lot_size)
     before = p.model.params.copy()
     done = 0
     for _ in range(steps):
         try:
-            grad = dp_sgd_step(p.model, p.dp_train, p.privacy, p.rng, p.accountant_update)
+            grad = dp_sgd_step(p.model, p.train_data, p.privacy, p.rng, p.accountant_update)
         except BudgetExhaustedError:
             p.publishing = False
             trace.event("budget_exhausted", p.id, round_index, "update")
@@ -372,10 +376,12 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                 continue
             order = ledger.submit_purchase_order(buyer.keypair, pid, j, amount, amount,
                                                  buyer.keypair.encrypt_key_hex)
+            # tx_id re-serialises and hashes the transaction on every read.
+            order_id = order.tx_id
             selection = select_largest(deltas[j], amount)
-            _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order.tx_id,
+            _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order_id,
                                                 selection, by_id[j].rng)
-            blob = decrypt_payload(payload, buyer.keypair, aad=order.tx_id.encode())
+            blob = decrypt_payload(payload, buyer.keypair, aad=order_id.encode())
             update = SparseUpdate.from_bytes(blob)
             received[pid][j] = update
             offers[j][pid] = update

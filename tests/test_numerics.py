@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
-                                 decayed_lr, evaluate, forward, load_csv, load_idx, loss,
-                                 make_blobs, per_example_gradients, select_largest, sgd_step,
-                                 train_sgd)
+                                 clipped_mean_gradient, decayed_lr, evaluate, forward, load_csv,
+                                 load_idx, loss, make_blobs, per_example_gradients,
+                                 select_largest, sgd_step, train_sgd)
 
 
 def small_dataset(rng, n=8, dim=3, classes=3):
@@ -108,6 +108,61 @@ class TestBackward:
         per = per_example_gradients(model, batch)
         assert per.shape == (7, model.param_count)
         assert np.allclose(per.mean(axis=0), backward(model, batch), atol=1e-12)
+
+
+def clipped_mean_oracle(model, batch, clip_norm):
+    """Materialised reference: clip each per-example row, then average."""
+    grads = per_example_gradients(model, batch)
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    return (grads * np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))).mean(axis=0)
+
+
+class TestClippedMeanGradient:
+    @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
+    def test_matches_per_example_oracle_with_mixed_clipping(self, dims):
+        rng = np.random.default_rng(11)
+        model = MlpModel.seeded(dims, rng)
+        batch = small_dataset(rng, n=9, dim=dims[0], classes=dims[-1])
+        norms = np.linalg.norm(per_example_gradients(model, batch), axis=1)
+        clip = float(np.median(norms))
+        assert np.any(norms > clip) and np.any(norms < clip)
+        assert np.allclose(clipped_mean_gradient(model, batch, clip),
+                           clipped_mean_oracle(model, batch, clip), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
+    def test_nothing_clips_at_large_bound(self, dims):
+        rng = np.random.default_rng(12)
+        model = MlpModel.seeded(dims, rng)
+        batch = small_dataset(rng, n=6, dim=dims[0], classes=dims[-1])
+        out = clipped_mean_gradient(model, batch, 100.0)
+        assert np.allclose(out, clipped_mean_oracle(model, batch, 100.0), atol=1e-12)
+        assert np.allclose(out, backward(model, batch), atol=1e-12)
+
+    def test_zero_gradient_row(self):
+        # Row 0 sits on a saturated softmax of its true class, so its
+        # gradient is exactly zero; the other rows still count in the mean.
+        model = MlpModel.seeded((2, 4, 3), np.random.default_rng(13))
+        model.params[-3:] = [0.0, 0.0, 1000.0]
+        batch = Dataset(np.array([[0.2, 0.9], [0.5, 0.1], [0.7, 0.4]]),
+                        np.array([2, 0, 1]), 3)
+        assert np.all(per_example_gradients(model, batch)[0] == 0.0)
+        assert np.allclose(clipped_mean_gradient(model, batch, 0.5),
+                           clipped_mean_oracle(model, batch, 0.5), atol=1e-12)
+
+    def test_empty_batch_rejected(self):
+        model = MlpModel((2, 2))
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+        with pytest.raises(ValueError):
+            clipped_mean_gradient(model, empty, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), clip=st.floats(1e-3, 10.0),
+           scale=st.floats(0.01, 100.0))
+    def test_single_example_norm_bounded(self, seed, clip, scale):
+        rng = np.random.default_rng(seed)
+        model = MlpModel.seeded((4, 5, 3), rng)
+        batch = Dataset(rng.normal(size=(1, 4)) * scale, rng.integers(0, 3, 1), 3)
+        assert np.linalg.norm(clipped_mean_gradient(model, batch, clip)) <= clip * (1 + 1e-9)
 
 
 class TestSgdStep:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab.numerics import Dataset, MlpModel, make_blobs
+from faircollab.numerics import (Dataset, MlpModel, backward, clipped_mean_gradient,
+                                 make_blobs, per_example_gradients)
 from faircollab.privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
-                                _clip_rows, allocate_budgets, calibrate_sigma, dp_sgd_step,
-                                lot_size_for)
+                                allocate_budgets, calibrate_sigma, dp_sgd_step, lot_size_for)
+from faircollab.samplegen import augment
 
 
 class TestCalibrateSigma:
@@ -39,25 +40,42 @@ class TestCalibrateSigma:
             calibrate_sigma(eps, delta)
 
 
+def _single_example(seed=0):
+    """A one-layer model and a one-example batch with a nonzero gradient g."""
+    rng = np.random.default_rng(seed)
+    model = MlpModel.seeded((3, 4), rng)
+    batch = Dataset(rng.uniform(size=(1, 3)), np.array([1]), 4)
+    return model, batch, backward(model, batch)
+
+
 class TestClipping:
     def test_below_bound_unchanged(self):
-        g = np.array([[0.3, 0.4]])  # norm 0.5
-        out = _clip_rows(g, 1.0)
+        model, batch, g = _single_example()
+        out = clipped_mean_gradient(model, batch, 2.0 * np.linalg.norm(g))
         assert np.array_equal(out, g)
 
     def test_norm_five_rescaled(self):
-        out = _clip_rows(np.array([[3.0, 4.0]]), 1.0)[0]
-        assert np.allclose(out, [0.6, 0.8], atol=1e-12)
+        # A gradient of norm 5C comes back with norm C, direction kept.
+        model, batch, g = _single_example(1)
+        clip = np.linalg.norm(g) / 5.0
+        out = clipped_mean_gradient(model, batch, clip)
+        assert np.linalg.norm(out) == pytest.approx(clip, rel=1e-12)
+        assert np.allclose(out, g / 5.0, atol=1e-12)
 
     def test_zero_stays_zero(self):
-        out = _clip_rows(np.zeros((1, 4)), 1.0)[0]
-        assert np.array_equal(out, np.zeros(4))
+        # A saturated softmax on the true class gives an exactly zero gradient.
+        model = MlpModel((2, 3, 3))
+        model.params[-3:] = [1000.0, 0.0, 0.0]
+        batch = Dataset(np.array([[0.3, 0.7]]), np.array([0]), 3)
+        out = clipped_mean_gradient(model, batch, 1.0)
+        assert np.array_equal(out, np.zeros(model.param_count))
 
     def test_output_norms_bounded(self):
         rng = np.random.default_rng(0)
-        grads = np.stack([rng.normal(size=8) * s for s in (0.1, 1.0, 10.0)])
-        for g in _clip_rows(grads, 0.7):
-            assert np.linalg.norm(g) <= 0.7 + 1e-9
+        model = MlpModel.seeded((8, 6, 3), rng)
+        for scale in (0.1, 1.0, 10.0):
+            batch = Dataset(rng.normal(size=(1, 8)) * scale, np.array([2]), 3)
+            assert np.linalg.norm(clipped_mean_gradient(model, batch, 0.7)) <= 0.7 + 1e-9
 
 
 class TestAccountant:
@@ -179,11 +197,30 @@ class TestDpSgdStep:
         result = dp_sgd_step(model, data, params, np.random.default_rng(1234), acct, sigma=0.0)
         # Reproduce the lot draw with an identical generator.
         lot_idx = check_rng.integers(0, len(data), size=params.lot_size)
-        from faircollab.numerics import per_example_gradients
         grads = per_example_gradients(model, data.subset(lot_idx))
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         grads = grads * np.minimum(1.0, params.clip_norm / np.maximum(norms, 1e-300))
         assert np.allclose(result, grads.mean(axis=0), atol=1e-12)
+
+    def test_replica_free_lot_equals_replicated_oracle(self):
+        # Lots drawn over r * N virtual rows read raw record i // r: the
+        # same rows a draw from augment(data, r) would pick.
+        _, data, model, _, acct = _setup_step(seed=6, n=30)
+        r = 7
+        params = PrivacyParams(1.0, 1e-5, 0.5, lot_size_for(r * len(data)), r * len(data))
+        result = dp_sgd_step(model, data, params, np.random.default_rng(99), acct, sigma=0.0)
+        lot_idx = np.random.default_rng(99).integers(0, r * len(data), size=params.lot_size)
+        grads = per_example_gradients(model, augment(data, r).subset(lot_idx))
+        norms = np.linalg.norm(grads, axis=1, keepdims=True)
+        grads = grads * np.minimum(1.0, params.clip_norm / np.maximum(norms, 1e-300))
+        assert np.allclose(result, grads.mean(axis=0), atol=1e-12)
+
+    def test_dataset_size_not_a_multiple_rejected(self):
+        rng, data, model, _, acct = _setup_step(seed=7, n=30)
+        params = PrivacyParams(1.0, 1e-5, 1.0, 5, 3 * len(data) + 1)
+        with pytest.raises(ValueError):
+            dp_sgd_step(model, data, params, rng, acct)
+        assert acct.records == []
 
     def test_noise_standard_deviation(self):
         # Monte Carlo estimate of the per-coordinate noise std. Every row
