@@ -184,7 +184,7 @@ class ExperimentConfig:
                 if "hidden_dims" in proto:
                     proto["hidden_dims"] = tuple(proto["hidden_dims"])
                 data["protocol"] = ProtocolConfig(**proto)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 errors.append(f"protocol: {exc}")
         if "adversaries" in data:
             specs = []

@@ -325,14 +325,28 @@ class SparseUpdate:
         return cls(indices, values, param_count)
 
 
-def select_largest(gradient: np.ndarray, k: int) -> SparseUpdate:
-    """Top-k entries by absolute value; ties go to the lower index."""
+def magnitude_order(gradient: np.ndarray) -> np.ndarray:
+    """Indices by decreasing absolute value; ties go to the lower index.
+
+    Every top-k selection of the gradient is a prefix of this ranking.
+    """
+    return np.argsort(-np.abs(gradient), kind="stable")
+
+
+def select_largest(gradient: np.ndarray, k: int,
+                   order: np.ndarray | None = None) -> SparseUpdate:
+    """Top-k entries by absolute value; ties go to the lower index.
+
+    order is magnitude_order(gradient), for a caller that takes several
+    selections of one gradient and ranks it once.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
     if k > gradient.size:
         raise ValueError(f"k={k} exceeds gradient length {gradient.size}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    order = np.argsort(-np.abs(gradient), kind="stable")
+    if order is None:
+        order = magnitude_order(gradient)
     chosen = np.sort(order[:k])
     return SparseUpdate(chosen, gradient[chosen], gradient.size)
 

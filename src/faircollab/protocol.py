@@ -28,10 +28,11 @@ from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
 from .ledger import Block, KeyPair, Ledger, Transaction, decrypt_payload
 from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, decayed_lr, evaluate,
-                       predict, select_largest, sgd_step, train_sgd)
-from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams, allocate_budgets,
-                      dp_sgd_step, lot_size_for)
-from .samplegen import SampleRelease, augment, generate_release
+                       magnitude_order, predict, select_largest, sgd_step, train_sgd)
+from .privacy import (COMPOSITION_STRATEGIES, BudgetExhaustedError, PrivacyAccountant,
+                      PrivacyParams, allocate_budgets, dp_sgd_step, lot_size_for)
+# augment is never called here; bench/tracer.py still wraps protocol.augment.
+from .samplegen import SampleRelease, augment, generate_release  # noqa: F401
 
 
 class ProtocolError(RuntimeError):
@@ -69,6 +70,23 @@ class ProtocolConfig:
     # up to capacity; below 1.0 low-credibility sellers undersell, which
     # is what lets the token economy starve free-riders.
     download_fraction: float = 1.0
+
+    def __post_init__(self):
+        checks = (
+            (self.augment_replication >= 1, "augment_replication must be >= 1"),
+            (self.dp_steps_per_round >= 0, "dp_steps_per_round must be >= 0"),
+            (self.lot_size >= 0, "lot_size must be >= 0"),
+            (0.0 < self.epsilon_per_step <= 1.0, "epsilon_per_step must lie in (0, 1]"),
+            (self.clip_norm > 0.0, "clip_norm must be positive"),
+            (self.composition in COMPOSITION_STRATEGIES,
+             f"unknown composition {self.composition!r}"),
+            (0.0 < self.download_fraction <= 1.0, "download_fraction must lie in (0, 1]"),
+            (0.0 < self.validation_fraction < 1.0, "validation_fraction must lie in (0, 1)"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+        )
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
 
     def model_dims(self, feature_dim: int, num_classes: int) -> tuple[int, ...]:
         return (feature_dim, *self.hidden_dims, num_classes)
@@ -146,11 +164,6 @@ class RoundState:
     credible: set
 
 
-def _replication(config: ProtocolConfig) -> int:
-    """Copies of each record that DP-SGD lots and prototypes are taken over."""
-    return max(1, config.augment_replication)
-
-
 def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfig,
                   seed_seq: np.random.SeedSequence,
                   adversaries: dict[int, AdversaryConfig] | None = None) -> list[Party]:
@@ -172,7 +185,7 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
         rng = np.random.default_rng(party_seeds[i])
         train, val = data.split(config.validation_fraction, rng)
         # DP-SGD samples over the replicated size without storing the copies.
-        virtual_size = len(train) * _replication(config)
+        virtual_size = len(train) * config.augment_replication
         lot = config.lot_size or lot_size_for(virtual_size)
         eps_update, delta_update = allocate_budgets("update", config.dataset_name)
         eps_init, delta_init = allocate_budgets("initialisation", config.dataset_name)
@@ -256,13 +269,11 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
         count = int(p.sharing_level * (len(p.train_data) + len(p.val_data)))
         if count < 1:
             raise ProtocolError(f"{pid} would release zero samples; enlarge its data")
-        # The prototypes are taken over the replicated data; the copy lives
-        # only for this party's release.
         releases[pid] = generate_release(
-            augment(p.train_data, _replication(config)), p.sharing_level, budget, p.rng,
+            p.train_data, p.sharing_level, budget, p.rng,
             party_id=pid,
             accountant=p.accountant_init, jitter_std=config.jitter_std,
-            release_count=count)
+            release_count=count, replication=config.augment_replication)
 
     raw_maps: dict[str, dict[str, float]] = {}
     for pid in order:
@@ -351,6 +362,10 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         deltas[pid] = delta
         capacities[pid] = int(by_id[pid].sharing_level * param_count) if delta is not None else 0
 
+    # Each buyer's top-k is a prefix of its seller's one magnitude ranking.
+    rankings = {pid: magnitude_order(delta) for pid, delta in deltas.items()
+                if delta is not None}
+
     # Purchasing by download budget, credibility allocation, and supplement.
     received: dict[str, dict[str, SparseUpdate]] = {pid: {} for pid in members}
     offers: dict[str, dict[str, SparseUpdate]] = {pid: {} for pid in members}
@@ -378,7 +393,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                                                  buyer.keypair.encrypt_key_hex)
             # tx_id re-serialises and hashes the transaction on every read.
             order_id = order.tx_id
-            selection = select_largest(deltas[j], amount)
+            selection = select_largest(deltas[j], amount, rankings[j])
             _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order_id,
                                                 selection, by_id[j].rng)
             blob = decrypt_payload(payload, buyer.keypair, aad=order_id.encode())

@@ -76,19 +76,30 @@ def augment(data: Dataset, replication: int) -> Dataset:
 
 def noisy_class_prototypes(data: Dataset, budget: tuple[float, float],
                            rng: np.random.Generator,
-                           noise_override: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                           noise_override: float | None = None,
+                           replication: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean features under the Gaussian mechanism.
 
     Returns (prototypes, class_counts); absent classes keep a zero row and
     a zero count. noise_override replaces the calibrated noise std (0.0 is
     the zero-noise testing hook).
+
+    The means come from the raw rows, and the class counts are replication
+    times the raw ones: exactly the counts of augment(data, replication).
+    So the sensitivity sqrt(dim) / (replication * n_c) is that of
+    `replication` stored copies of every record, while one real record
+    moves a class mean by sqrt(dim) / n_c. Any replication above 1 makes
+    the noise that many times too small (ROADMAP item 3a); passing 1 is
+    the fix.
     """
     epsilon, delta = budget
     if epsilon <= 0.0 or delta <= 0.0:
         raise ValueError("budget must be positive")
+    if replication < 1:
+        raise ValueError("replication factor must be >= 1")
     chunks = max(1, math.ceil(epsilon))
     sigma = calibrate_sigma(epsilon / chunks, delta / chunks)
-    counts = np.bincount(data.labels, minlength=data.num_classes)
+    counts = replication * np.bincount(data.labels, minlength=data.num_classes)
     prototypes = np.zeros((data.num_classes, data.dim), dtype=np.float64)
     for cls in range(data.num_classes):
         if counts[cls] == 0:
@@ -109,14 +120,17 @@ def generate_release(data: Dataset, sharing_level: float, budget: tuple[float, f
                      accountant: PrivacyAccountant | None = None,
                      prototype_noise: float | None = None,
                      jitter_std: float = 0.05,
-                     release_count: int | None = None) -> SampleRelease:
+                     release_count: int | None = None,
+                     replication: int = 1) -> SampleRelease:
     """Release u = floor(sharing_level * |D|) label-free synthetic samples.
 
     Debits the full budget from the accountant (as ceil(epsilon) chunked
     records) before generating; an accountant that cannot cover the
-    release refuses it. release_count pins u explicitly when the data
-    passed in has been expanded by augmentation but the published volume
-    should follow the raw local size.
+    release refuses it. release_count pins u explicitly when the published
+    volume follows another size than len(data), such as a local size that
+    includes a held-out split. replication scales the class counts as
+    noisy_class_prototypes describes; the classes are drawn in proportion
+    to the same frequencies either way.
     """
     if not 0.0 < sharing_level <= 1.0:
         raise ValueError("sharing_level must lie in (0, 1]")
@@ -125,7 +139,8 @@ def generate_release(data: Dataset, sharing_level: float, budget: tuple[float, f
         chunks = max(1, math.ceil(epsilon))
         accountant.spend_many(epsilon / chunks, delta / chunks, count=chunks)
 
-    prototypes, counts = noisy_class_prototypes(data, budget, rng, prototype_noise)
+    prototypes, counts = noisy_class_prototypes(data, budget, rng, prototype_noise,
+                                                 replication)
     u = int(sharing_level * len(data)) if release_count is None else int(release_count)
     present = np.flatnonzero(counts)
     if present.size == 0:

@@ -266,6 +266,18 @@ class TestExperimentAndCli:
         path.write_text(json.dumps({"name": "x", "n": 0}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("augment_replication", 0), ("dp_steps_per_round", -3), ("download_fraction", 0.0),
+        ("epsilon_per_step", 2.0), ("lot_size", -1), ("clip_norm", 0.0),
+        ("composition", "advanced"), ("validation_fraction", 1.0), ("batch_size", 0)])
+    def test_cli_out_of_range_protocol_exit_code(self, tmp_path, capsys, key, value):
+        cfg = small_config().to_dict()
+        cfg["protocol"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
 
 def csv_config(tmp_path, rows):
     data = tmp_path / "data.csv"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
                                  clipped_mean_gradient, decayed_lr, evaluate, forward, load_csv,
-                                 load_idx, loss, make_blobs, per_example_gradients,
-                                 select_largest, sgd_step, train_sgd)
+                                 load_idx, loss, magnitude_order, make_blobs,
+                                 per_example_gradients, select_largest, sgd_step, train_sgd)
 
 
 def small_dataset(rng, n=8, dim=3, classes=3):
@@ -235,6 +235,19 @@ class TestSelectLargest:
         permuted = set(select_largest(g[perm], k).indices)
         # Position i of the permuted vector holds original coordinate perm[i].
         assert {int(perm[i]) for i in permuted} == {int(i) for i in base}
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_every_top_k_is_a_prefix_of_one_ranking(self, entries):
+        # Few distinct magnitudes with random signs, so ties are common.
+        g = np.array([m * 0.25 * (-1.0 if neg else 1.0) for m, neg in entries])
+        order = magnitude_order(g)
+        for k in range(g.size + 1):
+            expected = select_largest(g, k)
+            assert np.array_equal(np.sort(order[:k]), expected.indices)
+            ranked = select_largest(g, k, order)
+            assert np.array_equal(ranked.indices, expected.indices)
+            assert np.array_equal(ranked.values, expected.values)
 
 
 class TestApplyUpdates:

@@ -68,6 +68,31 @@ class TestPrototypes:
         assert np.mean(big_errs) < np.mean(small_errs) / 10
 
 
+class TestReplicaFreeRelease:
+    @pytest.mark.parametrize("replication", [1, 3, 100])
+    @pytest.mark.parametrize("prototype_noise", [None, 0.0])
+    def test_matches_release_over_replicated_copy(self, replication, prototype_noise):
+        data = tabular_data(np.random.default_rng(17), n=60, classes=4)
+        ours = generate_release(data, 0.5, (4.0, 1e-5), np.random.default_rng(3),
+                                prototype_noise=prototype_noise, release_count=25,
+                                replication=replication)
+        oracle = generate_release(augment(data, replication), 0.5, (4.0, 1e-5),
+                                  np.random.default_rng(3), prototype_noise=prototype_noise,
+                                  release_count=25)
+        np.testing.assert_allclose(ours.samples, oracle.samples, rtol=0, atol=1e-12)
+        protos, counts = noisy_class_prototypes(data, (4.0, 1e-5), np.random.default_rng(4),
+                                                prototype_noise, replication)
+        oracle_protos, oracle_counts = noisy_class_prototypes(
+            augment(data, replication), (4.0, 1e-5), np.random.default_rng(4), prototype_noise)
+        assert np.array_equal(counts, oracle_counts)
+        np.testing.assert_allclose(protos, oracle_protos, rtol=0, atol=1e-12)
+
+    def test_replication_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            noisy_class_prototypes(tabular_data(np.random.default_rng(18)), (1.0, 1e-5),
+                                   np.random.default_rng(0), replication=0)
+
+
 class TestGenerateRelease:
     def test_sample_count_follows_sharing_level(self):
         rng = np.random.default_rng(9)
