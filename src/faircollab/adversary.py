@@ -118,22 +118,18 @@ class DetectionRecord:
 def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[DetectionRecord]:
     """Scan a run trace's events for exclusions and token exhaustion.
 
-    events: iterable of objects/dicts with kind, party, stage, round
-    fields (protocol.TraceEvent satisfies this).
+    events: iterable of dicts with kind, party, stage and round keys
+    (protocol.TraceEvent.to_dict gives them).
     """
     records = []
     for party_id in sorted(adversaries):
         cfg = adversaries[party_id]
         hit = None
         for ev in events:
-            kind = ev["kind"] if isinstance(ev, dict) else ev.kind
-            party = ev["party"] if isinstance(ev, dict) else ev.party
-            if party != party_id or kind not in ("excluded", "token_exhausted"):
+            if ev["party"] != party_id or ev["kind"] not in ("excluded", "token_exhausted"):
                 continue
-            stage = ev["stage"] if isinstance(ev, dict) else ev.stage
-            rnd = ev["round"] if isinstance(ev, dict) else ev.round
-            if hit is None or rnd < hit[1]:
-                hit = (stage, rnd)
+            if hit is None or ev["round"] < hit[1]:
+                hit = (ev["stage"], ev["round"])
         if hit is None:
             records.append(DetectionRecord(party_id, cfg.kind.value, False, "never", None))
         else:

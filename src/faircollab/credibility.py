@@ -1,4 +1,4 @@
-"""Reputation core: credibility scoring, token accounts, and banning.
+"""Reputation core: credibility scoring, token grants, and banning.
 
 Initialisation: each party publishes synthetic samples, every party
 labels every release, and the publisher scores each peer by how often the
@@ -47,16 +47,6 @@ class CredibilityList:
                 raise ValueError("credibility list cannot score its owner")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"credibility for {peer} outside [0, 1]")
-
-
-@dataclass
-class TokenAccount:
-    party_id: str
-    balance: int = 0
-
-    def __post_init__(self):
-        if self.balance < 0:
-            raise ValueError("token balance cannot be negative")
 
 
 @dataclass(frozen=True)

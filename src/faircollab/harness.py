@@ -27,6 +27,10 @@ from .numerics import Dataset, blob_centers, load_csv, load_idx, make_blobs
 from .protocol import (FRAMEWORKS, ProtocolConfig, build_parties, run_fdpddl, run_framework)
 
 
+# Setting 3 draws party shares from a symmetric Dirichlet with this alpha.
+DIRICHLET_ALPHA = 1.0
+
+
 class ConfigError(ValueError):
     pass
 
@@ -157,7 +161,6 @@ class ExperimentConfig:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     lambda_low: float = 0.1
     lambda_high: float = 0.5
-    dirichlet_alpha: float = 1.0
     min_party_size: int = 40
     parallel_workers: int = 0
 
@@ -216,6 +219,10 @@ class ExperimentConfig:
             errors.append("n must be at least 2")
         if self.rounds < 0:
             errors.append("rounds cannot be negative")
+        for key in ("settings", "seeds", "frameworks"):
+            duplicated = _duplicates(getattr(self, key))
+            if duplicated:
+                errors.append(f"{key} repeats {duplicated}")
         for s in self.settings:
             if s not in (1, 2, 3):
                 errors.append(f"setting {s} not in {{1, 2, 3}}")
@@ -227,8 +234,6 @@ class ExperimentConfig:
                 errors.append(f"framework {fw!r} not one of {FRAMEWORKS}")
         if not 0.0 < self.lambda_low <= self.lambda_high <= 1.0:
             errors.append("need 0 < lambda_low <= lambda_high <= 1")
-        if self.dirichlet_alpha <= 0.0:
-            errors.append("dirichlet_alpha must be positive")
         if self.dataset.kind not in ("blobs", "csv", "idx"):
             errors.append(f"dataset kind {self.dataset.kind!r} unknown")
         if self.dataset.kind == "csv" and not self.dataset.path:
@@ -245,6 +250,15 @@ class ExperimentConfig:
         if self.min_party_size < 10:
             errors.append("min_party_size must be at least 10")
         return errors
+
+
+def _duplicates(values) -> list:
+    """Values that occur more than once, in order of first repeat."""
+    repeated = []
+    for i, value in enumerate(values):
+        if value in values[:i] and value not in repeated:
+            repeated.append(value)
+    return repeated
 
 
 def load_config(path) -> ExperimentConfig:
@@ -282,7 +296,7 @@ def resolve_setting(config: ExperimentConfig, setting: int,
         sizes = (config.dataset.per_party,) * n
     else:
         total = config.dataset.per_party * n
-        props = rng.dirichlet([config.dirichlet_alpha] * n)
+        props = rng.dirichlet([DIRICHLET_ALPHA] * n)
         sizes = np.maximum((props * total).astype(int), config.min_party_size)
         sizes = tuple(int(s) for s in sizes)
     if setting == 2:
@@ -405,7 +419,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int) 
         result["fairness"] = fairness_report(setting, lams, saccs, finals).to_dict()
     if adversaries:
         adv_by_id = {f"p{idx:02d}": cfg for idx, cfg in adversaries.items()}
-        records = detection_report(trace.events, adv_by_id)
+        records = detection_report(result["trace"]["events"], adv_by_id)
         result["detection"] = [r.to_dict() for r in records]
     return result
 
@@ -425,6 +439,12 @@ def run_experiment(config: ExperimentConfig, outdir,
     """Run every configured cell, store traces, and emit report tables."""
     seeds = tuple(seed_override) if seed_override else config.seeds
     frameworks = tuple(framework_filter) if framework_filter else config.frameworks
+    # One trace file per cell: a repeated cell would be summarised twice by
+    # run but once by report.
+    for flag, values in (("--seed", seeds), ("--framework", frameworks)):
+        duplicated = _duplicates(values)
+        if duplicated:
+            raise ConfigError(f"{flag} repeats {duplicated}")
     cells = [(fw, st, sd) for fw in frameworks for st in config.settings for sd in seeds]
 
     os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
@@ -546,7 +566,6 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     seeds = tuple(args.seed) if args.seed else None
     frameworks = tuple(args.framework) if args.framework else None
-    os.makedirs(args.out, exist_ok=True)
     summary = run_experiment(config, args.out, seeds, frameworks)
     print(json.dumps({"cells_completed": len(summary["cells"]),
                       "out": args.out}, sort_keys=True))

@@ -30,7 +30,6 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .numerics import SparseUpdate
-from .credibility import TokenAccount
 
 TRANSACTION_KINDS = ("register", "purchase_order", "fulfillment", "punishment")
 
@@ -208,13 +207,13 @@ class Order:
 
 
 class Ledger:
-    """Serialized ledger facade: token accounts, escrow, payload store,
+    """Serialized ledger facade: token balances, escrow, payload store,
     and the block chain itself."""
 
     def __init__(self):
         self.chain: list[Block] = []
         self.pending: list[Transaction] = []
-        self.accounts: dict[str, TokenAccount] = {}
+        self.balances: dict[str, int] = {}
         self.verify_keys: dict[str, str] = {}
         self.escrow: dict[str, int] = {}
         self.orders: dict[str, Order] = {}
@@ -238,7 +237,7 @@ class Ledger:
             payload = {"party": party_id, "verify_key": verify_key_hex, "tokens": int(tokens)}
             txs.append(Transaction.signed("register", payload, party_id, keypairs[party_id]))
             self.verify_keys[party_id] = verify_key_hex
-            self.accounts[party_id] = TokenAccount(party_id, int(tokens))
+            self.balances[party_id] = int(tokens)
         txs.extend(extra_transactions)
         genesis = Block.sealed(0, "0" * 64, txs, registrations[0][0])
         self.chain.append(genesis)
@@ -248,10 +247,10 @@ class Ledger:
     # -- trading ------------------------------------------------------
 
     def balance(self, party_id: str) -> int:
-        return self.accounts[party_id].balance
+        return self.balances[party_id]
 
     def total_tokens(self) -> int:
-        return sum(acct.balance for acct in self.accounts.values()) + sum(self.escrow.values())
+        return sum(self.balances.values()) + sum(self.escrow.values())
 
     def submit_purchase_order(self, buyer_keypair: KeyPair, buyer: str, seller: str,
                               count: int, offered_tokens: int,
@@ -260,8 +259,7 @@ class Ledger:
             raise LedgerError("order must request at least one gradient")
         if offered_tokens < count:
             raise LedgerError("one token per gradient: offer covers the count")
-        account = self.accounts[buyer]
-        if account.balance < offered_tokens:
+        if self.balances[buyer] < offered_tokens:
             raise LedgerError(f"{buyer} cannot escrow {offered_tokens} tokens")
         payload = {"buyer": buyer, "seller": seller, "count": int(count),
                    "offered": int(offered_tokens), "encrypt_key": buyer_encrypt_key_hex,
@@ -272,7 +270,7 @@ class Ledger:
         # and would overwrite the first one's escrow.
         if order_id in self.orders:
             raise LedgerError(f"identical order {order_id} already placed this round")
-        account.balance -= offered_tokens
+        self.balances[buyer] -= offered_tokens
         self.escrow[order_id] = offered_tokens
         self.orders[order_id] = Order(order_id, buyer, seller, count, offered_tokens,
                                       buyer_encrypt_key_hex, self.round_index)
@@ -301,7 +299,7 @@ class Ledger:
         self.pending.append(tx)
         order.status = "fulfilled"
         amount = self.escrow.pop(order_id)
-        self.accounts[seller].balance += amount
+        self.balances[seller] += amount
         return tx, payload_obj
 
     def record_punishment(self, keypair: KeyPair, author: str, against: str,
@@ -320,7 +318,7 @@ class Ledger:
         """Refund escrow of every unfulfilled order (called at round seal)."""
         for order_id, order in list(self.orders.items()):
             if order.status == "open" and order_id in self.escrow:
-                self.accounts[order.buyer].balance += self.escrow.pop(order_id)
+                self.balances[order.buyer] += self.escrow.pop(order_id)
                 order.status = "expired"
 
     def seal_block(self, leader: str) -> Block:

@@ -11,7 +11,7 @@ per-coordinate Gaussian noise with standard deviation sigma * C / L,
 where sigma = sqrt(2 * ln(1.25 / delta)) / epsilon. That calibration is
 only valid for epsilon <= 1, which the parameter container enforces.
 
-Budgets compose through pluggable strategies:
+Budgets compose by one of two strategies, chosen by name:
 
   basic            spent = (sum eps_i, sum delta_i)
   amplified-basic  each step first maps to (q * eps_i, q * delta_i) using
@@ -34,8 +34,8 @@ fidelity. ROADMAP item 3 tracks an accountant whose total is a bound.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,39 +92,26 @@ def lot_size_for(dataset_size: int) -> int:
     return max(1, int(math.isqrt(dataset_size)))
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    epsilon: float
-    delta: float
-    q: float = 1.0
-
-
-def _basic(record: StepRecord) -> tuple[float, float]:
-    return record.epsilon, record.delta
-
-
-def _amplified_basic(record: StepRecord) -> tuple[float, float]:
-    return record.q * record.epsilon, record.q * record.delta
-
-
+# Name -> whether a step's (eps, delta) is scaled by its sample ratio q.
 COMPOSITION_STRATEGIES = {
-    "basic": _basic,
-    "amplified-basic": _amplified_basic,
+    "basic": False,
+    "amplified-basic": True,
 }
 
 
 @dataclass
 class PrivacyAccountant:
-    """Per-party (epsilon, delta) ledger with a total budget.
+    """Per-party (epsilon, delta) budget with running composed sums.
 
-    Records are appended by spend(); exhausted() flips to True once, when
-    a spend attempt would overrun the budget or consumes the last of it.
+    steps counts the releases per distinct (epsilon, delta, q); exhausted()
+    flips to True once, when a spend attempt would overrun the budget or
+    consumes the last of it.
     """
 
     epsilon_total: float
     delta_total: float
     strategy: str = "basic"
-    records: list = field(default_factory=list)
+    steps: Counter = field(default_factory=Counter)
     _exhausted: bool = False
     _spent_eps: float = 0.0
     _spent_delta: float = 0.0
@@ -134,18 +121,6 @@ class PrivacyAccountant:
             raise ValueError(f"unknown composition strategy {self.strategy!r}")
         if self.epsilon_total <= 0.0 or self.delta_total <= 0.0:
             raise ValueError("budget totals must be positive")
-        self._recompute()
-
-    def _recompute(self) -> None:
-        mapper = COMPOSITION_STRATEGIES[self.strategy]
-        eps = 0.0
-        delta = 0.0
-        for record in self.records:
-            e, d = mapper(record)
-            eps += e
-            delta += d
-        self._spent_eps = eps
-        self._spent_delta = delta
 
     def spent(self) -> tuple[float, float]:
         return self._spent_eps, self._spent_delta
@@ -153,17 +128,15 @@ class PrivacyAccountant:
     def exhausted(self) -> bool:
         return self._exhausted
 
-    def spend(self, epsilon: float, delta: float, q: float = 1.0) -> None:
-        """Record one release, or raise BudgetExhaustedError without recording."""
-        self.spend_many(epsilon, delta, q, count=1)
-
-    def spend_many(self, epsilon: float, delta: float, q: float = 1.0, count: int = 1) -> None:
-        """Atomically record `count` identical releases; refuse all if any
-        would overrun the budget."""
+    def spend(self, epsilon: float, delta: float, q: float = 1.0, count: int = 1) -> None:
+        """Atomically record `count` identical releases, or raise
+        BudgetExhaustedError and record none if they would overrun the
+        budget."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        mapper = COMPOSITION_STRATEGIES[self.strategy]
-        step_eps, step_delta = mapper(StepRecord(epsilon, delta, q))
+        step_eps, step_delta = epsilon, delta
+        if COMPOSITION_STRATEGIES[self.strategy]:
+            step_eps, step_delta = q * epsilon, q * delta
         if (self._exhausted
                 or self._spent_eps + count * step_eps > self.epsilon_total
                 or self._spent_delta + count * step_delta > self.delta_total):
@@ -171,29 +144,11 @@ class PrivacyAccountant:
             raise BudgetExhaustedError(
                 f"spend {count} x ({epsilon}, {delta}) at q={q} would exceed "
                 f"({self.epsilon_total}, {self.delta_total})")
-        self.records.extend(StepRecord(epsilon, delta, q) for _ in range(count))
+        self.steps[(epsilon, delta, q)] += count
         self._spent_eps += count * step_eps
         self._spent_delta += count * step_delta
         if self._spent_eps >= self.epsilon_total or self._spent_delta >= self.delta_total:
             self._exhausted = True
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "epsilon_total": self.epsilon_total,
-            "delta_total": self.delta_total,
-            "strategy": self.strategy,
-            "exhausted": self._exhausted,
-            "records": [[r.epsilon, r.delta, r.q] for r in self.records],
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PrivacyAccountant":
-        obj = json.loads(text)
-        acct = cls(obj["epsilon_total"], obj["delta_total"], obj["strategy"])
-        acct.records = [StepRecord(*rec) for rec in obj["records"]]
-        acct._exhausted = bool(obj["exhausted"])
-        acct._recompute()
-        return acct
 
 
 def allocate_budgets(stage: str, dataset_name: str) -> tuple[float, float]:

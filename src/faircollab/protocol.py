@@ -41,6 +41,11 @@ class ProtocolError(RuntimeError):
 
 FRAMEWORKS = ("standalone", "centralised", "distributed_dssgd", "fdpddl")
 
+PRETRAIN_EPOCHS = 10
+BASELINE_EPOCHS_PER_ROUND = 1
+DSSGD_UPLOAD_RATE = 0.1  # fraction of the delta a DSSGD party uploads
+TOKEN_RESERVE = 1        # tokens a buyer keeps back from its download budget
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -50,7 +55,6 @@ class ProtocolConfig:
     hidden_dims: tuple[int, ...] = (32,)
     learning_rate: float = 0.1
     lr_decay: float = 1e-7
-    pretrain_epochs: int = 10
     batch_size: int = 32
     validation_fraction: float = 0.2
     # One epoch over the lot schedule (N // L steps) when 0.
@@ -61,10 +65,6 @@ class ProtocolConfig:
     lot_size: int = 0  # 0 -> sqrt(N)
     augment_replication: int = 1
     jitter_std: float = 0.02
-    credibility_threshold: float | None = None  # None -> (1/n)(2/3)
-    token_reserve: int = 1
-    baseline_epochs_per_round: int = 1
-    dssgd_upload_rate: float = 0.1
     # Download budget d_i = min(p_i - reserve, fraction * total supply).
     # At 1.0 demand saturates supply and the supplement tops every seller
     # up to capacity; below 1.0 low-credibility sellers undersell, which
@@ -112,7 +112,6 @@ class Party:
     publishing: bool = True
     token_exhaustion_reported: bool = False
     last_received_aggregate: np.ndarray | None = None
-    pending_raw: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class RunTrace:
 @dataclass
 class RoundState:
     round_index: int
-    offers: dict                 # seller -> buyer -> SparseUpdate
+    received: dict               # buyer -> seller -> SparseUpdate, bans included
     evaluations: dict            # buyer -> (acc, {seller: acc_without})
     block: Block | None
     credible: set
@@ -214,7 +213,7 @@ def pretrain(parties: list[Party], config: ProtocolConfig,
              test_data: Dataset | None = None, epochs: int | None = None) -> None:
     """Standalone pretraining from the shared initial parameters; records
     each party's standalone accuracy for the fairness axis."""
-    epochs = config.pretrain_epochs if epochs is None else epochs
+    epochs = PRETRAIN_EPOCHS if epochs is None else epochs
     for p in parties:
         p.sgd_steps += train_sgd(p.model, p.train_data, epochs, config.learning_rate,
                                  config.lr_decay, config.batch_size, p.rng, p.sgd_steps)
@@ -228,16 +227,13 @@ def _label_release(labeler: Party, release: SampleRelease, num_classes: int) -> 
 
 
 def _screen_and_exclude(parties: dict[str, Party], credible: set[str],
-                        raw_maps: dict[str, dict[str, float]],
-                        config: ProtocolConfig) -> tuple[set[str], list[str]]:
+                        raw_maps: dict[str, dict[str, float]]) -> tuple[set[str], list[str]]:
     """Normalise every party's raw scores over the live credible set,
     collect "non-credible" reports, and apply majority exclusion until
     stable. Mirrors the renormalise-and-rescreen loop of both stages."""
     removed_all: list[str] = []
     while True:
-        threshold = (config.credibility_threshold
-                     if config.credibility_threshold is not None
-                     else cred.default_threshold(len(credible)))
+        threshold = cred.default_threshold(len(credible))
         reports: dict[str, set[str]] = {}
         for pid in sorted(credible):
             filtered = {peer: value for peer, value in raw_maps[pid].items()
@@ -283,7 +279,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
         raw_maps[pid] = cred.init_credibility(matrix)
 
     credible = set(order)
-    credible, removed = _screen_and_exclude(by_id, credible, raw_maps, config)
+    credible, removed = _screen_and_exclude(by_id, credible, raw_maps)
     for r in removed:
         trace.event("excluded", r, 0, "init")
     if len(credible) < 2:
@@ -368,12 +364,11 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
 
     # Purchasing by download budget, credibility allocation, and supplement.
     received: dict[str, dict[str, SparseUpdate]] = {pid: {} for pid in members}
-    offers: dict[str, dict[str, SparseUpdate]] = {pid: {} for pid in members}
     for pid in members:
         buyer = by_id[pid]
         balance = ledger.balance(pid)
         supply = sum(capacities[j] for j in members if j != pid)
-        budget = min(balance - config.token_reserve,
+        budget = min(balance - TOKEN_RESERVE,
                      int(config.download_fraction * supply))
         if budget < 1:
             continue
@@ -397,12 +392,11 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order_id,
                                                 selection, by_id[j].rng)
             blob = decrypt_payload(payload, buyer.keypair, aad=order_id.encode())
-            update = SparseUpdate.from_bytes(blob)
-            received[pid][j] = update
-            offers[j][pid] = update
+            received[pid][j] = SparseUpdate.from_bytes(blob)
 
     # Apply own delta (already in the model) plus purchases; score peers.
     evaluations: dict[str, tuple[float, dict[str, float]]] = {}
+    raw_maps: dict[str, dict[str, float]] = {}
     for pid in members:
         p = by_id[pid]
         updates = [received[pid][j] for j in sorted(received[pid])]
@@ -427,18 +421,17 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             acc_without[j] = acc_j
             prev = p.credibility.scores.get(j, 0.0) if p.credibility else 0.0
             raw_new[j] = cred.credibility_update(prev, acc, acc_j)
-        p.pending_raw = raw_new
+        raw_maps[pid] = raw_new
         evaluations[pid] = (acc, acc_without)
 
     # Renormalise, report, exclude, and roll back a banned peer's updates.
-    raw_maps = {pid: by_id[pid].pending_raw for pid in members}
-    new_credible, removed = _screen_and_exclude(by_id, set(members), raw_maps, config)
+    new_credible, removed = _screen_and_exclude(by_id, set(members), raw_maps)
     leader = by_id[leader_id]
     for r in removed:
         trace.event("excluded", r, round_index, "update")
         ledger.record_punishment(leader.keypair, leader.id, r, "non-credible")
         for pid in sorted(new_credible):
-            update = received[pid].pop(r, None)
+            update = received[pid].get(r)
             if update is not None and len(update):
                 apply_updates(by_id[pid].model, [update.negated()])
                 by_id[pid].last_received_aggregate[update.indices] -= update.values
@@ -449,7 +442,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         p = by_id[pid]
         # Token stock depleted to the reserve floor: the party can only
         # recycle its round earnings and is effectively starved out.
-        if ledger.balance(pid) <= config.token_reserve and not p.token_exhaustion_reported:
+        if ledger.balance(pid) <= TOKEN_RESERVE and not p.token_exhaustion_reported:
             p.token_exhaustion_reported = True
             trace.event("token_exhausted", pid, round_index, "update")
         test_acc = evaluate(p.model, test_data) if test_data is not None else evaluations[pid][0]
@@ -461,7 +454,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                     "round": round_index, "owner": pid, "peer": peer,
                     "credibility": p.credibility.scores[peer],
                     "balance": ledger.balance(pid)})
-    return RoundState(round_index, offers, evaluations, block, new_credible)
+    return RoundState(round_index, received, evaluations, block, new_credible)
 
 
 def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
@@ -509,7 +502,7 @@ def _run_standalone(parties, config, rounds, test_data) -> RunTrace:
         trace.sharing_levels[p.id] = p.sharing_level
     for round_index in range(1, rounds + 1):
         for p in parties:
-            p.sgd_steps += train_sgd(p.model, p.train_data, config.baseline_epochs_per_round,
+            p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
                                      config.learning_rate, config.lr_decay,
                                      config.batch_size, p.rng, p.sgd_steps)
         _record_round(trace, round_index, parties, test_data)
@@ -528,12 +521,12 @@ def _run_centralised(parties, config, rounds, test_data) -> RunTrace:
         parties[0].train_data.num_classes)
     model = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
     rng = parties[0].rng
-    steps = train_sgd(model, pooled, config.pretrain_epochs, config.learning_rate,
+    steps = train_sgd(model, pooled, PRETRAIN_EPOCHS, config.learning_rate,
                       config.lr_decay, config.batch_size, rng)
     for p in parties:
         trace.sharing_levels[p.id] = p.sharing_level
     for round_index in range(1, rounds + 1):
-        steps += train_sgd(model, pooled, config.baseline_epochs_per_round,
+        steps += train_sgd(model, pooled, BASELINE_EPOCHS_PER_ROUND,
                            config.learning_rate, config.lr_decay,
                            config.batch_size, rng, steps)
         acc = evaluate(model, test_data)
@@ -556,11 +549,11 @@ def _run_dssgd(parties, config, rounds, test_data) -> RunTrace:
         trace.standalone_accuracies[p.id] = p.standalone_accuracy
         trace.sharing_levels[p.id] = p.sharing_level
     server = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
-    k = int(config.dssgd_upload_rate * server.param_count)
+    k = int(DSSGD_UPLOAD_RATE * server.param_count)
     for round_index in range(1, rounds + 1):
         for p in parties:
             p.model.params[:] = server.params
-            p.sgd_steps += train_sgd(p.model, p.train_data, config.baseline_epochs_per_round,
+            p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
                                      config.learning_rate, config.lr_decay,
                                      config.batch_size, p.rng, p.sgd_steps)
             delta = p.model.params - server.params

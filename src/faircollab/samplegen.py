@@ -1,13 +1,14 @@
 """Stage-one artificial-sample release.
 
 Each party publishes a small, label-free batch of synthetic feature rows
-so peers can benchmark each other's standalone models. The default
-generator is deliberately simple: per-class feature means perturbed by a
+so peers can benchmark each other's standalone models. The generator
+is deliberately simple: per-class feature means perturbed by a
 Gaussian mechanism (features are expected in [0, 1], so a class mean over
 n_c rows moves by at most sqrt(dim) / n_c when one example changes), then
 u = floor(lambda * |D|) samples emitted as noisy prototype plus a small
 jitter, with classes drawn in proportion to the local class frequencies.
-A richer generative model can be slotted in through the same interface.
+It is the only generator: generate_release calls noisy_class_prototypes
+directly, and a different model means editing that function.
 
 Budgets above epsilon = 1 are spent as ceil(epsilon) equal chunks, each
 within the Gaussian calibration's validity range; the chunked releases
@@ -18,7 +19,6 @@ while the chunks still compose to the full (epsilon, delta).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,24 +46,6 @@ class SampleRelease:
     @property
     def count(self) -> int:
         return self.samples.shape[0]
-
-    def to_bytes(self) -> bytes:
-        """Matrix-block wire format, suitable for ledger payload envelopes."""
-        pid = self.party_id.encode()
-        header = struct.pack(">III", self.samples.shape[0], self.samples.shape[1], len(pid))
-        return header + pid + self.samples.astype(">f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SampleRelease":
-        if len(blob) < 12:
-            raise ValueError("truncated sample release blob")
-        rows, cols, pid_len = struct.unpack(">III", blob[:12])
-        need = 12 + pid_len + rows * cols * 8
-        if len(blob) != need:
-            raise ValueError("sample release blob has wrong length")
-        pid = blob[12:12 + pid_len].decode()
-        data = np.frombuffer(blob[12 + pid_len:], dtype=">f8").astype(np.float64)
-        return cls(data.reshape(rows, cols), pid)
 
 
 def augment(data: Dataset, replication: int) -> Dataset:
@@ -137,7 +119,7 @@ def generate_release(data: Dataset, sharing_level: float, budget: tuple[float, f
     epsilon, delta = budget
     if accountant is not None:
         chunks = max(1, math.ceil(epsilon))
-        accountant.spend_many(epsilon / chunks, delta / chunks, count=chunks)
+        accountant.spend(epsilon / chunks, delta / chunks, count=chunks)
 
     prototypes, counts = noisy_class_prototypes(data, budget, rng, prototype_noise,
                                                  replication)

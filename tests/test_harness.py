@@ -278,6 +278,42 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    # These values are module constants, so a config that sets one exits 2
+    # rather than running, or, for dssgd_upload_rate 2.0, crashing in
+    # select_largest.
+    @pytest.mark.parametrize("section, key, value", [
+        ("protocol", "dssgd_upload_rate", 2.0), ("protocol", "pretrain_epochs", 3),
+        ("protocol", "baseline_epochs_per_round", 2), ("protocol", "token_reserve", 0),
+        ("protocol", "credibility_threshold", 0.1), (None, "dirichlet_alpha", 0.5)])
+    def test_cli_removed_key_exit_code(self, tmp_path, capsys, section, key, value):
+        cfg = small_config(frameworks=["distributed_dssgd"]).to_dict()
+        (cfg[section] if section else cfg)[key] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    # A repeated cell would write one trace but be summarised twice, so
+    # report could not reproduce run.
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", [0, 0]), ("settings", [1, 1]), ("frameworks", ["fdpddl", "fdpddl"])])
+    def test_cli_repeated_grid_entry_exit_code(self, tmp_path, capsys, key, value):
+        cfg = small_config().to_dict()
+        cfg[key] = value
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--seed", "3", "--seed", "3"],
+                                       ["--framework", "fdpddl", "--framework", "fdpddl"]])
+    def test_cli_repeated_override_exit_code(self, tmp_path, capsys, flags):
+        path = tmp_path / "cfg.json"
+        save_config(small_config(), path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def csv_config(tmp_path, rows):
     data = tmp_path / "data.csv"

@@ -143,16 +143,19 @@ class TestUpdateRound:
         assert verify_chain(ledger.chain)
 
     def test_credibility_update_wiring(self):
-        # pending_raw must equal the sigmoid update applied to the prior
-        # normalised score for every scored peer.
+        # The new scores must be the sigmoid update applied to the prior
+        # normalised score for every scored peer, renormalised over peers.
         parties, credible, ledger, config, trace, test = self._after_init()
         prior = {p.id: dict(p.credibility.scores) for p in parties}
         state = run_update_round(parties, credible, ledger, 1, config, trace, test)
+        assert state.credible == credible  # nobody banned: one normalisation pass
         for p in parties:
             acc, acc_without = state.evaluations[p.id]
-            for peer, acc_j in acc_without.items():
-                expected = credibility_update(prior[p.id][peer], acc, acc_j)
-                assert p.pending_raw[peer] == pytest.approx(expected, abs=1e-12)
+            raw = {peer: credibility_update(prior[p.id][peer], acc, acc_j)
+                   for peer, acc_j in acc_without.items()}
+            for peer, value in raw.items():
+                assert p.credibility.scores[peer] == pytest.approx(
+                    value / sum(raw.values()), abs=1e-12)
 
     def test_token_conservation_over_rounds(self):
         parties, credible, ledger, config, trace, test = self._after_init()
@@ -167,19 +170,19 @@ class TestUpdateRound:
             dp_steps_per_round=1000)
         state = run_update_round(parties, credible, ledger, 1, config, trace, test)
         assert any(e.kind == "budget_exhausted" for e in trace.events)
-        # Next round nobody can publish, so no offers change hands.
+        # Next round nobody can publish, so nothing changes hands.
         state = run_update_round(parties, credible, ledger, 2, config, trace, test)
-        assert all(not buyers for buyers in state.offers.values())
+        assert all(not sellers for sellers in state.received.values())
         assert all(p.publishing is False for p in parties)
 
     def test_purchases_happen_between_credible_parties(self):
         parties, credible, ledger, config, trace, test = self._after_init()
         state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        sold = sum(len(u) for buyers in state.offers.values() for u in buyers.values())
+        sold = sum(len(u) for sellers in state.received.values() for u in sellers.values())
         assert sold > 0
         cap = int(0.1 * parties[0].model.param_count)
-        for seller, buyers in state.offers.items():
-            for update in buyers.values():
+        for sellers in state.received.values():
+            for update in sellers.values():
                 assert len(update) <= cap
 
 
@@ -309,7 +312,7 @@ class TestUpdateStageExclusion:
         for p in honest:
             own_and_honest = p.model.params - snapshots[p.id]
             assert np.all(np.isfinite(own_and_honest))
-            bought_back = state.offers.get("p03", {}).get(p.id)
+            bought_back = state.received.get(p.id, {}).get("p03")
             if bought_back is not None:
                 # Adding the banned update back must reproduce the
                 # pre-rollback parameters recorded in acc evaluations.

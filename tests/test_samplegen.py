@@ -145,6 +145,7 @@ class TestGenerateRelease:
         spent = acct.spent()
         assert spent[0] == pytest.approx(4.0)
         assert spent[1] == pytest.approx(1e-5)
+        assert acct.steps == {(1.0, 1e-5 / 4, 1.0): 4}  # ceil(4) chunks
         with pytest.raises(BudgetExhaustedError):
             generate_release(data, 0.1, (4.0, 1e-5), rng, accountant=acct)
 
@@ -161,26 +162,3 @@ class TestGenerateRelease:
             with pytest.raises(ValueError):
                 generate_release(data, lam, (4.0, 1e-5), rng)
 
-
-class TestReleaseWireFormat:
-    def test_bytes_round_trip(self):
-        rng = np.random.default_rng(20)
-        release = SampleRelease(rng.normal(size=(7, 5)), "p02")
-        again = SampleRelease.from_bytes(release.to_bytes())
-        assert again.party_id == "p02"
-        assert np.array_equal(again.samples, release.samples)
-
-    def test_travels_through_payload_envelope(self):
-        from faircollab.ledger import KeyPair, decrypt_payload, encrypt_payload
-        rng = np.random.default_rng(21)
-        kp = KeyPair.generate(rng)
-        release = SampleRelease(rng.uniform(size=(4, 3)), "p00")
-        payload = encrypt_payload(release.to_bytes(), kp.encrypt_key_hex,
-                                  np.random.default_rng(22))
-        again = SampleRelease.from_bytes(decrypt_payload(payload, kp))
-        assert np.array_equal(again.samples, release.samples)
-
-    def test_truncated_blob_rejected(self):
-        release = SampleRelease(np.zeros((2, 2)), "p00")
-        with pytest.raises(ValueError):
-            SampleRelease.from_bytes(release.to_bytes()[:-4])
