@@ -16,8 +16,7 @@ from .ledger import (Block, EncryptedPayload, KeyPair, Ledger, Transaction, decr
 from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freerider_gradients,
                         freerider_label, gan_attacker_setup)
 from .protocol import (Party, ProtocolConfig, RoundState, RunTrace, build_parties, pretrain,
-                       run_baseline, run_fdpddl, run_framework, run_initialisation,
-                       run_update_round)
+                       run_baseline, run_fdpddl, run_initialisation, run_update_round)
 from .harness import (ExperimentConfig, FairnessReport, SettingSpec, build_x_axis, fairness,
                       fairness_report, run_cell, run_experiment)
 

@@ -39,7 +39,6 @@ class CredibilityList:
 
     owner: str
     scores: dict[str, float] = field(default_factory=dict)
-    threshold: float = 0.0
 
     def __post_init__(self):
         for peer, value in self.scores.items():
@@ -117,10 +116,10 @@ def normalize_and_screen(owner: str, raw: dict[str, float],
         raise ValueError("raw credibility map is empty")
     total = sum(raw.values())
     if total <= 0.0:
-        return CredibilityList(owner, {}, threshold), set(raw)
+        return CredibilityList(owner, {}), set(raw)
     normalized = {peer: value / total for peer, value in raw.items()}
     reports = {peer for peer, value in normalized.items() if value < threshold}
-    return CredibilityList(owner, normalized, threshold), reports
+    return CredibilityList(owner, normalized), reports
 
 
 def consensus_exclude(reports: dict[str, set[str]], credible: set[str]) -> tuple[set[str], list[str]]:

@@ -24,7 +24,8 @@ import numpy as np
 from .adversary import AdversaryConfig, AdversaryKind, detection_report, gan_attacker_setup
 from .ledger import load_chain, verify_chain
 from .numerics import Dataset, blob_centers, load_csv, load_idx, make_blobs
-from .protocol import (FRAMEWORKS, ProtocolConfig, build_parties, run_fdpddl, run_framework)
+from . import protocol
+from .protocol import FRAMEWORKS, ProtocolConfig, build_parties, run_fdpddl
 
 
 # Setting 3 draws party shares from a symmetric Dirichlet with this alpha.
@@ -134,6 +135,10 @@ class AdversarySpec:
     adversary_classes: tuple[int, ...] = ()
     iid_control: bool = False
 
+    def index(self, n: int) -> int:
+        """The party this adversary plays among n parties."""
+        return self.party if self.party >= 0 else n - 1
+
 
 @dataclass(frozen=True)
 class SettingSpec:
@@ -240,6 +245,9 @@ class ExperimentConfig:
             errors.append("csv dataset needs a path")
         if self.dataset.kind == "idx" and not (self.dataset.images_path and self.dataset.labels_path):
             errors.append("idx dataset needs images_path and labels_path")
+        for key in ("num_classes", "dim", "per_party", "test_size"):
+            if getattr(self.dataset, key) < 1:
+                errors.append(f"dataset.{key} must be at least 1")
         for adv in self.adversaries:
             try:
                 AdversaryKind(adv.kind)
@@ -247,6 +255,11 @@ class ExperimentConfig:
                 errors.append(f"adversary kind {adv.kind!r} unknown")
             if not -1 <= adv.party < self.n:
                 errors.append(f"adversary party index {adv.party} out of range")
+        # build_cell_data keeps one adversary per party, so a second one
+        # on the same party would silently replace the first.
+        duplicated = _duplicates([adv.index(self.n) for adv in self.adversaries])
+        if duplicated:
+            errors.append(f"adversaries repeat party {duplicated}")
         if self.min_party_size < 10:
             errors.append("min_party_size must be at least 10")
         return errors
@@ -322,7 +335,7 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
 
     adversaries: dict[int, AdversaryConfig] = {}
     for adv in config.adversaries:
-        idx = adv.party if adv.party >= 0 else config.n - 1
+        idx = adv.index(config.n)
         victim = adv.victim_classes or tuple(range(ds.num_classes // 2))
         attacker = adv.adversary_classes or tuple(range(ds.num_classes // 2, ds.num_classes))
         adversaries[idx] = AdversaryConfig(adv.kind, victim, attacker, adv.crafted_scale)
@@ -330,7 +343,7 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
     gan_indices = [i for i, a in adversaries.items()
                    if a.kind == AdversaryKind.GAN_ATTACKER]
     gan_split = [i for i in gan_indices
-                 if not any(s.iid_control and (s.party if s.party >= 0 else config.n - 1) == i
+                 if not any(s.iid_control and s.index(config.n) == i
                             for s in config.adversaries)]
 
     if ds.kind == "blobs":
@@ -397,7 +410,9 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int) 
         trace, ledger = run_fdpddl(parties, proto, config.rounds, test)
         chain_valid = verify_chain(ledger.chain)
     else:
-        trace = run_framework(framework, parties, proto, config.rounds, test)
+        # Called through the module so that a wrapper installed on
+        # protocol.run_baseline sees the call.
+        trace = protocol.run_baseline(framework, parties, config.rounds, test)
 
     party_ids = sorted(p.id for p in parties)
     result = {

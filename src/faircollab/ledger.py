@@ -3,12 +3,13 @@
 One block is sealed per protocol round by a rotating leader (consensus is
 simulated; every submission passes through this single serialized
 component). The genesis block records each party's verification key and
-initial token grant. Gradient sales run as purchase_order / fulfillment
-transaction pairs: the order escrows the offered tokens and carries the
-buyer's encryption key, the fulfillment publishes an encrypted payload to
-a content-addressed store and records its hash plus a pointer back to the
-order, at which point the escrow moves to the seller. Unfulfilled orders
-are refunded when the round's block is sealed.
+initial token grant, then the punishments of initialisation. Gradient
+sales run as purchase_order / fulfillment transaction pairs: the order
+escrows the offered tokens and carries the buyer's encryption key, the
+fulfillment publishes an encrypted payload to a content-addressed store
+and records its hash plus a pointer back to the order, at which point the
+escrow moves to the seller. Unfulfilled orders are refunded when the
+round's block is sealed.
 
 Primitives are real, not stubs: Ed25519 signatures, SHA-256 chaining, and
 a hybrid envelope (fresh AES-256-GCM key per payload, wrapped for the
@@ -200,9 +201,7 @@ class Order:
     buyer: str
     seller: str
     count: int
-    offered: int
     buyer_encrypt_key: str
-    round_index: int
     status: str = "open"  # open | fulfilled | expired
 
 
@@ -214,7 +213,6 @@ class Ledger:
         self.chain: list[Block] = []
         self.pending: list[Transaction] = []
         self.balances: dict[str, int] = {}
-        self.verify_keys: dict[str, str] = {}
         self.escrow: dict[str, int] = {}
         self.orders: dict[str, Order] = {}
         self.payload_store: dict[str, EncryptedPayload] = {}
@@ -222,9 +220,11 @@ class Ledger:
 
     # -- genesis ------------------------------------------------------
 
-    def create_genesis(self, registrations, keypairs: dict[str, KeyPair],
-                       extra_transactions=()) -> Block:
-        """registrations: iterable of (party_id, verify_key_hex, tokens)."""
+    def create_genesis(self, registrations, keypairs: dict[str, KeyPair]) -> Block:
+        """registrations: iterable of (party_id, verify_key_hex, tokens).
+
+        Block 0 holds the registrations followed by whatever is pending,
+        such as punishments recorded at initialisation."""
         registrations = list(registrations)
         if len(registrations) < 2:
             raise LedgerError("genesis needs at least 2 registrations")
@@ -236,11 +236,10 @@ class Ledger:
             seen.add(party_id)
             payload = {"party": party_id, "verify_key": verify_key_hex, "tokens": int(tokens)}
             txs.append(Transaction.signed("register", payload, party_id, keypairs[party_id]))
-            self.verify_keys[party_id] = verify_key_hex
             self.balances[party_id] = int(tokens)
-        txs.extend(extra_transactions)
-        genesis = Block.sealed(0, "0" * 64, txs, registrations[0][0])
+        genesis = Block.sealed(0, "0" * 64, txs + self.pending, registrations[0][0])
         self.chain.append(genesis)
+        self.pending = []
         self.round_index = 1
         return genesis
 
@@ -272,8 +271,7 @@ class Ledger:
             raise LedgerError(f"identical order {order_id} already placed this round")
         self.balances[buyer] -= offered_tokens
         self.escrow[order_id] = offered_tokens
-        self.orders[order_id] = Order(order_id, buyer, seller, count, offered_tokens,
-                                      buyer_encrypt_key_hex, self.round_index)
+        self.orders[order_id] = Order(order_id, buyer, seller, count, buyer_encrypt_key_hex)
         self.pending.append(tx)
         return tx
 
@@ -304,8 +302,7 @@ class Ledger:
 
     def record_punishment(self, keypair: KeyPair, author: str, against: str,
                           reason: str) -> Transaction:
-        # No fines are levied; "fine" and "order" keep the record's shape
-        # the same as the punishments written into the genesis block.
+        # No fines are levied: "fine" is always 0 and "order" always None.
         payload = {"against": against, "reason": reason, "fine": 0,
                    "order": None, "round": self.round_index}
         tx = Transaction.signed("punishment", payload, author, keypair)

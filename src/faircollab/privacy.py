@@ -11,24 +11,22 @@ per-coordinate Gaussian noise with standard deviation sigma * C / L,
 where sigma = sqrt(2 * ln(1.25 / delta)) / epsilon. That calibration is
 only valid for epsilon <= 1, which the parameter container enforces.
 
-Budgets compose by one of two strategies, chosen by name:
+Budgets compose by one rule: each release first maps to
+(q * eps_i, q * delta_i) using its sample ratio q = L / N (q = 1 for a
+release that reads the whole local dataset), and the maps are summed.
 
-  basic            spent = (sum eps_i, sum delta_i)
-  amplified-basic  each step first maps to (q * eps_i, q * delta_i) using
-                   its sample ratio q = L / N, then sums
+That total is not a proven upper bound on the privacy loss:
 
-Neither total is a proven upper bound on the privacy loss:
-
-  - amplified-basic charges q * eps_i, which is below the subsampling
-    amplification bound log(1 + q * (e^eps_i - 1)); at eps_i = 1 and
-    q = 0.0064 the bound is 1.7x larger.
+  - q * eps_i is below the subsampling amplification bound
+    log(1 + q * (e^eps_i - 1)); at eps_i = 1 and q = 0.0064 the bound is
+    1.7x larger (ROADMAP item 3b).
   - Lots are drawn with replacement over r copies of every record, and
     q = L / N counts virtual rows, so one real record can enter a lot
     several times and is sampled r times more often than q says. The
     per-step (eps_i, delta_i) then covers one row, not one real record,
-    and not even the basic sum bounds a record's loss.
+    and even the unscaled sum would not bound a record's loss (item 3b).
 
-Both follow the paper's accounting and gate training for reproduction
+The rule follows the paper's accounting and gates training for reproduction
 fidelity. ROADMAP item 3 tracks an accountant whose total is a bound.
 """
 
@@ -92,16 +90,10 @@ def lot_size_for(dataset_size: int) -> int:
     return max(1, int(math.isqrt(dataset_size)))
 
 
-# Name -> whether a step's (eps, delta) is scaled by its sample ratio q.
-COMPOSITION_STRATEGIES = {
-    "basic": False,
-    "amplified-basic": True,
-}
-
-
 @dataclass
 class PrivacyAccountant:
-    """Per-party (epsilon, delta) budget with running composed sums.
+    """Per-party (epsilon, delta) budget with running sums of the
+    q-scaled charges (q * epsilon, q * delta).
 
     steps counts the releases per distinct (epsilon, delta, q); exhausted()
     flips to True once, when a spend attempt would overrun the budget or
@@ -110,15 +102,12 @@ class PrivacyAccountant:
 
     epsilon_total: float
     delta_total: float
-    strategy: str = "basic"
     steps: Counter = field(default_factory=Counter)
     _exhausted: bool = False
     _spent_eps: float = 0.0
     _spent_delta: float = 0.0
 
     def __post_init__(self):
-        if self.strategy not in COMPOSITION_STRATEGIES:
-            raise ValueError(f"unknown composition strategy {self.strategy!r}")
         if self.epsilon_total <= 0.0 or self.delta_total <= 0.0:
             raise ValueError("budget totals must be positive")
 
@@ -134,9 +123,7 @@ class PrivacyAccountant:
         budget."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        step_eps, step_delta = epsilon, delta
-        if COMPOSITION_STRATEGIES[self.strategy]:
-            step_eps, step_delta = q * epsilon, q * delta
+        step_eps, step_delta = q * epsilon, q * delta
         if (self._exhausted
                 or self._spent_eps + count * step_eps > self.epsilon_total
                 or self._spent_delta + count * step_delta > self.delta_total):

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
-from .ledger import Block, KeyPair, Ledger, Transaction, decrypt_payload
+from .ledger import Block, KeyPair, Ledger, decrypt_payload
 from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, decayed_lr, evaluate,
                        magnitude_order, predict, select_largest, sgd_step, train_sgd)
-from .privacy import (COMPOSITION_STRATEGIES, BudgetExhaustedError, PrivacyAccountant,
-                      PrivacyParams, allocate_budgets, dp_sgd_step, lot_size_for)
+from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
+                      allocate_budgets, dp_sgd_step, lot_size_for)
 # augment is never called here; bench/tracer.py still wraps protocol.augment.
 from .samplegen import SampleRelease, augment, generate_release  # noqa: F401
 
@@ -45,6 +45,16 @@ PRETRAIN_EPOCHS = 10
 BASELINE_EPOCHS_PER_ROUND = 1
 DSSGD_UPLOAD_RATE = 0.1  # fraction of the delta a DSSGD party uploads
 TOKEN_RESERVE = 1        # tokens a buyer keeps back from its download budget
+# Step size LEARNING_RATE / (1 + LR_DECAY * step), for DP-SGD and plain SGD.
+LEARNING_RATE = 0.1
+LR_DECAY = 1e-7
+BATCH_SIZE = 32            # batch of plain (non-private) SGD
+VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
+# Each DP-SGD step spends EPSILON_PER_STEP scaled by its sample ratio
+# q = L / N, where L = lot_size_for(N) = sqrt(N), and clips to CLIP_NORM.
+EPSILON_PER_STEP = 1.0
+CLIP_NORM = 1.0
+JITTER_STD = 0.02          # feature jitter of the initialisation release
 
 
 @dataclass(frozen=True)
@@ -53,18 +63,9 @@ class ProtocolConfig:
 
     dataset_name: str = "blobs"
     hidden_dims: tuple[int, ...] = (32,)
-    learning_rate: float = 0.1
-    lr_decay: float = 1e-7
-    batch_size: int = 32
-    validation_fraction: float = 0.2
     # One epoch over the lot schedule (N // L steps) when 0.
     dp_steps_per_round: int = 0
-    epsilon_per_step: float = 1.0
-    clip_norm: float = 1.0
-    composition: str = "amplified-basic"
-    lot_size: int = 0  # 0 -> sqrt(N)
     augment_replication: int = 1
-    jitter_std: float = 0.02
     # Download budget d_i = min(p_i - reserve, fraction * total supply).
     # At 1.0 demand saturates supply and the supplement tops every seller
     # up to capacity; below 1.0 low-credibility sellers undersell, which
@@ -75,14 +76,8 @@ class ProtocolConfig:
         checks = (
             (self.augment_replication >= 1, "augment_replication must be >= 1"),
             (self.dp_steps_per_round >= 0, "dp_steps_per_round must be >= 0"),
-            (self.lot_size >= 0, "lot_size must be >= 0"),
-            (0.0 < self.epsilon_per_step <= 1.0, "epsilon_per_step must lie in (0, 1]"),
-            (self.clip_norm > 0.0, "clip_norm must be positive"),
-            (self.composition in COMPOSITION_STRATEGIES,
-             f"unknown composition {self.composition!r}"),
             (0.0 < self.download_fraction <= 1.0, "download_fraction must lie in (0, 1]"),
-            (0.0 < self.validation_fraction < 1.0, "validation_fraction must lie in (0, 1)"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (all(width >= 1 for width in self.hidden_dims), "hidden_dims must all be >= 1"),
         )
         errors = [message for ok, message in checks if not ok]
         if errors:
@@ -182,16 +177,15 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
         if not 0.0 < lam <= 1.0:
             raise ProtocolError(f"sharing level of party {i} outside (0, 1]")
         rng = np.random.default_rng(party_seeds[i])
-        train, val = data.split(config.validation_fraction, rng)
+        train, val = data.split(VALIDATION_FRACTION, rng)
         # DP-SGD samples over the replicated size without storing the copies.
         virtual_size = len(train) * config.augment_replication
-        lot = config.lot_size or lot_size_for(virtual_size)
         eps_update, delta_update = allocate_budgets("update", config.dataset_name)
         eps_init, delta_init = allocate_budgets("initialisation", config.dataset_name)
         # Per-step delta scaled so epsilon and delta budgets exhaust together.
-        delta_step = delta_update * config.epsilon_per_step / eps_update
-        params = PrivacyParams(config.epsilon_per_step, delta_step,
-                               config.clip_norm, lot, virtual_size)
+        delta_step = delta_update * EPSILON_PER_STEP / eps_update
+        params = PrivacyParams(EPSILON_PER_STEP, delta_step, CLIP_NORM,
+                               lot_size_for(virtual_size), virtual_size)
         parties.append(Party(
             id=f"p{i:02d}",
             train_data=train,
@@ -201,22 +195,22 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
             initial_params=w0.params.copy(),
             keypair=KeyPair.generate(rng),
             rng=rng,
-            accountant_init=PrivacyAccountant(eps_init, delta_init, config.composition),
-            accountant_update=PrivacyAccountant(eps_update, delta_update, config.composition),
+            accountant_init=PrivacyAccountant(eps_init, delta_init),
+            accountant_update=PrivacyAccountant(eps_update, delta_update),
             privacy=params,
             adversary=adversaries.get(i),
         ))
     return parties
 
 
-def pretrain(parties: list[Party], config: ProtocolConfig,
-             test_data: Dataset | None = None, epochs: int | None = None) -> None:
+def pretrain(parties: list[Party], test_data: Dataset | None = None,
+             epochs: int | None = None) -> None:
     """Standalone pretraining from the shared initial parameters; records
     each party's standalone accuracy for the fairness axis."""
     epochs = PRETRAIN_EPOCHS if epochs is None else epochs
     for p in parties:
-        p.sgd_steps += train_sgd(p.model, p.train_data, epochs, config.learning_rate,
-                                 config.lr_decay, config.batch_size, p.rng, p.sgd_steps)
+        p.sgd_steps += train_sgd(p.model, p.train_data, epochs, LEARNING_RATE,
+                                 LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
         p.standalone_accuracy = evaluate(p.model, test_data if test_data is not None else p.val_data)
 
 
@@ -268,7 +262,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
         releases[pid] = generate_release(
             p.train_data, p.sharing_level, budget, p.rng,
             party_id=pid,
-            accountant=p.accountant_init, jitter_std=config.jitter_std,
+            accountant=p.accountant_init, jitter_std=JITTER_STD,
             release_count=count, replication=config.augment_replication)
 
     raw_maps: dict[str, dict[str, float]] = {}
@@ -286,23 +280,17 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
         raise ProtocolError("fewer than 2 credible parties after initialisation")
 
     survivors = sorted(credible)
+    leader = by_id[survivors[0]]
+    for r in removed:
+        ledger.record_punishment(leader.keypair, leader.id, r, "non-credible at initialisation")
     registrations = []
     for pid in survivors:
         p = by_id[pid]
         tokens = cred.init_tokens(p.sharing_level, p.model.param_count, len(survivors))
         registrations.append((pid, p.keypair.verify_key_hex, tokens))
-    leader = by_id[survivors[0]]
-    extra = [ledger_punishment_tx(leader, r, "non-credible at initialisation")
-             for r in removed]
-    genesis = ledger.create_genesis(registrations, {pid: by_id[pid].keypair for pid in survivors},
-                                    extra_transactions=extra)
+    genesis = ledger.create_genesis(registrations, {pid: by_id[pid].keypair for pid in survivors})
     trace.token_totals.append((0, ledger.total_tokens()))
     return credible, genesis
-
-
-def ledger_punishment_tx(leader: Party, against: str, reason: str) -> Transaction:
-    payload = {"against": against, "reason": reason, "fine": 0, "order": None, "round": 0}
-    return Transaction.signed("punishment", payload, leader.id, leader.keypair)
 
 
 def _local_training(p: Party, config: ProtocolConfig, round_index: int,
@@ -332,7 +320,7 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
             p.publishing = False
             trace.event("budget_exhausted", p.id, round_index, "update")
             break
-        sgd_step(p.model, grad, decayed_lr(config.learning_rate, config.lr_decay, p.sgd_steps))
+        sgd_step(p.model, grad, decayed_lr(LEARNING_RATE, LR_DECAY, p.sgd_steps))
         p.sgd_steps += 1
         done += 1
     if done == 0:
@@ -462,7 +450,7 @@ def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
                ledger: Ledger | None = None) -> tuple[RunTrace, Ledger]:
     trace = RunTrace("fdpddl")
     ledger = ledger or Ledger()
-    pretrain(parties, config, test_data)
+    pretrain(parties, test_data)
     for p in parties:
         trace.standalone_accuracies[p.id] = p.standalone_accuracy
         trace.sharing_levels[p.id] = p.sharing_level
@@ -476,15 +464,14 @@ def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
     return trace, ledger
 
 
-def run_baseline(kind: str, parties: list[Party], config: ProtocolConfig, rounds: int,
-                 test_data: Dataset) -> RunTrace:
+def run_baseline(kind: str, parties: list[Party], rounds: int, test_data: Dataset) -> RunTrace:
     """Reference frameworks on the same party data partition."""
     if kind == "standalone":
-        return _run_standalone(parties, config, rounds, test_data)
+        return _run_standalone(parties, rounds, test_data)
     if kind == "centralised":
-        return _run_centralised(parties, config, rounds, test_data)
+        return _run_centralised(parties, rounds, test_data)
     if kind == "distributed_dssgd":
-        return _run_dssgd(parties, config, rounds, test_data)
+        return _run_dssgd(parties, rounds, test_data)
     raise ProtocolError(f"unknown baseline {kind!r}")
 
 
@@ -494,24 +481,23 @@ def _record_round(trace: RunTrace, round_index: int, parties, test_data) -> None
                                     "accuracy": evaluate(p.model, test_data), "tokens": 0})
 
 
-def _run_standalone(parties, config, rounds, test_data) -> RunTrace:
+def _run_standalone(parties, rounds, test_data) -> RunTrace:
     trace = RunTrace("standalone")
-    pretrain(parties, config, test_data)
+    pretrain(parties, test_data)
     for p in parties:
         trace.standalone_accuracies[p.id] = p.standalone_accuracy
         trace.sharing_levels[p.id] = p.sharing_level
     for round_index in range(1, rounds + 1):
         for p in parties:
             p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
-                                     config.learning_rate, config.lr_decay,
-                                     config.batch_size, p.rng, p.sgd_steps)
+                                     LEARNING_RATE, LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
         _record_round(trace, round_index, parties, test_data)
     for p in parties:
         trace.final_accuracies[p.id] = evaluate(p.model, test_data)
     return trace
 
 
-def _run_centralised(parties, config, rounds, test_data) -> RunTrace:
+def _run_centralised(parties, rounds, test_data) -> RunTrace:
     """All local data pooled into one model; every party reads the same
     accuracy (model access itself stays with the operator)."""
     trace = RunTrace("centralised")
@@ -521,14 +507,12 @@ def _run_centralised(parties, config, rounds, test_data) -> RunTrace:
         parties[0].train_data.num_classes)
     model = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
     rng = parties[0].rng
-    steps = train_sgd(model, pooled, PRETRAIN_EPOCHS, config.learning_rate,
-                      config.lr_decay, config.batch_size, rng)
+    steps = train_sgd(model, pooled, PRETRAIN_EPOCHS, LEARNING_RATE, LR_DECAY, BATCH_SIZE, rng)
     for p in parties:
         trace.sharing_levels[p.id] = p.sharing_level
     for round_index in range(1, rounds + 1):
         steps += train_sgd(model, pooled, BASELINE_EPOCHS_PER_ROUND,
-                           config.learning_rate, config.lr_decay,
-                           config.batch_size, rng, steps)
+                           LEARNING_RATE, LR_DECAY, BATCH_SIZE, rng, steps)
         acc = evaluate(model, test_data)
         for p in parties:
             trace.accuracy_rows.append({"round": round_index, "party": p.id,
@@ -539,12 +523,12 @@ def _run_centralised(parties, config, rounds, test_data) -> RunTrace:
     return trace
 
 
-def _run_dssgd(parties, config, rounds, test_data) -> RunTrace:
+def _run_dssgd(parties, rounds, test_data) -> RunTrace:
     """Distributed selective SGD, round-robin order, no differential
     privacy: download the full latest server parameters, train locally,
     upload the largest-magnitude fraction of the delta."""
     trace = RunTrace("distributed_dssgd")
-    pretrain(parties, config, test_data)
+    pretrain(parties, test_data)
     for p in parties:
         trace.standalone_accuracies[p.id] = p.standalone_accuracy
         trace.sharing_levels[p.id] = p.sharing_level
@@ -554,8 +538,7 @@ def _run_dssgd(parties, config, rounds, test_data) -> RunTrace:
         for p in parties:
             p.model.params[:] = server.params
             p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
-                                     config.learning_rate, config.lr_decay,
-                                     config.batch_size, p.rng, p.sgd_steps)
+                                     LEARNING_RATE, LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
             delta = p.model.params - server.params
             apply_updates(server, [select_largest(delta, k)])
         _record_round(trace, round_index, parties, test_data)
@@ -563,12 +546,3 @@ def _run_dssgd(parties, config, rounds, test_data) -> RunTrace:
         trace.final_accuracies[p.id] = evaluate(p.model, test_data)
     return trace
 
-
-def run_framework(kind: str, parties: list[Party], config: ProtocolConfig, rounds: int,
-                  test_data: Dataset) -> RunTrace:
-    if kind == "fdpddl":
-        trace, _ledger = run_fdpddl(parties, config, rounds, test_data)
-        return trace
-    if kind in FRAMEWORKS:
-        return run_baseline(kind, parties, config, rounds, test_data)
-    raise ProtocolError(f"unknown framework {kind!r}")

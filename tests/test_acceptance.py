@@ -83,25 +83,22 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_privacy_accounting():
     t0 = time.time()
     monotone = True
-    for strategy in ("basic", "amplified-basic"):
-        acct = PrivacyAccountant(1e9, 1.0, strategy)
-        last = (0.0, 0.0)
-        for _ in range(1000):
-            acct.spend(0.01, 1e-9, q=0.1)
-            now = acct.spent()
-            monotone &= now[0] >= last[0] and now[1] >= last[1]
-            last = now
-    basic = PrivacyAccountant(1e9, 1.0, "basic")
-    amplified = PrivacyAccountant(1e9, 1.0, "amplified-basic")
+    acct = PrivacyAccountant(1e9, 1.0)
+    last = (0.0, 0.0)
+    for _ in range(1000):
+        acct.spend(0.01, 1e-9, q=0.1)
+        now = acct.spent()
+        monotone &= now[0] >= last[0] and now[1] >= last[1]
+        last = now
+    scaled = PrivacyAccountant(1e9, 1.0)
     for _ in range(200):
-        basic.spend(0.5, 1e-8, q=0.1)
-        amplified.spend(0.5, 1e-8, q=0.1)
-    amp_ok = (amplified.spent()[0] <= basic.spent()[0]
-              and amplified.spent()[1] <= basic.spent()[1])
+        scaled.spend(0.5, 1e-8, q=0.1)
+    total_eps, total_delta = scaled.spent()
+    total_ok = math.isclose(total_eps, 10.0) and math.isclose(total_delta, 2e-7)
     e1, d1 = allocate_budgets("initialisation", "mnist")
     e2, d2 = allocate_budgets("update", "mnist")
     stages_ok = (e1 + e2, d1 + d2) == (6.0, 2e-5)
-    report(3, "privacy accounting", monotone and amp_ok and stages_ok,
+    report(3, "privacy accounting", monotone and total_ok and stages_ok,
            f"({time.time() - t0:.2f}s)")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from faircollab.harness import (ConfigError, ExperimentConfig, ZeroVarianceError
                                 build_cell_data, build_x_axis, fairness, fairness_report,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
                                 save_config)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_PROTOCOL = {"augment_replication": 20, "dp_steps_per_round": 2,
                  "download_fraction": 0.85}
@@ -129,6 +132,10 @@ class TestConfig:
     def test_adversary_kind_validated(self):
         with pytest.raises(ConfigError):
             small_config(adversaries=[{"kind": "quantum_attacker"}])
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_loads(self, name):
+        assert isinstance(load_config(CONFIGS / name), ExperimentConfig)
 
 
 class TestSettings:
@@ -267,9 +274,7 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("key, value", [
-        ("augment_replication", 0), ("dp_steps_per_round", -3), ("download_fraction", 0.0),
-        ("epsilon_per_step", 2.0), ("lot_size", -1), ("clip_norm", 0.0),
-        ("composition", "advanced"), ("validation_fraction", 1.0), ("batch_size", 0)])
+        ("augment_replication", 0), ("dp_steps_per_round", -3), ("download_fraction", 0.0)])
     def test_cli_out_of_range_protocol_exit_code(self, tmp_path, capsys, key, value):
         cfg = small_config().to_dict()
         cfg["protocol"][key] = value
@@ -284,7 +289,12 @@ class TestExperimentAndCli:
     @pytest.mark.parametrize("section, key, value", [
         ("protocol", "dssgd_upload_rate", 2.0), ("protocol", "pretrain_epochs", 3),
         ("protocol", "baseline_epochs_per_round", 2), ("protocol", "token_reserve", 0),
-        ("protocol", "credibility_threshold", 0.1), (None, "dirichlet_alpha", 0.5)])
+        ("protocol", "credibility_threshold", 0.1), (None, "dirichlet_alpha", 0.5),
+        ("protocol", "epsilon_per_step", 2.0), ("protocol", "lot_size", -1),
+        ("protocol", "clip_norm", 0.0), ("protocol", "composition", "advanced"),
+        ("protocol", "validation_fraction", 1.0), ("protocol", "batch_size", 0),
+        ("protocol", "learning_rate", 0.05), ("protocol", "lr_decay", 0.0),
+        ("protocol", "jitter_std", 0.1)])
     def test_cli_removed_key_exit_code(self, tmp_path, capsys, section, key, value):
         cfg = small_config(frameworks=["distributed_dssgd"]).to_dict()
         (cfg[section] if section else cfg)[key] = value
@@ -292,6 +302,29 @@ class TestExperimentAndCli:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+
+    # Each of these sizes ended in a ValueError traceback deep in the run.
+    @pytest.mark.parametrize("section, key, value", [
+        ("dataset", "test_size", 0), ("dataset", "num_classes", 0), ("dataset", "dim", 0),
+        ("dataset", "per_party", 0), ("protocol", "hidden_dims", [0])])
+    def test_cli_empty_size_exit_code(self, tmp_path, capsys, section, key, value):
+        cfg = small_config().to_dict()
+        cfg[section][key] = value
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    # build_cell_data keeps one adversary per party, so the second would
+    # silently replace the first; -1 is the last party.
+    @pytest.mark.parametrize("parties", [[2, -1], [1, 1]])
+    def test_cli_repeated_adversary_party_exit_code(self, tmp_path, capsys, parties):
+        cfg = small_config(n=3).to_dict()
+        cfg["adversaries"] = [{"kind": "free_rider_random_label", "party": i} for i in parties]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "adversaries repeat party" in capsys.readouterr().err
 
     # A repeated cell would write one trace but be summarised twice, so
     # report could not reproduce run.

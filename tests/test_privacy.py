@@ -80,13 +80,13 @@ class TestClipping:
 
 class TestAccountant:
     def test_basic_summation(self):
-        acct = PrivacyAccountant(10.0, 1.0, "basic")
+        acct = PrivacyAccountant(10.0, 1.0)
         for _ in range(3):
             acct.spend(0.1, 1e-6)
         assert acct.spent() == pytest.approx((0.3, 3e-6), rel=1e-12)
 
     def test_amplified_map(self):
-        acct = PrivacyAccountant(10.0, 1.0, "amplified-basic")
+        acct = PrivacyAccountant(10.0, 1.0)
         acct.spend(1.0, 1e-5, q=0.1)
         eps, delta = acct.spent()
         assert eps == pytest.approx(0.1, rel=1e-12)
@@ -96,7 +96,7 @@ class TestAccountant:
         assert PrivacyAccountant(1.0, 1e-5).spent() == (0.0, 0.0)
 
     def test_monotone_and_exhaustion(self):
-        acct = PrivacyAccountant(1.0, 1.0, "basic")
+        acct = PrivacyAccountant(1.0, 1.0)
         previous = (0.0, 0.0)
         spent_steps = 0
         while True:
@@ -114,24 +114,15 @@ class TestAccountant:
             acct.spend(0.3, 1e-6)
 
     def test_exhausted_never_reverts(self):
-        acct = PrivacyAccountant(0.5, 1.0, "basic")
+        acct = PrivacyAccountant(0.5, 1.0)
         with pytest.raises(BudgetExhaustedError):
             acct.spend(0.7, 1e-9)
         assert acct.exhausted()
         with pytest.raises(BudgetExhaustedError):
             acct.spend(0.01, 1e-9)
 
-    def test_amplified_leq_basic_for_small_q(self):
-        basic = PrivacyAccountant(1e9, 1.0, "basic")
-        amplified = PrivacyAccountant(1e9, 1.0, "amplified-basic")
-        for _ in range(50):
-            basic.spend(0.5, 1e-7, q=0.1)
-            amplified.spend(0.5, 1e-7, q=0.1)
-        assert amplified.spent()[0] <= basic.spent()[0]
-        assert amplified.spent()[1] <= basic.spent()[1]
-
     def test_spend_many_atomic(self):
-        acct = PrivacyAccountant(1.0, 1.0, "basic")
+        acct = PrivacyAccountant(1.0, 1.0)
         with pytest.raises(BudgetExhaustedError):
             acct.spend(0.4, 1e-7, count=3)
         assert not acct.steps
@@ -140,14 +131,13 @@ class TestAccountant:
                               st.floats(0.01, 1.0)), max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_spent_monotone_property(self, steps):
-        for strategy in ("basic", "amplified-basic"):
-            acct = PrivacyAccountant(1e9, 1.0, strategy)
-            last = (0.0, 0.0)
-            for eps, delta, q in steps:
-                acct.spend(eps, delta, q)
-                now = acct.spent()
-                assert now[0] >= last[0] and now[1] >= last[1]
-                last = now
+        acct = PrivacyAccountant(1e9, 1.0)
+        last = (0.0, 0.0)
+        for eps, delta, q in steps:
+            acct.spend(eps, delta, q)
+            now = acct.spent()
+            assert now[0] >= last[0] and now[1] >= last[1]
+            last = now
 
 
 class TestBudgetAllocation:
@@ -176,7 +166,7 @@ def _setup_step(seed=0, n=64, lot=None):
     model = MlpModel.seeded((4, 5, 3), rng)
     lot = lot or lot_size_for(n)
     params = PrivacyParams(1.0, 1e-5, 1.0, lot, n)
-    acct = PrivacyAccountant(100.0, 1.0, "basic")
+    acct = PrivacyAccountant(100.0, 1.0)
     return rng, data, model, params, acct
 
 
@@ -221,7 +211,7 @@ class TestDpSgdStep:
         data = Dataset(np.tile(row, (50, 1)), np.zeros(50, dtype=int), 3)
         model = MlpModel.seeded((4, 5, 3), rng)
         params = PrivacyParams(1.0, 1e-5, 1.0, 7, 50)
-        acct = PrivacyAccountant(1e9, 1.0, "basic")
+        acct = PrivacyAccountant(1e9, 1.0)
         base = dp_sgd_step(model, data, params, rng, acct, sigma=0.0)
         residuals = [dp_sgd_step(model, data, params, rng, acct) - base
                      for _ in range(300)]
@@ -239,7 +229,8 @@ class TestDpSgdStep:
 
     def test_refuses_when_exhausted(self):
         rng, data, model, params, _ = _setup_step(seed=4)
-        acct = PrivacyAccountant(1.5, 1.0, "basic")
+        # Each step charges q * epsilon_per_step = q, so one step fits.
+        acct = PrivacyAccountant(1.5 * params.sample_ratio, 1.0)
         dp_sgd_step(model, data, params, rng, acct)
         with pytest.raises(BudgetExhaustedError):
             dp_sgd_step(model, data, params, rng, acct)
@@ -248,9 +239,9 @@ class TestDpSgdStep:
     def test_bit_reproducible_with_fixed_seed(self):
         _, data, model, params, _ = _setup_step(seed=5)
         a = dp_sgd_step(model.copy(), data, params, np.random.default_rng(42),
-                        PrivacyAccountant(10, 1, "basic"))
+                        PrivacyAccountant(10, 1))
         b = dp_sgd_step(model.copy(), data, params, np.random.default_rng(42),
-                        PrivacyAccountant(10, 1, "basic"))
+                        PrivacyAccountant(10, 1))
         assert np.array_equal(a, b)
 
     def test_params_validation(self):

@@ -6,9 +6,9 @@ from faircollab.credibility import credibility_update
 from faircollab.ledger import Ledger, verify_chain
 from faircollab.numerics import (Dataset, apply_updates, blob_centers, evaluate, make_blobs,
                                  train_sgd)
-from faircollab.protocol import (ProtocolConfig, ProtocolError, RunTrace, build_parties,
-                                 pretrain, run_baseline, run_fdpddl, run_initialisation,
-                                 run_update_round)
+from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
+                                 ProtocolError, RunTrace, build_parties, pretrain, run_baseline,
+                                 run_fdpddl, run_initialisation, run_update_round)
 
 FAST = dict(augment_replication=20, dp_steps_per_round=2, download_fraction=0.85)
 
@@ -38,7 +38,7 @@ class TestBuildAndPretrain:
     def test_zero_epochs_keeps_models_identical(self):
         datasets, test = blob_setup(1)
         parties = fresh_parties(1, ProtocolConfig(**FAST), datasets)
-        pretrain(parties, ProtocolConfig(**FAST), test, epochs=0)
+        pretrain(parties, test, epochs=0)
         base = parties[0].model.params
         assert all(np.array_equal(p.model.params, base) for p in parties)
 
@@ -46,7 +46,7 @@ class TestBuildAndPretrain:
         datasets, test = blob_setup(2)
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(2, config, datasets)
-        pretrain(parties, config, test)
+        pretrain(parties, test)
         assert all(p.standalone_accuracy > 0.2 for p in parties)  # chance is 0.1
 
     def test_more_data_helps_median_over_seeds(self):
@@ -59,7 +59,7 @@ class TestBuildAndPretrain:
             test = make_blobs(200, 10, 32, rng, spread=0.12, centers=centers)
             config = ProtocolConfig(**FAST)
             parties = fresh_parties(seed, config, [small, large])
-            pretrain(parties, config, test)
+            pretrain(parties, test)
             wins.append(parties[1].standalone_accuracy >= parties[0].standalone_accuracy)
         assert np.median(wins) == 1.0
 
@@ -77,7 +77,7 @@ class TestInitialisation:
             test = None
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(seed, config, datasets, adversaries=adversaries)
-        pretrain(parties, config, test)
+        pretrain(parties, test)
         trace = RunTrace("fdpddl")
         ledger = Ledger()
         credible, genesis = run_initialisation(parties, ledger, config, trace)
@@ -103,16 +103,28 @@ class TestInitialisation:
         for pid in credible:
             assert ledger.balance(pid) == expected
 
-    def test_free_rider_excluded_here(self):
+    def _init_with_free_rider(self):
         datasets, _ = blob_setup(7, per_party=300)
         rng = np.random.default_rng(1)
         datasets[3] = Dataset(rng.uniform(0, 1, (300, 32)), rng.integers(0, 10, 300), 10)
         advs = {3: AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_LABEL)}
-        parties, credible, _, _, trace = self._init(7, adversaries=advs,
-                                                    datasets=datasets)
+        return self._init(7, adversaries=advs, datasets=datasets)
+
+    def test_free_rider_excluded_here(self):
+        parties, credible, _, _, trace = self._init_with_free_rider()
         assert "p03" not in credible
         assert any(e.kind == "excluded" and e.party == "p03" and e.stage == "init"
                    for e in trace.events)
+
+    def test_exclusion_punished_in_genesis(self):
+        _, credible, genesis, ledger, _ = self._init_with_free_rider()
+        punishments = [tx for tx in genesis.transactions if tx.kind == "punishment"]
+        assert [tx.payload for tx in punishments] == [
+            {"against": "p03", "reason": "non-credible at initialisation", "fine": 0,
+             "order": None, "round": 0}]
+        assert punishments[0].author == min(credible)
+        assert ledger.chain == [genesis] and not ledger.pending
+        assert verify_chain(ledger.chain)
 
     def test_accountants_debited(self):
         parties, _, _, _, _ = self._init(8)
@@ -127,7 +139,7 @@ class TestUpdateRound:
         datasets, test = blob_setup(seed, per_party=200)
         config = ProtocolConfig(**{**FAST, **overrides})
         parties = fresh_parties(seed, config, datasets)
-        pretrain(parties, config, test)
+        pretrain(parties, test)
         trace = RunTrace("fdpddl")
         ledger = Ledger()
         credible, _ = run_initialisation(parties, ledger, config, trace)
@@ -232,15 +244,14 @@ class TestBaselines:
         datasets, test = blob_setup(14)
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(14, config, datasets)
-        trace = run_baseline("standalone", parties, config, rounds=2, test_data=test)
+        trace = run_baseline("standalone", parties, rounds=2, test_data=test)
 
         # Recreate one party in isolation with the same seeds; its final
         # accuracy must match exactly (no influence from other parties).
         solo = fresh_parties(14, config, datasets)[0]
-        pretrain([solo], config, test)
-        solo.sgd_steps += train_sgd(solo.model, solo.train_data, 2, config.learning_rate,
-                                    config.lr_decay, config.batch_size, solo.rng,
-                                    solo.sgd_steps)
+        pretrain([solo], test)
+        solo.sgd_steps += train_sgd(solo.model, solo.train_data, 2, LEARNING_RATE, LR_DECAY,
+                                    BATCH_SIZE, solo.rng, solo.sgd_steps)
         assert trace.final_accuracies["p00"] == pytest.approx(evaluate(solo.model, test))
 
     def test_centralised_beats_best_standalone_median(self):
@@ -249,9 +260,9 @@ class TestBaselines:
             datasets, test = blob_setup(seed + 30, per_party=100)
             config = ProtocolConfig(**FAST)
             central = run_baseline("centralised", fresh_parties(seed + 30, config, datasets),
-                                   config, rounds=3, test_data=test)
+                                   rounds=3, test_data=test)
             standalone = run_baseline("standalone", fresh_parties(seed + 30, config, datasets),
-                                      config, rounds=3, test_data=test)
+                                      rounds=3, test_data=test)
             wins.append(min(central.final_accuracies.values())
                         >= max(standalone.standalone_accuracies.values()))
         assert np.median(wins) == 1.0
@@ -265,7 +276,7 @@ class TestBaselines:
         test = make_blobs(200, 10, 32, rng, spread=0.12, centers=centers)
         config = ProtocolConfig(**FAST)
         dssgd = run_baseline("distributed_dssgd", fresh_parties(15, config, datasets),
-                             config, rounds=4, test_data=test)
+                             rounds=4, test_data=test)
         fdp, _ = run_fdpddl(fresh_parties(15, config, datasets), config, rounds=4,
                             test_data=test)
         spread_d = np.std(list(dssgd.final_accuracies.values()))
@@ -277,7 +288,7 @@ class TestBaselines:
         config = ProtocolConfig(**FAST)
         with pytest.raises(ProtocolError):
             run_baseline("federated_averaging", fresh_parties(16, config, datasets),
-                         config, rounds=1, test_data=test)
+                         rounds=1, test_data=test)
 
 
 class TestUpdateStageExclusion:
@@ -292,7 +303,7 @@ class TestUpdateStageExclusion:
         config = ProtocolConfig(augment_replication=50, dp_steps_per_round=4,
                                 download_fraction=0.85)
         parties = fresh_parties(40, config, datasets, adversaries=advs)
-        pretrain(parties, config, test)
+        pretrain(parties, test)
         trace = RunTrace("fdpddl")
         ledger = Ledger()
         credible, _ = run_initialisation(parties, ledger, config, trace)

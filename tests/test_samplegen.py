@@ -139,7 +139,7 @@ class TestGenerateRelease:
     def test_accountant_debited_and_refusal(self):
         rng = np.random.default_rng(14)
         data = tabular_data(rng, n=40)
-        acct = PrivacyAccountant(4.0, 1e-5, "basic")
+        acct = PrivacyAccountant(4.0, 1e-5)
         generate_release(data, 0.1, (4.0, 1e-5), rng, accountant=acct)
         assert acct.exhausted()
         spent = acct.spent()
