@@ -1,8 +1,11 @@
-"""Malicious-party behaviours and detection reporting.
+"""Malicious-party behaviours, the kind rules, and detection reporting.
 
-Free-riders own no useful data: at initialisation they label received
-samples uniformly at random, and during updates they publish random
-gradients or a noisy echo of the aggregate they received last round (the
+This module owns what each adversary kind does: `harness` and `protocol`
+ask `AdversaryKind.free_rider` rather than list kinds themselves.
+Free-riders (every kind but `gan_attacker`) own no useful data, only
+noise. At initialisation the random-label kind labels received samples
+uniformly at random; during updates every free-rider publishes random
+gradients or a noisy echo of the aggregate it received last round (the
 stealthiest data-free strategy). The inference attacker is modelled by
 its observable footprint: it holds classes disjoint from the victims, so
 its standalone model is uninformative on victim releases and its initial
@@ -26,20 +29,36 @@ class AdversaryKind(str, Enum):
     FREE_RIDER_CRAFTED_GRAD = "free_rider_crafted_grad"
     GAN_ATTACKER = "gan_attacker"
 
+    @property
+    def free_rider(self) -> bool:
+        """Owns noise data and fakes its published gradients."""
+        return self is not AdversaryKind.GAN_ATTACKER
+
 
 @dataclass(frozen=True)
 class AdversaryConfig:
+    """One configured adversary, as written in an experiment config."""
+
     kind: AdversaryKind
-    victim_classes: tuple[int, ...] = ()
-    adversary_classes: tuple[int, ...] = ()
+    party: int = -1              # -1 -> last party
     # Magnitude of faked gradient coordinates; the default mimics the
     # typical size of honest parameter deltas at desk scale.
     crafted_scale: float = 0.05
+    # gan_attacker only: the classes dealt to the victims and kept by the
+    # attacker (empty: harness fills in the lower and upper half), and
+    # whether it keeps IID data instead, as the control arm.
+    victim_classes: tuple[int, ...] = ()
+    adversary_classes: tuple[int, ...] = ()
+    iid_control: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AdversaryKind(self.kind))
         object.__setattr__(self, "victim_classes", tuple(self.victim_classes))
         object.__setattr__(self, "adversary_classes", tuple(self.adversary_classes))
+
+    def index(self, n: int) -> int:
+        """The party this adversary plays among n parties."""
+        return self.party if self.party >= 0 else n - 1
 
 
 def freerider_label(release: SampleRelease, num_classes: int,
@@ -53,12 +72,13 @@ def freerider_gradients(kind: AdversaryKind, param_count: int, scale: float,
                         echo: np.ndarray | None = None) -> np.ndarray:
     """Meaningless published gradients.
 
-    random: zero-mean Gaussian at the configured scale.
+    random (and random-label, which has no gradient strategy of its own):
+    zero-mean Gaussian at the configured scale.
     crafted: last round's received aggregate re-emitted with small noise;
     zeros plus noise before anything has been received.
     """
     kind = AdversaryKind(kind)
-    if kind == AdversaryKind.FREE_RIDER_RANDOM_GRAD:
+    if kind in (AdversaryKind.FREE_RIDER_RANDOM_GRAD, AdversaryKind.FREE_RIDER_RANDOM_LABEL):
         if scale == 0.0:
             return np.zeros(param_count)
         return rng.normal(0.0, scale, size=param_count)

@@ -127,20 +127,6 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class AdversarySpec:
-    kind: str
-    party: int = -1              # -1 -> last party
-    crafted_scale: float = 0.05
-    victim_classes: tuple[int, ...] = ()
-    adversary_classes: tuple[int, ...] = ()
-    iid_control: bool = False
-
-    def index(self, n: int) -> int:
-        """The party this adversary plays among n parties."""
-        return self.party if self.party >= 0 else n - 1
-
-
-@dataclass(frozen=True)
 class SettingSpec:
     """Resolved per-run partition plan: sizes and sharing levels per party."""
 
@@ -162,7 +148,7 @@ class ExperimentConfig:
     rounds: int = 10
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     frameworks: tuple[str, ...] = ("fdpddl", "distributed_dssgd", "standalone", "centralised")
-    adversaries: tuple[AdversarySpec, ...] = ()
+    adversaries: tuple[AdversaryConfig, ...] = ()
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     lambda_low: float = 0.1
     lambda_high: float = 0.5
@@ -195,17 +181,13 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 errors.append(f"protocol: {exc}")
         if "adversaries" in data:
-            specs = []
+            advs = []
             for i, adv in enumerate(data["adversaries"]):
                 try:
-                    adv = dict(adv)
-                    for key in ("victim_classes", "adversary_classes"):
-                        if key in adv:
-                            adv[key] = tuple(adv[key])
-                    specs.append(AdversarySpec(**adv))
-                except TypeError as exc:
+                    advs.append(AdversaryConfig(**adv))
+                except (TypeError, ValueError) as exc:
                     errors.append(f"adversaries[{i}]: {exc}")
-            data["adversaries"] = tuple(specs)
+            data["adversaries"] = tuple(advs)
         for key in ("settings", "seeds", "frameworks"):
             if key in data:
                 data[key] = tuple(data[key])
@@ -248,13 +230,22 @@ class ExperimentConfig:
         for key in ("num_classes", "dim", "per_party", "test_size"):
             if getattr(self.dataset, key) < 1:
                 errors.append(f"dataset.{key} must be at least 1")
+        if self.dataset.spread < 0:
+            errors.append("dataset.spread cannot be negative")
+        num_classes = self.dataset.num_classes
         for adv in self.adversaries:
-            try:
-                AdversaryKind(adv.kind)
-            except ValueError:
-                errors.append(f"adversary kind {adv.kind!r} unknown")
             if not -1 <= adv.party < self.n:
                 errors.append(f"adversary party index {adv.party} out of range")
+            if adv.crafted_scale < 0:
+                errors.append("adversary crafted_scale cannot be negative")
+            classes = _with_default_classes(adv, num_classes)
+            for key in ("victim_classes", "adversary_classes"):
+                outside = [c for c in getattr(classes, key) if not 0 <= c < num_classes]
+                if outside:
+                    errors.append(f"adversary {key} {outside} outside [0, {num_classes})")
+            overlap = sorted(set(classes.victim_classes) & set(classes.adversary_classes))
+            if overlap:
+                errors.append(f"adversary class sets overlap on {overlap}")
         # build_cell_data keeps one adversary per party, so a second one
         # on the same party would silently replace the first.
         duplicated = _duplicates([adv.index(self.n) for adv in self.adversaries])
@@ -324,6 +315,14 @@ def _noise_dataset(size: int, dim: int, num_classes: int, rng: np.random.Generat
                    rng.integers(0, num_classes, size=size), num_classes)
 
 
+def _with_default_classes(adv: AdversaryConfig, num_classes: int) -> AdversaryConfig:
+    """adv with each empty class set filled in: the lower half of the
+    classes for the victims, the upper half for the attacker."""
+    half = num_classes // 2
+    return replace(adv, victim_classes=adv.victim_classes or tuple(range(half)),
+                   adversary_classes=adv.adversary_classes or tuple(range(half, num_classes)))
+
+
 def build_cell_data(config: ExperimentConfig, setting: int, seed: int
                     ) -> tuple[list[Dataset], SettingSpec, Dataset, dict[int, AdversaryConfig]]:
     """Party datasets, sharing levels, the shared test set, and adversary
@@ -333,18 +332,10 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
     spec = resolve_setting(config, setting, rng)
     ds = config.dataset
 
-    adversaries: dict[int, AdversaryConfig] = {}
-    for adv in config.adversaries:
-        idx = adv.index(config.n)
-        victim = adv.victim_classes or tuple(range(ds.num_classes // 2))
-        attacker = adv.adversary_classes or tuple(range(ds.num_classes // 2, ds.num_classes))
-        adversaries[idx] = AdversaryConfig(adv.kind, victim, attacker, adv.crafted_scale)
-
-    gan_indices = [i for i, a in adversaries.items()
-                   if a.kind == AdversaryKind.GAN_ATTACKER]
-    gan_split = [i for i in gan_indices
-                 if not any(s.iid_control and s.index(config.n) == i
-                            for s in config.adversaries)]
+    adversaries = {adv.index(config.n): _with_default_classes(adv, ds.num_classes)
+                   for adv in config.adversaries}
+    gan_split = [i for i, a in adversaries.items()
+                 if a.kind == AdversaryKind.GAN_ATTACKER and not a.iid_control]
 
     if ds.kind == "blobs":
         centers = blob_centers(ds.num_classes, ds.dim, rng)
@@ -387,9 +378,7 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
             start += size
 
     for idx, adv in adversaries.items():
-        if adv.kind in (AdversaryKind.FREE_RIDER_RANDOM_LABEL,
-                        AdversaryKind.FREE_RIDER_RANDOM_GRAD,
-                        AdversaryKind.FREE_RIDER_CRAFTED_GRAD):
+        if adv.kind.free_rider:
             datasets[idx] = _noise_dataset(len(datasets[idx]), datasets[idx].dim,
                                            datasets[idx].num_classes, rng)
     return datasets, spec, test, adversaries
@@ -432,17 +421,11 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int) 
         saccs = [trace.standalone_accuracies[pid] for pid in party_ids]
         finals = [trace.final_accuracies[pid] for pid in party_ids]
         result["fairness"] = fairness_report(setting, lams, saccs, finals).to_dict()
-    if adversaries:
-        adv_by_id = {f"p{idx:02d}": cfg for idx, cfg in adversaries.items()}
-        records = detection_report(result["trace"]["events"], adv_by_id)
+    adversaries_by_id = {p.id: p.adversary for p in parties if p.adversary}
+    if adversaries_by_id:
+        records = detection_report(result["trace"]["events"], adversaries_by_id)
         result["detection"] = [r.to_dict() for r in records]
     return result
-
-
-def _cell_wrapper(args):
-    config_dict, framework, setting, seed = args
-    config = ExperimentConfig.from_dict(config_dict)
-    return run_cell(config, framework, setting, seed)
 
 
 def cell_name(framework: str, setting: int, seed: int) -> str:
@@ -466,9 +449,8 @@ def run_experiment(config: ExperimentConfig, outdir,
     _write_json(os.path.join(outdir, "config.json"), config_echo(config))
     results = []
     if config.parallel_workers > 1:
-        args = [(config.to_dict(), fw, st, sd) for fw, st, sd in cells]
         with ProcessPoolExecutor(max_workers=config.parallel_workers) as pool:
-            results = list(pool.map(_cell_wrapper, args))
+            results = list(pool.map(run_cell, [config] * len(cells), *zip(*cells)))
     else:
         for fw, st, sd in cells:
             results.append(run_cell(config, fw, st, sd))

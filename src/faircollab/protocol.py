@@ -297,15 +297,9 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
                     trace: RunTrace) -> np.ndarray | None:
     """Run this round's private local steps; returns the parameter delta
     available for sale, or None when nothing can be published."""
-    if p.adversary and p.adversary.kind in (AdversaryKind.FREE_RIDER_RANDOM_LABEL,
-                                            AdversaryKind.FREE_RIDER_RANDOM_GRAD,
-                                            AdversaryKind.FREE_RIDER_CRAFTED_GRAD):
-        # A free-rider owns no real data, so it fakes its published
-        # gradients; the random-label kind falls back to random ones.
-        kind = (AdversaryKind.FREE_RIDER_RANDOM_GRAD
-                if p.adversary.kind == AdversaryKind.FREE_RIDER_RANDOM_LABEL
-                else p.adversary.kind)
-        return freerider_gradients(kind, p.model.param_count,
+    if p.adversary and p.adversary.kind.free_rider:
+        # A free-rider owns no real data, so it fakes its published gradients.
+        return freerider_gradients(p.adversary.kind, p.model.param_count,
                                    p.adversary.crafted_scale, p.rng,
                                    echo=p.last_received_aggregate)
     if not p.publishing:

@@ -59,10 +59,26 @@ class TestFreeriderGradients:
                                 np.random.default_rng(6))
         assert np.max(np.abs(g)) < 0.1
 
-    def test_label_kind_rejected(self):
+    def test_gan_kind_rejected(self):
         with pytest.raises(ValueError):
-            freerider_gradients(AdversaryKind.FREE_RIDER_RANDOM_LABEL, 10, 1.0,
+            freerider_gradients(AdversaryKind.GAN_ATTACKER, 10, 1.0,
                                 np.random.default_rng(7))
+
+    def test_random_label_kind_publishes_random_gradients(self):
+        label = freerider_gradients(AdversaryKind.FREE_RIDER_RANDOM_LABEL, 40, 0.3,
+                                    np.random.default_rng(11))
+        grad = freerider_gradients(AdversaryKind.FREE_RIDER_RANDOM_GRAD, 40, 0.3,
+                                   np.random.default_rng(11))
+        assert np.array_equal(label, grad)
+
+
+class TestAdversaryConfig:
+    def test_only_gan_attacker_is_not_a_free_rider(self):
+        assert [k for k in AdversaryKind if not k.free_rider] == [AdversaryKind.GAN_ATTACKER]
+
+    @pytest.mark.parametrize("party, expected", [(-1, 3), (0, 0), (2, 2)])
+    def test_index(self, party, expected):
+        assert AdversaryConfig(AdversaryKind.GAN_ATTACKER, party=party).index(4) == expected
 
 
 class TestGanAttackerSetup:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircollab.adversary import AdversaryKind
 from faircollab.harness import (ConfigError, ExperimentConfig, ZeroVarianceError,
                                 build_cell_data, build_x_axis, fairness, fairness_report,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
@@ -130,7 +132,7 @@ class TestConfig:
             ExperimentConfig.from_dict({"name": "x", "does_not_exist": 1})
 
     def test_adversary_kind_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="quantum_attacker"):
             small_config(adversaries=[{"kind": "quantum_attacker"}])
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
@@ -326,6 +328,26 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "adversaries repeat party" in capsys.readouterr().err
 
+    # Each of these ended in a ValueError traceback from the data split,
+    # the noise draw or the lot sampler instead of exit 2.
+    @pytest.mark.parametrize("dataset, adversary, fragment", [
+        ({"spread": -0.1}, None, "spread"),
+        ({}, {"kind": "free_rider_random_grad", "crafted_scale": -1.0}, "crafted_scale"),
+        ({"num_classes": 4}, {"kind": "gan_attacker", "victim_classes": [50]}, "victim_classes"),
+        ({}, {"kind": "gan_attacker", "adversary_classes": [50]}, "adversary_classes"),
+        ({}, {"kind": "gan_attacker", "victim_classes": [0, 1, 2],
+              "adversary_classes": [2, 3]}, "overlap")],
+        ids=["spread", "crafted_scale", "victim_classes", "adversary_classes", "overlap"])
+    def test_cli_bad_adversary_or_dataset_exit_code(self, tmp_path, capsys, dataset, adversary,
+                                                    fragment):
+        cfg = small_config(n=3).to_dict()
+        cfg["dataset"].update(dataset)
+        cfg["adversaries"] = [adversary] if adversary else []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert fragment in capsys.readouterr().err
+
     # A repeated cell would write one trace but be summarised twice, so
     # report could not reproduce run.
     @pytest.mark.parametrize("key, value", [
@@ -380,6 +402,27 @@ class TestAveragingAndDetectionTables:
             per_seed.append(sum(finals.values()) / len(finals))
         assert summary["mean_final_accuracy"]["fdpddl/setting1"] == pytest.approx(
             sum(per_seed) / 5, abs=1e-12)
+
+    # No workload runs the random- or crafted-gradient kinds or a GAN
+    # attacker, so each kind gets one small end-to-end run here.
+    @pytest.mark.parametrize("adversary", [
+        *({"kind": kind.value} for kind in AdversaryKind),
+        {"kind": "gan_attacker", "iid_control": True}],
+        ids=[*(kind.value for kind in AdversaryKind), "gan_attacker_iid_control"])
+    def test_each_adversary_kind_runs_and_reports(self, tmp_path, adversary):
+        cfg = small_config(n=3, dataset={"kind": "blobs", "num_classes": 4, "dim": 8,
+                                         "per_party": 80, "test_size": 40},
+                           adversaries=[adversary], min_party_size=20)
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert main(["report", "--traces", str(tmp_path / "a" / "traces"),
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("accuracy.csv", "fairness.csv", "detection.csv", "rounds.csv",
+                     "credibility.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        [row] = csv.DictReader((tmp_path / "a" / "detection.csv").read_text().splitlines())
+        assert (row["party"], row["kind"]) == ("p02", adversary["kind"])
 
     def test_no_adversaries_empty_detection_table(self, tmp_path):
         run_experiment(small_config(), tmp_path)
