@@ -16,8 +16,9 @@ import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -177,7 +178,11 @@ class ExperimentConfig:
                 proto = dict(data["protocol"])
                 if "hidden_dims" in proto:
                     proto["hidden_dims"] = tuple(proto["hidden_dims"])
-                data["protocol"] = ProtocolConfig(**proto)
+                # ProtocolConfig range-checks its fields as it is built.
+                wrong = _type_errors(ProtocolConfig, proto, "protocol.")
+                errors.extend(wrong)
+                if not wrong:
+                    data["protocol"] = ProtocolConfig(**proto)
             except (TypeError, ValueError) as exc:
                 errors.append(f"protocol: {exc}")
         if "adversaries" in data:
@@ -189,7 +194,7 @@ class ExperimentConfig:
                     errors.append(f"adversaries[{i}]: {exc}")
             data["adversaries"] = tuple(advs)
         for key in ("settings", "seeds", "frameworks"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
 
         cfg = None
@@ -201,7 +206,10 @@ class ExperimentConfig:
         return cfg
 
     def validation_errors(self) -> list[str]:
-        errors = []
+        # The range checks below assume every field has its annotated type.
+        errors = _type_errors(type(self), vars(self))
+        if errors:
+            return errors
         if self.n < 2:
             errors.append("n must be at least 2")
         if self.rounds < 0:
@@ -214,8 +222,8 @@ class ExperimentConfig:
             if s not in (1, 2, 3):
                 errors.append(f"setting {s} not in {{1, 2, 3}}")
         for seed in self.seeds:
-            if not isinstance(seed, int) or seed < 0:
-                errors.append(f"seed {seed!r} must be a nonnegative integer")
+            if seed < 0:
+                errors.append(f"seed {seed} must be a nonnegative integer")
         for fw in self.frameworks:
             if fw not in FRAMEWORKS:
                 errors.append(f"framework {fw!r} not one of {FRAMEWORKS}")
@@ -246,6 +254,9 @@ class ExperimentConfig:
             overlap = sorted(set(classes.victim_classes) & set(classes.adversary_classes))
             if overlap:
                 errors.append(f"adversary class sets overlap on {overlap}")
+            if (adv.kind == AdversaryKind.GAN_ATTACKER and not adv.iid_control
+                    and not classes.victim_classes):
+                errors.append("gan_attacker victim_classes empty: needs at least 2 classes")
         # build_cell_data keeps one adversary per party, so a second one
         # on the same party would silently replace the first.
         duplicated = _duplicates([adv.index(self.n) for adv in self.adversaries])
@@ -254,6 +265,29 @@ class ExperimentConfig:
         if self.min_party_size < 10:
             errors.append("min_party_size must be at least 10")
         return errors
+
+
+def _type_errors(cls, values: dict, prefix: str = "") -> list[str]:
+    """One message per entry of values (field -> value) whose type is not
+    the one annotated on that field of the dataclass cls, checking nested
+    dataclasses field by field. A bool is not a number, and an int is fine
+    where a float belongs."""
+    hints = typing.get_type_hints(cls)
+    return [e for name, value in values.items() if name in hints
+            for e in _wrong_type(value, hints[name], prefix + name)]
+
+
+def _wrong_type(value, hint, where: str) -> list[str]:
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, tuple):
+            item = typing.get_args(hint)[0]
+            return [e for i, v in enumerate(value) for e in _wrong_type(v, item, f"{where}[{i}]")]
+    elif is_dataclass(hint) and isinstance(value, hint):
+        return _type_errors(hint, vars(value), where + ".")
+    elif (isinstance(value, bool) == (hint is bool)
+          and isinstance(value, (int, float) if hint is float else hint)):
+        return []
+    return [f"{where} must be {getattr(hint, '__name__', hint)}, not {value!r}"]
 
 
 def _duplicates(values) -> list:
@@ -414,7 +448,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int) 
         "standalone_accuracies": trace.standalone_accuracies,
         "sharing_levels": {p.id: p.sharing_level for p in parties},
         "chain_valid": chain_valid,
-        "trace": trace.to_dict(),
+        "trace": {**vars(trace), "events": [asdict(e) for e in trace.events]},
     }
     if framework in ("fdpddl", "distributed_dssgd"):
         lams = [result["sharing_levels"][pid] for pid in party_ids]
@@ -443,6 +477,8 @@ def run_experiment(config: ExperimentConfig, outdir,
         duplicated = _duplicates(values)
         if duplicated:
             raise ConfigError(f"{flag} repeats {duplicated}")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"--seed {min(seeds)} must be a nonnegative integer")
     cells = [(fw, st, sd) for fw in frameworks for st in config.settings for sd in seeds]
 
     os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)

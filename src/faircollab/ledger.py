@@ -5,11 +5,11 @@ simulated; every submission passes through this single serialized
 component). The genesis block records each party's verification key and
 initial token grant, then the punishments of initialisation. Gradient
 sales run as purchase_order / fulfillment transaction pairs: the order
-escrows the offered tokens and carries the buyer's encryption key, the
+names the gradient count and carries the buyer's encryption key, the
 fulfillment publishes an encrypted payload to a content-addressed store
-and records its hash plus a pointer back to the order, at which point the
-escrow moves to the seller. Unfulfilled orders are refunded when the
-round's block is sealed.
+and records its hash plus a pointer back to the order. Tokens move only
+then, one per gradient from buyer to seller; an order that is never
+filled moves none.
 
 Primitives are real, not stubs: Ed25519 signatures, SHA-256 chaining, and
 a hybrid envelope (fresh AES-256-GCM key per payload, wrapped for the
@@ -202,42 +202,39 @@ class Order:
     seller: str
     count: int
     buyer_encrypt_key: str
-    status: str = "open"  # open | fulfilled | expired
+    status: str = "open"  # open | fulfilled
 
 
 class Ledger:
-    """Serialized ledger facade: token balances, escrow, payload store,
-    and the block chain itself."""
+    """Serialized ledger facade: token balances, orders, payload store,
+    and the block chain itself. A sale settles in fulfill_order."""
 
     def __init__(self):
         self.chain: list[Block] = []
         self.pending: list[Transaction] = []
         self.balances: dict[str, int] = {}
-        self.escrow: dict[str, int] = {}
         self.orders: dict[str, Order] = {}
         self.payload_store: dict[str, EncryptedPayload] = {}
         self.round_index = 0
 
     # -- genesis ------------------------------------------------------
 
-    def create_genesis(self, registrations, keypairs: dict[str, KeyPair]) -> Block:
-        """registrations: iterable of (party_id, verify_key_hex, tokens).
+    def create_genesis(self, grants: dict[str, int], keypairs: dict[str, KeyPair]) -> Block:
+        """Register every party of grants (party id -> tokens) in id order;
+        the smallest id leads.
 
         Block 0 holds the registrations followed by whatever is pending,
         such as punishments recorded at initialisation."""
-        registrations = list(registrations)
-        if len(registrations) < 2:
+        if len(grants) < 2:
             raise LedgerError("genesis needs at least 2 registrations")
-        seen = set()
+        parties = sorted(grants)
         txs = []
-        for party_id, verify_key_hex, tokens in registrations:
-            if party_id in seen:
-                raise LedgerError(f"duplicate party id {party_id!r}")
-            seen.add(party_id)
-            payload = {"party": party_id, "verify_key": verify_key_hex, "tokens": int(tokens)}
+        for party_id in parties:
+            payload = {"party": party_id, "verify_key": keypairs[party_id].verify_key_hex,
+                       "tokens": int(grants[party_id])}
             txs.append(Transaction.signed("register", payload, party_id, keypairs[party_id]))
-            self.balances[party_id] = int(tokens)
-        genesis = Block.sealed(0, "0" * 64, txs + self.pending, registrations[0][0])
+            self.balances[party_id] = int(grants[party_id])
+        genesis = Block.sealed(0, "0" * 64, txs + self.pending, parties[0])
         self.chain.append(genesis)
         self.pending = []
         self.round_index = 1
@@ -249,36 +246,33 @@ class Ledger:
         return self.balances[party_id]
 
     def total_tokens(self) -> int:
-        return sum(self.balances.values()) + sum(self.escrow.values())
+        return sum(self.balances.values())
 
     def submit_purchase_order(self, buyer_keypair: KeyPair, buyer: str, seller: str,
-                              count: int, offered_tokens: int,
-                              buyer_encrypt_key_hex: str) -> Transaction:
+                              count: int) -> Order:
+        """Order count gradients at one token each, paid when filled."""
         if count < 1:
             raise LedgerError("order must request at least one gradient")
-        if offered_tokens < count:
-            raise LedgerError("one token per gradient: offer covers the count")
-        if self.balances[buyer] < offered_tokens:
-            raise LedgerError(f"{buyer} cannot escrow {offered_tokens} tokens")
+        if self.balances[buyer] < count:
+            raise LedgerError(f"{buyer} cannot pay {count} tokens")
         payload = {"buyer": buyer, "seller": seller, "count": int(count),
-                   "offered": int(offered_tokens), "encrypt_key": buyer_encrypt_key_hex,
-                   "round": self.round_index}
+                   "encrypt_key": buyer_keypair.encrypt_key_hex, "round": self.round_index}
         tx = Transaction.signed("purchase_order", payload, buyer, buyer_keypair)
         order_id = tx.tx_id
         # Signatures are deterministic, so a repeated order has the same id
-        # and would overwrite the first one's escrow.
+        # and would replace the first one, fulfilled or not.
         if order_id in self.orders:
             raise LedgerError(f"identical order {order_id} already placed this round")
-        self.balances[buyer] -= offered_tokens
-        self.escrow[order_id] = offered_tokens
-        self.orders[order_id] = Order(order_id, buyer, seller, count, buyer_encrypt_key_hex)
+        order = Order(order_id, buyer, seller, count, payload["encrypt_key"])
+        self.orders[order_id] = order
         self.pending.append(tx)
-        return tx
+        return order
 
     def fulfill_order(self, seller_keypair: KeyPair, seller: str, order_id: str,
                       update: SparseUpdate, rng: np.random.Generator
                       ) -> tuple[Transaction, EncryptedPayload]:
-        """Ship an order. Returns the transaction and the published payload."""
+        """Ship an order and pay for it: count tokens move from buyer to
+        seller. Returns the transaction and the published payload."""
         order = self.orders.get(order_id)
         if order is None:
             raise LedgerError(f"no such order {order_id}")
@@ -288,6 +282,8 @@ class Ledger:
             raise LedgerError(f"order {order_id} is not addressed to {seller}")
         if len(update) != order.count:
             raise LedgerError(f"order wants {order.count} gradients, got {len(update)}")
+        if self.balances[order.buyer] < order.count:
+            raise LedgerError(f"{order.buyer} can no longer pay {order.count} tokens")
         payload_obj = encrypt_payload(update.to_bytes(), order.buyer_encrypt_key, rng,
                                       aad=order_id.encode())
         self.payload_store[payload_obj.payload_hash] = payload_obj
@@ -296,30 +292,20 @@ class Ledger:
         tx = Transaction.signed("fulfillment", tx_payload, seller, seller_keypair)
         self.pending.append(tx)
         order.status = "fulfilled"
-        amount = self.escrow.pop(order_id)
-        self.balances[seller] += amount
+        self.balances[order.buyer] -= order.count
+        self.balances[seller] += order.count
         return tx, payload_obj
 
     def record_punishment(self, keypair: KeyPair, author: str, against: str,
                           reason: str) -> Transaction:
-        # No fines are levied: "fine" is always 0 and "order" always None.
-        payload = {"against": against, "reason": reason, "fine": 0,
-                   "order": None, "round": self.round_index}
+        payload = {"against": against, "reason": reason, "round": self.round_index}
         tx = Transaction.signed("punishment", payload, author, keypair)
         self.pending.append(tx)
         return tx
 
     # -- rounds -------------------------------------------------------
 
-    def expire_open_orders(self) -> None:
-        """Refund escrow of every unfulfilled order (called at round seal)."""
-        for order_id, order in list(self.orders.items()):
-            if order.status == "open" and order_id in self.escrow:
-                self.balances[order.buyer] += self.escrow.pop(order_id)
-                order.status = "expired"
-
     def seal_block(self, leader: str) -> Block:
-        self.expire_open_orders()
         prev = self.chain[-1].block_hash if self.chain else "0" * 64
         block = Block.sealed(len(self.chain), prev, self.pending, leader)
         self.chain.append(block)
@@ -329,26 +315,26 @@ class Ledger:
 
 
 def verify_chain(chain) -> bool:
-    """True iff hashes link from genesis and every signature verifies
-    against the key registered for its author."""
+    """True iff hashes link from genesis, parties register in the genesis
+    block only and once each, and every signature verifies against the key
+    registered for its author."""
     if not chain:
         return False
     verify_keys: dict[str, str] = {}
+    for tx in chain[0].transactions:
+        if tx.kind == "register":
+            party = tx.payload.get("party")
+            key = tx.payload.get("verify_key")
+            if party is None or key is None or tx.author != party or party in verify_keys:
+                return False
+            verify_keys[party] = key
     prev_hash = "0" * 64
     for position, block in enumerate(chain):
         if block.index != position or block.prev_hash != prev_hash:
             return False
-        # Registrations must be bound before their signatures can be checked.
         for tx in block.transactions:
-            if tx.kind == "register":
-                party = tx.payload.get("party")
-                key = tx.payload.get("verify_key")
-                if party is None or key is None or tx.author != party:
-                    return False
-                if party in verify_keys and verify_keys[party] != key:
-                    return False
-                verify_keys[party] = key
-        for tx in block.transactions:
+            if tx.kind == "register" and position > 0:
+                return False
             key = verify_keys.get(tx.author)
             if key is None:
                 return False

@@ -4,8 +4,8 @@ Flow: every party starts from the same initial parameters, pretrains a
 standalone model on its local data, and exchanges synthetic samples to
 bootstrap mutual credibility scores and token grants (recorded in the
 ledger's genesis block). Update rounds are synchronous: parties train
-locally with DP-SGD, buy each other's top-k gradient selections through
-escrowed purchase orders, re-score every peer by leave-one-out validation
+locally with DP-SGD, buy each other's top-k gradient selections at one
+token per gradient, re-score every peer by leave-one-out validation
 accuracy, and a strict majority of "non-credible" reports bans a party.
 One block is sealed per round by a rotating leader.
 
@@ -83,9 +83,6 @@ class ProtocolConfig:
         if errors:
             raise ValueError("; ".join(errors))
 
-    def model_dims(self, feature_dim: int, num_classes: int) -> tuple[int, ...]:
-        return (feature_dim, *self.hidden_dims, num_classes)
-
 
 @dataclass
 class Party:
@@ -117,10 +114,6 @@ class TraceEvent:
     stage: str     # init | update
     info: str = ""
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "party": self.party, "round": self.round,
-                "stage": self.stage, "info": self.info}
-
 
 @dataclass
 class RunTrace:
@@ -128,25 +121,13 @@ class RunTrace:
     events: list = field(default_factory=list)
     accuracy_rows: list = field(default_factory=list)      # round, party, accuracy, tokens
     credibility_rows: list = field(default_factory=list)   # round, owner, peer, credibility, balance
-    token_totals: list = field(default_factory=list)       # (round, total tokens incl escrow)
+    token_totals: list = field(default_factory=list)       # (round, total tokens)
     standalone_accuracies: dict = field(default_factory=dict)
     sharing_levels: dict = field(default_factory=dict)
     final_accuracies: dict = field(default_factory=dict)
 
     def event(self, kind: str, party: str, round_index: int, stage: str, info: str = "") -> None:
         self.events.append(TraceEvent(kind, party, round_index, stage, info))
-
-    def to_dict(self) -> dict:
-        return {
-            "framework": self.framework,
-            "events": [e.to_dict() for e in self.events],
-            "accuracy_rows": self.accuracy_rows,
-            "credibility_rows": self.credibility_rows,
-            "token_totals": self.token_totals,
-            "standalone_accuracies": self.standalone_accuracies,
-            "sharing_levels": self.sharing_levels,
-            "final_accuracies": self.final_accuracies,
-        }
 
 
 @dataclass
@@ -168,8 +149,7 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
     if n != len(list(sharing_levels)):
         raise ProtocolError("one sharing level per dataset required")
     model_seed, *party_seeds = seed_seq.spawn(n + 1)
-    num_classes = datasets[0].num_classes
-    dims = config.model_dims(datasets[0].dim, num_classes)
+    dims = (datasets[0].dim, *config.hidden_dims, datasets[0].num_classes)
     w0 = MlpModel.seeded(dims, np.random.default_rng(model_seed))
 
     parties = []
@@ -283,12 +263,9 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
     leader = by_id[survivors[0]]
     for r in removed:
         ledger.record_punishment(leader.keypair, leader.id, r, "non-credible at initialisation")
-    registrations = []
-    for pid in survivors:
-        p = by_id[pid]
-        tokens = cred.init_tokens(p.sharing_level, p.model.param_count, len(survivors))
-        registrations.append((pid, p.keypair.verify_key_hex, tokens))
-    genesis = ledger.create_genesis(registrations, {pid: by_id[pid].keypair for pid in survivors})
+    grants = {pid: cred.init_tokens(by_id[pid].sharing_level, by_id[pid].model.param_count,
+                                    len(survivors)) for pid in survivors}
+    genesis = ledger.create_genesis(grants, {pid: by_id[pid].keypair for pid in survivors})
     trace.token_totals.append((0, ledger.total_tokens()))
     return credible, genesis
 
@@ -366,14 +343,11 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             amount = alloc.get(j, 0) + extra.get(j, 0)
             if amount < 1:
                 continue
-            order = ledger.submit_purchase_order(buyer.keypair, pid, j, amount, amount,
-                                                 buyer.keypair.encrypt_key_hex)
-            # tx_id re-serialises and hashes the transaction on every read.
-            order_id = order.tx_id
+            order = ledger.submit_purchase_order(buyer.keypair, pid, j, amount)
             selection = select_largest(deltas[j], amount, rankings[j])
-            _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order_id,
+            _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order.order_id,
                                                 selection, by_id[j].rng)
-            blob = decrypt_payload(payload, buyer.keypair, aad=order_id.encode())
+            blob = decrypt_payload(payload, buyer.keypair, aad=order.order_id.encode())
             received[pid][j] = SparseUpdate.from_bytes(blob)
 
     # Apply own delta (already in the model) plus purchases; score peers.

@@ -233,7 +233,8 @@ def test_criterion_09_determinism(tmp_path):
         for root, _dirs, files in sorted(os.walk(directory)):
             for f in sorted(files):
                 path = os.path.join(root, f)
-                out[os.path.relpath(path, directory)] = open(path, "rb").read()
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, directory)] = fh.read()
         return out
 
     a = run_into(tmp_path / "a", cfg)

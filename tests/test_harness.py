@@ -257,8 +257,7 @@ class TestExperimentAndCli:
         rng = np.random.default_rng(0)
         keys = {pid: KeyPair.generate(rng) for pid in ("p00", "p01")}
         ledger = Ledger()
-        ledger.create_genesis([(pid, kp.verify_key_hex, 10) for pid, kp in sorted(keys.items())],
-                              keys)
+        ledger.create_genesis({pid: 10 for pid in keys}, keys)
         dump = tmp_path / "chain.jsonl"
         dump_chain(ledger.chain, dump)
         assert main(["verify-chain", "--dump", str(dump)]) == 0
@@ -348,6 +347,36 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert fragment in capsys.readouterr().err
 
+    # Each of these ended in a traceback from validation or mid-run, or (a
+    # fractional min_party_size) ran as if valid.
+    @pytest.mark.parametrize("top, dataset, fragment", [
+        ({"n": "3"}, {}, "n must"), ({"rounds": "2"}, {}, "rounds"),
+        ({"lambda_low": "0.1"}, {}, "lambda_low"),
+        ({"parallel_workers": "2"}, {}, "parallel_workers"),
+        ({}, {"dim": "4"}, "dim"), ({}, {"spread": "x"}, "spread"),
+        ({"adversaries": [{"kind": "free_rider_random_label", "party": "1"}]}, {}, "party"),
+        ({"adversaries": [{"kind": "free_rider_random_grad", "crafted_scale": "x"}]}, {},
+         "crafted_scale"),
+        ({"adversaries": [{"kind": "gan_attacker", "victim_classes": ["a"]}]}, {},
+         "victim_classes"),
+        ({"rounds": 1.5}, {}, "rounds"),
+        ({"protocol": {**FAST_PROTOCOL, "dp_steps_per_round": 1.5}}, {}, "dp_steps_per_round"),
+        ({"min_party_size": 10.5}, {}, "min_party_size"),
+        ({"seeds": 0}, {}, "seeds"),
+        ({"adversaries": [{"kind": "gan_attacker"}]}, {"num_classes": 1}, "victim_classes")],
+        ids=["n", "rounds", "lambda_low", "parallel_workers", "dim", "spread", "party",
+             "crafted_scale", "victim_classes", "fractional_rounds", "fractional_dp_steps",
+             "fractional_min_party_size", "seeds", "gan_one_class"])
+    def test_cli_wrong_type_exit_code(self, tmp_path, capsys, top, dataset, fragment):
+        cfg = small_config(n=3).to_dict()
+        cfg.update(top)
+        cfg["dataset"].update(dataset)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     # A repeated cell would write one trace but be summarised twice, so
     # report could not reproduce run.
     @pytest.mark.parametrize("key, value", [
@@ -361,7 +390,8 @@ class TestExperimentAndCli:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--seed", "3", "--seed", "3"],
-                                       ["--framework", "fdpddl", "--framework", "fdpddl"]])
+                                       ["--framework", "fdpddl", "--framework", "fdpddl"],
+                                       ["--seed", "-1"]])
     def test_cli_repeated_override_exit_code(self, tmp_path, capsys, flags):
         path = tmp_path / "cfg.json"
         save_config(small_config(), path)
@@ -397,7 +427,8 @@ class TestAveragingAndDetectionTables:
         summary = run_experiment(cfg, tmp_path)
         per_seed = []
         for seed in range(5):
-            trace = json.load(open(tmp_path / "traces" / f"fdpddl_s1_seed{seed}.json"))
+            with open(tmp_path / "traces" / f"fdpddl_s1_seed{seed}.json") as fh:
+                trace = json.load(fh)
             finals = trace["final_accuracies"]
             per_seed.append(sum(finals.values()) / len(finals))
         assert summary["mean_final_accuracy"]["fdpddl/setting1"] == pytest.approx(

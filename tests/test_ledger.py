@@ -24,8 +24,7 @@ def keys():
 
 def fresh_ledger(keys, tokens=300):
     ledger = Ledger()
-    regs = [(pid, kp.verify_key_hex, tokens) for pid, kp in sorted(keys.items())]
-    ledger.create_genesis(regs, keys)
+    ledger.create_genesis({pid: tokens for pid in keys}, keys)
     return ledger
 
 
@@ -76,108 +75,116 @@ class TestGenesis:
     def test_balances_from_init_tokens(self, keys):
         ledger = Ledger()
         tokens = init_tokens(0.1, 1000, 4)
-        regs = [(pid, kp.verify_key_hex, tokens) for pid, kp in sorted(keys.items())]
-        genesis = ledger.create_genesis(regs, keys)
+        # Registered in id order whatever the order of the grants.
+        genesis = ledger.create_genesis({pid: tokens for pid in sorted(keys, reverse=True)}, keys)
         assert genesis.index == 0
         assert genesis.prev_hash == "0" * 64
+        assert genesis.leader == "p00"
+        assert [tx.payload["party"] for tx in genesis.transactions] == sorted(keys)
         assert all(ledger.balance(pid) == 300 for pid in keys)
         assert verify_chain(ledger.chain)
 
-    def test_duplicate_party_rejected(self, keys):
-        ledger = Ledger()
-        kp = keys["p00"]
-        regs = [("p00", kp.verify_key_hex, 10), ("p00", kp.verify_key_hex, 10)]
-        with pytest.raises(LedgerError):
-            ledger.create_genesis(regs, keys)
-
     def test_single_registration_rejected(self, keys):
         with pytest.raises(LedgerError):
-            Ledger().create_genesis([("p00", keys["p00"].verify_key_hex, 10)], keys)
+            Ledger().create_genesis({"p00": 10}, keys)
 
 
 class TestTrading:
-    def test_order_escrows_tokens(self, keys):
+    def test_unfilled_order_moves_no_tokens(self, keys):
         ledger = fresh_ledger(keys)
-        tx = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                          keys["p00"].encrypt_key_hex)
-        assert ledger.balance("p00") == 270
-        assert ledger.escrow[tx.tx_id] == 30
-        assert ledger.total_tokens() == 1200
+        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
+        assert ledger.balance("p00") == 300
+        ledger.seal_block("p00")
+        assert {pid: ledger.balance(pid) for pid in keys} == {pid: 300 for pid in keys}
+        assert ledger.orders[order.order_id].status == "open"
+        assert ledger.chain[1].transactions[0].payload["count"] == 30
 
     def test_identical_order_in_one_round_rejected(self, keys):
         ledger = fresh_ledger(keys)
-        ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1, 1, keys["p00"].encrypt_key_hex)
+        ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1)
         with pytest.raises(LedgerError):
-            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1, 1,
-                                         keys["p00"].encrypt_key_hex)
-        assert ledger.balance("p00") == 299
+            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1)
+        assert len(ledger.orders) == len(ledger.pending) == 1
         assert ledger.total_tokens() == 1200
 
     def test_order_exceeding_balance_rejected(self, keys):
         ledger = fresh_ledger(keys, tokens=20)
         with pytest.raises(LedgerError):
-            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                         keys["p00"].encrypt_key_hex)
+            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
 
     def test_fulfillment_round_trip(self, keys):
         ledger = fresh_ledger(keys)
         update = sample_update()
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                             keys["p00"].encrypt_key_hex)
-        tx, payload = ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
+        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
+        tx, payload = ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                                            update, np.random.default_rng(1))
-        blob = decrypt_payload(payload, keys["p00"], aad=order.tx_id.encode())
+        blob = decrypt_payload(payload, keys["p00"], aad=order.order_id.encode())
         recovered = SparseUpdate.from_bytes(blob)
         assert np.array_equal(recovered.indices, update.indices)
         assert np.array_equal(recovered.values, update.values)
-        assert ledger.balance("p01") == 330
+        assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
+        assert ledger.orders[order.order_id].status == "fulfilled"
         assert tx.payload["payload_hash"] == sha256_hex(payload.ciphertext)
-        assert tx.payload["order"] == order.tx_id
+        assert tx.payload["order"] == order.order_id
+        assert order.order_id == ledger.pending[0].tx_id
 
     def test_double_fulfillment_rejected(self, keys):
         ledger = fresh_ledger(keys)
         update = sample_update()
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                             keys["p00"].encrypt_key_hex)
-        ledger.fulfill_order(keys["p01"], "p01", order.tx_id, update, np.random.default_rng(1))
+        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
+        ledger.fulfill_order(keys["p01"], "p01", order.order_id, update, np.random.default_rng(1))
         with pytest.raises(LedgerError):
-            ledger.fulfill_order(keys["p01"], "p01", order.tx_id, update,
+            ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
                                  np.random.default_rng(2))
+        assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
 
     def test_wrong_count_rejected(self, keys):
         ledger = fresh_ledger(keys)
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                             keys["p00"].encrypt_key_hex)
+        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
         with pytest.raises(LedgerError):
-            ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
+            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                                  SparseUpdate([0], [1.0], 1000), np.random.default_rng(1))
 
-    def test_expiry_refunds_escrow(self, keys):
+    def test_fill_the_buyer_cannot_pay_rejected(self, keys):
+        # Both orders fit the balance when placed; the first fill leaves
+        # too little for the second.
         ledger = fresh_ledger(keys)
-        ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30, 30,
-                                     keys["p00"].encrypt_key_hex)
-        assert ledger.balance("p00") == 270
-        ledger.seal_block("p00")
-        assert ledger.balance("p00") == 300
-        assert ledger.total_tokens() == 1200
+        first = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 200)
+        second = ledger.submit_purchase_order(keys["p00"], "p00", "p02", 200)
+        rng = np.random.default_rng(1)
+        ledger.fulfill_order(keys["p01"], "p01", first.order_id,
+                             SparseUpdate(np.arange(200), np.ones(200), 400), rng)
+        balances = dict(ledger.balances)
+        pending = list(ledger.pending)
+        store = dict(ledger.payload_store)
+        state = rng.bit_generator.state
+        with pytest.raises(LedgerError):
+            ledger.fulfill_order(keys["p02"], "p02", second.order_id,
+                                 SparseUpdate(np.arange(200), np.ones(200), 400), rng)
+        assert ledger.balances == balances
+        assert ledger.pending == pending
+        assert ledger.payload_store == store
+        assert rng.bit_generator.state == state
+        assert second.status == "open"
 
     def test_conservation_across_activity(self, keys):
         ledger = fresh_ledger(keys)
         rng = np.random.default_rng(3)
         for round_index in range(5):
-            order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 10, 10,
-                                                 keys["p00"].encrypt_key_hex)
-            ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
+            order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 10)
+            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                                  SparseUpdate(np.arange(10), np.ones(10), 1000), rng)
-            ledger.submit_purchase_order(keys["p02"], "p02", "p03", 7, 7,
-                                         keys["p02"].encrypt_key_hex)  # left to expire
+            ledger.submit_purchase_order(keys["p02"], "p02", "p03", 7)  # never filled
             ledger.seal_block("p00")
             assert ledger.total_tokens() == 1200
+        assert (ledger.balance("p00"), ledger.balance("p01")) == (250, 350)
+        assert (ledger.balance("p02"), ledger.balance("p03")) == (300, 300)
         assert verify_chain(ledger.chain)
 
-    # (buyer, seller, count, fulfil?): counts up to 400 overrun the 300-token
-    # balances, and repeats of an order within a round occur, so some orders
-    # must be refused.
+    # (buyer, seller, count, fill?): counts up to 400 overrun the 300-token
+    # balances and repeats of an order within a round occur, so some orders
+    # are refused; a round's orders are filled after all are placed, so an
+    # earlier fill can leave the buyer short of a later one.
     @given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                        st.integers(1, 400), st.booleans()),
                              max_size=6), min_size=1, max_size=4))
@@ -188,27 +195,39 @@ class TestTrading:
         pids = sorted(keys)
         rng = np.random.default_rng(11)
         for orders in rounds:
-            placed = set()
-            for b, s, count, fulfil in orders:
+            placed = {}
+            for b, s, count, fill in orders:
                 buyer, seller = pids[b], pids[s]
-                before = {pid: ledger.balance(pid) for pid in pids}
+                before = dict(ledger.balances)
                 try:
-                    order = ledger.submit_purchase_order(keys[buyer], buyer, seller, count,
-                                                         count, keys[buyer].encrypt_key_hex)
+                    order = ledger.submit_purchase_order(keys[buyer], buyer, seller, count)
                 except LedgerError:
                     assert count > before[buyer] or (b, s, count) in placed
-                    assert {pid: ledger.balance(pid) for pid in pids} == before
                     continue
-                placed.add((b, s, count))
-                if fulfil:
-                    ledger.fulfill_order(keys[seller], seller, order.tx_id,
-                                         SparseUpdate(np.arange(count), np.ones(count), 400),
-                                         rng)
-                assert ledger.total_tokens() == 1200
-                assert all(ledger.balance(pid) >= 0 for pid in pids)
+                finally:
+                    assert ledger.balances == before
+                placed[(b, s, count)] = (order, fill)
+            for order, fill in placed.values():
+                if not fill:
+                    continue
+                before = dict(ledger.balances)
+                update = SparseUpdate(np.arange(order.count), np.ones(order.count), 400)
+                try:
+                    ledger.fulfill_order(keys[order.seller], order.seller, order.order_id,
+                                         update, rng)
+                except LedgerError:
+                    # A fill may be refused only when the buyer is short.
+                    assert before[order.buyer] < order.count
+                    assert ledger.balances == before
+                    assert order.status == "open"
+                    continue
+                before[order.buyer] -= order.count
+                before[order.seller] += order.count
+                assert ledger.balances == before
+                assert order.status == "fulfilled"
+                assert all(balance >= 0 for balance in ledger.balances.values())
             ledger.seal_block(pids[0])
             assert ledger.total_tokens() == 1200
-            assert not ledger.escrow
         assert verify_chain(ledger.chain)
 
 
@@ -217,9 +236,8 @@ class TestChainVerification:
         ledger = fresh_ledger(keys)
         rng = np.random.default_rng(4)
         for r in range(rounds):
-            order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 5, 5,
-                                                 keys["p00"].encrypt_key_hex)
-            ledger.fulfill_order(keys["p01"], "p01", order.tx_id,
+            order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 5)
+            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                                  SparseUpdate(np.arange(5), np.ones(5), 100), rng)
             ledger.seal_block(f"p0{r % 4}")
         return ledger
@@ -282,10 +300,18 @@ class TestChainVerification:
     def test_foreign_signature_rejected(self, keys):
         ledger = fresh_ledger(keys)
         intruder = KeyPair.generate(np.random.default_rng(6))
-        tx = Transaction.signed("punishment",
-                                {"against": "p01", "reason": "forged", "fine": 0,
-                                 "order": None, "round": 1},
+        tx = Transaction.signed("punishment", {"against": "p01", "reason": "forged", "round": 1},
                                 "p00", intruder)  # not p00's registered key
         ledger.pending.append(tx)
         ledger.seal_block("p00")
         assert not verify_chain(ledger.chain)
+
+    def test_registration_after_genesis_rejected(self, keys):
+        # A self-signed registration that would mint a new party's tokens.
+        ledger = fresh_ledger(keys)
+        newcomer = KeyPair.generate(np.random.default_rng(6))
+        payload = {"party": "p09", "verify_key": newcomer.verify_key_hex, "tokens": 1_000_000}
+        ledger.pending.append(Transaction.signed("register", payload, "p09", newcomer))
+        ledger.seal_block("p00")
+        assert not verify_chain(ledger.chain)
+        assert verify_chain(ledger.chain[:1])

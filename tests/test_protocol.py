@@ -120,8 +120,7 @@ class TestInitialisation:
         _, credible, genesis, ledger, _ = self._init_with_free_rider()
         punishments = [tx for tx in genesis.transactions if tx.kind == "punishment"]
         assert [tx.payload for tx in punishments] == [
-            {"against": "p03", "reason": "non-credible at initialisation", "fine": 0,
-             "order": None, "round": 0}]
+            {"against": "p03", "reason": "non-credible at initialisation", "round": 0}]
         assert punishments[0].author == min(credible)
         assert ledger.chain == [genesis] and not ledger.pending
         assert verify_chain(ledger.chain)
