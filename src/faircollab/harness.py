@@ -161,6 +161,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError("invalid configuration: the top level must be a JSON object, "
+                              f"not {type(obj).__name__}")
         errors: list[str] = []
         known = set(cls.__dataclass_fields__)
         for key in obj:
@@ -185,7 +188,9 @@ class ExperimentConfig:
                     data["protocol"] = ProtocolConfig(**proto)
             except (TypeError, ValueError) as exc:
                 errors.append(f"protocol: {exc}")
-        if "adversaries" in data:
+        if not isinstance(data.get("adversaries", ()), (list, tuple)):
+            errors.append(f"adversaries must be a list, not {data['adversaries']!r}")
+        elif "adversaries" in data:
             advs = []
             for i, adv in enumerate(data["adversaries"]):
                 try:

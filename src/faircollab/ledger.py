@@ -4,12 +4,15 @@ One block is sealed per protocol round by a rotating leader (consensus is
 simulated; every submission passes through this single serialized
 component). The genesis block records each party's verification key and
 initial token grant, then the punishments of initialisation. Gradient
-sales run as purchase_order / fulfillment transaction pairs: the order
-names the gradient count and carries the buyer's encryption key, the
-fulfillment publishes an encrypted payload to a content-addressed store
-and records its hash plus a pointer back to the order. Tokens move only
-then, one per gradient from buyer to seller; an order that is never
-filled moves none.
+sales are batched per party and round: a buyer signs one purchase_order
+carrying its encryption key, its total count and one line (seller,
+count) per seller, and a seller signs one fulfillment listing (order
+line, payload hash) for every line it shipped. A line is filled on its
+own: the seller publishes an encrypted payload to a content-addressed
+store and count tokens move from buyer to seller then, one per gradient;
+a line never filled moves none. The seller's signature over its fills is
+added once trading ends, and no block is sealed while a fill is
+unsigned.
 
 Primitives are real, not stubs: Ed25519 signatures, SHA-256 chaining, and
 a hybrid envelope (fresh AES-256-GCM key per payload, wrapped for the
@@ -197,7 +200,9 @@ def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes = b"
 
 @dataclass
 class Order:
-    order_id: str
+    """One line of a purchase order: count gradients from one seller."""
+
+    order_id: str    # line id, "<purchase_order tx id>:<seller>"
     buyer: str
     seller: str
     count: int
@@ -205,9 +210,13 @@ class Order:
     status: str = "open"  # open | fulfilled
 
 
+def _line_id(batch_id: str, seller: str) -> str:
+    return f"{batch_id}:{seller}"
+
+
 class Ledger:
-    """Serialized ledger facade: token balances, orders, payload store,
-    and the block chain itself. A sale settles in fulfill_order."""
+    """Serialized ledger facade: token balances, order lines, payload
+    store, and the block chain itself. A line settles in fulfill_order."""
 
     def __init__(self):
         self.chain: list[Block] = []
@@ -215,6 +224,8 @@ class Ledger:
         self.balances: dict[str, int] = {}
         self.orders: dict[str, Order] = {}
         self.payload_store: dict[str, EncryptedPayload] = {}
+        # seller -> [line id, payload hash] of each fill it has not signed yet
+        self.unsigned_fills: dict[str, list[list[str]]] = {}
         self.round_index = 0
 
     # -- genesis ------------------------------------------------------
@@ -248,31 +259,42 @@ class Ledger:
     def total_tokens(self) -> int:
         return sum(self.balances.values())
 
-    def submit_purchase_order(self, buyer_keypair: KeyPair, buyer: str, seller: str,
-                              count: int) -> Order:
-        """Order count gradients at one token each, paid when filled."""
-        if count < 1:
-            raise LedgerError("order must request at least one gradient")
-        if self.balances[buyer] < count:
-            raise LedgerError(f"{buyer} cannot pay {count} tokens")
-        payload = {"buyer": buyer, "seller": seller, "count": int(count),
-                   "encrypt_key": buyer_keypair.encrypt_key_hex, "round": self.round_index}
+    def submit_purchase_order(self, buyer_keypair: KeyPair, buyer: str,
+                              lines: dict[str, int]) -> dict[str, Order]:
+        """Sign one order of lines (seller -> count) at one token per
+        gradient, each line paid when filled. Returns seller -> line, in
+        seller order."""
+        if not lines or min(lines.values()) < 1:
+            raise LedgerError("every order line must request at least one gradient")
+        unknown = sorted(set(lines) - set(self.balances))
+        if unknown:
+            raise LedgerError(f"order names unregistered sellers {unknown}")
+        total = sum(lines.values())
+        if self.balances[buyer] < total:
+            raise LedgerError(f"{buyer} cannot pay {total} tokens")
+        payload = {"count": int(total), "encrypt_key": buyer_keypair.encrypt_key_hex,
+                   "lines": [[seller, int(count)] for seller, count in sorted(lines.items())],
+                   "round": self.round_index}
         tx = Transaction.signed("purchase_order", payload, buyer, buyer_keypair)
-        order_id = tx.tx_id
+        batch_id = tx.tx_id
         # Signatures are deterministic, so a repeated order has the same id
-        # and would replace the first one, fulfilled or not.
-        if order_id in self.orders:
-            raise LedgerError(f"identical order {order_id} already placed this round")
-        order = Order(order_id, buyer, seller, count, payload["encrypt_key"])
-        self.orders[order_id] = order
+        # and its lines would replace the first ones, fulfilled or not.
+        if _line_id(batch_id, payload["lines"][0][0]) in self.orders:
+            raise LedgerError(f"identical order {batch_id} already placed this round")
+        placed = {}
+        for seller, count in payload["lines"]:
+            order = Order(_line_id(batch_id, seller), buyer, seller, count,
+                          payload["encrypt_key"])
+            self.orders[order.order_id] = order
+            placed[seller] = order
         self.pending.append(tx)
-        return order
+        return placed
 
-    def fulfill_order(self, seller_keypair: KeyPair, seller: str, order_id: str,
-                      update: SparseUpdate, rng: np.random.Generator
-                      ) -> tuple[Transaction, EncryptedPayload]:
-        """Ship an order and pay for it: count tokens move from buyer to
-        seller. Returns the transaction and the published payload."""
+    def fulfill_order(self, seller: str, order_id: str, update: SparseUpdate,
+                      rng: np.random.Generator) -> EncryptedPayload:
+        """Ship one order line and pay for it: count tokens move from buyer
+        to seller. The fill awaits the seller's sign_fulfillment. Returns
+        the published payload."""
         order = self.orders.get(order_id)
         if order is None:
             raise LedgerError(f"no such order {order_id}")
@@ -287,14 +309,22 @@ class Ledger:
         payload_obj = encrypt_payload(update.to_bytes(), order.buyer_encrypt_key, rng,
                                       aad=order_id.encode())
         self.payload_store[payload_obj.payload_hash] = payload_obj
-        tx_payload = {"order": order_id, "payload_hash": payload_obj.payload_hash,
-                      "seller": seller, "round": self.round_index}
-        tx = Transaction.signed("fulfillment", tx_payload, seller, seller_keypair)
-        self.pending.append(tx)
+        self.unsigned_fills.setdefault(seller, []).append([order_id, payload_obj.payload_hash])
         order.status = "fulfilled"
         self.balances[order.buyer] -= order.count
         self.balances[seller] += order.count
-        return tx, payload_obj
+        return payload_obj
+
+    def sign_fulfillment(self, seller_keypair: KeyPair, seller: str) -> Transaction:
+        """One signed fulfillment listing every line seller has filled
+        since its last one."""
+        lines = self.unsigned_fills.pop(seller, None)
+        if not lines:
+            raise LedgerError(f"{seller} has no unsigned fills")
+        payload = {"lines": lines, "round": self.round_index}
+        tx = Transaction.signed("fulfillment", payload, seller, seller_keypair)
+        self.pending.append(tx)
+        return tx
 
     def record_punishment(self, keypair: KeyPair, author: str, against: str,
                           reason: str) -> Transaction:
@@ -306,6 +336,8 @@ class Ledger:
     # -- rounds -------------------------------------------------------
 
     def seal_block(self, leader: str) -> Block:
+        if self.unsigned_fills:
+            raise LedgerError(f"unsigned fills by {sorted(self.unsigned_fills)}")
         prev = self.chain[-1].block_hash if self.chain else "0" * 64
         block = Block.sealed(len(self.chain), prev, self.pending, leader)
         self.chain.append(block)
@@ -314,10 +346,33 @@ class Ledger:
         return block
 
 
+def _settle_lines(tx: Transaction, open_lines: dict[str, str]) -> bool:
+    """Track order lines (line id -> seller) through one transaction. False
+    when an order's count is not the sum of its lines, or a fulfillment
+    names a line not open to its author: unknown, addressed to another
+    seller, or already filled."""
+    try:
+        if tx.kind == "purchase_order":
+            batch_id = tx.tx_id
+            total = 0
+            for seller, count in tx.payload["lines"]:
+                open_lines[_line_id(batch_id, seller)] = seller
+                total += count
+            return total == tx.payload["count"]
+        if tx.kind == "fulfillment":
+            for line_id, _payload_hash in tx.payload["lines"]:
+                if open_lines.pop(line_id, None) != tx.author:
+                    return False
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
 def verify_chain(chain) -> bool:
     """True iff hashes link from genesis, parties register in the genesis
-    block only and once each, and every signature verifies against the key
-    registered for its author."""
+    block only and once each, every signature verifies against the key
+    registered for its author, and every fulfillment line fills, once, a
+    line ordered from its author earlier in the chain."""
     if not chain:
         return False
     verify_keys: dict[str, str] = {}
@@ -328,6 +383,7 @@ def verify_chain(chain) -> bool:
             if party is None or key is None or tx.author != party or party in verify_keys:
                 return False
             verify_keys[party] = key
+    open_lines: dict[str, str] = {}
     prev_hash = "0" * 64
     for position, block in enumerate(chain):
         if block.index != position or block.prev_hash != prev_hash:
@@ -340,6 +396,8 @@ def verify_chain(chain) -> bool:
                 return False
             if not verify_signature(key, Transaction.signing_bytes(
                     tx.kind, tx.payload, tx.author), tx.signature):
+                return False
+            if not _settle_lines(tx, open_lines):
                 return False
         if Block.compute_hash(block.index, block.prev_hash,
                               block.transactions, block.leader) != block.block_hash:

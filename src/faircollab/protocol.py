@@ -339,16 +339,19 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         extra = cred.supplement(budget, alloc,
                                 {j: capacities[j] for j in sellers},
                                 {j: scores.get(j, 0.0) for j in sellers})
-        for j in sellers:
-            amount = alloc.get(j, 0) + extra.get(j, 0)
-            if amount < 1:
-                continue
-            order = ledger.submit_purchase_order(buyer.keypair, pid, j, amount)
-            selection = select_largest(deltas[j], amount, rankings[j])
-            _tx, payload = ledger.fulfill_order(by_id[j].keypair, j, order.order_id,
-                                                selection, by_id[j].rng)
+        lines = {j: alloc.get(j, 0) + extra.get(j, 0) for j in sellers}
+        lines = {j: amount for j, amount in lines.items() if amount >= 1}
+        if not lines:
+            continue
+        # One signed order per buyer; each line is filled at once, in seller order.
+        for j, order in ledger.submit_purchase_order(buyer.keypair, pid, lines).items():
+            selection = select_largest(deltas[j], order.count, rankings[j])
+            payload = ledger.fulfill_order(j, order.order_id, selection, by_id[j].rng)
             blob = decrypt_payload(payload, buyer.keypair, aad=order.order_id.encode())
             received[pid][j] = SparseUpdate.from_bytes(blob)
+    # One signed fulfillment per seller covers all of its round's fills.
+    for j in sorted(ledger.unsigned_fills):
+        ledger.sign_fulfillment(by_id[j].keypair, j)
 
     # Apply own delta (already in the model) plus purchases; score peers.
     evaluations: dict[str, tuple[float, dict[str, float]]] = {}

@@ -377,6 +377,20 @@ class TestExperimentAndCli:
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # Each of these ended in a TypeError or AttributeError traceback.
+    @pytest.mark.parametrize("config, fragment", [
+        ({"adversaries": 5}, "adversaries must be a list"),
+        ([{"name": "x"}], "top level must be a JSON object")],
+        ids=["adversaries_int", "top_level_list"])
+    def test_cli_malformed_shape_exit_code(self, tmp_path, capsys, config, fragment):
+        if isinstance(config, dict):
+            config = {**small_config(n=3).to_dict(), **config}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     # A repeated cell would write one trace but be summarised twice, so
     # report could not reproduce run.
     @pytest.mark.parametrize("key, value", [

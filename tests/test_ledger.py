@@ -92,78 +92,131 @@ class TestGenesis:
 class TestTrading:
     def test_unfilled_order_moves_no_tokens(self, keys):
         ledger = fresh_ledger(keys)
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
+        orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 10, "p01": 30})
+        assert list(orders) == ["p01", "p02"]
         assert ledger.balance("p00") == 300
         ledger.seal_block("p00")
         assert {pid: ledger.balance(pid) for pid in keys} == {pid: 300 for pid in keys}
-        assert ledger.orders[order.order_id].status == "open"
-        assert ledger.chain[1].transactions[0].payload["count"] == 30
+        assert all(ledger.orders[o.order_id].status == "open" for o in orders.values())
+        assert ledger.chain[1].transactions[0].payload["lines"] == [["p01", 30], ["p02", 10]]
+        assert ledger.chain[1].transactions[0].payload["count"] == 40
 
     def test_identical_order_in_one_round_rejected(self, keys):
         ledger = fresh_ledger(keys)
-        ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1)
+        ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 1, "p02": 2})
         with pytest.raises(LedgerError):
-            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 1)
-        assert len(ledger.orders) == len(ledger.pending) == 1
+            ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 2, "p01": 1})
+        assert len(ledger.orders) == 2 and len(ledger.pending) == 1
         assert ledger.total_tokens() == 1200
+        # The round is signed into the order, so the next round may repeat it.
+        ledger.seal_block("p00")
+        ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 1, "p02": 2})
+        assert len(ledger.orders) == 4
 
     def test_order_exceeding_balance_rejected(self, keys):
+        # Each line fits the balance; together they do not.
         ledger = fresh_ledger(keys, tokens=20)
         with pytest.raises(LedgerError):
-            ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
+            ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 15, "p02": 15})
+        assert not ledger.orders and not ledger.pending
+
+    # A fill for an unregistered seller would debit the buyer and then
+    # fail to credit anyone.
+    @pytest.mark.parametrize("lines", [{}, {"p01": 3, "p02": 0}, {"p01": 3, "p09": 2}],
+                             ids=["no_line", "zero_count", "unregistered_seller"])
+    def test_bad_line_rejected(self, keys, lines):
+        ledger = fresh_ledger(keys)
+        with pytest.raises(LedgerError):
+            ledger.submit_purchase_order(keys["p00"], "p00", lines)
+        assert not ledger.orders and not ledger.pending
 
     def test_fulfillment_round_trip(self, keys):
         ledger = fresh_ledger(keys)
         update = sample_update()
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
-        tx, payload = ledger.fulfill_order(keys["p01"], "p01", order.order_id,
-                                           update, np.random.default_rng(1))
+        orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 5})
+        order = orders["p01"]
+        payload = ledger.fulfill_order("p01", order.order_id, update, np.random.default_rng(1))
         blob = decrypt_payload(payload, keys["p00"], aad=order.order_id.encode())
         recovered = SparseUpdate.from_bytes(blob)
         assert np.array_equal(recovered.indices, update.indices)
         assert np.array_equal(recovered.values, update.values)
         assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
         assert ledger.orders[order.order_id].status == "fulfilled"
-        assert tx.payload["payload_hash"] == sha256_hex(payload.ciphertext)
-        assert tx.payload["order"] == order.order_id
-        assert order.order_id == ledger.pending[0].tx_id
+        assert orders["p02"].status == "open"
+        assert order.order_id == ledger.pending[0].tx_id + ":p01"
+        tx = ledger.sign_fulfillment(keys["p01"], "p01")
+        assert tx.author == "p01"
+        assert tx.payload["lines"] == [[order.order_id, sha256_hex(payload.ciphertext)]]
+        assert not ledger.unsigned_fills
+        ledger.seal_block("p00")
+        assert verify_chain(ledger.chain)
+
+    def test_one_fulfillment_covers_every_fill_of_a_seller(self, keys):
+        ledger = fresh_ledger(keys)
+        rng = np.random.default_rng(1)
+        lines = []
+        for buyer in ("p00", "p02", "p03"):
+            order = ledger.submit_purchase_order(keys[buyer], buyer, {"p01": 4})["p01"]
+            payload = ledger.fulfill_order("p01", order.order_id,
+                                           SparseUpdate(np.arange(4), np.ones(4), 10), rng)
+            lines.append([order.order_id, payload.payload_hash])
+        tx = ledger.sign_fulfillment(keys["p01"], "p01")
+        assert tx.payload["lines"] == lines
+        assert [t.kind for t in ledger.pending] == ["purchase_order"] * 3 + ["fulfillment"]
+        with pytest.raises(LedgerError):
+            ledger.sign_fulfillment(keys["p01"], "p01")  # nothing left to sign
+
+    def test_seal_refused_while_a_fill_is_unsigned(self, keys):
+        ledger = fresh_ledger(keys)
+        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30})["p01"]
+        ledger.fulfill_order("p01", order.order_id, sample_update(), np.random.default_rng(1))
+        pending = list(ledger.pending)
+        with pytest.raises(LedgerError):
+            ledger.seal_block("p00")
+        assert len(ledger.chain) == 1 and ledger.pending == pending
+        ledger.sign_fulfillment(keys["p01"], "p01")
+        ledger.seal_block("p00")
+        assert verify_chain(ledger.chain)
 
     def test_double_fulfillment_rejected(self, keys):
         ledger = fresh_ledger(keys)
         update = sample_update()
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
-        ledger.fulfill_order(keys["p01"], "p01", order.order_id, update, np.random.default_rng(1))
+        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 30})["p01"]
+        ledger.fulfill_order("p01", order.order_id, update, np.random.default_rng(1))
         with pytest.raises(LedgerError):
-            ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
-                                 np.random.default_rng(2))
+            ledger.fulfill_order("p01", order.order_id, update, np.random.default_rng(2))
         assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
+        assert len(ledger.unsigned_fills["p01"]) == 1
 
     def test_wrong_count_rejected(self, keys):
         ledger = fresh_ledger(keys)
-        order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 30)
+        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 1})["p01"]
         with pytest.raises(LedgerError):
-            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
+            ledger.fulfill_order("p01", order.order_id,
                                  SparseUpdate([0], [1.0], 1000), np.random.default_rng(1))
+        assert order.status == "open" and not ledger.unsigned_fills
 
     def test_fill_the_buyer_cannot_pay_rejected(self, keys):
         # Both orders fit the balance when placed; the first fill leaves
         # too little for the second.
         ledger = fresh_ledger(keys)
-        first = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 200)
-        second = ledger.submit_purchase_order(keys["p00"], "p00", "p02", 200)
+        first = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 200})["p01"]
+        second = ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 200})["p02"]
         rng = np.random.default_rng(1)
-        ledger.fulfill_order(keys["p01"], "p01", first.order_id,
+        ledger.fulfill_order("p01", first.order_id,
                              SparseUpdate(np.arange(200), np.ones(200), 400), rng)
         balances = dict(ledger.balances)
         pending = list(ledger.pending)
         store = dict(ledger.payload_store)
+        unsigned = {seller: list(lines) for seller, lines in ledger.unsigned_fills.items()}
         state = rng.bit_generator.state
         with pytest.raises(LedgerError):
-            ledger.fulfill_order(keys["p02"], "p02", second.order_id,
+            ledger.fulfill_order("p02", second.order_id,
                                  SparseUpdate(np.arange(200), np.ones(200), 400), rng)
         assert ledger.balances == balances
         assert ledger.pending == pending
         assert ledger.payload_store == store
+        assert ledger.unsigned_fills == unsigned
         assert rng.bit_generator.state == state
         assert second.status == "open"
 
@@ -171,50 +224,54 @@ class TestTrading:
         ledger = fresh_ledger(keys)
         rng = np.random.default_rng(3)
         for round_index in range(5):
-            order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 10)
-            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
+            orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 10, "p02": 3})
+            ledger.fulfill_order("p01", orders["p01"].order_id,
                                  SparseUpdate(np.arange(10), np.ones(10), 1000), rng)
-            ledger.submit_purchase_order(keys["p02"], "p02", "p03", 7)  # never filled
+            ledger.submit_purchase_order(keys["p02"], "p02", {"p03": 7})  # never filled
+            ledger.sign_fulfillment(keys["p01"], "p01")
             ledger.seal_block("p00")
             assert ledger.total_tokens() == 1200
         assert (ledger.balance("p00"), ledger.balance("p01")) == (250, 350)
         assert (ledger.balance("p02"), ledger.balance("p03")) == (300, 300)
         assert verify_chain(ledger.chain)
 
-    # (buyer, seller, count, fill?): counts up to 400 overrun the 300-token
-    # balances and repeats of an order within a round occur, so some orders
-    # are refused; a round's orders are filled after all are placed, so an
-    # earlier fill can leave the buyer short of a later one.
-    @given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                                       st.integers(1, 400), st.booleans()),
-                             max_size=6), min_size=1, max_size=4))
+    # A round is a list of (buyer, {seller: (count, fill?)}): counts up to
+    # 200 on up to three lines overrun the 300-token balances and a batch
+    # may repeat within a round, so some orders are refused; a round's
+    # lines are filled after all are placed, so an earlier fill can leave
+    # the buyer short of a later one.
+    @given(st.lists(st.lists(st.tuples(
+        st.integers(0, 3),
+        st.dictionaries(st.integers(0, 3), st.tuples(st.integers(1, 200), st.booleans()),
+                        min_size=1, max_size=3)),
+        max_size=4), min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_conservation_property(self, rounds):
         keys = make_keys()
         ledger = fresh_ledger(keys)
         pids = sorted(keys)
         rng = np.random.default_rng(11)
-        for orders in rounds:
-            placed = {}
-            for b, s, count, fill in orders:
-                buyer, seller = pids[b], pids[s]
+        for batches in rounds:
+            placed, to_fill = set(), []
+            for b, lines in batches:
+                buyer = pids[b]
+                counts = {pids[s]: count for s, (count, _fill) in lines.items()}
+                key = (buyer, tuple(sorted(counts.items())))
                 before = dict(ledger.balances)
                 try:
-                    order = ledger.submit_purchase_order(keys[buyer], buyer, seller, count)
+                    orders = ledger.submit_purchase_order(keys[buyer], buyer, counts)
                 except LedgerError:
-                    assert count > before[buyer] or (b, s, count) in placed
+                    assert sum(counts.values()) > before[buyer] or key in placed
                     continue
                 finally:
                     assert ledger.balances == before
-                placed[(b, s, count)] = (order, fill)
-            for order, fill in placed.values():
-                if not fill:
-                    continue
+                placed.add(key)
+                to_fill += [orders[pids[s]] for s, (_count, fill) in lines.items() if fill]
+            for order in to_fill:
                 before = dict(ledger.balances)
                 update = SparseUpdate(np.arange(order.count), np.ones(order.count), 400)
                 try:
-                    ledger.fulfill_order(keys[order.seller], order.seller, order.order_id,
-                                         update, rng)
+                    ledger.fulfill_order(order.seller, order.order_id, update, rng)
                 except LedgerError:
                     # A fill may be refused only when the buyer is short.
                     assert before[order.buyer] < order.count
@@ -226,40 +283,119 @@ class TestTrading:
                 assert ledger.balances == before
                 assert order.status == "fulfilled"
                 assert all(balance >= 0 for balance in ledger.balances.values())
+            for seller in sorted(ledger.unsigned_fills):
+                ledger.sign_fulfillment(keys[seller], seller)
             ledger.seal_block(pids[0])
             assert ledger.total_tokens() == 1200
         assert verify_chain(ledger.chain)
 
 
+def _replace_tx(ledger, block_index, position, payload):
+    """Swap one transaction's payload, keeping its signature and the block hash."""
+    block = ledger.chain[block_index]
+    txs = list(block.transactions)
+    tx = txs[position]
+    txs[position] = Transaction(tx.kind, payload, tx.author, tx.signature)
+    ledger.chain[block_index] = type(block)(block.index, block.prev_hash, tuple(txs),
+                                            block.leader, block.block_hash)
+
+
 class TestChainVerification:
     def _active_chain(self, keys, rounds=3):
+        # Per round: p00 buys from p01 and p02, p03 from p01; p01 ships two
+        # lines in one fulfillment, p02 one.
         ledger = fresh_ledger(keys)
         rng = np.random.default_rng(4)
         for r in range(rounds):
-            order = ledger.submit_purchase_order(keys["p00"], "p00", "p01", 5)
-            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
-                                 SparseUpdate(np.arange(5), np.ones(5), 100), rng)
+            batches = [ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 5, "p02": 3}),
+                       ledger.submit_purchase_order(keys["p03"], "p03", {"p01": 4})]
+            for orders in batches:
+                for seller, order in orders.items():
+                    ledger.fulfill_order(seller, order.order_id,
+                                         SparseUpdate(np.arange(order.count),
+                                                      np.ones(order.count), 100), rng)
+            ledger.sign_fulfillment(keys["p01"], "p01")
+            ledger.sign_fulfillment(keys["p02"], "p02")
             ledger.seal_block(f"p0{r % 4}")
         return ledger
+
+    def _forge(self, ledger, keys, seller, lines):
+        """Seal a validly signed fulfillment by seller naming lines."""
+        payload = {"lines": lines, "round": ledger.round_index}
+        ledger.pending.append(Transaction.signed("fulfillment", payload, seller, keys[seller]))
+        ledger.seal_block("p00")
 
     def test_untampered_chain_verifies(self, keys):
         ledger = self._active_chain(keys)
         assert verify_chain(ledger.chain)
+        assert [tx.kind for tx in ledger.chain[1].transactions] == [
+            "purchase_order", "purchase_order", "fulfillment", "fulfillment"]
+        assert len(ledger.chain[1].transactions[2].payload["lines"]) == 2
 
     def test_payload_hash_flip_detected(self, keys):
+        # The second line of p01's fulfillment in block 1.
         ledger = self._active_chain(keys)
-        block = ledger.chain[1]
-        tampered = []
-        for tx in block.transactions:
-            if tx.kind == "fulfillment":
-                bad = dict(tx.payload)
-                h = bad["payload_hash"]
-                bad["payload_hash"] = ("0" if h[0] != "0" else "1") + h[1:]
-                tampered.append(Transaction(tx.kind, bad, tx.author, tx.signature))
-            else:
-                tampered.append(tx)
-        ledger.chain[1] = type(block)(block.index, block.prev_hash, tuple(tampered),
-                                      block.leader, block.block_hash)
+        tx = ledger.chain[1].transactions[2]
+        lines = [list(line) for line in tx.payload["lines"]]
+        h = lines[1][1]
+        lines[1][1] = ("0" if h[0] != "0" else "1") + h[1:]
+        _replace_tx(ledger, 1, 2, {**tx.payload, "lines": lines})
+        assert not verify_chain(ledger.chain)
+
+    def test_count_flip_detected(self, keys):
+        # The second line of p00's order in block 1.
+        ledger = self._active_chain(keys)
+        tx = ledger.chain[1].transactions[0]
+        lines = [list(line) for line in tx.payload["lines"]]
+        lines[1][1] += 1
+        _replace_tx(ledger, 1, 0, {**tx.payload, "lines": lines})
+        assert not verify_chain(ledger.chain)
+
+    def test_fulfillment_of_unknown_line_rejected(self, keys):
+        ledger = self._active_chain(keys, rounds=1)
+        self._forge(ledger, keys, "p01", [["0" * 24 + ":p01", "0" * 64]])
+        assert not verify_chain(ledger.chain)
+
+    def test_fulfillment_of_another_sellers_line_rejected(self, keys):
+        ledger = self._active_chain(keys, rounds=1)
+        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 2})["p01"]
+        self._forge(ledger, keys, "p02", [[order.order_id, "0" * 64]])
+        assert not verify_chain(ledger.chain)
+
+    def test_line_filled_twice_rejected(self, keys):
+        ledger = self._active_chain(keys, rounds=1)
+        filled = ledger.chain[1].transactions[2].payload["lines"][0]
+        self._forge(ledger, keys, "p01", [filled])
+        assert not verify_chain(ledger.chain)
+
+    def test_fulfillment_before_its_order_rejected(self, keys):
+        ledger = fresh_ledger(keys)
+        order_tx = Transaction.signed(
+            "purchase_order", {"count": 2, "encrypt_key": keys["p00"].encrypt_key_hex,
+                               "lines": [["p01", 2]], "round": 1}, "p00", keys["p00"])
+        fill_tx = Transaction.signed(
+            "fulfillment", {"lines": [[order_tx.tx_id + ":p01", "0" * 64]], "round": 1},
+            "p01", keys["p01"])
+        ledger.pending += [fill_tx, order_tx]
+        ledger.seal_block("p00")
+        assert not verify_chain(ledger.chain)
+        ledger.chain[1] = type(ledger.chain[1]).sealed(
+            1, ledger.chain[0].block_hash, [order_tx, fill_tx], "p00")
+        assert verify_chain(ledger.chain)
+
+    def test_order_count_other_than_its_lines_rejected(self, keys):
+        ledger = fresh_ledger(keys)
+        payload = {"count": 3, "encrypt_key": keys["p00"].encrypt_key_hex,
+                   "lines": [["p01", 2], ["p02", 2]], "round": 1}
+        ledger.pending.append(Transaction.signed("purchase_order", payload, "p00", keys["p00"]))
+        ledger.seal_block("p00")
+        assert not verify_chain(ledger.chain)
+
+    @pytest.mark.parametrize("lines", [None, 5, [["only-one-field"]], [[["unhashable"], "x"]]],
+                             ids=["none", "int", "short_line", "unhashable_line_id"])
+    def test_malformed_fulfillment_rejected(self, keys, lines):
+        ledger = self._active_chain(keys, rounds=1)
+        self._forge(ledger, keys, "p01", lines)
         assert not verify_chain(ledger.chain)
 
     def test_block_reorder_detected(self, keys):
