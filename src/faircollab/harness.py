@@ -6,6 +6,11 @@ seeds, computes the contribution/reward correlation, and writes CSV
 tables plus a JSON summary. Reports are a pure function of the stored
 cell traces, so `report` regenerates byte-identical tables from a
 previous `run`.
+
+The cells of one (setting, seed) run together as a group: they share one
+partition, and the frameworks that start from pretrained standalone
+models share one pretraining. A cell's trace is the same whether it runs
+in a group, alone, serially or in a worker process.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .adversary import AdversaryConfig, AdversaryKind, detection_report, gan_att
 from .ledger import load_chain, verify_chain
 from .numerics import Dataset, blob_centers, load_csv, load_idx, make_blobs
 from . import protocol
-from .protocol import FRAMEWORKS, ProtocolConfig, build_parties, run_fdpddl
+from .protocol import FRAMEWORKS, Party, ProtocolConfig, build_parties, run_fdpddl
 
 
 # Setting 3 draws party shares from a symmetric Dirichlet with this alpha.
@@ -220,6 +225,8 @@ class ExperimentConfig:
         if self.rounds < 0:
             errors.append("rounds cannot be negative")
         for key in ("settings", "seeds", "frameworks"):
+            if not getattr(self, key):
+                errors.append(f"{key} is empty: the grid would run no cell")
             duplicated = _duplicates(getattr(self, key))
             if duplicated:
                 errors.append(f"{key} repeats {duplicated}")
@@ -269,6 +276,8 @@ class ExperimentConfig:
             errors.append(f"adversaries repeat party {duplicated}")
         if self.min_party_size < 10:
             errors.append("min_party_size must be at least 10")
+        if self.parallel_workers < 0:
+            errors.append("parallel_workers cannot be negative")
         return errors
 
 
@@ -427,15 +436,52 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
 # Cells and experiments
 # ---------------------------------------------------------------------------
 
-def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int) -> dict:
-    """One (framework, setting, seed) run; returns the serialisable trace."""
-    datasets, spec, test, adversaries = build_cell_data(config, setting, seed)
-    proto = replace(config.protocol, dataset_name=config.dataset.name)
-    parties = build_parties(datasets, spec.sharing_levels, proto,
-                            np.random.SeedSequence([seed, setting, 7]), adversaries)
+class CellGroup:
+    """What the cells of one (setting, seed) share: the partition, and one
+    pretraining for every pretrained framework among `frameworks`.
+
+    Built lazily by the first cell that needs each part, so that its work
+    happens inside that cell. Each pretrained framework is handed the
+    pretrained parties, copied while another pretrained framework still
+    needs them; centralised gets parties as build_parties leaves them.
+    """
+
+    def __init__(self, config: ExperimentConfig, setting: int, seed: int, frameworks):
+        self.config, self.setting, self.seed = config, setting, seed
+        self.proto = replace(config.protocol, dataset_name=config.dataset.name)
+        self.pretrained_left = sum(fw in protocol.PRETRAINED_FRAMEWORKS for fw in frameworks)
+        self.data: tuple | None = None
+        self.pretrained: list[Party] | None = None
+
+    def parties(self, framework: str) -> list[Party]:
+        if self.data is None:
+            self.data = build_cell_data(self.config, self.setting, self.seed)
+        datasets, spec, test, adversaries = self.data
+        if framework in protocol.PRETRAINED_FRAMEWORKS and self.pretrained is not None:
+            parties = self.pretrained
+        else:
+            parties = build_parties(datasets, spec.sharing_levels, self.proto,
+                                    np.random.SeedSequence([self.seed, self.setting, 7]),
+                                    adversaries)
+            if framework not in protocol.PRETRAINED_FRAMEWORKS:
+                return parties
+            protocol.pretrain(parties, test)
+        self.pretrained_left -= 1
+        self.pretrained = protocol.copy_parties(parties) if self.pretrained_left else None
+        return parties
+
+
+def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
+             group: CellGroup | None = None) -> dict:
+    """One (framework, setting, seed) run; returns the serialisable trace.
+    `group` is the set-up this cell shares with the other cells of its
+    (setting, seed); without one the cell builds its own."""
+    group = group or CellGroup(config, setting, seed, (framework,))
+    parties = group.parties(framework)
+    _, spec, test, _ = group.data
     chain_valid = None
     if framework == "fdpddl":
-        trace, ledger = run_fdpddl(parties, proto, config.rounds, test)
+        trace, ledger = run_fdpddl(parties, group.proto, config.rounds, test)
         chain_valid = verify_chain(ledger.chain)
     else:
         # Called through the module so that a wrapper installed on
@@ -471,9 +517,17 @@ def cell_name(framework: str, setting: int, seed: int) -> str:
     return f"{framework}_s{setting}_seed{seed}"
 
 
+def run_group(config: ExperimentConfig, setting: int, seed: int, frameworks) -> list[dict]:
+    """The cells of one (setting, seed), one per framework, on one CellGroup."""
+    group = CellGroup(config, setting, seed, frameworks)
+    return [run_cell(config, fw, setting, seed, group) for fw in frameworks]
+
+
 def run_experiment(config: ExperimentConfig, outdir,
                    seed_override=None, framework_filter=None) -> dict:
-    """Run every configured cell, store traces, and emit report tables."""
+    """Run every configured cell, store traces, and emit report tables.
+    Cells run in (setting, seed) groups (see CellGroup); with
+    parallel_workers > 1 the groups are spread over worker processes."""
     seeds = tuple(seed_override) if seed_override else config.seeds
     frameworks = tuple(framework_filter) if framework_filter else config.frameworks
     # One trace file per cell: a repeated cell would be summarised twice by
@@ -484,22 +538,22 @@ def run_experiment(config: ExperimentConfig, outdir,
             raise ConfigError(f"{flag} repeats {duplicated}")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"--seed {min(seeds)} must be a nonnegative integer")
-    cells = [(fw, st, sd) for fw in frameworks for st in config.settings for sd in seeds]
+    groups = [(st, sd) for st in config.settings for sd in seeds]
 
     os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
     _write_json(os.path.join(outdir, "config.json"), config_echo(config))
-    results = []
     if config.parallel_workers > 1:
         with ProcessPoolExecutor(max_workers=config.parallel_workers) as pool:
-            results = list(pool.map(run_cell, [config] * len(cells), *zip(*cells)))
+            per_group = list(pool.map(run_group, [config] * len(groups), *zip(*groups),
+                                      [frameworks] * len(groups)))
     else:
-        for fw, st, sd in cells:
-            results.append(run_cell(config, fw, st, sd))
+        per_group = [run_group(config, st, sd, frameworks) for st, sd in groups]
+    results = [result for cells in per_group for result in cells]
 
     for result in results:
         name = cell_name(result["framework"], result["setting"], result["seed"])
         with open(os.path.join(outdir, "traces", f"{name}.json"), "w") as fh:
-            json.dump(result, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(json.dumps(result, sort_keys=True, separators=(",", ":")))
     summary = generate_reports(results, outdir, config)
     return summary
 

@@ -72,8 +72,9 @@ class MlpModel:
     """Fully connected network with ReLU hidden layers and softmax output.
 
     All parameters live in one flat float64 vector; per-layer weight and
-    bias arrays are views into it, so flat-vector operations (SGD steps,
-    sparse updates) and layer-wise ones (forward, backward) stay in sync.
+    bias arrays are views into it, built once, so flat-vector operations
+    (SGD steps, sparse updates) and layer-wise ones (forward, backward)
+    stay in sync. params is therefore only ever updated in place.
     """
 
     def __init__(self, dims, params: np.ndarray | None = None):
@@ -88,6 +89,13 @@ class MlpModel:
             if params.shape != (count,):
                 raise ValueError(f"expected {count} parameters, got {params.shape}")
         self.params = params
+        views, offset = [], 0
+        for din, dout in zip(self.dims[:-1], self.dims[1:]):
+            weights = params[offset:offset + din * dout].reshape(din, dout)
+            offset += din * dout
+            views.append((weights, params[offset:offset + dout]))
+            offset += dout
+        self._layers = tuple(views)
 
     @property
     def param_count(self) -> int:
@@ -103,34 +111,33 @@ class MlpModel:
         return model
 
     def layers(self):
-        """Yield (weight_view, bias_view) per layer, input to output."""
-        offset = 0
-        for din, dout in zip(self.dims[:-1], self.dims[1:]):
-            weights = self.params[offset:offset + din * dout].reshape(din, dout)
-            offset += din * dout
-            bias = self.params[offset:offset + dout]
-            offset += dout
-            yield weights, bias
+        """Iterate (weight_view, bias_view) per layer, input to output."""
+        return iter(self._layers)
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.dims, self.params.copy())
 
+    def __reduce__(self):
+        # Copies and pickles rebuild the layer views on the new params; a
+        # field-by-field copy would cut them loose.
+        return MlpModel, (self.dims, self.params)
+
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def _forward_cached(model: MlpModel, features: np.ndarray):
     """Forward pass keeping every post-activation for backprop."""
     activations = [features]
     h = features
-    layer_list = list(model.layers())
-    for weights, bias in layer_list[:-1]:
+    for weights, bias in model._layers[:-1]:
         h = np.maximum(h @ weights + bias, 0.0)
         activations.append(h)
-    weights, bias = layer_list[-1]
+    weights, bias = model._layers[-1]
     probs = _softmax(h @ weights + bias)
     return activations, probs
 
@@ -149,19 +156,23 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward(model, features), axis=1)
 
 
-def loss(model: MlpModel, batch: Dataset) -> float:
+# A batch is a row selection of a validated Dataset: features (n, dim)
+# float64 and labels (n,) int64, passed as two arrays so that training
+# loops index rows without building and re-checking a Dataset per step.
+
+def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch (the quantity backward differentiates)."""
-    if len(batch) == 0:
+    if len(labels) == 0:
         raise ValueError("empty batch")
-    _, probs = _forward_cached(model, batch.features)
-    logp = np.log(np.clip(probs[np.arange(len(batch)), batch.labels], 1e-300, None))
+    _, probs = _forward_cached(model, features)
+    logp = np.log(np.clip(probs[np.arange(len(labels)), labels], 1e-300, None))
     return float(-logp.mean())
 
 
 def _backprop_deltas(model: MlpModel, activations, output_delta):
     """Shared backprop walk. output_delta is (n, out_dim); returns per-layer
     (input_activation, delta) pairs ordered input to output."""
-    layer_list = list(model.layers())
+    layer_list = model._layers
     deltas = [None] * len(layer_list)
     deltas[-1] = output_delta
     for li in range(len(layer_list) - 1, 0, -1):
@@ -172,15 +183,16 @@ def _backprop_deltas(model: MlpModel, activations, output_delta):
     return [(activations[li], deltas[li]) for li in range(len(layer_list))]
 
 
-def backward(model: MlpModel, batch: Dataset) -> np.ndarray:
+def backward(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient over the batch, flattened in the fixed
     parameter order (weights before biases, layer by layer)."""
-    if len(batch) == 0:
+    n = len(labels)
+    if n == 0:
         raise ValueError("empty batch")
-    activations, probs = _forward_cached(model, batch.features)
+    activations, probs = _forward_cached(model, features)
     delta = probs.copy()
-    delta[np.arange(len(batch)), batch.labels] -= 1.0
-    delta /= len(batch)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
     grad = np.empty(model.param_count, dtype=np.float64)
     offset = 0
     for inp, d in _backprop_deltas(model, activations, delta):
@@ -193,7 +205,8 @@ def backward(model: MlpModel, batch: Dataset) -> np.ndarray:
     return grad
 
 
-def clipped_mean_gradient(model: MlpModel, batch: Dataset, clip_norm: float) -> np.ndarray:
+def clipped_mean_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
+                          clip_norm: float) -> np.ndarray:
     """Mean over the batch of single-example gradients, each first rescaled
     to g / max(1, ||g|| / clip_norm), without materialising them.
 
@@ -204,12 +217,12 @@ def clipped_mean_gradient(model: MlpModel, batch: Dataset, clip_norm: float) -> 
     clipped mean is one reweighted a^T (d * f). Equal, up to rounding, to
     clipping the rows of per_example_gradients() and averaging them.
     """
-    if len(batch) == 0:
+    n = len(labels)
+    if n == 0:
         raise ValueError("empty batch")
-    n = len(batch)
-    activations, probs = _forward_cached(model, batch.features)
+    activations, probs = _forward_cached(model, features)
     delta = probs.copy()
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta[np.arange(n), labels] -= 1.0
     pairs = _backprop_deltas(model, activations, delta)
     sq_norms = np.zeros(n, dtype=np.float64)
     for inp, d in pairs:
@@ -228,17 +241,18 @@ def clipped_mean_gradient(model: MlpModel, batch: Dataset, clip_norm: float) -> 
     return grad
 
 
-def per_example_gradients(model: MlpModel, batch: Dataset) -> np.ndarray:
+def per_example_gradients(model: MlpModel, features: np.ndarray,
+                          labels: np.ndarray) -> np.ndarray:
     """(n, param_count) matrix whose rows are single-example loss gradients.
 
     Row mean equals backward() on the same batch.
     """
-    if len(batch) == 0:
+    n = len(labels)
+    if n == 0:
         raise ValueError("empty batch")
-    n = len(batch)
-    activations, probs = _forward_cached(model, batch.features)
+    activations, probs = _forward_cached(model, features)
     delta = probs.copy()
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta[np.arange(n), labels] -= 1.0
     grads = np.empty((n, model.param_count), dtype=np.float64)
     offset = 0
     for inp, d in _backprop_deltas(model, activations, delta):
@@ -273,8 +287,8 @@ def train_sgd(model: MlpModel, data: Dataset, epochs: int, lr0: float, decay: fl
     for _ in range(epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), batch_size):
-            batch = data.subset(order[start:start + batch_size])
-            grad = backward(model, batch)
+            rows = order[start:start + batch_size]
+            grad = backward(model, data.features[rows], data.labels[rows])
             sgd_step(model, grad, decayed_lr(lr0, decay, step_offset + steps))
             steps += 1
     return steps
@@ -376,6 +390,27 @@ def evaluate(model: MlpModel, data: Dataset) -> float:
     if len(data) == 0:
         raise ValueError("empty dataset")
     return float(np.mean(predict(model, data.features) == data.labels))
+
+
+def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
+    """evaluate() of the model with these dims and each row of the
+    (k, param_count) param_rows as its parameters, in one stacked forward
+    pass. Each layer is a batch of the same matrix products evaluate() runs,
+    so every accuracy equals that of MlpModel(dims, row) exactly."""
+    if len(data) == 0:
+        raise ValueError("empty dataset")
+    h = data.features
+    offset = 0
+    for li, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+        weights = param_rows[:, offset:offset + din * dout].reshape(-1, din, dout)
+        offset += din * dout
+        bias = param_rows[:, None, offset:offset + dout]
+        offset += dout
+        h = h @ weights + bias
+        if li < len(dims) - 2:
+            h = np.maximum(h, 0.0)
+    predictions = np.argmax(_softmax(h), axis=-1)
+    return [float(np.mean(row == data.labels)) for row in predictions]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ One block is sealed per round by a rotating leader.
 
 The same party construction also drives the three reference frameworks
 (standalone, centralised, distributed selective SGD with round-robin
-exchange) so results are comparable on identical data partitions.
+exchange) so results are comparable on identical data partitions. FDPDDL,
+standalone and DSSGD start from the pretrained standalone models, so one
+pretraining, copied with copy_parties, can serve all three; each runner
+pretrains only the parties that arrive without one.
 
 Every random draw comes from per-party generators spawned off one master
 seed, including key material, so a run is a pure function of its
@@ -20,6 +23,7 @@ configuration and seed.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +32,8 @@ from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
 from .ledger import Block, KeyPair, Ledger, decrypt_payload
 from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, decayed_lr, evaluate,
-                       magnitude_order, predict, select_largest, sgd_step, train_sgd)
+                       evaluate_rows, magnitude_order, predict, select_largest, sgd_step,
+                       train_sgd)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
                       allocate_budgets, dp_sgd_step, lot_size_for)
 # augment is never called here; bench/tracer.py still wraps protocol.augment.
@@ -40,6 +45,9 @@ class ProtocolError(RuntimeError):
 
 
 FRAMEWORKS = ("standalone", "centralised", "distributed_dssgd", "fdpddl")
+# The frameworks that start from pretrain(); centralised starts from the
+# shared initial parameters instead.
+PRETRAINED_FRAMEWORKS = ("standalone", "distributed_dssgd", "fdpddl")
 
 PRETRAIN_EPOCHS = 10
 BASELINE_EPOCHS_PER_ROUND = 1
@@ -183,6 +191,13 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
     return parties
 
 
+def copy_parties(parties: list[Party]) -> list[Party]:
+    """Independent copies of parties, for several runs from one state.
+    Data and keys are shared, since no run writes to them."""
+    shared = {id(obj): obj for p in parties for obj in (p.train_data, p.val_data, p.keypair)}
+    return copy.deepcopy(parties, shared)
+
+
 def pretrain(parties: list[Party], test_data: Dataset | None = None,
              epochs: int | None = None) -> None:
     """Standalone pretraining from the shared initial parameters; records
@@ -192,6 +207,20 @@ def pretrain(parties: list[Party], test_data: Dataset | None = None,
         p.sgd_steps += train_sgd(p.model, p.train_data, epochs, LEARNING_RATE,
                                  LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
         p.standalone_accuracy = evaluate(p.model, test_data if test_data is not None else p.val_data)
+
+
+def _pretrained_trace(framework: str, parties: list[Party],
+                      test_data: Dataset | None) -> RunTrace:
+    """A new trace holding each party's standalone accuracy and sharing
+    level, after pretraining the parties that are not pretrained yet."""
+    fresh = [p for p in parties if p.standalone_accuracy is None]
+    if fresh:
+        pretrain(fresh, test_data)
+    trace = RunTrace(framework)
+    for p in parties:
+        trace.standalone_accuracies[p.id] = p.standalone_accuracy
+        trace.sharing_levels[p.id] = p.sharing_level
+    return trace
 
 
 def _label_release(labeler: Party, release: SampleRelease, num_classes: int) -> np.ndarray:
@@ -299,6 +328,22 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
     return p.model.params - before
 
 
+def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list[str],
+                   acc: float, val_data: Dataset) -> dict[str, float]:
+    """Accuracy of model on val_data without each peer's update, where acc
+    is its accuracy with all of them. A probe is the parameters minus one
+    update (its indices are unique), and all probes are scored in one
+    stacked forward pass. A peer that sold nothing keeps acc."""
+    acc_without = dict.fromkeys(peers, acc)
+    probed = [j for j in peers if len(bought.get(j, ())) > 0]
+    if probed:
+        probes = np.repeat(model.params[None, :], len(probed), axis=0)
+        for row, j in zip(probes, probed):
+            row[bought[j].indices] -= bought[j].values
+        acc_without.update(zip(probed, evaluate_rows(model.dims, probes, val_data)))
+    return acc_without
+
+
 def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                      round_index: int, config: ProtocolConfig, trace: RunTrace,
                      test_data: Dataset | None = None) -> RoundState:
@@ -352,6 +397,9 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     # One signed fulfillment per seller covers all of its round's fills.
     for j in sorted(ledger.unsigned_fills):
         ledger.sign_fulfillment(by_id[j].keypair, j)
+    # Free the sellers' deltas and rankings (each the size of the model)
+    # before scoring stacks its leave-one-out probes.
+    del deltas, rankings
 
     # Apply own delta (already in the model) plus purchases; score peers.
     evaluations: dict[str, tuple[float, dict[str, float]]] = {}
@@ -365,21 +413,12 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             aggregate[u.indices] += u.values
         p.last_received_aggregate = aggregate
         acc = evaluate(p.model, p.val_data)
-        acc_without: dict[str, float] = {}
+        peers = [j for j in members if j != pid]
+        acc_without = _leave_one_out(p.model, received[pid], peers, acc, p.val_data)
         raw_new: dict[str, float] = {}
-        for j in members:
-            if j == pid:
-                continue
-            update = received[pid].get(j)
-            if update is None or len(update) == 0:
-                acc_j = acc
-            else:
-                probe = p.model.copy()
-                apply_updates(probe, [update.negated()])
-                acc_j = evaluate(probe, p.val_data)
-            acc_without[j] = acc_j
+        for j in peers:
             prev = p.credibility.scores.get(j, 0.0) if p.credibility else 0.0
-            raw_new[j] = cred.credibility_update(prev, acc, acc_j)
+            raw_new[j] = cred.credibility_update(prev, acc, acc_without[j])
         raw_maps[pid] = raw_new
         evaluations[pid] = (acc, acc_without)
 
@@ -419,12 +458,8 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
 def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
                test_data: Dataset | None = None,
                ledger: Ledger | None = None) -> tuple[RunTrace, Ledger]:
-    trace = RunTrace("fdpddl")
+    trace = _pretrained_trace("fdpddl", parties, test_data)
     ledger = ledger or Ledger()
-    pretrain(parties, test_data)
-    for p in parties:
-        trace.standalone_accuracies[p.id] = p.standalone_accuracy
-        trace.sharing_levels[p.id] = p.sharing_level
     credible, _genesis = run_initialisation(parties, ledger, config, trace)
     for round_index in range(1, rounds + 1):
         state = run_update_round(parties, credible, ledger, round_index, config, trace, test_data)
@@ -453,11 +488,7 @@ def _record_round(trace: RunTrace, round_index: int, parties, test_data) -> None
 
 
 def _run_standalone(parties, rounds, test_data) -> RunTrace:
-    trace = RunTrace("standalone")
-    pretrain(parties, test_data)
-    for p in parties:
-        trace.standalone_accuracies[p.id] = p.standalone_accuracy
-        trace.sharing_levels[p.id] = p.sharing_level
+    trace = _pretrained_trace("standalone", parties, test_data)
     for round_index in range(1, rounds + 1):
         for p in parties:
             p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
@@ -498,11 +529,7 @@ def _run_dssgd(parties, rounds, test_data) -> RunTrace:
     """Distributed selective SGD, round-robin order, no differential
     privacy: download the full latest server parameters, train locally,
     upload the largest-magnitude fraction of the delta."""
-    trace = RunTrace("distributed_dssgd")
-    pretrain(parties, test_data)
-    for p in parties:
-        trace.standalone_accuracies[p.id] = p.standalone_accuracy
-        trace.sharing_levels[p.id] = p.sharing_level
+    trace = _pretrained_trace("distributed_dssgd", parties, test_data)
     server = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
     k = int(DSSGD_UPLOAD_RATE * server.param_count)
     for round_index in range(1, rounds + 1):

@@ -63,15 +63,15 @@ def test_criterion_02_gradient_correctness():
         model = MlpModel.seeded(dims, rng)
         n = int(rng.integers(3, 9))
         data = Dataset(rng.normal(size=(n, dims[0])), rng.integers(0, dims[-1], n), dims[-1])
-        analytic = backward(model, data)
+        analytic = backward(model, data.features, data.labels)
         numeric = np.zeros_like(analytic)
         step = 1e-5
         for k in range(model.param_count):
             saved = model.params[k]
             model.params[k] = saved + step
-            up = loss(model, data)
+            up = loss(model, data.features, data.labels)
             model.params[k] = saved - step
-            down = loss(model, data)
+            down = loss(model, data.features, data.labels)
             model.params[k] = saved
             numeric[k] = (up - down) / (2 * step)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircollab import protocol
 from faircollab.adversary import AdversaryKind
 from faircollab.harness import (ConfigError, ExperimentConfig, ZeroVarianceError,
                                 build_cell_data, build_x_axis, fairness, fairness_report,
@@ -304,13 +305,15 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
-    # Each of these sizes ended in a ValueError traceback deep in the run.
+    # Each of these sizes ended in a ValueError traceback deep in the run;
+    # an empty grid list ran no cell and exited 0.
     @pytest.mark.parametrize("section, key, value", [
         ("dataset", "test_size", 0), ("dataset", "num_classes", 0), ("dataset", "dim", 0),
-        ("dataset", "per_party", 0), ("protocol", "hidden_dims", [0])])
+        ("dataset", "per_party", 0), ("protocol", "hidden_dims", [0]),
+        (None, "settings", []), (None, "seeds", []), (None, "frameworks", [])])
     def test_cli_empty_size_exit_code(self, tmp_path, capsys, section, key, value):
         cfg = small_config().to_dict()
-        cfg[section][key] = value
+        (cfg[section] if section else cfg)[key] = value
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -348,7 +351,7 @@ class TestExperimentAndCli:
         assert fragment in capsys.readouterr().err
 
     # Each of these ended in a traceback from validation or mid-run, or (a
-    # fractional min_party_size) ran as if valid.
+    # fractional min_party_size, a negative parallel_workers) ran as if valid.
     @pytest.mark.parametrize("top, dataset, fragment", [
         ({"n": "3"}, {}, "n must"), ({"rounds": "2"}, {}, "rounds"),
         ({"lambda_low": "0.1"}, {}, "lambda_low"),
@@ -363,10 +366,11 @@ class TestExperimentAndCli:
         ({"protocol": {**FAST_PROTOCOL, "dp_steps_per_round": 1.5}}, {}, "dp_steps_per_round"),
         ({"min_party_size": 10.5}, {}, "min_party_size"),
         ({"seeds": 0}, {}, "seeds"),
-        ({"adversaries": [{"kind": "gan_attacker"}]}, {"num_classes": 1}, "victim_classes")],
+        ({"adversaries": [{"kind": "gan_attacker"}]}, {"num_classes": 1}, "victim_classes"),
+        ({"parallel_workers": -1}, {}, "parallel_workers")],
         ids=["n", "rounds", "lambda_low", "parallel_workers", "dim", "spread", "party",
              "crafted_scale", "victim_classes", "fractional_rounds", "fractional_dp_steps",
-             "fractional_min_party_size", "seeds", "gan_one_class"])
+             "fractional_min_party_size", "seeds", "gan_one_class", "negative_parallel_workers"])
     def test_cli_wrong_type_exit_code(self, tmp_path, capsys, top, dataset, fragment):
         cfg = small_config(n=3).to_dict()
         cfg.update(top)
@@ -412,6 +416,42 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+ALL_FRAMEWORKS = ["fdpddl", "distributed_dssgd", "standalone", "centralised"]
+
+
+class TestCellGroups:
+    """The cells of one (setting, seed) share their partition and one
+    pretraining; each trace must not depend on which cells ran with it."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_each_trace_equals_its_single_framework_run(self, tmp_path, workers):
+        cfg = small_config(settings=[2, 3], seeds=[0, 1], frameworks=ALL_FRAMEWORKS,
+                           parallel_workers=workers)
+        run_experiment(cfg, tmp_path / "all")
+        names = set()
+        for fw in ALL_FRAMEWORKS:
+            run_experiment(cfg, tmp_path / fw, framework_filter=[fw])
+            for path in (tmp_path / fw / "traces").iterdir():
+                names.add(path.name)
+                assert path.read_bytes() == (tmp_path / "all" / "traces" / path.name).read_bytes()
+        assert names == {p.name for p in (tmp_path / "all" / "traces").iterdir()}
+        assert len(names) == 16
+
+    def test_one_pretraining_per_setting_and_seed(self, tmp_path, monkeypatch):
+        calls = []
+        original = protocol.pretrain
+
+        def counting(parties, *args, **kwargs):
+            calls.append(len(parties))
+            return original(parties, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "pretrain", counting)
+        cfg = small_config(settings=[1, 2], seeds=[0, 1],
+                           frameworks=["fdpddl", "distributed_dssgd", "standalone"])
+        run_experiment(cfg, tmp_path)
+        assert calls == [4] * 4
 
 
 def csv_config(tmp_path, rows):

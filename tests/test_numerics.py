@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
-                                 clipped_mean_gradient, decayed_lr, evaluate, forward, load_csv,
-                                 load_idx, loss, magnitude_order, make_blobs,
+                                 clipped_mean_gradient, decayed_lr, evaluate, evaluate_rows,
+                                 forward, load_csv, load_idx, loss, magnitude_order, make_blobs,
                                  per_example_gradients, select_largest, sgd_step, train_sgd)
 
 
@@ -22,9 +24,9 @@ def finite_difference_gradient(model, batch, step=1e-5):
     for k in range(model.param_count):
         saved = model.params[k]
         model.params[k] = saved + step
-        up = loss(model, batch)
+        up = loss(model, batch.features, batch.labels)
         model.params[k] = saved - step
-        down = loss(model, batch)
+        down = loss(model, batch.features, batch.labels)
         model.params[k] = saved
         grad[k] = (up - down) / (2 * step)
     return grad
@@ -53,6 +55,17 @@ class TestForward:
         probs = forward(model, rng.normal(size=(11, 5)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_layer_views_on_params(self, clone):
+        model = MlpModel.seeded((3, 4, 2), np.random.default_rng(3))
+        twin = clone(model)
+        assert not np.shares_memory(twin.params, model.params)
+        features = np.random.default_rng(4).normal(size=(5, 3))
+        twin.params += 0.5
+        expected = forward(MlpModel(model.dims, model.params + 0.5), features)
+        assert np.array_equal(forward(twin, features), expected)
+
     def test_dimension_mismatch_rejected(self):
         model = MlpModel((3, 2))
         with pytest.raises(ValueError):
@@ -64,7 +77,7 @@ class TestBackward:
         rng = np.random.default_rng(1)
         model = MlpModel.seeded((2, 2), rng)  # 6 parameters
         batch = small_dataset(rng, n=5, dim=2, classes=2)
-        analytic = backward(model, batch)
+        analytic = backward(model, batch.features, batch.labels)
         numeric = finite_difference_gradient(model, batch)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
@@ -74,7 +87,7 @@ class TestBackward:
             dims = (3, int(rng.integers(2, 5)), 3)
             model = MlpModel.seeded(dims, rng)
             batch = small_dataset(rng, n=6, dim=3, classes=3)
-            analytic = backward(model, batch)
+            analytic = backward(model, batch.features, batch.labels)
             numeric = finite_difference_gradient(model, batch)
             denom = np.maximum(np.abs(numeric), 1e-6)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -85,7 +98,7 @@ class TestBackward:
         batch = small_dataset(rng, n=4, dim=3, classes=2)
         doubled = Dataset(np.concatenate([batch.features] * 2),
                           np.concatenate([batch.labels] * 2), 2)
-        assert np.allclose(backward(model, batch), backward(model, doubled), atol=1e-12)
+        assert np.allclose(backward(model, batch.features, batch.labels), backward(model, doubled.features, doubled.labels), atol=1e-12)
 
     def test_perfect_fit_has_tiny_gradient(self):
         # Huge separating logits make the softmax one-hot.
@@ -93,26 +106,26 @@ class TestBackward:
         weights, _ = next(model.layers())
         weights[:] = np.array([[1000.0, -1000.0]])
         batch = Dataset(np.array([[1.0]]), np.array([0]), 2)
-        assert np.linalg.norm(backward(model, batch)) < 1e-6
+        assert np.linalg.norm(backward(model, batch.features, batch.labels)) < 1e-6
 
     def test_empty_batch_rejected(self):
         model = MlpModel((2, 2))
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError):
-            backward(model, empty)
+            backward(model, empty.features, empty.labels)
 
     def test_per_example_mean_equals_backward(self):
         rng = np.random.default_rng(4)
         model = MlpModel.seeded((3, 5, 3), rng)
         batch = small_dataset(rng, n=7, dim=3, classes=3)
-        per = per_example_gradients(model, batch)
+        per = per_example_gradients(model, batch.features, batch.labels)
         assert per.shape == (7, model.param_count)
-        assert np.allclose(per.mean(axis=0), backward(model, batch), atol=1e-12)
+        assert np.allclose(per.mean(axis=0), backward(model, batch.features, batch.labels), atol=1e-12)
 
 
 def clipped_mean_oracle(model, batch, clip_norm):
     """Materialised reference: clip each per-example row, then average."""
-    grads = per_example_gradients(model, batch)
+    grads = per_example_gradients(model, batch.features, batch.labels)
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     return (grads * np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))).mean(axis=0)
 
@@ -123,10 +136,10 @@ class TestClippedMeanGradient:
         rng = np.random.default_rng(11)
         model = MlpModel.seeded(dims, rng)
         batch = small_dataset(rng, n=9, dim=dims[0], classes=dims[-1])
-        norms = np.linalg.norm(per_example_gradients(model, batch), axis=1)
+        norms = np.linalg.norm(per_example_gradients(model, batch.features, batch.labels), axis=1)
         clip = float(np.median(norms))
         assert np.any(norms > clip) and np.any(norms < clip)
-        assert np.allclose(clipped_mean_gradient(model, batch, clip),
+        assert np.allclose(clipped_mean_gradient(model, batch.features, batch.labels, clip),
                            clipped_mean_oracle(model, batch, clip), atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
@@ -134,9 +147,9 @@ class TestClippedMeanGradient:
         rng = np.random.default_rng(12)
         model = MlpModel.seeded(dims, rng)
         batch = small_dataset(rng, n=6, dim=dims[0], classes=dims[-1])
-        out = clipped_mean_gradient(model, batch, 100.0)
+        out = clipped_mean_gradient(model, batch.features, batch.labels, 100.0)
         assert np.allclose(out, clipped_mean_oracle(model, batch, 100.0), atol=1e-12)
-        assert np.allclose(out, backward(model, batch), atol=1e-12)
+        assert np.allclose(out, backward(model, batch.features, batch.labels), atol=1e-12)
 
     def test_zero_gradient_row(self):
         # Row 0 sits on a saturated softmax of its true class, so its
@@ -145,15 +158,15 @@ class TestClippedMeanGradient:
         model.params[-3:] = [0.0, 0.0, 1000.0]
         batch = Dataset(np.array([[0.2, 0.9], [0.5, 0.1], [0.7, 0.4]]),
                         np.array([2, 0, 1]), 3)
-        assert np.all(per_example_gradients(model, batch)[0] == 0.0)
-        assert np.allclose(clipped_mean_gradient(model, batch, 0.5),
+        assert np.all(per_example_gradients(model, batch.features, batch.labels)[0] == 0.0)
+        assert np.allclose(clipped_mean_gradient(model, batch.features, batch.labels, 0.5),
                            clipped_mean_oracle(model, batch, 0.5), atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model = MlpModel((2, 2))
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError):
-            clipped_mean_gradient(model, empty, 1.0)
+            clipped_mean_gradient(model, empty.features, empty.labels, 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), clip=st.floats(1e-3, 10.0),
@@ -162,7 +175,7 @@ class TestClippedMeanGradient:
         rng = np.random.default_rng(seed)
         model = MlpModel.seeded((4, 5, 3), rng)
         batch = Dataset(rng.normal(size=(1, 4)) * scale, rng.integers(0, 3, 1), 3)
-        assert np.linalg.norm(clipped_mean_gradient(model, batch, clip)) <= clip * (1 + 1e-9)
+        assert np.linalg.norm(clipped_mean_gradient(model, batch.features, batch.labels, clip)) <= clip * (1 + 1e-9)
 
 
 class TestSgdStep:
@@ -187,9 +200,27 @@ class TestSgdStep:
         rng = np.random.default_rng(5)
         data = make_blobs(60, 3, 4, rng, spread=0.05)
         model = MlpModel.seeded((4, 8, 3), rng)
-        before = loss(model, data)
+        before = loss(model, data.features, data.labels)
         train_sgd(model, data, epochs=10, lr0=0.1, decay=1e-7, batch_size=16, rng=rng)
-        assert loss(model, data) < before
+        assert loss(model, data.features, data.labels) < before
+
+    def test_train_sgd_equals_loop_over_subset_batches(self):
+        # Reference: the same schedule with each batch built as a Dataset.
+        rng = np.random.default_rng(6)
+        data = make_blobs(50, 3, 4, rng, spread=0.1)
+        model = MlpModel.seeded((4, 8, 3), rng)
+        reference = model.copy()
+        steps = train_sgd(model, data, 2, 0.1, 1e-3, 16, np.random.default_rng(7), 5)
+        ref_rng, ref_steps = np.random.default_rng(7), 0
+        for _ in range(2):
+            order = ref_rng.permutation(len(data))
+            for start in range(0, len(data), 16):
+                batch = data.subset(order[start:start + 16])
+                sgd_step(reference, backward(reference, batch.features, batch.labels),
+                         decayed_lr(0.1, 1e-3, 5 + ref_steps))
+                ref_steps += 1
+        assert steps == ref_steps == 8
+        assert np.array_equal(model.params, reference.params)
 
 
 class TestSelectLargest:
@@ -329,6 +360,27 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(MlpModel((1, 2)), Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2))
+        with pytest.raises(ValueError):
+            evaluate_rows((1, 2), np.zeros((1, 4)), Dataset(np.zeros((0, 1)),
+                                                            np.zeros(0, dtype=int), 2))
+
+    @pytest.mark.parametrize("dims", [(6, 4), (32, 32, 10), (6, 8, 5, 4)])
+    def test_leave_one_out_rows_match_single_evaluations(self, dims):
+        # Each row is the model minus one sparse update, the leave-one-out
+        # probe of an update round: bitwise the apply_updates result, and
+        # scored exactly as evaluate() scores a model holding that row.
+        rng = np.random.default_rng(sum(dims))
+        model = MlpModel.seeded(dims, rng)
+        data = make_blobs(120, dims[-1], dims[0], rng, spread=0.3)
+        updates = [select_largest(rng.normal(scale=0.5, size=model.param_count), k)
+                   for k in (1, model.param_count // 10, model.param_count // 2)]
+        rows = np.repeat(model.params[None, :], len(updates), axis=0)
+        for row, u in zip(rows, updates):
+            row[u.indices] -= u.values
+            assert np.array_equal(row, apply_updates(model.copy(), [u.negated()]).params)
+        expected = [evaluate(MlpModel(dims, row), data) for row in rows]
+        assert evaluate_rows(dims, rows, data) == expected
+        assert len(set(expected)) > 1
 
 
 class TestSparseUpdateCodec:

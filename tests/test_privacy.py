@@ -45,20 +45,20 @@ def _single_example(seed=0):
     rng = np.random.default_rng(seed)
     model = MlpModel.seeded((3, 4), rng)
     batch = Dataset(rng.uniform(size=(1, 3)), np.array([1]), 4)
-    return model, batch, backward(model, batch)
+    return model, batch, backward(model, batch.features, batch.labels)
 
 
 class TestClipping:
     def test_below_bound_unchanged(self):
         model, batch, g = _single_example()
-        out = clipped_mean_gradient(model, batch, 2.0 * np.linalg.norm(g))
+        out = clipped_mean_gradient(model, batch.features, batch.labels, 2.0 * np.linalg.norm(g))
         assert np.array_equal(out, g)
 
     def test_norm_five_rescaled(self):
         # A gradient of norm 5C comes back with norm C, direction kept.
         model, batch, g = _single_example(1)
         clip = np.linalg.norm(g) / 5.0
-        out = clipped_mean_gradient(model, batch, clip)
+        out = clipped_mean_gradient(model, batch.features, batch.labels, clip)
         assert np.linalg.norm(out) == pytest.approx(clip, rel=1e-12)
         assert np.allclose(out, g / 5.0, atol=1e-12)
 
@@ -67,7 +67,7 @@ class TestClipping:
         model = MlpModel((2, 3, 3))
         model.params[-3:] = [1000.0, 0.0, 0.0]
         batch = Dataset(np.array([[0.3, 0.7]]), np.array([0]), 3)
-        out = clipped_mean_gradient(model, batch, 1.0)
+        out = clipped_mean_gradient(model, batch.features, batch.labels, 1.0)
         assert np.array_equal(out, np.zeros(model.param_count))
 
     def test_output_norms_bounded(self):
@@ -75,7 +75,7 @@ class TestClipping:
         model = MlpModel.seeded((8, 6, 3), rng)
         for scale in (0.1, 1.0, 10.0):
             batch = Dataset(rng.normal(size=(1, 8)) * scale, np.array([2]), 3)
-            assert np.linalg.norm(clipped_mean_gradient(model, batch, 0.7)) <= 0.7 + 1e-9
+            assert np.linalg.norm(clipped_mean_gradient(model, batch.features, batch.labels, 0.7)) <= 0.7 + 1e-9
 
 
 class TestAccountant:
@@ -177,7 +177,8 @@ class TestDpSgdStep:
         result = dp_sgd_step(model, data, params, np.random.default_rng(1234), acct, sigma=0.0)
         # Reproduce the lot draw with an identical generator.
         lot_idx = check_rng.integers(0, len(data), size=params.lot_size)
-        grads = per_example_gradients(model, data.subset(lot_idx))
+        lot = data.subset(lot_idx)
+        grads = per_example_gradients(model, lot.features, lot.labels)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         grads = grads * np.minimum(1.0, params.clip_norm / np.maximum(norms, 1e-300))
         assert np.allclose(result, grads.mean(axis=0), atol=1e-12)
@@ -190,7 +191,8 @@ class TestDpSgdStep:
         params = PrivacyParams(1.0, 1e-5, 0.5, lot_size_for(r * len(data)), r * len(data))
         result = dp_sgd_step(model, data, params, np.random.default_rng(99), acct, sigma=0.0)
         lot_idx = np.random.default_rng(99).integers(0, r * len(data), size=params.lot_size)
-        grads = per_example_gradients(model, augment(data, r).subset(lot_idx))
+        lot = augment(data, r).subset(lot_idx)
+        grads = per_example_gradients(model, lot.features, lot.labels)
         norms = np.linalg.norm(grads, axis=1, keepdims=True)
         grads = grads * np.minimum(1.0, params.clip_norm / np.maximum(norms, 1e-300))
         assert np.allclose(result, grads.mean(axis=0), atol=1e-12)
