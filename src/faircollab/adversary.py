@@ -139,7 +139,7 @@ def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[De
     """Scan a run trace's events for exclusions and token exhaustion.
 
     events: iterable of dicts with kind, party, stage and round keys
-    (protocol.TraceEvent.to_dict gives them).
+    (run_cell stores each protocol.TraceEvent as dataclasses.asdict gives it).
     """
     records = []
     for party_id in sorted(adversaries):

@@ -3,9 +3,11 @@
 Builds the three partition settings (equal shares, heterogeneous sharing
 levels, Dirichlet-imbalanced sizes), runs the framework comparison over
 seeds, computes the contribution/reward correlation, and writes CSV
-tables plus a JSON summary. Reports are a pure function of the stored
-cell traces, so `report` regenerates byte-identical tables from a
-previous `run`.
+tables plus a JSON summary. `run` writes each group's cell traces as the
+group ends and then builds its tables with `report`'s reader
+(`generate_reports`), so `report` regenerates them byte for byte. `run`
+exits 2 when --out already holds a trace of a cell outside its grid, and
+`report` exits 2 when --traces holds no cell trace.
 
 The cells of one (setting, seed) run together as a group: they share one
 partition, and the frameworks that start from pretrained standalone
@@ -16,10 +18,12 @@ in a group, alone, serially or in a worker process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import re
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -525,13 +529,12 @@ def run_group(config: ExperimentConfig, setting: int, seed: int, frameworks) -> 
 
 def run_experiment(config: ExperimentConfig, outdir,
                    seed_override=None, framework_filter=None) -> dict:
-    """Run every configured cell, store traces, and emit report tables.
-    Cells run in (setting, seed) groups (see CellGroup); with
-    parallel_workers > 1 the groups are spread over worker processes."""
+    """Run every configured cell, store each group's traces as it ends, and
+    build the report tables from them. Cells run in (setting, seed) groups
+    (see CellGroup); with parallel_workers > 1, in worker processes."""
     seeds = tuple(seed_override) if seed_override else config.seeds
     frameworks = tuple(framework_filter) if framework_filter else config.frameworks
-    # One trace file per cell: a repeated cell would be summarised twice by
-    # run but once by report.
+    # One trace file per cell: a repeated entry would run its cells twice.
     for flag, values in (("--seed", seeds), ("--framework", frameworks)):
         duplicated = _duplicates(values)
         if duplicated:
@@ -540,114 +543,108 @@ def run_experiment(config: ExperimentConfig, outdir,
         raise ConfigError(f"--seed {min(seeds)} must be a nonnegative integer")
     groups = [(st, sd) for st in config.settings for sd in seeds]
 
-    os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
+    traces_dir = os.path.join(outdir, "traces")
+    os.makedirs(traces_dir, exist_ok=True)
+    # The tables cover every cell trace in traces_dir, so a trace left by
+    # an earlier run of another grid would end up in this run's tables.
+    grid = {(fw, st, sd) for fw in frameworks for st, sd in groups}
+    for key, path in cell_traces(traces_dir):
+        if key not in grid:
+            raise ConfigError(f"{path} is a trace of a cell outside this run's grid; "
+                              "run into another --out")
     _write_json(os.path.join(outdir, "config.json"), config_echo(config))
-    if config.parallel_workers > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel_workers) as pool:
-            per_group = list(pool.map(run_group, [config] * len(groups), *zip(*groups),
-                                      [frameworks] * len(groups)))
-    else:
-        per_group = [run_group(config, st, sd, frameworks) for st, sd in groups]
-    results = [result for cells in per_group for result in cells]
-
-    for result in results:
-        name = cell_name(result["framework"], result["setting"], result["seed"])
-        with open(os.path.join(outdir, "traces", f"{name}.json"), "w") as fh:
-            fh.write(json.dumps(result, sort_keys=True, separators=(",", ":")))
-    summary = generate_reports(results, outdir, config)
-    return summary
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with contextlib.ExitStack() as stack:
+        map_groups = map  # serially, each group runs when the loop asks for it
+        if config.parallel_workers > 1:
+            map_groups = stack.enter_context(
+                ProcessPoolExecutor(max_workers=config.parallel_workers)).map
+        for cells in map_groups(run_group, [config] * len(groups), *zip(*groups),
+                                [frameworks] * len(groups)):
+            for result in cells:
+                name = cell_name(result["framework"], result["setting"], result["seed"])
+                with open(os.path.join(traces_dir, f"{name}.json"), "w") as fh:
+                    fh.write(json.dumps(result, sort_keys=True, separators=(",", ":")))
+            cells = result = None  # drop this group before the next one runs
+    return generate_reports(traces_dir, outdir, config)
 
 
-def generate_reports(results: list[dict], outdir, config: ExperimentConfig | None = None) -> dict:
-    """Tables and summary from stored cell results (pure; byte-stable)."""
-    results = sorted(results, key=lambda r: (r["framework"], r["setting"], r["seed"]))
+_CELL_FILE = re.compile(rf"({'|'.join(FRAMEWORKS)})_s(\d+)_seed(\d+)\.json")
 
-    acc_rows = []
-    for r in results:
-        for pid in r["party_ids"]:
-            acc_rows.append([r["framework"], r["setting"], r["seed"], pid,
-                             r["standalone_accuracies"].get(pid, ""),
-                             r["final_accuracies"][pid]])
-    _write_csv(os.path.join(outdir, "accuracy.csv"),
-               ["framework", "setting", "seed", "party", "standalone_accuracy", "final_accuracy"],
-               acc_rows)
 
-    fairness_rows = []
-    grouped: dict[tuple, list] = {}
-    for r in results:
-        if "fairness" in r:
-            fairness_rows.append([r["framework"], r["setting"], r["seed"],
-                                  r["fairness"]["r_xy"], r["fairness"]["degenerate"],
-                                  r["fairness"]["reason"]])
-            if r["fairness"]["r_xy"] is not None:
-                grouped.setdefault((r["framework"], r["setting"]), []).append(r["fairness"]["r_xy"])
-    _write_csv(os.path.join(outdir, "fairness.csv"),
-               ["framework", "setting", "seed", "r_xy", "degenerate", "reason"],
-               fairness_rows)
+def cell_traces(traces_dir) -> list[tuple[tuple[str, int, int], str]]:
+    """((framework, setting, seed), path) of every cell trace in
+    traces_dir, in that order. A file is a cell trace when its name is the
+    one cell_name gives the cell."""
+    cells = []
+    for name in os.listdir(traces_dir):
+        match = _CELL_FILE.fullmatch(name)
+        if match:
+            key = (match[1], int(match[2]), int(match[3]))
+            if name == f"{cell_name(*key)}.json":
+                cells.append((key, os.path.join(traces_dir, name)))
+    return sorted(cells)
 
-    detection_rows = []
-    for r in results:
-        for rec in r.get("detection", []):
-            detection_rows.append([r["framework"], r["setting"], r["seed"], rec["party"],
-                                   rec["kind"], rec["detected"], rec["stage"],
-                                   "-" if rec["round"] is None else rec["round"]])
-    _write_csv(os.path.join(outdir, "detection.csv"),
-               ["framework", "setting", "seed", "party", "kind", "detected", "stage", "round"],
-               detection_rows)
 
-    round_rows = []
-    for r in results:
-        for row in r["trace"]["accuracy_rows"]:
-            round_rows.append([r["framework"], r["setting"], r["seed"],
-                               row["round"], row["party"], row["accuracy"], row["tokens"]])
-    _write_csv(os.path.join(outdir, "rounds.csv"),
-               ["framework", "setting", "seed", "round", "party", "accuracy", "tokens"],
-               round_rows)
+# Each table's columns after the cell's framework, setting and seed.
+_TABLES = {
+    "accuracy.csv": ["party", "standalone_accuracy", "final_accuracy"],
+    "fairness.csv": ["r_xy", "degenerate", "reason"],
+    "detection.csv": ["party", "kind", "detected", "stage", "round"],
+    "rounds.csv": ["round", "party", "accuracy", "tokens"],
+    "credibility.csv": ["round", "owner", "peer", "credibility", "balance"],
+}
 
-    cred_rows = []
-    for r in results:
-        for row in r["trace"].get("credibility_rows", []):
-            cred_rows.append([r["framework"], r["setting"], r["seed"], row["round"],
-                              row["owner"], row["peer"], row["credibility"], row["balance"]])
-    _write_csv(os.path.join(outdir, "credibility.csv"),
-               ["framework", "setting", "seed", "round", "owner", "peer", "credibility", "balance"],
-               cred_rows)
 
+def _table_rows(r: dict) -> dict[str, list[dict]]:
+    """The rows one stored cell result adds to each table, keyed by column."""
+    return {
+        "accuracy.csv": [{"party": pid, "standalone_accuracy": r["standalone_accuracies"].get(pid, ""),
+                          "final_accuracy": r["final_accuracies"][pid]} for pid in r["party_ids"]],
+        "fairness.csv": [r["fairness"]] if "fairness" in r else [],
+        "detection.csv": [{**rec, "round": "-" if rec["round"] is None else rec["round"]}
+                          for rec in r.get("detection", [])],
+        "rounds.csv": r["trace"]["accuracy_rows"],
+        "credibility.csv": r["trace"].get("credibility_rows", []),
+    }
+
+
+def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
+    """Tables and summary from the cell traces in traces_dir (pure;
+    byte-stable). Reads one trace at a time, in cell_traces order, and
+    writes every table row by row."""
+    cells, chain_flags = [], []
     mean_accuracy: dict[tuple, list] = {}
-    for r in results:
-        key = (r["framework"], r["setting"])
-        mean_accuracy.setdefault(key, []).append(
-            sum(r["final_accuracies"].values()) / len(r["final_accuracies"]))
+    grouped: dict[tuple, list] = {}
+    with contextlib.ExitStack() as stack:
+        writers = {}
+        for name, columns in _TABLES.items():
+            writers[name] = csv.writer(stack.enter_context(
+                open(os.path.join(outdir, name), "w", newline="")))
+            writers[name].writerow(["framework", "setting", "seed", *columns])
+        for key, path in cell_traces(traces_dir):
+            with open(path) as fh:
+                r = json.load(fh)
+            for name, rows in _table_rows(r).items():
+                writers[name].writerows([*key, *(row[c] for c in _TABLES[name])] for row in rows)
+            cells.append(list(key))
+            mean_accuracy.setdefault(key[:2], []).append(
+                sum(r["final_accuracies"].values()) / len(r["final_accuracies"]))
+            if "fairness" in r and r["fairness"]["r_xy"] is not None:
+                grouped.setdefault(key[:2], []).append(r["fairness"]["r_xy"])
+            if r["chain_valid"] is not None:
+                chain_flags.append(r["chain_valid"])
 
     summary = {
-        "cells": [[r["framework"], r["setting"], r["seed"]] for r in results],
+        "cells": cells,
         "mean_final_accuracy": {
             f"{fw}/setting{st}": sum(v) / len(v) for (fw, st), v in sorted(mean_accuracy.items())},
         "mean_fairness": {
             f"{fw}/setting{st}": sum(v) / len(v) for (fw, st), v in sorted(grouped.items())},
-        "chain_valid": all(r["chain_valid"] for r in results if r["chain_valid"] is not None)
-                       if any(r["chain_valid"] is not None for r in results) else None,
+        "chain_valid": all(chain_flags) if chain_flags else None,
+        "config": config_echo(config),
     }
-    if config is not None:
-        summary["config"] = config_echo(config)
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
-
-
-def load_results(traces_dir) -> list[dict]:
-    results = []
-    for name in sorted(os.listdir(traces_dir)):
-        if name.endswith(".json"):
-            with open(os.path.join(traces_dir, name)) as fh:
-                results.append(json.load(fh))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +682,15 @@ def _cmd_verify_chain(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results = load_results(args.traces)
+    # Checked first, so that a wrong --traces is named, not a missing config.json.
+    if not cell_traces(args.traces):
+        raise ConfigError(f"{args.traces} holds no cell trace (<framework>_s<setting>_seed<seed>.json)")
     # run_experiment writes config.json next to the traces directory.
     config = load_config(os.path.join(os.path.dirname(os.path.abspath(args.traces)),
                                       "config.json"))
     os.makedirs(args.out, exist_ok=True)
-    generate_reports(results, args.out, config)
-    print(json.dumps({"cells": len(results), "out": args.out}, sort_keys=True))
+    summary = generate_reports(args.traces, args.out, config)
+    print(json.dumps({"cells": len(summary["cells"]), "out": args.out}, sort_keys=True))
     return 0
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab import protocol
+from faircollab import harness, protocol
 from faircollab.adversary import AdversaryKind
 from faircollab.harness import (ConfigError, ExperimentConfig, ZeroVarianceError,
                                 build_cell_data, build_x_axis, fairness, fairness_report,
@@ -222,15 +222,59 @@ class TestExperimentAndCli:
         assert len(summary["cells"]) == 4
         assert summary["chain_valid"] is True
 
-    def test_report_regeneration_byte_identical(self, tmp_path):
-        cfg = small_config()
-        run_experiment(cfg, tmp_path / "a")
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_report_regeneration_byte_identical(self, tmp_path, workers):
+        cfg = small_config(settings=[1, 2], seeds=[9, 10], parallel_workers=workers)
+        summary = run_experiment(cfg, tmp_path / "a")
+        # Seeds in numeric order: in name order seed10 would come first.
+        assert summary["cells"] == [["fdpddl", st, sd] for st in (1, 2) for sd in (9, 10)]
         rc = main(["report", "--traces", str(tmp_path / "a" / "traces"),
                    "--out", str(tmp_path / "b")])
         assert rc == 0
         for name in ("accuracy.csv", "fairness.csv", "detection.csv", "rounds.csv",
                      "credibility.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_each_group_is_on_disk_before_the_next_starts(self, tmp_path, monkeypatch):
+        on_disk = []
+        original = harness.run_group
+
+        def recording(*args):
+            on_disk.append(sorted(p.name for p in (tmp_path / "traces").iterdir()))
+            return original(*args)
+
+        monkeypatch.setattr(harness, "run_group", recording)
+        run_experiment(small_config(seeds=[0, 1], frameworks=["standalone"]), tmp_path)
+        assert on_disk == [[], ["standalone_s1_seed0.json"]]
+
+    def test_run_into_traces_of_another_grid_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        save_config(small_config(frameworks=["standalone"]), path)
+        out = tmp_path / "out"
+        run = ["run", "--config", str(path), "--out", str(out)]
+        assert main(run) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(run + ["--seed", "1"]) == 2
+        assert "standalone_s1_seed0.json" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        # Rerunning the same grid into the same directory is fine.
+        assert main(run) == 0
+
+    def test_report_without_cell_traces_exit_code(self, tmp_path, capsys):
+        (tmp_path / "run" / "traces").mkdir(parents=True)
+        save_config(small_config(), tmp_path / "run" / "config.json")
+        traces = str(tmp_path / "run" / "traces")
+        assert main(["report", "--traces", traces, "--out", str(tmp_path / "b")]) == 2
+        assert traces in capsys.readouterr().err
+
+    def test_report_of_run_directory_exit_code(self, tmp_path, capsys):
+        # A config.json one level above the run directory must not be
+        # read as that directory's config, nor the run's files as traces.
+        save_config(small_config(), tmp_path / "config.json")
+        run_experiment(small_config(frameworks=["standalone"]), tmp_path / "a")
+        rundir = str(tmp_path / "a")
+        assert main(["report", "--traces", rundir, "--out", str(tmp_path / "b")]) == 2
+        assert rundir in capsys.readouterr().err
 
     def test_report_without_config_exit_code(self, tmp_path):
         run_experiment(small_config(), tmp_path / "a")
