@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 import numpy as np
 
 from .adversary import AdversaryConfig, AdversaryKind, detection_report, gan_attacker_setup
-from .ledger import load_chain, verify_chain
+from .ledger import iter_chain, verify_chain
 from .numerics import Dataset, blob_centers, load_csv, load_idx, make_blobs
 from . import protocol
 from .protocol import FRAMEWORKS, Party, ProtocolConfig, build_parties, run_fdpddl
@@ -675,7 +675,13 @@ def _cmd_fairness(args) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    chain = load_chain(args.dump)
+    chain = []
+    try:
+        for block in iter_chain(args.dump):
+            chain.append(block)
+    except ValueError as exc:
+        print(json.dumps({"blocks": len(chain), "valid": False, "error": str(exc)}))
+        return 1
     ok = verify_chain(chain)
     print(json.dumps({"blocks": len(chain), "valid": ok}))
     return 0 if ok else 1

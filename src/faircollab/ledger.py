@@ -15,8 +15,16 @@ added once trading ends, and no block is sealed while a fill is
 unsigned.
 
 Primitives are real, not stubs: Ed25519 signatures, SHA-256 chaining, and
-a hybrid envelope (fresh AES-256-GCM key per payload, wrapped for the
-recipient via ephemeral X25519 + HKDF + AES-GCM).
+a hybrid envelope: a fresh AES-256-GCM key per payload, wrapped with
+AES-GCM under a key the seller and the buyer share. That pair key comes
+from one static-static X25519 agreement per pair of parties and cell,
+through HKDF-SHA256, and each side caches it (the C(0e, 2s) scheme of
+NIST SP 800-56A rev. 3). The trade-off: a party's X25519 key is drawn
+per cell, and if it leaks, it opens every payload to or from that party
+in the cell; there is no per-payload forward secrecy against the
+sender's key. The recipient trusts the sender key carried in the
+envelope; authenticity comes from the seller's signed fulfillment over
+the payload hash.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .numerics import SparseUpdate
 
 TRANSACTION_KINDS = ("register", "purchase_order", "fulfillment", "punishment")
 
-_WRAP_INFO = b"faircollab payload key wrap"
+_PAIR_INFO = b"faircollab pair key"
 
 
 class LedgerError(RuntimeError):
@@ -58,6 +66,8 @@ class KeyPair:
     def __init__(self, signing_key: Ed25519PrivateKey, decryption_key: X25519PrivateKey):
         self.signing_key = signing_key
         self.decryption_key = decryption_key
+        # peer's raw X25519 public key -> AES-GCM under the pair key
+        self._pair_ciphers: dict[bytes, AESGCM] = {}
 
     @classmethod
     def generate(cls, rng: np.random.Generator) -> "KeyPair":
@@ -76,13 +86,25 @@ class KeyPair:
     def sign(self, message: bytes) -> str:
         return self.signing_key.sign(message).hex()
 
+    def pair_cipher(self, peer_public: bytes) -> AESGCM:
+        """AES-GCM under the key this party shares with the holder of
+        peer_public; X25519 is symmetric, so both sides derive the same
+        one. The agreement runs once per peer."""
+        cipher = self._pair_ciphers.get(peer_public)
+        if cipher is None:
+            shared = self.decryption_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
+            cipher = AESGCM(HKDF(algorithm=SHA256(), length=32, salt=None,
+                                 info=_PAIR_INFO).derive(shared))
+            self._pair_ciphers[peer_public] = cipher
+        return cipher
+
 
 def verify_signature(verify_key_hex: str, message: bytes, signature_hex: str) -> bool:
     try:
         key = Ed25519PublicKey.from_public_bytes(bytes.fromhex(verify_key_hex))
         key.verify(bytes.fromhex(signature_hex), message)
         return True
-    except (InvalidSignature, ValueError):
+    except (InvalidSignature, TypeError, ValueError):
         return False
 
 
@@ -156,8 +178,10 @@ class Block:
 
 @dataclass(frozen=True)
 class EncryptedPayload:
-    """Hybrid envelope: AES-GCM ciphertext under a fresh symmetric key,
-    that key wrapped for the recipient via ephemeral X25519 + HKDF."""
+    """Hybrid envelope: AES-GCM ciphertext under a fresh content key, that
+    key wrapped under the pair key of sender and recipient, with the same
+    aad. ephemeral_public holds the sender's X25519 key for the cell, not
+    a per-payload key; a leak of either party's key opens the payload."""
 
     ciphertext: bytes
     nonce: bytes
@@ -170,32 +194,24 @@ class EncryptedPayload:
         return sha256_hex(self.ciphertext)
 
 
-def _wrap_key_for(recipient_pk_hex: str, fsk: bytes, rng: np.random.Generator) -> tuple[bytes, bytes, bytes]:
-    ephemeral = X25519PrivateKey.from_private_bytes(rng.bytes(32))
-    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(recipient_pk_hex)))
-    kek = HKDF(algorithm=SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
-    wrap_nonce = rng.bytes(12)
-    wrapped = AESGCM(kek).encrypt(wrap_nonce, fsk, None)
-    return wrapped, wrap_nonce, ephemeral.public_key().public_bytes_raw()
-
-
-def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, rng: np.random.Generator,
-                    aad: bytes = b"") -> EncryptedPayload:
-    """Seal the plaintext under a fresh key drawn from rng, wrapped for the
-    recipient."""
-    fsk = rng.bytes(32)
-    nonce = rng.bytes(12)
-    ciphertext = AESGCM(fsk).encrypt(nonce, plaintext, aad)
-    wrapped, wrap_nonce, eph_pub = _wrap_key_for(recipient_pk_hex, fsk, rng)
-    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce, eph_pub)
+def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, sender: KeyPair,
+                    rng: np.random.Generator, aad: bytes = b"") -> EncryptedPayload:
+    """Seal the plaintext under a fresh key drawn from rng, wrapped under
+    the pair key of sender and recipient."""
+    draw = rng.bytes(88)
+    # [44:76] is drawn but unused, so the sender's later draws (DP-SGD noise) keep their values.
+    content_key, nonce, wrap_nonce = draw[:32], draw[32:44], draw[76:88]
+    ciphertext = AESGCM(content_key).encrypt(nonce, plaintext, aad)
+    wrapped = sender.pair_cipher(bytes.fromhex(recipient_pk_hex)).encrypt(
+        wrap_nonce, content_key, aad)
+    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce,
+                            sender.decryption_key.public_key().public_bytes_raw())
 
 
 def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes = b"") -> bytes:
-    shared = keypair.decryption_key.exchange(
-        X25519PublicKey.from_public_bytes(payload.ephemeral_public))
-    kek = HKDF(algorithm=SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
-    fsk = AESGCM(kek).decrypt(payload.wrap_nonce, payload.wrapped_key, None)
-    return AESGCM(fsk).decrypt(payload.nonce, payload.ciphertext, aad)
+    content_key = keypair.pair_cipher(payload.ephemeral_public).decrypt(
+        payload.wrap_nonce, payload.wrapped_key, aad)
+    return AESGCM(content_key).decrypt(payload.nonce, payload.ciphertext, aad)
 
 
 @dataclass
@@ -290,8 +306,8 @@ class Ledger:
         self.pending.append(tx)
         return placed
 
-    def fulfill_order(self, seller: str, order_id: str, update: SparseUpdate,
-                      rng: np.random.Generator) -> EncryptedPayload:
+    def fulfill_order(self, seller_keypair: KeyPair, seller: str, order_id: str,
+                      update: SparseUpdate, rng: np.random.Generator) -> EncryptedPayload:
         """Ship one order line and pay for it: count tokens move from buyer
         to seller. The fill awaits the seller's sign_fulfillment. Returns
         the published payload."""
@@ -306,8 +322,8 @@ class Ledger:
             raise LedgerError(f"order wants {order.count} gradients, got {len(update)}")
         if self.balances[order.buyer] < order.count:
             raise LedgerError(f"{order.buyer} can no longer pay {order.count} tokens")
-        payload_obj = encrypt_payload(update.to_bytes(), order.buyer_encrypt_key, rng,
-                                      aad=order_id.encode())
+        payload_obj = encrypt_payload(update.to_bytes(), order.buyer_encrypt_key,
+                                      seller_keypair, rng, aad=order_id.encode())
         self.payload_store[payload_obj.payload_hash] = payload_obj
         self.unsigned_fills.setdefault(seller, []).append([order_id, payload_obj.payload_hash])
         order.status = "fulfilled"
@@ -372,15 +388,19 @@ def verify_chain(chain) -> bool:
     """True iff hashes link from genesis, parties register in the genesis
     block only and once each, every signature verifies against the key
     registered for its author, and every fulfillment line fills, once, a
-    line ordered from its author earlier in the chain."""
+    line ordered from its author earlier in the chain. False, too, for a
+    field of the wrong type."""
     if not chain:
         return False
     verify_keys: dict[str, str] = {}
     for tx in chain[0].transactions:
         if tx.kind == "register":
+            if not isinstance(tx.payload, dict):
+                return False
             party = tx.payload.get("party")
             key = tx.payload.get("verify_key")
-            if party is None or key is None or tx.author != party or party in verify_keys:
+            if (not isinstance(party, str) or not isinstance(key, str)
+                    or tx.author != party or party in verify_keys):
                 return False
             verify_keys[party] = key
     open_lines: dict[str, str] = {}
@@ -391,7 +411,7 @@ def verify_chain(chain) -> bool:
         for tx in block.transactions:
             if tx.kind == "register" and position > 0:
                 return False
-            key = verify_keys.get(tx.author)
+            key = verify_keys.get(tx.author) if isinstance(tx.author, str) else None
             if key is None:
                 return False
             if not verify_signature(key, Transaction.signing_bytes(
@@ -414,11 +434,19 @@ def dump_chain(chain, path) -> None:
             fh.write("\n")
 
 
+def iter_chain(path):
+    """The blocks of a dump in order. A line that does not parse as a block
+    raises ValueError naming the line, after the blocks before it."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                block = Block.from_dict(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {number}: {type(exc).__name__}: {exc}") from exc
+            yield block
+
+
 def load_chain(path) -> list[Block]:
-    blocks = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                blocks.append(Block.from_dict(json.loads(line)))
-    return blocks
+    return list(iter_chain(path))

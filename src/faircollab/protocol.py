@@ -391,7 +391,8 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         # One signed order per buyer; each line is filled at once, in seller order.
         for j, order in ledger.submit_purchase_order(buyer.keypair, pid, lines).items():
             selection = select_largest(deltas[j], order.count, rankings[j])
-            payload = ledger.fulfill_order(j, order.order_id, selection, by_id[j].rng)
+            payload = ledger.fulfill_order(by_id[j].keypair, j, order.order_id, selection,
+                                           by_id[j].rng)
             blob = decrypt_payload(payload, buyer.keypair, aad=order.order_id.encode())
             received[pid][j] = SparseUpdate.from_bytes(blob)
     # One signed fulfillment per seller covers all of its round's fills.

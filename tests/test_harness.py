@@ -14,6 +14,7 @@ from faircollab.harness import (ConfigError, ExperimentConfig, ZeroVarianceError
                                 build_cell_data, build_x_axis, fairness, fairness_report,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
                                 save_config)
+from faircollab.numerics import SparseUpdate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -212,6 +213,15 @@ class TestRunCell:
         assert result["chain_valid"] is None
 
 
+def _edited(index, edit):
+    """A dump rewrite that applies edit to the parsed JSON of block index."""
+    def mutate(lines):
+        block = json.loads(lines[index])
+        edit(block)
+        return lines[:index] + [json.dumps(block)] + lines[index + 1:]
+    return mutate
+
+
 class TestExperimentAndCli:
     def test_run_experiment_outputs(self, tmp_path):
         cfg = small_config(seeds=[0, 1], frameworks=["fdpddl", "standalone"])
@@ -313,6 +323,40 @@ class TestExperimentAndCli:
         blob["transactions"][0]["signature"] = ("0" if sig[0] != "0" else "1") + sig[1:]
         dump.write_text(json.dumps(blob) + "\n")
         assert main(["verify-chain", "--dump", str(dump)]) == 1
+
+    # Each rewrites the lines of a dumped 2-block chain (genesis, then one
+    # traded round); the first five leave a line that does not parse as a block.
+    @pytest.mark.parametrize("mutate, parsed", [
+        (lambda lines: [lines[0], lines[1][:40]], 1),
+        (_edited(1, lambda block: block["transactions"][0].update(kind="mint")), 1),
+        (_edited(1, lambda block: block.pop("leader")), 1),
+        (lambda lines: [lines[0], "[1, 2]"], 1),
+        (_edited(1, lambda block: block.update(transactions=7)), 1),
+        (_edited(0, lambda block: block["transactions"][0].update(payload=["p00"])), None),
+        (_edited(1, lambda block: block["transactions"][0].update(signature=7)), None),
+    ], ids=["truncated_line", "unknown_kind", "no_leader", "json_list", "transactions_int",
+            "register_payload_list", "int_signature"])
+    def test_cli_verify_chain_malformed_dump(self, tmp_path, capsys, mutate, parsed):
+        from faircollab.ledger import KeyPair, Ledger, dump_chain
+        rng = np.random.default_rng(0)
+        keys = {pid: KeyPair.generate(rng) for pid in ("p00", "p01")}
+        ledger = Ledger()
+        ledger.create_genesis({pid: 10 for pid in keys}, keys)
+        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 2})["p01"]
+        ledger.fulfill_order(keys["p01"], "p01", order.order_id,
+                             SparseUpdate(np.arange(2), np.ones(2), 10), rng)
+        ledger.sign_fulfillment(keys["p01"], "p01")
+        ledger.seal_block("p01")
+        dump = tmp_path / "chain.jsonl"
+        dump_chain(ledger.chain, dump)
+        dump.write_text("\n".join(mutate(dump.read_text().splitlines())) + "\n")
+        assert main(["verify-chain", "--dump", str(dump)]) == 1
+        result = json.loads(capsys.readouterr().out)
+        if parsed is None:
+            assert result == {"blocks": 2, "valid": False}
+        else:
+            assert result["valid"] is False and result["blocks"] == parsed
+            assert result["error"].startswith("line 2: ")
 
     def test_cli_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

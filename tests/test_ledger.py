@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,25 +53,85 @@ class TestKeysAndEnvelope:
 
     def test_hybrid_round_trip(self):
         kp = KeyPair.generate(np.random.default_rng(2))
+        sender = KeyPair.generate(np.random.default_rng(12))
         rng = np.random.default_rng(3)
-        payload = encrypt_payload(b"secret gradients", kp.encrypt_key_hex, rng)
+        payload = encrypt_payload(b"secret gradients", kp.encrypt_key_hex, sender, rng)
         assert decrypt_payload(payload, kp) == b"secret gradients"
         assert len(payload.nonce) == 12
 
     def test_wrong_recipient_cannot_decrypt(self):
         kp_a = KeyPair.generate(np.random.default_rng(4))
         kp_b = KeyPair.generate(np.random.default_rng(5))
-        payload = encrypt_payload(b"x", kp_a.encrypt_key_hex, np.random.default_rng(6))
+        sender = KeyPair.generate(np.random.default_rng(12))
+        payload = encrypt_payload(b"x", kp_a.encrypt_key_hex, sender, np.random.default_rng(6))
         with pytest.raises(Exception):
             decrypt_payload(payload, kp_b)
 
     def test_round_trip_at_full_model_size(self):
         kp = KeyPair.generate(np.random.default_rng(8))
+        sender = KeyPair.generate(np.random.default_rng(12))
         update = SparseUpdate(np.arange(5000), np.random.default_rng(9).normal(size=5000), 5000)
-        payload = encrypt_payload(update.to_bytes(), kp.encrypt_key_hex,
+        payload = encrypt_payload(update.to_bytes(), kp.encrypt_key_hex, sender,
                                   np.random.default_rng(10))
         again = SparseUpdate.from_bytes(decrypt_payload(payload, kp))
         assert np.array_equal(again.values, update.values)
+
+    def test_pair_cipher_cached_and_shared_by_both_sides(self, keys):
+        a, b = keys["p00"], keys["p01"]
+        b_pub = bytes.fromhex(b.encrypt_key_hex)
+        assert a.pair_cipher(b_pub) is a.pair_cipher(b_pub)
+        payload = encrypt_payload(b"line", b.encrypt_key_hex, a, np.random.default_rng(1),
+                                  aad=b"batch:p00")
+        assert payload.ephemeral_public == bytes.fromhex(a.encrypt_key_hex)
+        assert decrypt_payload(payload, b, aad=b"batch:p00") == b"line"
+
+    def test_wrap_bound_to_line_id(self, keys):
+        a, b = keys["p00"], keys["p01"]
+        payload = encrypt_payload(b"line", b.encrypt_key_hex, a, np.random.default_rng(1),
+                                  aad=b"batch:p00")
+        with pytest.raises(InvalidTag):
+            decrypt_payload(payload, b, aad=b"batch:p02")
+        # The key wrap on its own, not only the ciphertext, binds the line id.
+        unwrap = b.pair_cipher(payload.ephemeral_public)
+        assert len(unwrap.decrypt(payload.wrap_nonce, payload.wrapped_key, b"batch:p00")) == 32
+        with pytest.raises(InvalidTag):
+            unwrap.decrypt(payload.wrap_nonce, payload.wrapped_key, b"batch:p02")
+
+    def test_two_sellers_to_one_buyer_open_for_the_buyer_only(self, keys):
+        buyer, outsider = keys["p00"], keys["p03"]
+        rng = np.random.default_rng(1)
+        payloads = {seller: encrypt_payload(seller.encode(), buyer.encrypt_key_hex, keys[seller],
+                                            rng, aad=seller.encode())
+                    for seller in ("p01", "p02")}
+        for seller, payload in payloads.items():
+            assert decrypt_payload(payload, buyer, aad=seller.encode()) == seller.encode()
+            with pytest.raises(InvalidTag):
+                decrypt_payload(payload, outsider, aad=seller.encode())
+
+    @pytest.mark.parametrize("field", ["ephemeral_public", "wrapped_key"])
+    def test_flipped_envelope_byte_fails_to_open(self, keys, field):
+        payload = encrypt_payload(b"line", keys["p01"].encrypt_key_hex, keys["p00"],
+                                  np.random.default_rng(1), aad=b"batch:p00")
+        blob = bytearray(getattr(payload, field))
+        blob[0] ^= 0x01
+        with pytest.raises(InvalidTag):
+            decrypt_payload(dataclasses.replace(payload, **{field: bytes(blob)}), keys["p01"],
+                            aad=b"batch:p00")
+
+    def test_rng_draws_and_ciphertext_pinned(self, keys):
+        # The payload hash and the seller's later draws (its DP-SGD noise)
+        # rest on this layout of the rng stream.
+        a, b = keys["p00"], keys["p01"]
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        plaintext, aad = b"secret gradients", b"batch:p01"
+        payload = encrypt_payload(plaintext, b.encrypt_key_hex, a, rng, aad)
+        content_key, nonce, _unused, wrap_nonce = (twin.bytes(32), twin.bytes(12),
+                                                   twin.bytes(32), twin.bytes(12))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert payload.ciphertext == AESGCM(content_key).encrypt(nonce, plaintext, aad)
+        assert (payload.nonce, payload.wrap_nonce) == (nonce, wrap_nonce)
+        assert payload.wrapped_key == a.pair_cipher(
+            bytes.fromhex(b.encrypt_key_hex)).encrypt(wrap_nonce, content_key, aad)
 
 
 class TestGenesis:
@@ -135,7 +198,8 @@ class TestTrading:
         update = sample_update()
         orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 5})
         order = orders["p01"]
-        payload = ledger.fulfill_order("p01", order.order_id, update, np.random.default_rng(1))
+        payload = ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
+                                       np.random.default_rng(1))
         blob = decrypt_payload(payload, keys["p00"], aad=order.order_id.encode())
         recovered = SparseUpdate.from_bytes(blob)
         assert np.array_equal(recovered.indices, update.indices)
@@ -157,7 +221,7 @@ class TestTrading:
         lines = []
         for buyer in ("p00", "p02", "p03"):
             order = ledger.submit_purchase_order(keys[buyer], buyer, {"p01": 4})["p01"]
-            payload = ledger.fulfill_order("p01", order.order_id,
+            payload = ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                                            SparseUpdate(np.arange(4), np.ones(4), 10), rng)
             lines.append([order.order_id, payload.payload_hash])
         tx = ledger.sign_fulfillment(keys["p01"], "p01")
@@ -169,7 +233,8 @@ class TestTrading:
     def test_seal_refused_while_a_fill_is_unsigned(self, keys):
         ledger = fresh_ledger(keys)
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30})["p01"]
-        ledger.fulfill_order("p01", order.order_id, sample_update(), np.random.default_rng(1))
+        ledger.fulfill_order(keys["p01"], "p01", order.order_id, sample_update(),
+                             np.random.default_rng(1))
         pending = list(ledger.pending)
         with pytest.raises(LedgerError):
             ledger.seal_block("p00")
@@ -182,9 +247,11 @@ class TestTrading:
         ledger = fresh_ledger(keys)
         update = sample_update()
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 30})["p01"]
-        ledger.fulfill_order("p01", order.order_id, update, np.random.default_rng(1))
+        ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
+                             np.random.default_rng(1))
         with pytest.raises(LedgerError):
-            ledger.fulfill_order("p01", order.order_id, update, np.random.default_rng(2))
+            ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
+                                 np.random.default_rng(2))
         assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
         assert len(ledger.unsigned_fills["p01"]) == 1
 
@@ -192,7 +259,7 @@ class TestTrading:
         ledger = fresh_ledger(keys)
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 1})["p01"]
         with pytest.raises(LedgerError):
-            ledger.fulfill_order("p01", order.order_id,
+            ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                                  SparseUpdate([0], [1.0], 1000), np.random.default_rng(1))
         assert order.status == "open" and not ledger.unsigned_fills
 
@@ -203,7 +270,7 @@ class TestTrading:
         first = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 200})["p01"]
         second = ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 200})["p02"]
         rng = np.random.default_rng(1)
-        ledger.fulfill_order("p01", first.order_id,
+        ledger.fulfill_order(keys["p01"], "p01", first.order_id,
                              SparseUpdate(np.arange(200), np.ones(200), 400), rng)
         balances = dict(ledger.balances)
         pending = list(ledger.pending)
@@ -211,7 +278,7 @@ class TestTrading:
         unsigned = {seller: list(lines) for seller, lines in ledger.unsigned_fills.items()}
         state = rng.bit_generator.state
         with pytest.raises(LedgerError):
-            ledger.fulfill_order("p02", second.order_id,
+            ledger.fulfill_order(keys["p02"], "p02", second.order_id,
                                  SparseUpdate(np.arange(200), np.ones(200), 400), rng)
         assert ledger.balances == balances
         assert ledger.pending == pending
@@ -225,7 +292,7 @@ class TestTrading:
         rng = np.random.default_rng(3)
         for round_index in range(5):
             orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 10, "p02": 3})
-            ledger.fulfill_order("p01", orders["p01"].order_id,
+            ledger.fulfill_order(keys["p01"], "p01", orders["p01"].order_id,
                                  SparseUpdate(np.arange(10), np.ones(10), 1000), rng)
             ledger.submit_purchase_order(keys["p02"], "p02", {"p03": 7})  # never filled
             ledger.sign_fulfillment(keys["p01"], "p01")
@@ -271,7 +338,8 @@ class TestTrading:
                 before = dict(ledger.balances)
                 update = SparseUpdate(np.arange(order.count), np.ones(order.count), 400)
                 try:
-                    ledger.fulfill_order(order.seller, order.order_id, update, rng)
+                    ledger.fulfill_order(keys[order.seller], order.seller, order.order_id,
+                                         update, rng)
                 except LedgerError:
                     # A fill may be refused only when the buyer is short.
                     assert before[order.buyer] < order.count
@@ -311,7 +379,7 @@ class TestChainVerification:
                        ledger.submit_purchase_order(keys["p03"], "p03", {"p01": 4})]
             for orders in batches:
                 for seller, order in orders.items():
-                    ledger.fulfill_order(seller, order.order_id,
+                    ledger.fulfill_order(keys[seller], seller, order.order_id,
                                          SparseUpdate(np.arange(order.count),
                                                       np.ones(order.count), 100), rng)
             ledger.sign_fulfillment(keys["p01"], "p01")
