@@ -66,6 +66,10 @@ class KeyPair:
     def __init__(self, signing_key: Ed25519PrivateKey, decryption_key: X25519PrivateKey):
         self.signing_key = signing_key
         self.decryption_key = decryption_key
+        # Public halves, derived once: every seal, order and registration reads them.
+        self.encrypt_public = decryption_key.public_key().public_bytes_raw()
+        self.encrypt_key_hex = self.encrypt_public.hex()
+        self.verify_key_hex = signing_key.public_key().public_bytes_raw().hex()
         # peer's raw X25519 public key -> AES-GCM under the pair key
         self._pair_ciphers: dict[bytes, AESGCM] = {}
 
@@ -74,14 +78,6 @@ class KeyPair:
         # Derived from the party's seeded stream so runs are reproducible.
         return cls(Ed25519PrivateKey.from_private_bytes(rng.bytes(32)),
                    X25519PrivateKey.from_private_bytes(rng.bytes(32)))
-
-    @property
-    def verify_key_hex(self) -> str:
-        return self.signing_key.public_key().public_bytes_raw().hex()
-
-    @property
-    def encrypt_key_hex(self) -> str:
-        return self.decryption_key.public_key().public_bytes_raw().hex()
 
     def sign(self, message: bytes) -> str:
         return self.signing_key.sign(message).hex()
@@ -204,8 +200,7 @@ def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, sender: KeyPair,
     ciphertext = AESGCM(content_key).encrypt(nonce, plaintext, aad)
     wrapped = sender.pair_cipher(bytes.fromhex(recipient_pk_hex)).encrypt(
         wrap_nonce, content_key, aad)
-    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce,
-                            sender.decryption_key.public_key().public_bytes_raw())
+    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce, sender.encrypt_public)
 
 
 def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes = b"") -> bytes:

@@ -8,6 +8,7 @@ update machinery used for selective gradient exchange.
 Parameter flattening order is fixed and relied on by sparse updates that
 cross party boundaries: layer by layer from input to output, weight
 matrix first (row-major, shape in_dim x out_dim), then its bias vector.
+_layout sets that order; every model view and flat gradient reads it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ class Dataset:
         return self.subset(order[n_hold:]), self.subset(order[:n_hold])
 
 
+def _layout(dims):
+    """Per layer, input to output: (weight slice, weight shape, bias slice)
+    of the flat parameter vector. The one place that sets the flattening
+    order."""
+    layout, offset = [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        weights = slice(offset, offset + din * dout)
+        offset += din * dout
+        layout.append((weights, (din, dout), slice(offset, offset + dout)))
+        offset += dout
+    return tuple(layout)
+
+
 class MlpModel:
     """Fully connected network with ReLU hidden layers and softmax output.
 
@@ -81,7 +95,8 @@ class MlpModel:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
             raise ValueError("dims must list at least input and output sizes, all positive")
-        count = sum(din * dout + dout for din, dout in zip(self.dims[:-1], self.dims[1:]))
+        self._layout = _layout(self.dims)
+        count = self._layout[-1][2].stop
         if params is None:
             params = np.zeros(count, dtype=np.float64)
         else:
@@ -89,13 +104,7 @@ class MlpModel:
             if params.shape != (count,):
                 raise ValueError(f"expected {count} parameters, got {params.shape}")
         self.params = params
-        views, offset = [], 0
-        for din, dout in zip(self.dims[:-1], self.dims[1:]):
-            weights = params[offset:offset + din * dout].reshape(din, dout)
-            offset += din * dout
-            views.append((weights, params[offset:offset + dout]))
-            offset += dout
-        self._layers = tuple(views)
+        self._layers = tuple((params[w].reshape(shape), params[b]) for w, shape, b in self._layout)
 
     @property
     def param_count(self) -> int:
@@ -130,14 +139,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def _forward_cached(model: MlpModel, features: np.ndarray):
-    """Forward pass keeping every post-activation for backprop."""
+def _forward_cached(layers, features: np.ndarray):
+    """Forward pass over (weights, bias) pairs, input to output, keeping
+    every post-activation for backprop. Stacked (k, in, out) weights with
+    (k, 1, out) biases run k models at once."""
     activations = [features]
     h = features
-    for weights, bias in model._layers[:-1]:
+    for weights, bias in layers[:-1]:
         h = np.maximum(h @ weights + bias, 0.0)
         activations.append(h)
-    weights, bias = model._layers[-1]
+    weights, bias = layers[-1]
     probs = _softmax(h @ weights + bias)
     return activations, probs
 
@@ -147,7 +158,7 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.dims[0]:
         raise ValueError(f"features must be (n, {model.dims[0]})")
-    _, probs = _forward_cached(model, features)
+    _, probs = _forward_cached(model._layers, features)
     return probs
 
 
@@ -164,9 +175,19 @@ def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch (the quantity backward differentiates)."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    _, probs = _forward_cached(model, features)
+    _, probs = _forward_cached(model._layers, features)
     logp = np.log(np.clip(probs[np.arange(len(labels)), labels], 1e-300, None))
     return float(-logp.mean())
+
+
+def _output_delta(model: MlpModel, features: np.ndarray, labels: np.ndarray):
+    """Forward pass of a nonempty batch: (activations, probs - onehot(labels)),
+    the unscaled delta of the summed cross-entropy at the output layer."""
+    if len(labels) == 0:
+        raise ValueError("empty batch")
+    activations, delta = _forward_cached(model._layers, features)
+    delta[np.arange(len(labels)), labels] -= 1.0
+    return activations, delta
 
 
 def _backprop_deltas(model: MlpModel, activations, output_delta):
@@ -183,26 +204,22 @@ def _backprop_deltas(model: MlpModel, activations, output_delta):
     return [(activations[li], deltas[li]) for li in range(len(layer_list))]
 
 
+def _flat_gradient(model: MlpModel, pairs) -> np.ndarray:
+    """Flat gradient holding, per (input, delta) layer pair, input^T delta
+    for the weights and delta's column sums for the bias."""
+    grad = np.empty(model.param_count, dtype=np.float64)
+    for (inp, d), (w, _, b) in zip(pairs, model._layout):
+        grad[w] = (inp.T @ d).ravel()
+        grad[b] = d.sum(axis=0)
+    return grad
+
+
 def backward(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient over the batch, flattened in the fixed
     parameter order (weights before biases, layer by layer)."""
-    n = len(labels)
-    if n == 0:
-        raise ValueError("empty batch")
-    activations, probs = _forward_cached(model, features)
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    grad = np.empty(model.param_count, dtype=np.float64)
-    offset = 0
-    for inp, d in _backprop_deltas(model, activations, delta):
-        dw = inp.T @ d
-        grad[offset:offset + dw.size] = dw.ravel()
-        offset += dw.size
-        db = d.sum(axis=0)
-        grad[offset:offset + db.size] = db
-        offset += db.size
-    return grad
+    activations, delta = _output_delta(model, features, labels)
+    delta /= len(labels)
+    return _flat_gradient(model, _backprop_deltas(model, activations, delta))
 
 
 def clipped_mean_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
@@ -217,28 +234,13 @@ def clipped_mean_gradient(model: MlpModel, features: np.ndarray, labels: np.ndar
     clipped mean is one reweighted a^T (d * f). Equal, up to rounding, to
     clipping the rows of per_example_gradients() and averaging them.
     """
-    n = len(labels)
-    if n == 0:
-        raise ValueError("empty batch")
-    activations, probs = _forward_cached(model, features)
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
+    activations, delta = _output_delta(model, features, labels)
     pairs = _backprop_deltas(model, activations, delta)
-    sq_norms = np.zeros(n, dtype=np.float64)
+    sq_norms = np.zeros(len(labels), dtype=np.float64)
     for inp, d in pairs:
         sq_norms += (np.einsum("ni,ni->n", inp, inp) + 1.0) * np.einsum("nj,nj->n", d, d)
-    factors = np.minimum(1.0, clip_norm / np.maximum(np.sqrt(sq_norms), 1e-300)) / n
-    grad = np.empty(model.param_count, dtype=np.float64)
-    offset = 0
-    for inp, d in pairs:
-        scaled = d * factors[:, None]
-        dw = inp.T @ scaled
-        grad[offset:offset + dw.size] = dw.ravel()
-        offset += dw.size
-        db = scaled.sum(axis=0)
-        grad[offset:offset + db.size] = db
-        offset += db.size
-    return grad
+    factors = np.minimum(1.0, clip_norm / np.maximum(np.sqrt(sq_norms), 1e-300)) / len(labels)
+    return _flat_gradient(model, [(inp, d * factors[:, None]) for inp, d in pairs])
 
 
 def per_example_gradients(model: MlpModel, features: np.ndarray,
@@ -247,21 +249,12 @@ def per_example_gradients(model: MlpModel, features: np.ndarray,
 
     Row mean equals backward() on the same batch.
     """
+    activations, delta = _output_delta(model, features, labels)
     n = len(labels)
-    if n == 0:
-        raise ValueError("empty batch")
-    activations, probs = _forward_cached(model, features)
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
     grads = np.empty((n, model.param_count), dtype=np.float64)
-    offset = 0
-    for inp, d in _backprop_deltas(model, activations, delta):
-        dw = np.einsum("ni,nj->nij", inp, d)
-        size = dw.shape[1] * dw.shape[2]
-        grads[:, offset:offset + size] = dw.reshape(n, size)
-        offset += size
-        grads[:, offset:offset + d.shape[1]] = d
-        offset += d.shape[1]
+    for (inp, d), (w, _, b) in zip(_backprop_deltas(model, activations, delta), model._layout):
+        grads[:, w] = np.einsum("ni,nj->nij", inp, d).reshape(n, -1)
+        grads[:, b] = d
     return grads
 
 
@@ -399,17 +392,10 @@ def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
     so every accuracy equals that of MlpModel(dims, row) exactly."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    h = data.features
-    offset = 0
-    for li, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-        weights = param_rows[:, offset:offset + din * dout].reshape(-1, din, dout)
-        offset += din * dout
-        bias = param_rows[:, None, offset:offset + dout]
-        offset += dout
-        h = h @ weights + bias
-        if li < len(dims) - 2:
-            h = np.maximum(h, 0.0)
-    predictions = np.argmax(_softmax(h), axis=-1)
+    stacked = [(param_rows[:, w].reshape(-1, *shape), param_rows[:, None, b])
+               for w, shape, b in _layout(dims)]
+    _, probs = _forward_cached(stacked, data.features)
+    predictions = np.argmax(probs, axis=-1)
     return [float(np.mean(row == data.labels)) for row in predictions]
 
 

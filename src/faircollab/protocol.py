@@ -198,19 +198,16 @@ def copy_parties(parties: list[Party]) -> list[Party]:
     return copy.deepcopy(parties, shared)
 
 
-def pretrain(parties: list[Party], test_data: Dataset | None = None,
-             epochs: int | None = None) -> None:
+def pretrain(parties: list[Party], test_data: Dataset) -> None:
     """Standalone pretraining from the shared initial parameters; records
     each party's standalone accuracy for the fairness axis."""
-    epochs = PRETRAIN_EPOCHS if epochs is None else epochs
     for p in parties:
-        p.sgd_steps += train_sgd(p.model, p.train_data, epochs, LEARNING_RATE,
+        p.sgd_steps += train_sgd(p.model, p.train_data, PRETRAIN_EPOCHS, LEARNING_RATE,
                                  LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
-        p.standalone_accuracy = evaluate(p.model, test_data if test_data is not None else p.val_data)
+        p.standalone_accuracy = evaluate(p.model, test_data)
 
 
-def _pretrained_trace(framework: str, parties: list[Party],
-                      test_data: Dataset | None) -> RunTrace:
+def _pretrained_trace(framework: str, parties: list[Party], test_data: Dataset) -> RunTrace:
     """A new trace holding each party's standalone accuracy and sharing
     level, after pretraining the parties that are not pretrained yet."""
     fresh = [p for p in parties if p.standalone_accuracy is None]
@@ -346,7 +343,7 @@ def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list
 
 def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                      round_index: int, config: ProtocolConfig, trace: RunTrace,
-                     test_data: Dataset | None = None) -> RoundState:
+                     test_data: Dataset) -> RoundState:
     """One synchronous exchange round (gradient trading, leave-one-out
     credibility update, banning, block seal)."""
     by_id = {p.id: p for p in parties}
@@ -376,7 +373,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                      int(config.download_fraction * supply))
         if budget < 1:
             continue
-        scores = buyer.credibility.scores if buyer.credibility else {}
+        scores = buyer.credibility.scores
         sellers = [j for j in members if j != pid and capacities[j] > 0]
         alloc = {j: cred.download_allocation(scores.get(j, 0.0), budget,
                                              by_id[j].sharing_level, param_count)
@@ -418,7 +415,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         acc_without = _leave_one_out(p.model, received[pid], peers, acc, p.val_data)
         raw_new: dict[str, float] = {}
         for j in peers:
-            prev = p.credibility.scores.get(j, 0.0) if p.credibility else 0.0
+            prev = p.credibility.scores.get(j, 0.0)
             raw_new[j] = cred.credibility_update(prev, acc, acc_without[j])
         raw_maps[pid] = raw_new
         evaluations[pid] = (acc, acc_without)
@@ -444,30 +441,27 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         if ledger.balance(pid) <= TOKEN_RESERVE and not p.token_exhaustion_reported:
             p.token_exhaustion_reported = True
             trace.event("token_exhausted", pid, round_index, "update")
-        test_acc = evaluate(p.model, test_data) if test_data is not None else evaluations[pid][0]
         trace.accuracy_rows.append({"round": round_index, "party": pid,
-                                    "accuracy": test_acc, "tokens": ledger.balance(pid)})
-        if p.credibility:
-            for peer in sorted(p.credibility.scores):
-                trace.credibility_rows.append({
-                    "round": round_index, "owner": pid, "peer": peer,
-                    "credibility": p.credibility.scores[peer],
-                    "balance": ledger.balance(pid)})
+                                    "accuracy": evaluate(p.model, test_data),
+                                    "tokens": ledger.balance(pid)})
+        for peer in sorted(p.credibility.scores):
+            trace.credibility_rows.append({
+                "round": round_index, "owner": pid, "peer": peer,
+                "credibility": p.credibility.scores[peer],
+                "balance": ledger.balance(pid)})
     return RoundState(round_index, received, evaluations, block, new_credible)
 
 
 def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
-               test_data: Dataset | None = None,
-               ledger: Ledger | None = None) -> tuple[RunTrace, Ledger]:
+               test_data: Dataset) -> tuple[RunTrace, Ledger]:
     trace = _pretrained_trace("fdpddl", parties, test_data)
-    ledger = ledger or Ledger()
+    ledger = Ledger()
     credible, _genesis = run_initialisation(parties, ledger, config, trace)
     for round_index in range(1, rounds + 1):
         state = run_update_round(parties, credible, ledger, round_index, config, trace, test_data)
         credible = state.credible
     for p in parties:
-        data = test_data if test_data is not None else p.val_data
-        trace.final_accuracies[p.id] = evaluate(p.model, data)
+        trace.final_accuracies[p.id] = evaluate(p.model, test_data)
     return trace, ledger
 
 

@@ -363,6 +363,20 @@ class TestExperimentAndCli:
         path.write_text(json.dumps({"name": "x", "n": 0}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    # A directory where a file belongs, or a file where a directory belongs.
+    @pytest.mark.parametrize("argv", [
+        ["verify-chain", "--dump", "{dir}"],
+        ["run", "--config", "{dir}", "--out", "{out}"],
+        ["report", "--traces", "{file}", "--out", "{out}"],
+    ], ids=["verify_chain_dump_is_dir", "run_config_is_dir", "report_traces_is_file"])
+    def test_cli_path_of_wrong_kind_exit_code(self, tmp_path, capsys, argv):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file.txt").write_text("not a directory\n")
+        paths = {"dir": str(tmp_path / "dir"), "file": str(tmp_path / "file.txt"),
+                 "out": str(tmp_path / "o")}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("key, value", [
         ("augment_replication", 0), ("dp_steps_per_round", -3), ("download_fraction", 0.0)])
     def test_cli_out_of_range_protocol_exit_code(self, tmp_path, capsys, key, value):

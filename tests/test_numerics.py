@@ -83,8 +83,9 @@ class TestBackward:
 
     def test_finite_differences_on_random_models(self):
         rng = np.random.default_rng(2)
-        for _ in range(5):
-            dims = (3, int(rng.integers(2, 5)), 3)
+        for case in range(6):
+            # The last case has two hidden layers, so the flat layout spans three.
+            dims = (3, int(rng.integers(2, 5)), 3) if case < 5 else (3, 4, 3, 3)
             model = MlpModel.seeded(dims, rng)
             batch = small_dataset(rng, n=6, dim=3, classes=3)
             analytic = backward(model, batch.features, batch.labels)

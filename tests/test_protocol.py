@@ -38,11 +38,16 @@ class TestBuildAndPretrain:
         assert all(np.array_equal(p.model.params, base) for p in parties)
 
     def test_zero_epochs_keeps_models_identical(self):
-        datasets, test = blob_setup(1)
+        # Before any training every party holds the shared initial
+        # parameters, in a parameter vector of its own.
+        datasets, _ = blob_setup(1)
         parties = fresh_parties(1, ProtocolConfig(**FAST), datasets)
-        pretrain(parties, test, epochs=0)
-        base = parties[0].model.params
-        assert all(np.array_equal(p.model.params, base) for p in parties)
+        base = parties[0].initial_params
+        for p in parties:
+            assert np.array_equal(p.model.params, base)
+            assert np.array_equal(p.initial_params, base)
+            assert not any(np.shares_memory(p.model.params, q.model.params)
+                           for q in parties if q is not p)
 
     def test_standalone_beats_chance_on_blobs(self):
         datasets, test = blob_setup(2)
@@ -73,10 +78,8 @@ class TestBuildAndPretrain:
 
 class TestInitialisation:
     def _init(self, seed, adversaries=None, datasets=None):
-        if datasets is None:
-            datasets, test = blob_setup(seed, per_party=200)
-        else:
-            test = None
+        default, test = blob_setup(seed, per_party=200)
+        datasets = default if datasets is None else datasets
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(seed, config, datasets, adversaries=adversaries)
         pretrain(parties, test)
