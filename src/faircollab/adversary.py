@@ -34,6 +34,12 @@ class AdversaryKind(str, Enum):
         """Owns noise data and fakes its published gradients."""
         return self is not AdversaryKind.GAN_ATTACKER
 
+    @property
+    def echoes_aggregate(self) -> bool:
+        """Publishes the aggregate it received last round, so the protocol
+        keeps that aggregate for it."""
+        return self is AdversaryKind.FREE_RIDER_CRAFTED_GRAD
+
 
 @dataclass(frozen=True)
 class AdversaryConfig:

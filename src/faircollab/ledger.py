@@ -319,8 +319,9 @@ class Ledger:
             raise LedgerError(f"{order.buyer} can no longer pay {order.count} tokens")
         payload_obj = encrypt_payload(update.to_bytes(), order.buyer_encrypt_key,
                                       seller_keypair, rng, aad=order_id.encode())
-        self.payload_store[payload_obj.payload_hash] = payload_obj
-        self.unsigned_fills.setdefault(seller, []).append([order_id, payload_obj.payload_hash])
+        payload_hash = payload_obj.payload_hash
+        self.payload_store[payload_hash] = payload_obj
+        self.unsigned_fills.setdefault(seller, []).append([order_id, payload_hash])
         order.status = "fulfilled"
         self.balances[order.buyer] -= order.count
         self.balances[seller] += order.count

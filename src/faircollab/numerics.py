@@ -141,30 +141,36 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward_cached(layers, features: np.ndarray):
     """Forward pass over (weights, bias) pairs, input to output, keeping
-    every post-activation for backprop. Stacked (k, in, out) weights with
-    (k, 1, out) biases run k models at once."""
+    every post-activation for backprop; returns (activations, logits).
+    Stacked (k, in, out) weights with (k, 1, out) biases run k models at
+    once."""
     activations = [features]
     h = features
     for weights, bias in layers[:-1]:
         h = np.maximum(h @ weights + bias, 0.0)
         activations.append(h)
     weights, bias = layers[-1]
-    probs = _softmax(h @ weights + bias)
-    return activations, probs
+    return activations, h @ weights + bias
+
+
+def _logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Output-layer logits of model, one row per row of features."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != model.dims[0]:
+        raise ValueError(f"features must be (n, {model.dims[0]})")
+    return _forward_cached(model._layers, features)[1]
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per example, each row summing to 1."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.dims[0]:
-        raise ValueError(f"features must be (n, {model.dims[0]})")
-    _, probs = _forward_cached(model._layers, features)
-    return probs
+    return _softmax(_logits(model, features))
 
 
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(forward(model, features), axis=1)
+    """Argmax class per row, taken on the logits, so no probabilities are
+    computed. Ties and rows holding a NaN or an infinity follow np.argmax
+    on the logits: a tie goes to the lowest class index."""
+    return np.argmax(_logits(model, features), axis=1)
 
 
 # A batch is a row selection of a validated Dataset: features (n, dim)
@@ -175,7 +181,7 @@ def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch (the quantity backward differentiates)."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    _, probs = _forward_cached(model._layers, features)
+    probs = _softmax(_forward_cached(model._layers, features)[1])
     logp = np.log(np.clip(probs[np.arange(len(labels)), labels], 1e-300, None))
     return float(-logp.mean())
 
@@ -185,7 +191,8 @@ def _output_delta(model: MlpModel, features: np.ndarray, labels: np.ndarray):
     the unscaled delta of the summed cross-entropy at the output layer."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    activations, delta = _forward_cached(model._layers, features)
+    activations, logits = _forward_cached(model._layers, features)
+    delta = _softmax(logits)
     delta[np.arange(len(labels)), labels] -= 1.0
     return activations, delta
 
@@ -306,7 +313,7 @@ class SparseUpdate:
         if len(self.indices):
             if self.indices[0] < 0 or self.indices[-1] >= self.param_count:
                 raise ValueError("index out of range")
-            if np.any(np.diff(self.indices) <= 0):
+            if not (self.indices[1:] > self.indices[:-1]).all():
                 raise ValueError("indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -373,7 +380,17 @@ def apply_updates(model: MlpModel, updates) -> MlpModel:
             raise ValueError("update sized for a different model")
     idx = np.concatenate([u.indices for u in updates])
     vals = np.concatenate([u.values for u in updates])
-    order = np.lexsort((vals, idx))
+    # One int64 key idx * total + (rank of the value) sorts by index, then
+    # by value. Values that compare equal add to the same bits in any order
+    # (0.0 and -0.0 included), so an unstable value sort is enough. Each
+    # update holds unique indices, so total <= len(updates) * param_count
+    # and every key is below param_count * total. A buyer among n parties
+    # applies at most n - 1 updates, so its keys fit in int64 while
+    # param_count² · (n − 1) < 2⁶³.
+    total = len(vals)
+    rank = np.empty(total, dtype=np.int64)
+    rank[np.argsort(vals)] = np.arange(total)
+    order = np.argsort(idx * total + rank)
     np.add.at(model.params, idx[order], vals[order])
     return model
 
@@ -382,7 +399,7 @@ def evaluate(model: MlpModel, data: Dataset) -> float:
     """Fraction of argmax-correct predictions."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    return float(np.mean(predict(model, data.features) == data.labels))
+    return np.count_nonzero(predict(model, data.features) == data.labels) / len(data)
 
 
 def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
@@ -394,9 +411,8 @@ def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
         raise ValueError("empty dataset")
     stacked = [(param_rows[:, w].reshape(-1, *shape), param_rows[:, None, b])
                for w, shape, b in _layout(dims)]
-    _, probs = _forward_cached(stacked, data.features)
-    predictions = np.argmax(probs, axis=-1)
-    return [float(np.mean(row == data.labels)) for row in predictions]
+    predictions = np.argmax(_forward_cached(stacked, data.features)[1], axis=-1)
+    return (np.count_nonzero(predictions == data.labels, axis=1) / len(data)).tolist()
 
 
 # ---------------------------------------------------------------------------

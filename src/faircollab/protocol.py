@@ -111,6 +111,9 @@ class Party:
     sgd_steps: int = 0
     publishing: bool = True
     token_exhaustion_reported: bool = False
+    # Dense sum of the updates bought last round, net of rolled-back ones.
+    # Built only for a free_rider_crafted_grad party, the one kind that
+    # echoes it; None for every other party.
     last_received_aggregate: np.ndarray | None = None
 
 
@@ -326,19 +329,20 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
 
 
 def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list[str],
-                   acc: float, val_data: Dataset) -> dict[str, float]:
-    """Accuracy of model on val_data without each peer's update, where acc
-    is its accuracy with all of them. A probe is the parameters minus one
-    update (its indices are unique), and all probes are scored in one
-    stacked forward pass. A peer that sold nothing keeps acc."""
-    acc_without = dict.fromkeys(peers, acc)
+                   val_data: Dataset) -> tuple[float, dict[str, float]]:
+    """(acc, acc_without): the accuracy of model on val_data, and per peer
+    its accuracy without that peer's update. One stacked forward pass
+    scores the parameters as row 0 and, in each further row, the
+    parameters minus one update (its indices are unique). A peer that
+    sold nothing keeps acc."""
     probed = [j for j in peers if len(bought.get(j, ())) > 0]
-    if probed:
-        probes = np.repeat(model.params[None, :], len(probed), axis=0)
-        for row, j in zip(probes, probed):
-            row[bought[j].indices] -= bought[j].values
-        acc_without.update(zip(probed, evaluate_rows(model.dims, probes, val_data)))
-    return acc_without
+    rows = np.repeat(model.params[None, :], 1 + len(probed), axis=0)
+    for row, j in zip(rows[1:], probed):
+        row[bought[j].indices] -= bought[j].values
+    acc, *probe_accs = evaluate_rows(model.dims, rows, val_data)
+    acc_without = dict.fromkeys(peers, acc)
+    acc_without.update(zip(probed, probe_accs))
+    return acc, acc_without
 
 
 def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
@@ -406,13 +410,13 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         p = by_id[pid]
         updates = [received[pid][j] for j in sorted(received[pid])]
         apply_updates(p.model, updates)
-        aggregate = np.zeros(param_count)
-        for u in updates:
-            aggregate[u.indices] += u.values
-        p.last_received_aggregate = aggregate
-        acc = evaluate(p.model, p.val_data)
+        if p.adversary and p.adversary.kind.echoes_aggregate:
+            aggregate = np.zeros(param_count)
+            for u in updates:
+                aggregate[u.indices] += u.values
+            p.last_received_aggregate = aggregate
         peers = [j for j in members if j != pid]
-        acc_without = _leave_one_out(p.model, received[pid], peers, acc, p.val_data)
+        acc, acc_without = _leave_one_out(p.model, received[pid], peers, p.val_data)
         raw_new: dict[str, float] = {}
         for j in peers:
             prev = p.credibility.scores.get(j, 0.0)
@@ -430,7 +434,8 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             update = received[pid].get(r)
             if update is not None and len(update):
                 apply_updates(by_id[pid].model, [update.negated()])
-                by_id[pid].last_received_aggregate[update.indices] -= update.values
+                if by_id[pid].last_received_aggregate is not None:
+                    by_id[pid].last_received_aggregate[update.indices] -= update.values
 
     block = ledger.seal_block(leader_id)
     trace.token_totals.append((round_index, ledger.total_tokens()))

@@ -16,7 +16,8 @@ from faircollab.credibility import (LabelMatrix, download_allocation, init_credi
                                     init_tokens, majority_vote, sigmoid_map, supplement)
 from faircollab.harness import ExperimentConfig, fairness, run_cell, run_experiment
 from faircollab.ledger import load_chain, verify_chain
-from faircollab.numerics import MlpModel, Dataset, backward, loss, make_blobs, blob_centers
+from faircollab.numerics import (MlpModel, Dataset, SparseUpdate, apply_updates, backward, loss,
+                                 make_blobs, blob_centers)
 from faircollab.privacy import PrivacyAccountant, allocate_budgets, calibrate_sigma
 from faircollab.protocol import ProtocolConfig, build_parties, run_fdpddl
 
@@ -296,6 +297,17 @@ def _pearson_oracle(x, y):
     return cov / ((n - 1) * sx * sy)
 
 
+def _apply_updates_oracle(params, updates):
+    """Each parameter plus its values from every (indices, values) update,
+    added one at a time in ascending order."""
+    out = list(params)
+    for i in range(len(out)):
+        for value in sorted(v for indices, values in updates
+                            for j, v in zip(indices, values) if j == i):
+            out[i] += value
+    return out
+
+
 def test_criterion_10_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(10)
@@ -340,6 +352,20 @@ def test_criterion_10_oracle_equivalence():
             continue
         if abs(fairness(x, y) - _pearson_oracle(list(x), list(y))) > 1e-12:
             mismatches.append("fairness")
+
+    pool = [0.0, -0.0, 0.1, -0.1, 0.3, 1.0, -2.5, 1e-17, 1e16, -1e16]
+    for _ in range(200):
+        model = MlpModel((1, int(rng.integers(1, 6))))
+        count = model.param_count
+        model.params[:] = rng.choice(pool, count)
+        updates = []
+        for _ in range(int(rng.integers(1, 8))):
+            indices = np.sort(rng.choice(count, int(rng.integers(0, count + 1)), replace=False))
+            updates.append(SparseUpdate(indices, rng.choice(pool, len(indices)), count))
+        expected = _apply_updates_oracle(model.params.tolist(),
+                                         [(u.indices.tolist(), u.values.tolist()) for u in updates])
+        if apply_updates(model, updates).params.tobytes() != np.array(expected).tobytes():
+            mismatches.append("apply_updates")
 
     report(10, "oracle equivalence on small instances", not mismatches,
            f"mismatches: {sorted(set(mismatches)) or 'none'} ({time.time() - t0:.1f}s)")

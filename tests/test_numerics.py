@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
                                  clipped_mean_gradient, decayed_lr, evaluate, evaluate_rows,
                                  forward, load_csv, load_idx, loss, magnitude_order, make_blobs,
-                                 per_example_gradients, select_largest, sgd_step, train_sgd)
+                                 per_example_gradients, predict, select_largest, sgd_step,
+                                 train_sgd)
 
 
 def small_dataset(rng, n=8, dim=3, classes=3):
@@ -327,6 +328,31 @@ class TestApplyUpdates:
         with pytest.raises(ValueError):
             apply_updates(model, [SparseUpdate([0], [1.0], 99)])
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_keyed_sort_matches_lexsort_accumulation_bitwise(self, data):
+        # Pins the keyed-sort settlement to the (index, value) lexsort
+        # accumulation it replaced, kept here as the reference. Values mix
+        # magnitudes so that the addition order shows in the bits, repeat
+        # exactly, and include both signed zeros.
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 0.3, 1e-17, -1e-17,
+                                  1e16, -1e16, 2.5]) | st.floats(-1e3, 1e3)
+        width = data.draw(st.integers(1, 5))
+        model = MlpModel((1, width))  # 2 * width parameters
+        count = model.param_count
+        model.params[:] = data.draw(st.lists(values, min_size=count, max_size=count))
+        updates = []
+        for _ in range(data.draw(st.integers(1, 7))):
+            idx = sorted(data.draw(st.sets(st.integers(0, count - 1), max_size=count)))
+            vals = data.draw(st.lists(values, min_size=len(idx), max_size=len(idx)))
+            updates.append(SparseUpdate(idx, vals, count))
+        idx = np.concatenate([u.indices for u in updates])
+        vals = np.concatenate([u.values for u in updates])
+        order = np.lexsort((vals, idx))
+        expected = model.params.copy()
+        np.add.at(expected, idx[order], vals[order])
+        assert apply_updates(model, updates).params.tobytes() == expected.tobytes()
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
@@ -364,6 +390,51 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_rows((1, 2), np.zeros((1, 4)), Dataset(np.zeros((0, 1)),
                                                             np.zeros(0, dtype=int), 2))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scoring_equals_argmax_of_probabilities(self, data):
+        # predict, evaluate and evaluate_rows read the logits; the reference
+        # takes the argmax of forward()'s softmax probabilities. Weights and
+        # features on a grid of eighths make every logit exact, so exact
+        # ties occur and distinct logits never round to equal probabilities.
+        grid = st.integers(-16, 16).map(lambda v: v / 8.0)
+        dims = data.draw(st.sampled_from([(2, 3), (3, 4, 3), (2, 3, 3, 4)]))
+        models = [MlpModel(dims) for _ in range(data.draw(st.integers(1, 3)))]
+        for model in models:
+            model.params[:] = data.draw(st.lists(grid, min_size=model.param_count,
+                                                 max_size=model.param_count))
+        n = data.draw(st.integers(1, 10))
+        features = np.array(data.draw(st.lists(grid, min_size=n * dims[0],
+                                               max_size=n * dims[0]))).reshape(n, dims[0])
+        labels = np.array(data.draw(st.lists(st.integers(0, dims[-1] - 1),
+                                             min_size=n, max_size=n)))
+        batch = Dataset(features, labels, dims[-1])
+        expected = []
+        for model in models:
+            oracle = np.argmax(forward(model, features), axis=1)
+            assert np.array_equal(predict(model, features), oracle)
+            expected.append(float(np.mean(oracle == labels)))
+            assert evaluate(model, batch) == expected[-1]
+        rows = np.stack([model.params for model in models])
+        assert evaluate_rows(dims, rows, batch) == expected
+
+    def test_ties_go_to_the_lowest_class(self):
+        features = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        data = Dataset(features, np.array([1, 1, 0]), 3)
+        # All-equal logits: zero weights predict class 0 everywhere.
+        zero = MlpModel((2, 4, 3))
+        assert predict(zero, features).tolist() == [0, 0, 0]
+        assert evaluate(zero, data) == 1.0 / 3.0
+        # Classes 1 and 2 tie exactly, above class 0, on every row.
+        linear = MlpModel((2, 3))
+        weights, bias = next(linear.layers())
+        weights[:] = [[0.0, 2.0, 2.0], [0.0, 1.0, 1.0]]
+        bias[:] = [0.5, 0.0, 0.0]
+        assert predict(linear, features).tolist() == [1, 1, 1]
+        assert evaluate(linear, data) == 2.0 / 3.0
+        rows = np.stack([np.zeros(linear.param_count), linear.params])
+        assert evaluate_rows((2, 3), rows, data) == [1.0 / 3.0, 2.0 / 3.0]
 
     @pytest.mark.parametrize("dims", [(6, 4), (32, 32, 10), (6, 8, 5, 4)])
     def test_leave_one_out_rows_match_single_evaluations(self, dims):

@@ -6,11 +6,11 @@ import pytest
 from faircollab.adversary import AdversaryConfig, AdversaryKind
 from faircollab.credibility import credibility_update
 from faircollab.ledger import Ledger, verify_chain
-from faircollab.numerics import (Dataset, apply_updates, blob_centers, evaluate, make_blobs,
-                                 train_sgd)
+from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
+                                 evaluate, make_blobs, select_largest, train_sgd)
 from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
-                                 ProtocolError, RunTrace, build_parties, pretrain, run_baseline,
-                                 run_fdpddl, run_initialisation, run_update_round)
+                                 ProtocolError, RunTrace, _leave_one_out, build_parties, pretrain,
+                                 run_baseline, run_fdpddl, run_initialisation, run_update_round)
 
 FAST = dict(augment_replication=20, dp_steps_per_round=2, download_fraction=0.85)
 
@@ -28,6 +28,32 @@ def fresh_parties(seed, config, datasets, lambdas=None, adversaries=None):
     lambdas = lambdas or [0.1] * len(datasets)
     return build_parties(datasets, lambdas, config,
                          np.random.SeedSequence([seed, 100, 7]), adversaries)
+
+
+class TestLeaveOneOut:
+    @pytest.mark.parametrize("sellers", [(), ("p02",), ("p01", "p02", "p03")])
+    def test_own_accuracy_is_evaluate(self, sellers):
+        # The buyer's own parameters are row 0 of the stacked probe pass:
+        # its accuracy equals evaluate(), with or without probes, and each
+        # probe scores as a model holding the parameters minus that update.
+        datasets, _ = blob_setup(5)
+        buyer = fresh_parties(5, ProtocolConfig(**FAST), datasets)[0]
+        model, val = buyer.model, buyer.val_data
+        rng = np.random.default_rng(5)
+        bought = {j: select_largest(rng.normal(scale=0.5, size=model.param_count), 300)
+                  for j in sellers}
+        bought["p04"] = SparseUpdate([], [], model.param_count)  # sold nothing
+        peers = ["p01", "p02", "p03", "p04"]
+        acc, acc_without = _leave_one_out(model, bought, peers, val)
+        assert acc == evaluate(model, val)
+        for j in peers:
+            if j in sellers:
+                probe = MlpModel(model.dims, model.params.copy())
+                probe.params[bought[j].indices] -= bought[j].values
+                assert acc_without[j] == evaluate(probe, val)
+            else:
+                assert acc_without[j] == acc
+        assert not sellers or any(acc_without[j] != acc for j in sellers)
 
 
 class TestBuildAndPretrain:
