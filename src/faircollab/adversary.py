@@ -61,6 +61,8 @@ class AdversaryConfig:
         object.__setattr__(self, "kind", AdversaryKind(self.kind))
         object.__setattr__(self, "victim_classes", tuple(self.victim_classes))
         object.__setattr__(self, "adversary_classes", tuple(self.adversary_classes))
+        if self.crafted_scale < 0:
+            raise ValueError("crafted_scale cannot be negative")
 
     def index(self, n: int) -> int:
         """The party this adversary plays among n parties."""

@@ -25,9 +25,11 @@ import math
 import os
 import re
 import sys
+import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -40,6 +42,8 @@ from .protocol import FRAMEWORKS, Party, ProtocolConfig, build_parties, run_fdpd
 
 # Setting 3 draws party shares from a symmetric Dirichlet with this alpha.
 DIRICHLET_ALPHA = 1.0
+# The frameworks whose cells carry a fairness report.
+FAIRNESS_FRAMEWORKS = ("fdpddl", "distributed_dssgd")
 
 
 class ConfigError(ValueError):
@@ -135,6 +139,20 @@ class DatasetSpec:
     labels_path: str | None = None
     name: str = "blobs"
 
+    def __post_init__(self):
+        checks = (
+            (self.kind in ("blobs", "csv", "idx"), f"kind {self.kind!r} unknown"),
+            (self.kind != "csv" or self.path, "csv dataset needs a path"),
+            (self.kind != "idx" or (self.images_path and self.labels_path),
+             "idx dataset needs images_path and labels_path"),
+            *((getattr(self, key) >= 1, f"{key} must be at least 1")
+              for key in ("num_classes", "dim", "per_party", "test_size")),
+            (self.spread >= 0, "spread cannot be negative"),
+        )
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
+
 
 @dataclass(frozen=True)
 class SettingSpec:
@@ -151,6 +169,9 @@ class SettingSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment grid. Like each of its records, it checks its own
+    fields as it is built, and it checks those that span its records."""
+
     name: str = "experiment"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     n: int = 4
@@ -165,103 +186,33 @@ class ExperimentConfig:
     min_party_size: int = 40
     parallel_workers: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("invalid configuration: the top level must be a JSON object, "
-                              f"not {type(obj).__name__}")
-        errors: list[str] = []
-        known = set(cls.__dataclass_fields__)
-        for key in obj:
-            if key not in known:
-                errors.append(f"unknown config key {key!r}")
-        data = {k: v for k, v in obj.items() if k in known}
-
-        if "dataset" in data:
-            try:
-                data["dataset"] = DatasetSpec(**data["dataset"])
-            except TypeError as exc:
-                errors.append(f"dataset: {exc}")
-        if "protocol" in data:
-            try:
-                proto = dict(data["protocol"])
-                if "hidden_dims" in proto:
-                    proto["hidden_dims"] = tuple(proto["hidden_dims"])
-                # ProtocolConfig range-checks its fields as it is built.
-                wrong = _type_errors(ProtocolConfig, proto, "protocol.")
-                errors.extend(wrong)
-                if not wrong:
-                    data["protocol"] = ProtocolConfig(**proto)
-            except (TypeError, ValueError) as exc:
-                errors.append(f"protocol: {exc}")
-        if not isinstance(data.get("adversaries", ()), (list, tuple)):
-            errors.append(f"adversaries must be a list, not {data['adversaries']!r}")
-        elif "adversaries" in data:
-            advs = []
-            for i, adv in enumerate(data["adversaries"]):
-                try:
-                    advs.append(AdversaryConfig(**adv))
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"adversaries[{i}]: {exc}")
-            data["adversaries"] = tuple(advs)
-        for key in ("settings", "seeds", "frameworks"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-
-        cfg = None
-        if not errors:
-            cfg = cls(**data)
-            errors.extend(cfg.validation_errors())
-        if errors:
-            raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-        return cfg
-
-    def validation_errors(self) -> list[str]:
-        # The range checks below assume every field has its annotated type.
-        errors = _type_errors(type(self), vars(self))
-        if errors:
-            return errors
-        if self.n < 2:
-            errors.append("n must be at least 2")
-        if self.rounds < 0:
-            errors.append("rounds cannot be negative")
+    def __post_init__(self):
+        num_classes = self.dataset.num_classes
+        checks = (
+            (self.n >= 2, "n must be at least 2"),
+            (self.rounds >= 0, "rounds cannot be negative"),
+            (0.0 < self.lambda_low <= self.lambda_high <= 1.0,
+             "need 0 < lambda_low <= lambda_high <= 1"),
+            (self.min_party_size >= 10, "min_party_size must be at least 10"),
+            (self.parallel_workers >= 0, "parallel_workers cannot be negative"),
+            (self.protocol.dataset_name in ("", self.dataset.name),
+             f"protocol.dataset_name {self.protocol.dataset_name!r} "
+             f"is not dataset.name {self.dataset.name!r}"),
+            *((s in (1, 2, 3), f"setting {s} not in {{1, 2, 3}}") for s in self.settings),
+            *((seed >= 0, f"seed {seed} must be a nonnegative integer") for seed in self.seeds),
+            *((fw in FRAMEWORKS, f"framework {fw!r} not one of {FRAMEWORKS}")
+              for fw in self.frameworks),
+        )
+        errors = [message for ok, message in checks if not ok]
         for key in ("settings", "seeds", "frameworks"):
             if not getattr(self, key):
                 errors.append(f"{key} is empty: the grid would run no cell")
             duplicated = _duplicates(getattr(self, key))
             if duplicated:
                 errors.append(f"{key} repeats {duplicated}")
-        for s in self.settings:
-            if s not in (1, 2, 3):
-                errors.append(f"setting {s} not in {{1, 2, 3}}")
-        for seed in self.seeds:
-            if seed < 0:
-                errors.append(f"seed {seed} must be a nonnegative integer")
-        for fw in self.frameworks:
-            if fw not in FRAMEWORKS:
-                errors.append(f"framework {fw!r} not one of {FRAMEWORKS}")
-        if not 0.0 < self.lambda_low <= self.lambda_high <= 1.0:
-            errors.append("need 0 < lambda_low <= lambda_high <= 1")
-        if self.dataset.kind not in ("blobs", "csv", "idx"):
-            errors.append(f"dataset kind {self.dataset.kind!r} unknown")
-        if self.dataset.kind == "csv" and not self.dataset.path:
-            errors.append("csv dataset needs a path")
-        if self.dataset.kind == "idx" and not (self.dataset.images_path and self.dataset.labels_path):
-            errors.append("idx dataset needs images_path and labels_path")
-        for key in ("num_classes", "dim", "per_party", "test_size"):
-            if getattr(self.dataset, key) < 1:
-                errors.append(f"dataset.{key} must be at least 1")
-        if self.dataset.spread < 0:
-            errors.append("dataset.spread cannot be negative")
-        num_classes = self.dataset.num_classes
         for adv in self.adversaries:
             if not -1 <= adv.party < self.n:
                 errors.append(f"adversary party index {adv.party} out of range")
-            if adv.crafted_scale < 0:
-                errors.append("adversary crafted_scale cannot be negative")
             classes = _with_default_classes(adv, num_classes)
             for key in ("victim_classes", "adversary_classes"):
                 outside = [c for c in getattr(classes, key) if not 0 <= c < num_classes]
@@ -278,34 +229,71 @@ class ExperimentConfig:
         duplicated = _duplicates([adv.index(self.n) for adv in self.adversaries])
         if duplicated:
             errors.append(f"adversaries repeat party {duplicated}")
-        if self.min_party_size < 10:
-            errors.append("min_party_size must be at least 10")
-        if self.parallel_workers < 0:
-            errors.append("parallel_workers cannot be negative")
-        return errors
+        if errors:
+            raise ValueError("; ".join(errors))
+        object.__setattr__(self, "protocol",
+                           replace(self.protocol, dataset_name=self.dataset.name))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj) -> "ExperimentConfig":
+        """The config that obj, a parsed JSON object, describes. Raises
+        ConfigError listing every fault found."""
+        errors: list[str] = []
+        config = _read(cls, obj, "", errors)
+        if errors:
+            raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+        return config
 
 
-def _type_errors(cls, values: dict, prefix: str = "") -> list[str]:
-    """One message per entry of values (field -> value) whose type is not
-    the one annotated on that field of the dataclass cls, checking nested
-    dataclasses field by field. A bool is not a number, and an int is fine
-    where a float belongs."""
-    hints = typing.get_type_hints(cls)
-    return [e for name, value in values.items() if name in hints
-            for e in _wrong_type(value, hints[name], prefix + name)]
-
-
-def _wrong_type(value, hint, where: str) -> list[str]:
+def _read(hint, value, where: str, errors: list[str]):
+    """value, parsed from JSON, read as type hint: an object becomes a
+    record (built once its fields read without fault), a list a tuple and
+    a string an enum member. Each fault appends to errors one message that
+    names its dotted path (where). A bool is no number; an int can be a float."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            errors.append(f"{where or 'the top level'} must be a JSON object, "
+                          f"not {type(value).__name__}")
+            return None
+        found = len(errors)
+        prefix = f"{where}." if where else ""
+        hints = typing.get_type_hints(hint)
+        record = {}
+        for key, item in value.items():
+            if key in hints:
+                record[key] = _read(hints[key], item, prefix + key, errors)
+            else:
+                errors.append(f"unknown config key {prefix + key!r}")
+        errors.extend(f"{prefix + f.name} is required" for f in fields(hint) if f.name not in value
+                      and f.default is MISSING and f.default_factory is MISSING)
+        if len(errors) == found:
+            try:
+                return hint(**record)
+            except ValueError as exc:
+                errors.append(f"{where}: {exc}" if where else str(exc))
+        return None
+    if typing.get_origin(hint) is types.UnionType:  # T | None
+        return None if value is None else _read(typing.get_args(hint)[0], value, where, errors)
     if typing.get_origin(hint) is tuple:
-        if isinstance(value, tuple):
+        if isinstance(value, (list, tuple)):
             item = typing.get_args(hint)[0]
-            return [e for i, v in enumerate(value) for e in _wrong_type(v, item, f"{where}[{i}]")]
-    elif is_dataclass(hint) and isinstance(value, hint):
-        return _type_errors(hint, vars(value), where + ".")
+            return tuple(_read(item, v, f"{where}[{i}]", errors) for i, v in enumerate(value))
+        expected = "a list"
+    elif issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            expected = "one of " + ", ".join(member.value for member in hint)
     elif (isinstance(value, bool) == (hint is bool)
           and isinstance(value, (int, float) if hint is float else hint)):
-        return []
-    return [f"{where} must be {getattr(hint, '__name__', hint)}, not {value!r}"]
+        return value
+    else:
+        expected = hint.__name__
+    errors.append(f"{where} must be {expected}, not {value!r}")
+    return None
 
 
 def _duplicates(values) -> list:
@@ -317,9 +305,17 @@ def _duplicates(values) -> list:
     return repeated
 
 
-def load_config(path) -> ExperimentConfig:
+def _load_json(path):
+    """The JSON in the file at path; a ConfigError naming it if it does not parse."""
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_load_json(path))
 
 
 def _write_json(path, obj) -> None:
@@ -452,7 +448,6 @@ class CellGroup:
 
     def __init__(self, config: ExperimentConfig, setting: int, seed: int, frameworks):
         self.config, self.setting, self.seed = config, setting, seed
-        self.proto = replace(config.protocol, dataset_name=config.dataset.name)
         self.pretrained_left = sum(fw in protocol.PRETRAINED_FRAMEWORKS for fw in frameworks)
         self.data: tuple | None = None
         self.pretrained: list[Party] | None = None
@@ -464,7 +459,7 @@ class CellGroup:
         if framework in protocol.PRETRAINED_FRAMEWORKS and self.pretrained is not None:
             parties = self.pretrained
         else:
-            parties = build_parties(datasets, spec.sharing_levels, self.proto,
+            parties = build_parties(datasets, spec.sharing_levels, self.config.protocol,
                                     np.random.SeedSequence([self.seed, self.setting, 7]),
                                     adversaries)
             if framework not in protocol.PRETRAINED_FRAMEWORKS:
@@ -485,7 +480,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
     _, spec, test, _ = group.data
     chain_valid = None
     if framework == "fdpddl":
-        trace, ledger = run_fdpddl(parties, group.proto, config.rounds, test)
+        trace, ledger = run_fdpddl(parties, config.protocol, config.rounds, test)
         chain_valid = verify_chain(ledger.chain)
     else:
         # Called through the module so that a wrapper installed on
@@ -505,7 +500,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         "chain_valid": chain_valid,
         "trace": {**vars(trace), "events": [asdict(e) for e in trace.events]},
     }
-    if framework in ("fdpddl", "distributed_dssgd"):
+    if framework in FAIRNESS_FRAMEWORKS:
         lams = [result["sharing_levels"][pid] for pid in party_ids]
         saccs = [trace.standalone_accuracies[pid] for pid in party_ids]
         finals = [trace.final_accuracies[pid] for pid in party_ids]
@@ -622,8 +617,7 @@ def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
                 open(os.path.join(outdir, name), "w", newline="")))
             writers[name].writerow(["framework", "setting", "seed", *columns])
         for key, path in cell_traces(traces_dir):
-            with open(path) as fh:
-                r = json.load(fh)
+            r = _load_json(path)
             for name, rows in _table_rows(r).items():
                 writers[name].writerows([*key, *(row[c] for c in _TABLES[name])] for row in rows)
             cells.append(list(key))
@@ -662,8 +656,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fairness(args) -> int:
-    with open(args.trace) as fh:
-        result = json.load(fh)
+    result = _load_json(args.trace)
+    if result["framework"] not in FAIRNESS_FRAMEWORKS:
+        raise ConfigError(f"{args.trace}: a {result['framework']} cell carries no fairness; "
+                          f"those of {FAIRNESS_FRAMEWORKS} do")
     party_ids = result["party_ids"]
     report = fairness_report(
         result["setting"],

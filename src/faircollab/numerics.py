@@ -428,7 +428,7 @@ def make_blobs(n_examples: int, num_classes: int, dim: int, rng: np.random.Gener
     geometry (train pools, test sets, per-party shards).
     """
     if centers is None:
-        centers = rng.uniform(center_range[0], center_range[1], size=(num_classes, dim))
+        centers = blob_centers(num_classes, dim, rng, center_range)
     labels = rng.integers(0, num_classes, size=n_examples)
     features = centers[labels] + rng.normal(0.0, spread, size=(n_examples, dim))
     return Dataset(np.clip(features, 0.0, 1.0), labels, num_classes)

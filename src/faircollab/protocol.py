@@ -69,7 +69,9 @@ JITTER_STD = 0.02          # feature jitter of the initialisation release
 class ProtocolConfig:
     """Knobs for one run; defaults are desk scale."""
 
-    dataset_name: str = "blobs"
+    # The experiment's dataset.name, which ExperimentConfig fills in; it
+    # picks the budgets' delta (privacy.allocate_budgets).
+    dataset_name: str = ""
     hidden_dims: tuple[int, ...] = (32,)
     # One epoch over the lot schedule (N // L steps) when 0.
     dp_steps_per_round: int = 0

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab import harness, protocol
-from faircollab.adversary import AdversaryKind
-from faircollab.harness import (ConfigError, ExperimentConfig, ZeroVarianceError,
+from faircollab.adversary import AdversaryConfig, AdversaryKind
+from faircollab.harness import (ConfigError, DatasetSpec, ExperimentConfig, ZeroVarianceError,
                                 build_cell_data, build_x_axis, fairness, fairness_report,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
                                 save_config)
 from faircollab.numerics import SparseUpdate
+from faircollab.protocol import ProtocolConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,6 +135,42 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"name": "x", "does_not_exist": 1})
+
+    @pytest.mark.parametrize("section, path", [
+        ({"protocol": {**FAST_PROTOCOL, "lot_size": 3}}, "protocol.lot_size"),
+        ({"dataset": {"dim": 4, "colour": "red"}}, "dataset.colour"),
+        ({"adversaries": [{"kind": "gan_attacker", "scale": 1.0}]}, "adversaries[0].scale")])
+    def test_unknown_nested_key_named_by_dotted_path(self, section, path):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{path}'")):
+            small_config(**section)
+
+    # A config built in code is checked as it is built, as one read from JSON is.
+    @pytest.mark.parametrize("changes, fragment", [
+        ({"parallel_workers": -1}, "parallel_workers cannot be negative"),
+        ({"n": 1}, "n must be at least 2"), ({"seeds": ()}, "seeds is empty"),
+        ({"adversaries": (AdversaryConfig(AdversaryKind.GAN_ATTACKER, party=4),)},
+         "party index 4"),
+        ({"protocol": ProtocolConfig(dataset_name="svhn")}, "dataset_name 'svhn'")])
+    def test_code_built_config_is_checked(self, changes, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            dataclasses.replace(small_config(), **changes)
+
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: DatasetSpec(spread=-0.5), "spread cannot be negative"),
+        (lambda: DatasetSpec(test_size=0), "test_size must be at least 1"),
+        (lambda: DatasetSpec(kind="idx"), "idx dataset needs"),
+        (lambda: AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_GRAD, crafted_scale=-1.0),
+         "crafted_scale cannot be negative")])
+    def test_each_record_checks_its_own_fields(self, build, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build()
+
+    def test_protocol_carries_dataset_name(self):
+        assert small_config().protocol.dataset_name == "blobs"
+        dataset = {**small_config().to_dict()["dataset"], "name": "svhn"}
+        assert small_config(dataset=dataset).protocol.dataset_name == "svhn"
+        agreeing = small_config(dataset=dataset, protocol={**FAST_PROTOCOL, "dataset_name": "svhn"})
+        assert agreeing == small_config(dataset=dataset)
 
     def test_adversary_kind_validated(self):
         with pytest.raises(ConfigError, match="quantum_attacker"):
@@ -358,6 +397,46 @@ class TestExperimentAndCli:
             assert result["valid"] is False and result["blocks"] == parsed
             assert result["error"].startswith("line 2: ")
 
+    def test_report_reads_back_config_of_named_dataset(self, tmp_path):
+        dataset = {**small_config().to_dict()["dataset"], "name": "svhn"}
+        run_experiment(small_config(dataset=dataset, frameworks=["standalone"]), tmp_path / "a")
+        assert load_config(tmp_path / "a" / "config.json").protocol.dataset_name == "svhn"
+        assert main(["report", "--traces", str(tmp_path / "a" / "traces"),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "summary.json").read_bytes()
+                == (tmp_path / "b" / "summary.json").read_bytes())
+
+    # Each of these ended in a traceback (a JSON file cut short, fairness
+    # of a cell that carries none) or ran as if valid while config.json
+    # echoed a dataset_name the run did not use.
+    @pytest.mark.parametrize("argv, cut, fragment", [
+        (["run", "--config", "{cfg}", "--out", "{out}"], "cfg.json", "{cfg}: "),
+        (["fairness", "--trace", "{traces}/fdpddl_s1_seed0.json"],
+         "run/traces/fdpddl_s1_seed0.json", "{traces}/fdpddl_s1_seed0.json: "),
+        (["report", "--traces", "{traces}", "--out", "{out}"],
+         "run/traces/centralised_s1_seed0.json", "{traces}/centralised_s1_seed0.json: "),
+        (["fairness", "--trace", "{traces}/centralised_s1_seed0.json"], None,
+         "a centralised cell carries no fairness"),
+        (["run", "--config", "{svhn}", "--out", "{out}"], None,
+         "protocol.dataset_name 'svhn' is not dataset.name 'blobs'")],
+        ids=["run_config_not_json", "fairness_trace_not_json", "report_cell_trace_not_json",
+             "fairness_of_centralised_cell", "dataset_name_disagrees"])
+    def test_cli_unusable_input_exit_code(self, tmp_path, capsys, argv, cut, fragment):
+        cfg = small_config(frameworks=["fdpddl", "centralised"])
+        run_experiment(cfg, tmp_path / "run")
+        save_config(cfg, tmp_path / "cfg.json")
+        svhn = cfg.to_dict()
+        svhn["protocol"]["dataset_name"] = "svhn"
+        (tmp_path / "svhn.json").write_text(json.dumps(svhn))
+        if cut:
+            (tmp_path / cut).write_text((tmp_path / cut).read_text()[:40])
+        paths = {"cfg": tmp_path / "cfg.json", "svhn": tmp_path / "svhn.json",
+                 "traces": tmp_path / "run" / "traces", "out": tmp_path / "o"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert fragment.format(**paths) in err
+
     def test_cli_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "n": 0}))
@@ -486,8 +565,9 @@ class TestExperimentAndCli:
     # Each of these ended in a TypeError or AttributeError traceback.
     @pytest.mark.parametrize("config, fragment", [
         ({"adversaries": 5}, "adversaries must be a list"),
-        ([{"name": "x"}], "top level must be a JSON object")],
-        ids=["adversaries_int", "top_level_list"])
+        ([{"name": "x"}], "top level must be a JSON object"),
+        ({"adversaries": [{"party": 1}]}, "adversaries[0].kind is required")],
+        ids=["adversaries_int", "top_level_list", "adversary_without_kind"])
     def test_cli_malformed_shape_exit_code(self, tmp_path, capsys, config, fragment):
         if isinstance(config, dict):
             config = {**small_config(n=3).to_dict(), **config}
