@@ -17,7 +17,7 @@ from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freeri
                         freerider_label, gan_attacker_setup)
 from .protocol import (Party, ProtocolConfig, RoundState, RunTrace, build_parties, pretrain,
                        run_baseline, run_fdpddl, run_initialisation, run_update_round)
-from .harness import (ExperimentConfig, FairnessReport, SettingSpec, build_x_axis, fairness,
+from .harness import (ExperimentConfig, SettingSpec, build_x_axis, cell_fairness, fairness,
                       fairness_report, run_cell, run_experiment)
 
 __version__ = "0.1.0"

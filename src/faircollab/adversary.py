@@ -130,36 +130,24 @@ def gan_attacker_setup(full: Dataset, victim_classes, adversary_classes,
     return full.subset(np.flatnonzero(adversary_mask)), victims
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    party_id: str
-    kind: str
-    detected: bool
-    stage: str  # init | update | never
-    round_index: int | None
-
-    def to_dict(self) -> dict:
-        return {"party": self.party_id, "kind": self.kind, "detected": self.detected,
-                "stage": self.stage, "round": self.round_index}
-
-
-def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[DetectionRecord]:
+def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[dict]:
     """Scan a run trace's events for exclusions and token exhaustion.
 
     events: iterable of dicts with kind, party, stage and round keys
     (run_cell stores each protocol.TraceEvent as dataclasses.asdict gives it).
+    Returns the detection entries a cell trace stores, one per adversary in
+    party order: party, kind, detected, stage (init | update | never) and
+    round (None when never detected).
     """
     records = []
     for party_id in sorted(adversaries):
-        cfg = adversaries[party_id]
         hit = None
         for ev in events:
             if ev["party"] != party_id or ev["kind"] not in ("excluded", "token_exhausted"):
                 continue
             if hit is None or ev["round"] < hit[1]:
                 hit = (ev["stage"], ev["round"])
-        if hit is None:
-            records.append(DetectionRecord(party_id, cfg.kind.value, False, "never", None))
-        else:
-            records.append(DetectionRecord(party_id, cfg.kind.value, True, hit[0], hit[1]))
+        stage, round_index = hit or ("never", None)
+        records.append({"party": party_id, "kind": adversaries[party_id].kind.value,
+                        "detected": hit is not None, "stage": stage, "round": round_index})
     return records

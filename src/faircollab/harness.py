@@ -99,27 +99,26 @@ def build_x_axis(setting: int, sharing_levels, standalone_accuracies) -> np.ndar
     raise ValueError(f"unknown setting {setting}")
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    x: tuple
-    y: tuple
-    r_xy: float | None
-    degenerate: bool = False
-    reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {"x": list(self.x), "y": list(self.y), "r_xy": self.r_xy,
-                "degenerate": self.degenerate, "reason": self.reason}
-
-
-def fairness_report(setting: int, sharing_levels, standalone_accuracies, final_accuracies) -> FairnessReport:
+def fairness_report(setting: int, sharing_levels, standalone_accuracies, final_accuracies) -> dict:
+    """The fairness entry a cell trace stores: the contribution axis x, the
+    reward axis y, r_xy, and, when r_xy is undefined (None), why."""
     try:
         x = build_x_axis(setting, sharing_levels, standalone_accuracies)
-        r = fairness(x, final_accuracies)
-        return FairnessReport(tuple(x), tuple(final_accuracies), r)
+        r_xy, reason = fairness(x, final_accuracies), ""
     except ZeroVarianceError as exc:
         x = np.asarray(standalone_accuracies, dtype=np.float64)
-        return FairnessReport(tuple(x), tuple(final_accuracies), None, True, str(exc))
+        r_xy, reason = None, str(exc)
+    return {"x": list(x), "y": list(final_accuracies), "r_xy": r_xy,
+            "degenerate": r_xy is None, "reason": reason}
+
+
+def cell_fairness(result: dict) -> dict:
+    """The fairness entry of one cell result, as run_cell builds it and a
+    cell trace stores it."""
+    ids = result["party_ids"]
+    lams, saccs, finals = ([result[key][pid] for pid in ids] for key in (
+        "sharing_levels", "standalone_accuracies", "final_accuracies"))
+    return fairness_report(result["setting"], lams, saccs, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +160,6 @@ class SettingSpec:
     setting: int
     sizes: tuple[int, ...]
     sharing_levels: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -224,6 +219,11 @@ class ExperimentConfig:
             if (adv.kind == AdversaryKind.GAN_ATTACKER and not adv.iid_control
                     and not classes.victim_classes):
                 errors.append("gan_attacker victim_classes empty: needs at least 2 classes")
+        # build_cell_data splits the classes for one attacker only.
+        attackers = [adv.index(self.n) for adv in self.adversaries
+                     if adv.kind == AdversaryKind.GAN_ATTACKER]
+        if len(attackers) > 1:
+            errors.append(f"gan_attacker on parties {attackers}: at most one is supported")
         # build_cell_data keeps one adversary per party, so a second one
         # on the same party would silently replace the first.
         duplicated = _duplicates([adv.index(self.n) for adv in self.adversaries])
@@ -438,7 +438,7 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
 
 class CellGroup:
     """What the cells of one (setting, seed) share: the partition, and one
-    pretraining for every pretrained framework among `frameworks`.
+    pretraining for every pretrained framework among config.frameworks.
 
     Built lazily by the first cell that needs each part, so that its work
     happens inside that cell. Each pretrained framework is handed the
@@ -446,9 +446,10 @@ class CellGroup:
     needs them; centralised gets parties as build_parties leaves them.
     """
 
-    def __init__(self, config: ExperimentConfig, setting: int, seed: int, frameworks):
+    def __init__(self, config: ExperimentConfig, setting: int, seed: int):
         self.config, self.setting, self.seed = config, setting, seed
-        self.pretrained_left = sum(fw in protocol.PRETRAINED_FRAMEWORKS for fw in frameworks)
+        self.pretrained_left = sum(fw in protocol.PRETRAINED_FRAMEWORKS
+                                   for fw in config.frameworks)
         self.data: tuple | None = None
         self.pretrained: list[Party] | None = None
 
@@ -475,7 +476,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
     """One (framework, setting, seed) run; returns the serialisable trace.
     `group` is the set-up this cell shares with the other cells of its
     (setting, seed); without one the cell builds its own."""
-    group = group or CellGroup(config, setting, seed, (framework,))
+    group = group or CellGroup(replace(config, frameworks=(framework,)), setting, seed)
     parties = group.parties(framework)
     _, spec, test, _ = group.data
     chain_valid = None
@@ -487,12 +488,11 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         # protocol.run_baseline sees the call.
         trace = protocol.run_baseline(framework, parties, config.rounds, test)
 
-    party_ids = sorted(p.id for p in parties)
     result = {
         "framework": framework,
         "setting": setting,
         "seed": seed,
-        "party_ids": party_ids,
+        "party_ids": sorted(p.id for p in parties),
         "sizes": list(spec.sizes),
         "final_accuracies": trace.final_accuracies,
         "standalone_accuracies": trace.standalone_accuracies,
@@ -501,14 +501,10 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         "trace": {**vars(trace), "events": [asdict(e) for e in trace.events]},
     }
     if framework in FAIRNESS_FRAMEWORKS:
-        lams = [result["sharing_levels"][pid] for pid in party_ids]
-        saccs = [trace.standalone_accuracies[pid] for pid in party_ids]
-        finals = [trace.final_accuracies[pid] for pid in party_ids]
-        result["fairness"] = fairness_report(setting, lams, saccs, finals).to_dict()
+        result["fairness"] = cell_fairness(result)
     adversaries_by_id = {p.id: p.adversary for p in parties if p.adversary}
     if adversaries_by_id:
-        records = detection_report(result["trace"]["events"], adversaries_by_id)
-        result["detection"] = [r.to_dict() for r in records]
+        result["detection"] = detection_report(result["trace"]["events"], adversaries_by_id)
     return result
 
 
@@ -516,33 +512,23 @@ def cell_name(framework: str, setting: int, seed: int) -> str:
     return f"{framework}_s{setting}_seed{seed}"
 
 
-def run_group(config: ExperimentConfig, setting: int, seed: int, frameworks) -> list[dict]:
+def run_group(config: ExperimentConfig, setting: int, seed: int) -> list[dict]:
     """The cells of one (setting, seed), one per framework, on one CellGroup."""
-    group = CellGroup(config, setting, seed, frameworks)
-    return [run_cell(config, fw, setting, seed, group) for fw in frameworks]
+    group = CellGroup(config, setting, seed)
+    return [run_cell(config, fw, setting, seed, group) for fw in config.frameworks]
 
 
-def run_experiment(config: ExperimentConfig, outdir,
-                   seed_override=None, framework_filter=None) -> dict:
+def run_experiment(config: ExperimentConfig, outdir) -> dict:
     """Run every configured cell, store each group's traces as it ends, and
     build the report tables from them. Cells run in (setting, seed) groups
     (see CellGroup); with parallel_workers > 1, in worker processes."""
-    seeds = tuple(seed_override) if seed_override else config.seeds
-    frameworks = tuple(framework_filter) if framework_filter else config.frameworks
-    # One trace file per cell: a repeated entry would run its cells twice.
-    for flag, values in (("--seed", seeds), ("--framework", frameworks)):
-        duplicated = _duplicates(values)
-        if duplicated:
-            raise ConfigError(f"{flag} repeats {duplicated}")
-    if any(seed < 0 for seed in seeds):
-        raise ConfigError(f"--seed {min(seeds)} must be a nonnegative integer")
-    groups = [(st, sd) for st in config.settings for sd in seeds]
+    groups = [(st, sd) for st in config.settings for sd in config.seeds]
 
     traces_dir = os.path.join(outdir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     # The tables cover every cell trace in traces_dir, so a trace left by
     # an earlier run of another grid would end up in this run's tables.
-    grid = {(fw, st, sd) for fw in frameworks for st, sd in groups}
+    grid = {(fw, st, sd) for fw in config.frameworks for st, sd in groups}
     for key, path in cell_traces(traces_dir):
         if key not in grid:
             raise ConfigError(f"{path} is a trace of a cell outside this run's grid; "
@@ -553,8 +539,7 @@ def run_experiment(config: ExperimentConfig, outdir,
         if config.parallel_workers > 1:
             map_groups = stack.enter_context(
                 ProcessPoolExecutor(max_workers=config.parallel_workers)).map
-        for cells in map_groups(run_group, [config] * len(groups), *zip(*groups),
-                                [frameworks] * len(groups)):
+        for cells in map_groups(run_group, [config] * len(groups), *zip(*groups)):
             for result in cells:
                 name = cell_name(result["framework"], result["setting"], result["seed"])
                 with open(os.path.join(traces_dir, f"{name}.json"), "w") as fh:
@@ -603,30 +588,50 @@ def _table_rows(r: dict) -> dict[str, list[dict]]:
     }
 
 
+@contextlib.contextmanager
+def _reading_trace(path):
+    """Turns a key missing from the cell trace at path into a ConfigError
+    that names both."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}: not a cell trace: no key {exc}") from None
+
+
 def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
     """Tables and summary from the cell traces in traces_dir (pure;
     byte-stable). Reads one trace at a time, in cell_traces order, and
-    writes every table row by row."""
+    writes every table row by row under a temporary name, which replaces
+    the table only once the last trace has been read."""
     cells, chain_flags = [], []
     mean_accuracy: dict[tuple, list] = {}
     grouped: dict[tuple, list] = {}
-    with contextlib.ExitStack() as stack:
-        writers = {}
-        for name, columns in _TABLES.items():
-            writers[name] = csv.writer(stack.enter_context(
-                open(os.path.join(outdir, name), "w", newline="")))
-            writers[name].writerow(["framework", "setting", "seed", *columns])
-        for key, path in cell_traces(traces_dir):
-            r = _load_json(path)
-            for name, rows in _table_rows(r).items():
-                writers[name].writerows([*key, *(row[c] for c in _TABLES[name])] for row in rows)
-            cells.append(list(key))
-            mean_accuracy.setdefault(key[:2], []).append(
-                sum(r["final_accuracies"].values()) / len(r["final_accuracies"]))
-            if "fairness" in r and r["fairness"]["r_xy"] is not None:
-                grouped.setdefault(key[:2], []).append(r["fairness"]["r_xy"])
-            if r["chain_valid"] is not None:
-                chain_flags.append(r["chain_valid"])
+    partial = {name: os.path.join(outdir, f"{name}.partial") for name in _TABLES}
+    try:
+        with contextlib.ExitStack() as stack:
+            writers = {}
+            for name, columns in _TABLES.items():
+                writers[name] = csv.writer(stack.enter_context(open(partial[name], "w", newline="")))
+                writers[name].writerow(["framework", "setting", "seed", *columns])
+            for key, path in cell_traces(traces_dir):
+                r = _load_json(path)
+                with _reading_trace(path):
+                    for name, rows in _table_rows(r).items():
+                        writers[name].writerows([*key, *(row[c] for c in _TABLES[name])]
+                                                for row in rows)
+                    mean_accuracy.setdefault(key[:2], []).append(
+                        sum(r["final_accuracies"].values()) / len(r["final_accuracies"]))
+                    if "fairness" in r and r["fairness"]["r_xy"] is not None:
+                        grouped.setdefault(key[:2], []).append(r["fairness"]["r_xy"])
+                    if r["chain_valid"] is not None:
+                        chain_flags.append(r["chain_valid"])
+                cells.append(list(key))
+        for name, path in partial.items():
+            os.replace(path, os.path.join(outdir, name))
+    finally:
+        for path in partial.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
     summary = {
         "cells": cells,
@@ -647,9 +652,15 @@ def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    seeds = tuple(args.seed) if args.seed else None
-    frameworks = tuple(args.framework) if args.framework else None
-    summary = run_experiment(config, args.out, seeds, frameworks)
+    # Each flag narrows the config's grid, which checks it like the rest.
+    for flag, key, values in (("--seed", "seeds", args.seed),
+                              ("--framework", "frameworks", args.framework)):
+        if values:
+            try:
+                config = replace(config, **{key: tuple(values)})
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
+    summary = run_experiment(config, args.out)
     print(json.dumps({"cells_completed": len(summary["cells"]),
                       "out": args.out}, sort_keys=True))
     return 0
@@ -657,16 +668,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_fairness(args) -> int:
     result = _load_json(args.trace)
-    if result["framework"] not in FAIRNESS_FRAMEWORKS:
-        raise ConfigError(f"{args.trace}: a {result['framework']} cell carries no fairness; "
-                          f"those of {FAIRNESS_FRAMEWORKS} do")
-    party_ids = result["party_ids"]
-    report = fairness_report(
-        result["setting"],
-        [result["sharing_levels"][p] for p in party_ids],
-        [result["standalone_accuracies"][p] for p in party_ids],
-        [result["final_accuracies"][p] for p in party_ids])
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    with _reading_trace(args.trace):
+        if result["framework"] not in FAIRNESS_FRAMEWORKS:
+            raise ConfigError(f"{args.trace}: a {result['framework']} cell carries no fairness; "
+                              f"those of {FAIRNESS_FRAMEWORKS} do")
+        report = cell_fairness(result)
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 

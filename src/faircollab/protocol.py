@@ -121,7 +121,7 @@ class Party:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    kind: str      # excluded | budget_exhausted | token_exhausted | aborted
+    kind: str      # excluded | budget_exhausted | token_exhausted
     party: str
     round: int
     stage: str     # init | update

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from faircollab.adversary import (AdversaryConfig, AdversaryKind, DetectionRecord,
-                                  detection_report, freerider_gradients, freerider_label,
-                                  gan_attacker_setup)
+from faircollab.adversary import (AdversaryConfig, AdversaryKind, detection_report,
+                                  freerider_gradients, freerider_label, gan_attacker_setup)
 from faircollab.numerics import make_blobs
 from faircollab.samplegen import SampleRelease
 
@@ -109,13 +108,14 @@ class TestDetectionReport:
         events = [{"kind": "excluded", "party": "p03", "round": 0, "stage": "init"}]
         advs = {"p03": AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_LABEL)}
         [rec] = detection_report(events, advs)
-        assert rec == DetectionRecord("p03", "free_rider_random_label", True, "init", 0)
+        assert rec == {"party": "p03", "kind": "free_rider_random_label", "detected": True,
+                       "stage": "init", "round": 0}
 
     def test_token_drain_at_round_seven(self):
         events = [{"kind": "token_exhausted", "party": "p02", "round": 7, "stage": "update"}]
         advs = {"p02": AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_GRAD)}
         [rec] = detection_report(events, advs)
-        assert rec.detected and rec.stage == "update" and rec.round_index == 7
+        assert rec["detected"] and rec["stage"] == "update" and rec["round"] == 7
 
     def test_earliest_event_wins(self):
         events = [
@@ -124,16 +124,17 @@ class TestDetectionReport:
         ]
         advs = {"p01": AdversaryConfig(AdversaryKind.GAN_ATTACKER)}
         [rec] = detection_report(events, advs)
-        assert rec.round_index == 4
+        assert rec["round"] == 4
 
     def test_honest_only_run(self):
         advs = {"p01": AdversaryConfig(AdversaryKind.GAN_ATTACKER)}
         [rec] = detection_report([], advs)
-        assert rec == DetectionRecord("p01", "gan_attacker", False, "never", None)
+        assert rec == {"party": "p01", "kind": "gan_attacker", "detected": False,
+                       "stage": "never", "round": None}
 
     def test_unrelated_events_ignored(self):
         events = [{"kind": "budget_exhausted", "party": "p01", "round": 2, "stage": "update"},
                   {"kind": "excluded", "party": "p00", "round": 3, "stage": "update"}]
         advs = {"p01": AdversaryConfig(AdversaryKind.FREE_RIDER_CRAFTED_GRAD)}
         [rec] = detection_report(events, advs)
-        assert not rec.detected
+        assert not rec["detected"]

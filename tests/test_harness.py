@@ -68,7 +68,7 @@ class TestFairness:
 
     def test_report_sentinel_never_silent_zero(self):
         report = fairness_report(1, [0.1] * 3, [0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
-        assert report.degenerate and report.r_xy is None and report.reason
+        assert report["degenerate"] and report["r_xy"] is None and report["reason"]
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -332,19 +332,40 @@ class TestExperimentAndCli:
                      "--out", str(tmp_path / "b")]) == 2
 
     def test_cli_run_and_fairness(self, tmp_path, capsys):
-        cfg = small_config()
+        cfg = small_config(seeds=[0, 1], frameworks=["fdpddl", "standalone"])
         cfg_path = tmp_path / "cfg.json"
         save_config(cfg, cfg_path)
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                    "--seed", "0", "--framework", "fdpddl"])
         assert rc == 0
+        # The echoed config is the grid that ran.
+        ran = dataclasses.replace(cfg, seeds=(0,), frameworks=("fdpddl",))
+        assert load_config(tmp_path / "out" / "config.json") == ran
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["config"]["seeds"], summary["config"]["frameworks"]) == ([0], ["fdpddl"])
         trace_path = tmp_path / "out" / "traces" / "fdpddl_s1_seed0.json"
         assert trace_path.exists()
         rc = main(["fairness", "--trace", str(trace_path)])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()[-1]
-        report = json.loads(out)
-        assert "r_xy" in report
+        assert json.loads(out) == json.loads(trace_path.read_text())["fairness"]
+
+    # Each ended in a KeyError traceback, and the failed report had by then
+    # cut every table in --out short.
+    @pytest.mark.parametrize("argv, path, key", [
+        (["fairness", "--trace", "{run}/config.json"], "{run}/config.json", "framework"),
+        (["report", "--traces", "{run}/traces", "--out", "{run}"],
+         "{run}/traces/standalone_s1_seed0.json", "party_ids")],
+        ids=["fairness_of_config", "report_over_non_trace"])
+    def test_cli_not_a_cell_trace_exit_code(self, tmp_path, capsys, argv, path, key):
+        run_experiment(small_config(frameworks=["fdpddl", "standalone"]), tmp_path)
+        (tmp_path / "traces" / "standalone_s1_seed0.json").write_text('{"x": 1}')
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main([arg.format(run=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path.format(run=tmp_path)}: ")
+        assert repr(key) in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_cli_verify_chain(self, tmp_path, capsys):
         from faircollab.ledger import Ledger, KeyPair, dump_chain
@@ -532,7 +553,8 @@ class TestExperimentAndCli:
         assert fragment in capsys.readouterr().err
 
     # Each of these ended in a traceback from validation or mid-run, or (a
-    # fractional min_party_size, a negative parallel_workers) ran as if valid.
+    # fractional min_party_size, a negative parallel_workers, a second
+    # gan_attacker, whose victim classes went unsplit) ran as if valid.
     @pytest.mark.parametrize("top, dataset, fragment", [
         ({"n": "3"}, {}, "n must"), ({"rounds": "2"}, {}, "rounds"),
         ({"lambda_low": "0.1"}, {}, "lambda_low"),
@@ -548,10 +570,14 @@ class TestExperimentAndCli:
         ({"min_party_size": 10.5}, {}, "min_party_size"),
         ({"seeds": 0}, {}, "seeds"),
         ({"adversaries": [{"kind": "gan_attacker"}]}, {"num_classes": 1}, "victim_classes"),
-        ({"parallel_workers": -1}, {}, "parallel_workers")],
+        ({"parallel_workers": -1}, {}, "parallel_workers"),
+        ({"adversaries": [{"kind": "gan_attacker", "party": 1},
+                          {"kind": "gan_attacker", "party": 2, "iid_control": True}]},
+         {"num_classes": 4}, "gan_attacker on parties [1, 2]")],
         ids=["n", "rounds", "lambda_low", "parallel_workers", "dim", "spread", "party",
              "crafted_scale", "victim_classes", "fractional_rounds", "fractional_dp_steps",
-             "fractional_min_party_size", "seeds", "gan_one_class", "negative_parallel_workers"])
+             "fractional_min_party_size", "seeds", "gan_one_class", "negative_parallel_workers",
+             "two_gan_attackers"])
     def test_cli_wrong_type_exit_code(self, tmp_path, capsys, top, dataset, fragment):
         cfg = small_config(n=3).to_dict()
         cfg.update(top)
@@ -614,7 +640,7 @@ class TestCellGroups:
         run_experiment(cfg, tmp_path / "all")
         names = set()
         for fw in ALL_FRAMEWORKS:
-            run_experiment(cfg, tmp_path / fw, framework_filter=[fw])
+            run_experiment(dataclasses.replace(cfg, frameworks=(fw,)), tmp_path / fw)
             for path in (tmp_path / fw / "traces").iterdir():
                 names.add(path.name)
                 assert path.read_bytes() == (tmp_path / "all" / "traces" / path.name).read_bytes()
