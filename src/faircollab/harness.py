@@ -10,9 +10,12 @@ exits 2 when --out already holds a trace of a cell outside its grid, and
 `report` exits 2 when --traces holds no cell trace.
 
 The cells of one (setting, seed) run together as a group: they share one
-partition, and the frameworks that start from pretrained standalone
-models share one pretraining. A cell's trace is the same whether it runs
-in a group, alone, serially or in a worker process.
+partition, built into parties once, and the frameworks that start from
+pretrained standalone models share one pretraining. The group holds one
+copy of each party's data, the parties' own train/validation splits,
+since it drops the unsplit datasets as soon as the parties exist. A
+cell's trace is the same whether it runs in a group, alone, serially or
+in a worker process.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import re
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
@@ -437,38 +439,60 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
 # ---------------------------------------------------------------------------
 
 class CellGroup:
-    """What the cells of one (setting, seed) share: the partition, and one
-    pretraining for every pretrained framework among config.frameworks.
+    """What the cells of one (setting, seed) share: one partition, built
+    into parties once, and one pretraining for every pretrained framework
+    among config.frameworks. Each framework of config.frameworks asks for
+    its parties once.
 
-    Built lazily by the first cell that needs each part, so that its work
-    happens inside that cell. Each pretrained framework is handed the
-    pretrained parties, copied while another pretrained framework still
-    needs them; centralised gets parties as build_parties leaves them.
+    Built by the first cell that asks, so that its work happens inside
+    that cell. The group keeps the setting spec and the test set; the
+    unsplit datasets are dropped as soon as the parties exist. centralised
+    gets the parties as built, and the first pretrained framework
+    pretrains them; the parties are copied (copy_parties) while the other
+    of the two still waits for them. Each pretrained framework is handed
+    the pretrained parties, copied while another pretrained framework
+    still needs them.
     """
 
     def __init__(self, config: ExperimentConfig, setting: int, seed: int):
         self.config, self.setting, self.seed = config, setting, seed
         self.pretrained_left = sum(fw in protocol.PRETRAINED_FRAMEWORKS
                                    for fw in config.frameworks)
-        self.data: tuple | None = None
+        # The cells that start from the parties as built: each one that is
+        # not pretrained, and the one that pretrains.
+        self.built_left = (len(config.frameworks) - self.pretrained_left
+                           + (self.pretrained_left > 0))
+        self.spec: SettingSpec | None = None
+        self.test: Dataset | None = None
+        self.built: list[Party] | None = None
         self.pretrained: list[Party] | None = None
 
+    def _build(self) -> None:
+        datasets, self.spec, self.test, adversaries = build_cell_data(
+            self.config, self.setting, self.seed)
+        self.built = build_parties(datasets, self.spec.sharing_levels, self.config.protocol,
+                                   np.random.SeedSequence([self.seed, self.setting, 7]),
+                                   adversaries)
+
+    def _hand_out(self, name: str, left: int) -> list[Party]:
+        """The parties stored as name, of which a copy stays while left
+        more cells wait for them."""
+        parties = getattr(self, name)
+        setattr(self, name, protocol.copy_parties(parties) if left else None)
+        return parties
+
     def parties(self, framework: str) -> list[Party]:
-        if self.data is None:
-            self.data = build_cell_data(self.config, self.setting, self.seed)
-        datasets, spec, test, adversaries = self.data
-        if framework in protocol.PRETRAINED_FRAMEWORKS and self.pretrained is not None:
-            parties = self.pretrained
-        else:
-            parties = build_parties(datasets, spec.sharing_levels, self.config.protocol,
-                                    np.random.SeedSequence([self.seed, self.setting, 7]),
-                                    adversaries)
+        if self.spec is None:
+            self._build()
+        if framework not in protocol.PRETRAINED_FRAMEWORKS or self.pretrained is None:
+            self.built_left -= 1
+            parties = self._hand_out("built", self.built_left)
             if framework not in protocol.PRETRAINED_FRAMEWORKS:
                 return parties
-            protocol.pretrain(parties, test)
+            protocol.pretrain(parties, self.test)
+            self.pretrained = parties
         self.pretrained_left -= 1
-        self.pretrained = protocol.copy_parties(parties) if self.pretrained_left else None
-        return parties
+        return self._hand_out("pretrained", self.pretrained_left)
 
 
 def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
@@ -478,7 +502,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
     (setting, seed); without one the cell builds its own."""
     group = group or CellGroup(replace(config, frameworks=(framework,)), setting, seed)
     parties = group.parties(framework)
-    _, spec, test, _ = group.data
+    spec, test = group.spec, group.test
     chain_valid = None
     if framework == "fdpddl":
         trace, ledger = run_fdpddl(parties, config.protocol, config.rounds, test)
@@ -537,6 +561,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> dict:
     with contextlib.ExitStack() as stack:
         map_groups = map  # serially, each group runs when the loop asks for it
         if config.parallel_workers > 1:
+            # Imported here: it loads multiprocessing, which a serial run never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             map_groups = stack.enter_context(
                 ProcessPoolExecutor(max_workers=config.parallel_workers)).map
         for cells in map_groups(run_group, [config] * len(groups), *zip(*groups)):
@@ -588,12 +615,28 @@ def _table_rows(r: dict) -> dict[str, list[dict]]:
     }
 
 
+# The JSON type of each cell-trace entry the readers index into.
+_TRACE_SHAPE = {"party_ids": list, "final_accuracies": dict, "standalone_accuracies": dict,
+                "sharing_levels": dict, "trace": dict}
+
+
 @contextlib.contextmanager
 def _reading_trace(path):
-    """Turns a key missing from the cell trace at path into a ConfigError
-    that names both."""
+    """Yields the cell trace at path. A file that is not a JSON object, an
+    entry of _TRACE_SHAPE of another JSON type, and a key missing from
+    the trace each become a ConfigError that names path and the fault."""
+    trace = _load_json(path)
+    if not isinstance(trace, dict):
+        fault = f"the top level is {type(trace).__name__}, not an object"
+    else:
+        fault = next((f"{key} is {type(trace[key]).__name__}, "
+                      f"not {'a list' if kind is list else 'an object'}"
+                      for key, kind in _TRACE_SHAPE.items()
+                      if key in trace and not isinstance(trace[key], kind)), None)
+    if fault:
+        raise ConfigError(f"{path}: not a cell trace: {fault}")
     try:
-        yield
+        yield trace
     except KeyError as exc:
         raise ConfigError(f"{path}: not a cell trace: no key {exc}") from None
 
@@ -614,8 +657,7 @@ def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
                 writers[name] = csv.writer(stack.enter_context(open(partial[name], "w", newline="")))
                 writers[name].writerow(["framework", "setting", "seed", *columns])
             for key, path in cell_traces(traces_dir):
-                r = _load_json(path)
-                with _reading_trace(path):
+                with _reading_trace(path) as r:
                     for name, rows in _table_rows(r).items():
                         writers[name].writerows([*key, *(row[c] for c in _TABLES[name])]
                                                 for row in rows)
@@ -667,8 +709,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fairness(args) -> int:
-    result = _load_json(args.trace)
-    with _reading_trace(args.trace):
+    with _reading_trace(args.trace) as result:
         if result["framework"] not in FAIRNESS_FRAMEWORKS:
             raise ConfigError(f"{args.trace}: a {result['framework']} cell carries no fairness; "
                               f"those of {FAIRNESS_FRAMEWORKS} do")

@@ -215,9 +215,10 @@ def _flat_gradient(model: MlpModel, pairs) -> np.ndarray:
     """Flat gradient holding, per (input, delta) layer pair, input^T delta
     for the weights and delta's column sums for the bias."""
     grad = np.empty(model.param_count, dtype=np.float64)
-    for (inp, d), (w, _, b) in zip(pairs, model._layout):
-        grad[w] = (inp.T @ d).ravel()
-        grad[b] = d.sum(axis=0)
+    for (inp, d), (w, shape, b) in zip(pairs, model._layout):
+        # Written straight into their slots: no layer-sized temporaries.
+        np.matmul(inp.T, d, out=grad[w].reshape(shape))
+        d.sum(axis=0, out=grad[b])
     return grad
 
 
@@ -266,11 +267,16 @@ def per_example_gradients(model: MlpModel, features: np.ndarray,
 
 
 def sgd_step(model: MlpModel, gradient: np.ndarray, learning_rate: float) -> MlpModel:
-    """In-place step w <- w - lr * g. Returns the same model."""
+    """In-place step w <- w - lr * g. Returns the same model.
+
+    The caller hands the gradient over: a float64 gradient is scaled by lr
+    in place, so it holds lr * g afterwards. No model-sized temporary is
+    allocated."""
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != model.params.shape:
         raise ValueError("gradient length must equal the parameter count")
-    model.params -= learning_rate * gradient
+    gradient *= learning_rate
+    model.params -= gradient
     return model
 
 
@@ -430,8 +436,9 @@ def make_blobs(n_examples: int, num_classes: int, dim: int, rng: np.random.Gener
     if centers is None:
         centers = blob_centers(num_classes, dim, rng, center_range)
     labels = rng.integers(0, num_classes, size=n_examples)
-    features = centers[labels] + rng.normal(0.0, spread, size=(n_examples, dim))
-    return Dataset(np.clip(features, 0.0, 1.0), labels, num_classes)
+    features = rng.normal(0.0, spread, size=(n_examples, dim))
+    features += centers[labels]
+    return Dataset(np.clip(features, 0.0, 1.0, out=features), labels, num_classes)
 
 
 def blob_centers(num_classes: int, dim: int, rng: np.random.Generator,
@@ -472,7 +479,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(blob, dtype=np.uint8, offset=16)
     if pixels.size != n * rows * cols:
         raise ValueError("image payload size mismatch")
-    features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(n, rows * cols).astype(np.float64)
+    features /= 255.0
 
     with open(labels_path, "rb") as fh:
         blob = fh.read()

@@ -175,5 +175,5 @@ def dp_sgd_step(model: MlpModel, data: Dataset, params: PrivacyParams,
         sigma = params.sigma
     noise_std = sigma * params.clip_norm / params.lot_size
     if noise_std > 0.0:
-        mean_grad = mean_grad + rng.normal(0.0, noise_std, size=mean_grad.shape)
+        mean_grad += rng.normal(0.0, noise_std, size=mean_grad.shape)
     return mean_grad

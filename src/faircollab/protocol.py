@@ -11,10 +11,13 @@ One block is sealed per round by a rotating leader.
 
 The same party construction also drives the three reference frameworks
 (standalone, centralised, distributed selective SGD with round-robin
-exchange) so results are comparable on identical data partitions. FDPDDL,
-standalone and DSSGD start from the pretrained standalone models, so one
-pretraining, copied with copy_parties, can serve all three; each runner
-pretrains only the parties that arrive without one.
+exchange) so results are comparable on identical data partitions. One
+build_parties call can serve all four: centralised starts from the
+parties as built, and FDPDDL, standalone and DSSGD start from the
+pretrained standalone models, so one pretraining, copied with
+copy_parties, serves all three; each runner pretrains only the parties
+that arrive without one. Copies share the parties' data, keys and the
+one read-only initial-parameter vector.
 
 Every random draw comes from per-party generators spawned off one master
 seed, including key material, so a run is a pure function of its
@@ -156,7 +159,8 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
                   seed_seq: np.random.SeedSequence,
                   adversaries: dict[int, AdversaryConfig] | None = None) -> list[Party]:
     """Construct parties with a common initial model and per-party rng
-    streams (data split, keys, noise all come from the party's stream)."""
+    streams (data split, keys, noise all come from the party's stream).
+    Every party's initial_params is the same read-only vector."""
     adversaries = adversaries or {}
     n = len(datasets)
     if n != len(list(sharing_levels)):
@@ -164,6 +168,7 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
     model_seed, *party_seeds = seed_seq.spawn(n + 1)
     dims = (datasets[0].dim, *config.hidden_dims, datasets[0].num_classes)
     w0 = MlpModel.seeded(dims, np.random.default_rng(model_seed))
+    w0.params.flags.writeable = False  # each party's model trains a copy
 
     parties = []
     for i, (data, lam) in enumerate(zip(datasets, sharing_levels)):
@@ -185,7 +190,7 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
             val_data=val,
             sharing_level=float(lam),
             model=w0.copy(),
-            initial_params=w0.params.copy(),
+            initial_params=w0.params,
             keypair=KeyPair.generate(rng),
             rng=rng,
             accountant_init=PrivacyAccountant(eps_init, delta_init),
@@ -198,8 +203,10 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
 
 def copy_parties(parties: list[Party]) -> list[Party]:
     """Independent copies of parties, for several runs from one state.
-    Data and keys are shared, since no run writes to them."""
-    shared = {id(obj): obj for p in parties for obj in (p.train_data, p.val_data, p.keypair)}
+    Data, keys and the read-only initial parameters are shared, since no
+    run writes to them."""
+    shared = {id(obj): obj for p in parties
+              for obj in (p.train_data, p.val_data, p.keypair, p.initial_params)}
     return copy.deepcopy(parties, shared)
 
 

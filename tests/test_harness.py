@@ -1,8 +1,13 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +20,7 @@ from faircollab.adversary import AdversaryConfig, AdversaryKind
 from faircollab.harness import (ConfigError, DatasetSpec, ExperimentConfig, ZeroVarianceError,
                                 build_cell_data, build_x_axis, fairness, fairness_report,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
-                                save_config)
+                                run_group, save_config)
 from faircollab.numerics import SparseUpdate
 from faircollab.protocol import ProtocolConfig
 
@@ -367,6 +372,44 @@ class TestExperimentAndCli:
         assert repr(key) in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    # Each ended in a TypeError traceback.
+    @pytest.mark.parametrize("argv, path, fault", [
+        (["fairness", "--trace", "{run}/list.json"], "{run}/list.json",
+         "the top level is list, not an object"),
+        (["fairness", "--trace", "{run}/traces/fdpddl_s1_seed0.json"],
+         "{run}/traces/fdpddl_s1_seed0.json", "final_accuracies is list, not an object"),
+        (["report", "--traces", "{run}/traces", "--out", "{run}"],
+         "{run}/traces/fdpddl_s1_seed0.json", "final_accuracies is list, not an object")],
+        ids=["fairness_of_list", "fairness_of_list_accuracies", "report_of_list_accuracies"])
+    def test_cli_trace_of_wrong_shape_exit_code(self, tmp_path, capsys, argv, path, fault):
+        run_experiment(small_config(), tmp_path)
+        (tmp_path / "list.json").write_text("[1]")
+        trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
+        trace = json.loads(trace_path.read_text())
+        trace["final_accuracies"] = list(trace["final_accuracies"].values())
+        trace_path.write_text(json.dumps(trace))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main([arg.format(run=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path.format(run=tmp_path)}: not a cell trace: {fault}\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_serial_run_loads_no_multiprocessing(self, tmp_path):
+        # The process pool is imported only when a run asks for workers.
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(rounds=1), cfg_path)
+        script = ("import sys\n"
+                  "from faircollab import harness\n"
+                  "harness.run_experiment(harness.load_config(sys.argv[1]), sys.argv[2])\n"
+                  "sys.exit('multiprocessing' in sys.modules)\n")
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg_path), str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "summary.json").is_file()
+
     def test_cli_verify_chain(self, tmp_path, capsys):
         from faircollab.ledger import Ledger, KeyPair, dump_chain
         rng = np.random.default_rng(0)
@@ -646,6 +689,42 @@ class TestCellGroups:
                 assert path.read_bytes() == (tmp_path / "all" / "traces" / path.name).read_bytes()
         assert names == {p.name for p in (tmp_path / "all" / "traces").iterdir()}
         assert len(names) == 16
+
+    def test_trace_independent_of_framework_order(self):
+        # centralised first takes the parties as built while a pretrained
+        # framework still waits for them, and last after pretraining.
+        first = run_group(small_config(frameworks=["centralised", "standalone", "fdpddl"]), 2, 1)
+        last = run_group(small_config(frameworks=["fdpddl", "standalone", "centralised"]), 2, 1)
+        assert json.dumps(first, sort_keys=True) == json.dumps(last[::-1], sort_keys=True)
+
+    def test_one_build_per_setting_and_seed(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("build_cell_data", "build_parties"):
+            def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counting)
+        cfg = small_config(settings=[1, 2], seeds=[0, 1], frameworks=ALL_FRAMEWORKS)
+        run_experiment(cfg, tmp_path)
+        assert calls == ["build_cell_data", "build_parties"] * 4
+
+    def test_unsplit_datasets_dropped_once_parties_exist(self, monkeypatch):
+        refs = []
+        original = harness.build_cell_data
+
+        def recording(*args):
+            datasets, *rest = original(*args)
+            refs.extend(weakref.ref(d) for d in datasets)
+            return (datasets, *rest)
+
+        monkeypatch.setattr(harness, "build_cell_data", recording)
+        group = harness.CellGroup(small_config(frameworks=["centralised", "fdpddl"]), 1, 0)
+        for fw in ("centralised", "fdpddl"):
+            parties = group.parties(fw)
+            gc.collect()
+            assert len(refs) == 4 and all(ref() is None for ref in refs)
+            assert len(parties) == 4
 
     def test_one_pretraining_per_setting_and_seed(self, tmp_path, monkeypatch):
         calls = []

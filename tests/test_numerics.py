@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircollab import numerics
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
                                  clipped_mean_gradient, decayed_lr, evaluate, evaluate_rows,
                                  forward, load_csv, load_idx, loss, magnitude_order, make_blobs,
@@ -194,6 +195,15 @@ class TestSgdStep:
         sgd_step(model, np.array([1.0, 2.0]), 0.1)
         assert np.allclose(model.params, [0.9, 0.8], atol=1e-15)
 
+    def test_step_consumes_its_gradient(self):
+        # The caller hands the gradient over; it ends scaled by lr in place.
+        model = MlpModel((1, 1))
+        model.params[:] = [1.0, 1.0]
+        grad = np.array([1.0, 2.0])
+        sgd_step(model, grad, 0.5)
+        assert np.array_equal(grad, [0.5, 1.0])
+        assert np.array_equal(model.params, [0.5, 0.0])
+
     def test_decay_schedule(self):
         assert decayed_lr(0.1, 1e-7, 0) == 0.1
         assert decayed_lr(0.1, 1e-7, 1) == pytest.approx(0.1 / (1 + 1e-7), rel=1e-15)
@@ -223,6 +233,45 @@ class TestSgdStep:
                 ref_steps += 1
         assert steps == ref_steps == 8
         assert np.array_equal(model.params, reference.params)
+
+
+def _fresh_backward(model, features, labels):
+    """backward() with a fresh matmul and column sum per layer, copied into
+    a flat vector in the parameter order."""
+    activations, delta = numerics._output_delta(model, features, labels)
+    delta /= len(labels)
+    pairs = numerics._backprop_deltas(model, activations, delta)
+    return np.concatenate([part for inp, d in pairs for part in ((inp.T @ d).ravel(), d.sum(axis=0))])
+
+
+@pytest.mark.parametrize("dims", [(784, 128, 10), (32, 32, 10)])
+class TestInPlaceTraining:
+    """The gradient is written into its slots and the step scales it in
+    place; both must give the bits of the fresh-temporary arithmetic."""
+
+    def test_backward_equals_fresh_matmuls(self, dims):
+        rng = np.random.default_rng(21)
+        model = MlpModel.seeded(dims, rng)
+        data = make_blobs(32, dims[-1], dims[0], rng, spread=0.3)
+        grad = backward(model, data.features, data.labels)
+        assert grad.tobytes() == _fresh_backward(model, data.features, data.labels).tobytes()
+
+    def test_train_sgd_equals_fresh_steps(self, dims):
+        rng = np.random.default_rng(22)
+        data = make_blobs(80, dims[-1], dims[0], rng, spread=0.3)
+        model = MlpModel.seeded(dims, rng)
+        reference = model.copy()
+        steps = train_sgd(model, data, 2, 0.1, 1e-3, 32, np.random.default_rng(23), 4)
+        ref_rng, ref_steps = np.random.default_rng(23), 0
+        for _ in range(2):
+            order = ref_rng.permutation(len(data))
+            for start in range(0, len(data), 32):
+                rows = order[start:start + 32]
+                grad = _fresh_backward(reference, data.features[rows], data.labels[rows])
+                reference.params -= decayed_lr(0.1, 1e-3, 4 + ref_steps) * grad
+                ref_steps += 1
+        assert steps == ref_steps == 6
+        assert model.params.tobytes() == reference.params.tobytes()
 
 
 class TestSelectLargest:
@@ -494,6 +543,17 @@ class TestLoaders:
         assert np.allclose(data.features[0], pixels[0].ravel() / 255.0)
         assert list(data.labels) == [0, 1, 2, 1]
 
+    def test_idx_scaling_equals_divided_copy(self, tmp_path):
+        # Scaled in place; every byte value gives the bits of astype() / 255.
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)
+        labels = np.arange(16, dtype=np.uint8) % 10
+        img_path = tmp_path / "images.idx"
+        lbl_path = tmp_path / "labels.idx"
+        img_path.write_bytes(struct.pack(">IIII", 0x00000803, 16, 4, 4) + pixels.tobytes())
+        lbl_path.write_bytes(struct.pack(">II", 0x00000801, 16) + labels.tobytes())
+        expected = pixels.reshape(16, 16).astype(np.float64) / 255.0
+        assert load_idx(img_path, lbl_path).features.tobytes() == expected.tobytes()
+
     def test_idx_bad_magic(self, tmp_path):
         img_path = tmp_path / "bad.idx"
         img_path.write_bytes(struct.pack(">IIII", 0xdead, 0, 0, 0))
@@ -505,3 +565,14 @@ class TestLoaders:
         b = make_blobs(20, 3, 4, np.random.default_rng(11))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_blobs_equal_clipped_centers_plus_noise(self):
+        # Centres, labels, then noise, drawn in that order from one stream.
+        data = make_blobs(200, 3, 4, np.random.default_rng(12), spread=0.4)
+        rng = np.random.default_rng(12)
+        centers = rng.uniform(0.25, 0.75, size=(3, 4))
+        labels = rng.integers(0, 3, size=200)
+        expected = np.clip(centers[labels] + rng.normal(0.0, 0.4, size=(200, 4)), 0.0, 1.0)
+        assert data.features.tobytes() == expected.tobytes()
+        assert np.array_equal(data.labels, labels)
+        assert 0.0 in data.features and 1.0 in data.features

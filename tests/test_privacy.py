@@ -238,6 +238,18 @@ class TestDpSgdStep:
             dp_sgd_step(model, data, params, rng, acct)
         assert sum(acct.steps.values()) == 1
 
+    def test_equals_clipped_mean_plus_noise(self):
+        # The noise is added in place; the bits are those of mean + noise.
+        _, data, model, params, acct = _setup_step(seed=8, n=30)
+        result = dp_sgd_step(model, data, params, np.random.default_rng(43), acct)
+        rng = np.random.default_rng(43)
+        rows = rng.integers(0, params.dataset_size, size=params.lot_size)
+        mean = clipped_mean_gradient(model, data.features[rows], data.labels[rows],
+                                     params.clip_norm)
+        noise = rng.normal(0.0, params.sigma * params.clip_norm / params.lot_size,
+                           size=mean.shape)
+        assert result.tobytes() == (mean + noise).tobytes()
+
     def test_bit_reproducible_with_fixed_seed(self):
         _, data, model, params, _ = _setup_step(seed=5)
         a = dp_sgd_step(model.copy(), data, params, np.random.default_rng(42),

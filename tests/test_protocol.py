@@ -9,8 +9,9 @@ from faircollab.ledger import Ledger, verify_chain
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
                                  evaluate, make_blobs, select_largest, train_sgd)
 from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
-                                 ProtocolError, RunTrace, _leave_one_out, build_parties, pretrain,
-                                 run_baseline, run_fdpddl, run_initialisation, run_update_round)
+                                 ProtocolError, RunTrace, _leave_one_out, build_parties,
+                                 copy_parties, pretrain, run_baseline, run_fdpddl,
+                                 run_initialisation, run_update_round)
 
 FAST = dict(augment_replication=20, dp_steps_per_round=2, download_fraction=0.85)
 
@@ -74,6 +75,15 @@ class TestBuildAndPretrain:
             assert np.array_equal(p.initial_params, base)
             assert not any(np.shares_memory(p.model.params, q.model.params)
                            for q in parties if q is not p)
+
+    def test_initial_params_one_read_only_array(self):
+        datasets, _ = blob_setup(1)
+        parties = fresh_parties(1, ProtocolConfig(**FAST), datasets)
+        shared = parties[0].initial_params
+        assert not shared.flags.writeable
+        assert all(p.initial_params is shared for p in parties)
+        assert all(p.model.params.flags.writeable for p in parties)
+        assert all(p.initial_params is shared for p in copy_parties(parties))
 
     def test_standalone_beats_chance_on_blobs(self):
         datasets, test = blob_setup(2)
