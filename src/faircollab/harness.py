@@ -445,13 +445,13 @@ class CellGroup:
     its parties once.
 
     Built by the first cell that asks, so that its work happens inside
-    that cell. The group keeps the setting spec and the test set; the
-    unsplit datasets are dropped as soon as the parties exist. centralised
-    gets the parties as built, and the first pretrained framework
-    pretrains them; the parties are copied (copy_parties) while the other
-    of the two still waits for them. Each pretrained framework is handed
-    the pretrained parties, copied while another pretrained framework
-    still needs them.
+    that cell. The group keeps the setting spec and the test set; it
+    hands the unsplit datasets to build_parties, which drops each one as
+    its party is built. centralised gets the parties as built, and the
+    first pretrained framework pretrains them; the parties are copied
+    (copy_parties) while the other of the two still waits for them.
+    Each pretrained framework is handed the pretrained parties, copied
+    while another pretrained framework still needs them.
     """
 
     def __init__(self, config: ExperimentConfig, setting: int, seed: int):

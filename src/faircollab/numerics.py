@@ -345,20 +345,40 @@ class SparseUpdate:
         return cls(indices, values, param_count)
 
 
-def magnitude_order(gradient: np.ndarray) -> np.ndarray:
-    """Indices by decreasing absolute value; ties go to the lower index.
+def magnitude_order(gradient: np.ndarray, k: int) -> np.ndarray:
+    """The first k indices by decreasing absolute value; ties go to the
+    lower index and NaN entries rank last.
 
-    Every top-k selection of the gradient is a prefix of this ranking.
+    Equal to np.argsort(-np.abs(gradient), kind="stable")[:k], so every
+    top-j selection with j <= k is a prefix of it. Only k entries are
+    sorted: a partition finds the (k + 1)-th largest magnitude, every
+    entry above it is kept, the entries equal to it fill the remaining
+    slots in index order, and the k chosen are stably sorted.
     """
-    return np.argsort(-np.abs(gradient), kind="stable")
+    keys = -np.abs(gradient)
+    if not 0 <= k <= keys.size:
+        raise ValueError(f"k={k} outside [0, {keys.size}]")
+    # NaN sorts last in argsort but would break the threshold comparisons;
+    # +inf ranks below every -|g| and ties among NaN keep index order.
+    keys[np.isnan(keys)] = np.inf
+    if k == keys.size:
+        return np.argsort(keys, kind="stable")
+    # At most k keys lie below the (k + 1)-th smallest, so all of them
+    # rank in the first k.
+    threshold = np.partition(keys, k)[k]
+    above = np.flatnonzero(keys < threshold)
+    ties = np.flatnonzero(keys == threshold)[:k - above.size]
+    chosen = np.concatenate([above, ties])
+    return chosen[np.argsort(keys[chosen], kind="stable")]
 
 
 def select_largest(gradient: np.ndarray, k: int,
                    order: np.ndarray | None = None) -> SparseUpdate:
     """Top-k entries by absolute value; ties go to the lower index.
 
-    order is magnitude_order(gradient), for a caller that takes several
-    selections of one gradient and ranks it once.
+    order is magnitude_order(gradient, m) for some m >= k, for a caller
+    that takes several selections of one gradient and ranks it once, up
+    to the largest of them. Without it only the k entries are ranked.
     """
     gradient = np.asarray(gradient, dtype=np.float64)
     if k > gradient.size:
@@ -366,7 +386,9 @@ def select_largest(gradient: np.ndarray, k: int,
     if k < 0:
         raise ValueError("k must be nonnegative")
     if order is None:
-        order = magnitude_order(gradient)
+        order = magnitude_order(gradient, k)
+    elif len(order) < k:
+        raise ValueError(f"k={k} exceeds the {len(order)} ranked entries")
     chosen = np.sort(order[:k])
     return SparseUpdate(chosen, gradient[chosen], gradient.size)
 

@@ -28,6 +28,17 @@ That total is not a proven upper bound on the privacy loss:
 
 The rule follows the paper's accounting and gates training for reproduction
 fidelity. ROADMAP item 3 tracks an accountant whose total is a bound.
+
+The (6, 2e-5) claim covers the sample release and the DP-SGD steps only.
+Three uses of private data sit outside it (ROADMAP item 3e):
+
+  - pretraining: each standalone model is fitted with plain SGD on the
+    party's training split, and DP-SGD starts from that model;
+  - initialisation labels: each party labels every release with its
+    pretrained model, and the labels decide the genesis punishments;
+  - leave-one-out scoring: each round, accuracy on the private
+    validation split sets credibility, and credibility sets the order
+    lines signed onto the public chain.
 """
 
 from __future__ import annotations

@@ -160,22 +160,29 @@ def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfi
                   adversaries: dict[int, AdversaryConfig] | None = None) -> list[Party]:
     """Construct parties with a common initial model and per-party rng
     streams (data split, keys, noise all come from the party's stream).
-    Every party's initial_params is the same read-only vector."""
+    Every party's initial_params is the same read-only vector.
+
+    The caller hands datasets over: each unsplit dataset is removed from
+    the list as soon as its party's train/validation split exists, so the
+    whole of a party's data is never held twice. On return the list is
+    empty."""
     adversaries = adversaries or {}
+    sharing_levels = list(sharing_levels)
     n = len(datasets)
-    if n != len(list(sharing_levels)):
+    if n != len(sharing_levels):
         raise ProtocolError("one sharing level per dataset required")
+    for i, lam in enumerate(sharing_levels):
+        if not 0.0 < lam <= 1.0:
+            raise ProtocolError(f"sharing level of party {i} outside (0, 1]")
     model_seed, *party_seeds = seed_seq.spawn(n + 1)
     dims = (datasets[0].dim, *config.hidden_dims, datasets[0].num_classes)
     w0 = MlpModel.seeded(dims, np.random.default_rng(model_seed))
     w0.params.flags.writeable = False  # each party's model trains a copy
 
     parties = []
-    for i, (data, lam) in enumerate(zip(datasets, sharing_levels)):
-        if not 0.0 < lam <= 1.0:
-            raise ProtocolError(f"sharing level of party {i} outside (0, 1]")
+    for i, lam in enumerate(sharing_levels):
         rng = np.random.default_rng(party_seeds[i])
-        train, val = data.split(VALIDATION_FRACTION, rng)
+        train, val = datasets.pop(0).split(VALIDATION_FRACTION, rng)
         # DP-SGD samples over the replicated size without storing the copies.
         virtual_size = len(train) * config.augment_replication
         eps_update, delta_update = allocate_budgets("update", config.dataset_name)
@@ -373,7 +380,10 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         capacities[pid] = int(by_id[pid].sharing_level * param_count) if delta is not None else 0
 
     # Each buyer's top-k is a prefix of its seller's one magnitude ranking.
-    rankings = {pid: magnitude_order(delta) for pid, delta in deltas.items()
+    # No order line exceeds the seller's capacity (download_allocation
+    # floors min(c * d, lambda * P) and supplement caps each seller at its
+    # spare room), so ranking up to the capacity is enough.
+    rankings = {pid: magnitude_order(delta, capacities[pid]) for pid, delta in deltas.items()
                 if delta is not None}
 
     # Purchasing by download budget, credibility allocation, and supplement.
@@ -472,8 +482,10 @@ def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
     ledger = Ledger()
     credible, _genesis = run_initialisation(parties, ledger, config, trace)
     for round_index in range(1, rounds + 1):
-        state = run_update_round(parties, credible, ledger, round_index, config, trace, test_data)
-        credible = state.credible
+        # Keep only the credible set, so a round's purchases are freed
+        # before the next round trains.
+        credible = run_update_round(parties, credible, ledger, round_index, config, trace,
+                                    test_data).credible
     for p in parties:
         trace.final_accuracies[p.id] = evaluate(p.model, test_data)
     return trace, ledger

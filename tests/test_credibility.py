@@ -264,6 +264,25 @@ class TestSupplement:
                 supplement_oracle(budget, rec, caps, cred)
 
 
+class TestOrderLines:
+    @given(st.lists(st.tuples(st.floats(0.001, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=7),
+           st.integers(1, 5000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_line_exceeds_seller_capacity(self, sellers, grad_len, data):
+        # A buyer's line to seller j is allocation plus supplement, as the
+        # update round builds it. It never exceeds int(lambda_j * |grad|),
+        # so ranking a seller's delta up to that capacity covers every line.
+        lams = {f"p{i}": lam for i, (lam, _) in enumerate(sellers)}
+        scores = {f"p{i}": score for i, (_, score) in enumerate(sellers)}
+        caps = {j: int(lam * grad_len) for j, lam in lams.items() if int(lam * grad_len) > 0}
+        budget = data.draw(st.integers(1, 2 * sum(caps.values()) + 10))
+        alloc = {j: download_allocation(scores[j], budget, lams[j], grad_len) for j in caps}
+        extra = supplement(budget, alloc, caps, {j: scores[j] for j in caps})
+        for j in caps:
+            assert alloc[j] + extra.get(j, 0) <= caps[j]
+
+
 class TestCredibilityUpdate:
     def test_sigmoid_midpoint_exact(self):
         assert sigmoid_map(0.5) == 0.5

@@ -318,18 +318,45 @@ class TestSelectLargest:
         # Position i of the permuted vector holds original coordinate perm[i].
         assert {int(perm[i]) for i in permuted} == {int(i) for i in base}
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=16))
+    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=16),
+           st.data())
     @settings(max_examples=80, deadline=None)
-    def test_every_top_k_is_a_prefix_of_one_ranking(self, entries):
+    def test_every_top_k_is_a_prefix_of_one_ranking(self, entries, data):
         # Few distinct magnitudes with random signs, so ties are common.
         g = np.array([m * 0.25 * (-1.0 if neg else 1.0) for m, neg in entries])
-        order = magnitude_order(g)
-        for k in range(g.size + 1):
+        ranked_to = data.draw(st.integers(0, g.size))
+        order = magnitude_order(g, ranked_to)
+        for k in range(ranked_to + 1):
             expected = select_largest(g, k)
             assert np.array_equal(np.sort(order[:k]), expected.indices)
             ranked = select_largest(g, k, order)
             assert np.array_equal(ranked.indices, expected.indices)
             assert np.array_equal(ranked.values, expected.values)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 3.0,
+                                     np.inf, -np.inf, np.nan]), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_partial_ranking_is_the_stable_argsort_prefix(self, values):
+        # Few distinct magnitudes, signed zeros and NaN: NaN ranks last and
+        # ties keep index order, exactly as in the full stable argsort.
+        g = np.array(values, dtype=np.float64)
+        before = g.tobytes()
+        full = np.argsort(-np.abs(g), kind="stable")
+        for k in range(g.size + 1):
+            order = magnitude_order(g, k)
+            assert order.dtype == full.dtype
+            assert order.tobytes() == full[:k].tobytes()
+        assert g.tobytes() == before
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_ranking_length_outside_gradient_rejected(self, k):
+        with pytest.raises(ValueError):
+            magnitude_order(np.zeros(3), k)
+
+    def test_ranking_shorter_than_k_rejected(self):
+        g = np.array([0.3, -0.1, 0.0, 2.0])
+        with pytest.raises(ValueError, match="ranked"):
+            select_largest(g, 3, magnitude_order(g, 2))
 
 
 class TestApplyUpdates:

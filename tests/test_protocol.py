@@ -1,13 +1,16 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from faircollab import protocol
 from faircollab.adversary import AdversaryConfig, AdversaryKind
 from faircollab.credibility import credibility_update
 from faircollab.ledger import Ledger, verify_chain
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
-                                 evaluate, make_blobs, select_largest, train_sgd)
+                                 evaluate, magnitude_order, make_blobs, select_largest,
+                                 train_sgd)
 from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
                                  ProtocolError, RunTrace, _leave_one_out, build_parties,
                                  copy_parties, pretrain, run_baseline, run_fdpddl,
@@ -27,7 +30,8 @@ def blob_setup(seed, n=4, per_party=120, spread=0.12, test_size=150):
 
 def fresh_parties(seed, config, datasets, lambdas=None, adversaries=None):
     lambdas = lambdas or [0.1] * len(datasets)
-    return build_parties(datasets, lambdas, config,
+    # build_parties empties the list it is handed; callers reuse theirs.
+    return build_parties(list(datasets), lambdas, config,
                          np.random.SeedSequence([seed, 100, 7]), adversaries)
 
 
@@ -110,6 +114,25 @@ class TestBuildAndPretrain:
         datasets, _ = blob_setup(3)
         with pytest.raises(ProtocolError):
             fresh_parties(3, ProtocolConfig(**FAST), datasets, lambdas=[0.0, 0.1, 0.1, 0.1])
+
+    def test_each_unsplit_dataset_dies_before_the_next_split(self, monkeypatch):
+        # build_parties takes the list over: party i's unsplit dataset is
+        # gone before party i + 1's data is split, and the list ends empty.
+        handed, _ = blob_setup(4)
+        refs = [weakref.ref(d) for d in handed]
+        alive_at_split = []
+        split = Dataset.split
+
+        def recording_split(data, fraction, rng):
+            alive_at_split.append([ref() is not None for ref in refs])
+            return split(data, fraction, rng)
+
+        monkeypatch.setattr(Dataset, "split", recording_split)
+        parties = build_parties(handed, [0.1] * 4, ProtocolConfig(**FAST),
+                                np.random.SeedSequence([4, 100, 7]))
+        assert alive_at_split == [[j >= i for j in range(4)] for i in range(4)]
+        assert handed == [] and all(ref() is None for ref in refs)
+        assert len(parties) == 4
 
 
 class TestInitialisation:
@@ -226,6 +249,31 @@ class TestUpdateRound:
         state = run_update_round(parties, credible, ledger, 2, config, trace, test)
         assert all(not sellers for sellers in state.received.values())
         assert all(p.publishing is False for p in parties)
+
+    def test_each_seller_ranked_only_up_to_its_capacity(self, monkeypatch):
+        # A seller's delta is ranked as far as it can sell, int(lambda * P),
+        # and every line it fills fits in that ranking.
+        ranked = []
+
+        def recording_order(gradient, k):
+            ranked.append(k)
+            return magnitude_order(gradient, k)
+
+        monkeypatch.setattr(protocol, "magnitude_order", recording_order)
+        datasets, test = blob_setup(9, per_party=200)
+        lambdas = [0.05, 0.1, 0.2, 0.4]
+        config = ProtocolConfig(**FAST)
+        parties = fresh_parties(9, config, datasets, lambdas=lambdas)
+        pretrain(parties, test)
+        trace, ledger = RunTrace("fdpddl"), Ledger()
+        credible, _ = run_initialisation(parties, ledger, config, trace)
+        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
+        caps = {p.id: int(p.sharing_level * p.model.param_count) for p in parties}
+        assert ranked == [caps[pid] for pid in sorted(credible)]
+        assert any(state.received.values())
+        for sellers in state.received.values():
+            for j, update in sellers.items():
+                assert len(update) <= caps[j]
 
     def test_purchases_happen_between_credible_parties(self):
         parties, credible, ledger, config, trace, test = self._after_init()
