@@ -372,25 +372,45 @@ def magnitude_order(gradient: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.argsort(keys[chosen], kind="stable")]
 
 
-def select_largest(gradient: np.ndarray, k: int,
-                   order: np.ndarray | None = None) -> SparseUpdate:
-    """Top-k entries by absolute value; ties go to the lower index.
+@dataclass(frozen=True)
+class RankedPrefix:
+    """The m largest-magnitude entries of a gradient, in rank order.
 
-    order is magnitude_order(gradient, m) for some m >= k, for a caller
-    that takes several selections of one gradient and ranks it once, up
-    to the largest of them. Without it only the k entries are ranked.
+    order is magnitude_order(gradient, m) and values is gradient[order].
+    Every top-k selection with k <= m is a prefix of it, so whoever keeps
+    this in place of the dense gradient can still serve each of them.
     """
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if k > gradient.size:
-        raise ValueError(f"k={k} exceeds gradient length {gradient.size}")
+
+    order: np.ndarray
+    values: np.ndarray
+    param_count: int
+
+    @classmethod
+    def of(cls, gradient: np.ndarray, m: int) -> "RankedPrefix":
+        gradient = np.asarray(gradient, dtype=np.float64)
+        order = magnitude_order(gradient, m)
+        return cls(order, gradient[order], gradient.size)
+
+
+def select_largest(gradient: np.ndarray | RankedPrefix, k: int) -> SparseUpdate:
+    """Top-k entries by absolute value; ties go to the lower index and NaN
+    entries rank last.
+
+    gradient is the dense vector, of which only the k entries are ranked,
+    or a RankedPrefix of it ranked to some m >= k, for a caller that takes
+    several selections of one gradient and keeps only what it can sell.
+    Both give the same bits: the selection is the first k entries of the
+    ranking, put in index order.
+    """
+    if not isinstance(gradient, RankedPrefix):
+        gradient = RankedPrefix.of(gradient, k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if order is None:
-        order = magnitude_order(gradient, k)
-    elif len(order) < k:
-        raise ValueError(f"k={k} exceeds the {len(order)} ranked entries")
-    chosen = np.sort(order[:k])
-    return SparseUpdate(chosen, gradient[chosen], gradient.size)
+    if k > len(gradient.order):
+        raise ValueError(f"k={k} exceeds the {len(gradient.order)} ranked entries")
+    by_index = np.argsort(gradient.order[:k])
+    return SparseUpdate(gradient.order[:k][by_index], gradient.values[:k][by_index],
+                        gradient.param_count)
 
 
 def apply_updates(model: MlpModel, updates) -> MlpModel:

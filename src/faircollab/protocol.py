@@ -34,8 +34,8 @@ import numpy as np
 from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
 from .ledger import Block, KeyPair, Ledger, decrypt_payload
-from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, decayed_lr, evaluate,
-                       evaluate_rows, magnitude_order, predict, select_largest, sgd_step,
+from .numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
+                       decayed_lr, evaluate, evaluate_rows, predict, select_largest, sgd_step,
                        train_sgd)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
                       allocate_budgets, dp_sgd_step, lot_size_for)
@@ -66,6 +66,10 @@ VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
 EPSILON_PER_STEP = 1.0
 CLIP_NORM = 1.0
 JITTER_STD = 0.02          # feature jitter of the initialisation release
+# Leave-one-out scoring stacks its probe rows at most this many bytes at a
+# time (at least one row): 94 rows of the 32-32-10 model, so desk shapes
+# score in one pass, and one row of the paper's 784-128-10 model.
+LOO_PASS_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -341,21 +345,43 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
         done += 1
     if done == 0:
         return None
-    return p.model.params - before
+    # The delta overwrites the saved copy, so no second model-sized vector.
+    return np.subtract(p.model.params, before, out=before)
+
+
+def _rows_without(params: np.ndarray, updates: list) -> np.ndarray:
+    """One row per entry of updates: params minus that update (its indices
+    are unique), or params itself for None. A lone None is params viewed
+    as one row, not a copy."""
+    if updates == [None]:
+        return params[None, :]
+    rows = np.repeat(params[None, :], len(updates), axis=0)
+    for row, update in zip(rows, updates):
+        if update is not None:
+            row[update.indices] -= update.values
+    return rows
 
 
 def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list[str],
                    val_data: Dataset) -> tuple[float, dict[str, float]]:
     """(acc, acc_without): the accuracy of model on val_data, and per peer
-    its accuracy without that peer's update. One stacked forward pass
-    scores the parameters as row 0 and, in each further row, the
-    parameters minus one update (its indices are unique). A peer that
-    sold nothing keeps acc."""
+    its accuracy without that peer's update. Row 0 holds the parameters
+    and each further row the parameters minus one update. The rows are
+    scored in stacked forward passes of at most LOO_PASS_BYTES each, but
+    at least one row, so desk shapes score in one pass. When a pass holds
+    one row, as at 784-128-10, row 0 is read from model.params without a
+    copy and each probe is stacked alone. A peer that sold nothing keeps
+    acc."""
     probed = [j for j in peers if len(bought.get(j, ())) > 0]
-    rows = np.repeat(model.params[None, :], 1 + len(probed), axis=0)
-    for row, j in zip(rows[1:], probed):
-        row[bought[j].indices] -= bought[j].values
-    acc, *probe_accs = evaluate_rows(model.dims, rows, val_data)
+    removed = [None, *(bought[j] for j in probed)]
+    per_pass = max(1, LOO_PASS_BYTES // model.params.nbytes)
+    accs: list[float] = []
+    for start in range(0, len(removed), per_pass):
+        # Held by no name, a pass's rows die before the next pass stacks its own.
+        accs += evaluate_rows(model.dims,
+                              _rows_without(model.params, removed[start:start + per_pass]),
+                              val_data)
+    acc, *probe_accs = accs
     acc_without = dict.fromkeys(peers, acc)
     acc_without.update(zip(probed, probe_accs))
     return acc, acc_without
@@ -371,20 +397,22 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     leader_id = members[round_index % len(members)]
     param_count = parties[0].model.param_count
 
-    # Local training and sale capacities.
-    deltas: dict[str, np.ndarray | None] = {}
+    # Local training and sale capacities. No order line exceeds its
+    # seller's capacity int(lambda * P) (download_allocation floors
+    # min(c * d, lambda * P) and supplement caps each seller at its spare
+    # room), and each buyer's top-k is a prefix of its seller's magnitude
+    # ranking. So a seller keeps only its delta's ranked prefix up to the
+    # capacity, and its dense delta dies before the next party trains.
+    prefixes: dict[str, RankedPrefix] = {}
     capacities: dict[str, int] = {}
     for pid in members:
         delta = _local_training(by_id[pid], config, round_index, trace)
-        deltas[pid] = delta
-        capacities[pid] = int(by_id[pid].sharing_level * param_count) if delta is not None else 0
-
-    # Each buyer's top-k is a prefix of its seller's one magnitude ranking.
-    # No order line exceeds the seller's capacity (download_allocation
-    # floors min(c * d, lambda * P) and supplement caps each seller at its
-    # spare room), so ranking up to the capacity is enough.
-    rankings = {pid: magnitude_order(delta, capacities[pid]) for pid, delta in deltas.items()
-                if delta is not None}
+        if delta is None:
+            capacities[pid] = 0
+            continue
+        capacities[pid] = int(by_id[pid].sharing_level * param_count)
+        prefixes[pid] = RankedPrefix.of(delta, capacities[pid])
+        del delta
 
     # Purchasing by download budget, credibility allocation, and supplement.
     received: dict[str, dict[str, SparseUpdate]] = {pid: {} for pid in members}
@@ -410,7 +438,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             continue
         # One signed order per buyer; each line is filled at once, in seller order.
         for j, order in ledger.submit_purchase_order(buyer.keypair, pid, lines).items():
-            selection = select_largest(deltas[j], order.count, rankings[j])
+            selection = select_largest(prefixes[j], order.count)
             payload = ledger.fulfill_order(by_id[j].keypair, j, order.order_id, selection,
                                            by_id[j].rng)
             blob = decrypt_payload(payload, buyer.keypair, aad=order.order_id.encode())
@@ -418,9 +446,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     # One signed fulfillment per seller covers all of its round's fills.
     for j in sorted(ledger.unsigned_fills):
         ledger.sign_fulfillment(by_id[j].keypair, j)
-    # Free the sellers' deltas and rankings (each the size of the model)
-    # before scoring stacks its leave-one-out probes.
-    del deltas, rankings
+    del prefixes  # sold out for this round; freed before scoring
 
     # Apply own delta (already in the model) plus purchases; score peers.
     evaluations: dict[str, tuple[float, dict[str, float]]] = {}

@@ -289,6 +289,23 @@ class TestExperimentAndCli:
                      "credibility.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_one_probe_per_pass_writes_the_same_files(self, tmp_path, monkeypatch):
+        # Desk shapes score every leave-one-out row in one pass; a budget
+        # of one row per pass runs the capped loop and must not move a bit
+        # of any output file.
+        cfg = small_config(settings=[2], seeds=[3])
+        run_experiment(cfg, tmp_path / "one_pass")
+        monkeypatch.setattr(protocol, "LOO_PASS_BYTES", 1)
+        run_experiment(cfg, tmp_path / "row_per_pass")
+        files = sorted(p.relative_to(tmp_path / "one_pass")
+                       for p in (tmp_path / "one_pass").rglob("*") if p.is_file())
+        assert len(files) > 1
+        assert files == sorted(p.relative_to(tmp_path / "row_per_pass")
+                               for p in (tmp_path / "row_per_pass").rglob("*") if p.is_file())
+        for name in files:
+            assert ((tmp_path / "one_pass" / name).read_bytes()
+                    == (tmp_path / "row_per_pass" / name).read_bytes())
+
     def test_each_group_is_on_disk_before_the_next_starts(self, tmp_path, monkeypatch):
         on_disk = []
         original = harness.run_group

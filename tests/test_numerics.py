@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab import numerics
-from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
-                                 clipped_mean_gradient, decayed_lr, evaluate, evaluate_rows,
-                                 forward, load_csv, load_idx, loss, magnitude_order, make_blobs,
-                                 per_example_gradients, predict, select_largest, sgd_step,
-                                 train_sgd)
+from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
+                                 backward, clipped_mean_gradient, decayed_lr, evaluate,
+                                 evaluate_rows, forward, load_csv, load_idx, loss,
+                                 magnitude_order, make_blobs, per_example_gradients, predict,
+                                 select_largest, sgd_step, train_sgd)
 
 
 def small_dataset(rng, n=8, dim=3, classes=3):
@@ -318,20 +318,26 @@ class TestSelectLargest:
         # Position i of the permuted vector holds original coordinate perm[i].
         assert {int(perm[i]) for i in permuted} == {int(i) for i in base}
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=16),
-           st.data())
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, np.nan]),
+                    min_size=1, max_size=16),
+           st.floats(0.0, 1.0))
     @settings(max_examples=80, deadline=None)
-    def test_every_top_k_is_a_prefix_of_one_ranking(self, entries, data):
-        # Few distinct magnitudes with random signs, so ties are common.
-        g = np.array([m * 0.25 * (-1.0 if neg else 1.0) for m, neg in entries])
-        ranked_to = data.draw(st.integers(0, g.size))
-        order = magnitude_order(g, ranked_to)
-        for k in range(ranked_to + 1):
-            expected = select_largest(g, k)
-            assert np.array_equal(np.sort(order[:k]), expected.indices)
-            ranked = select_largest(g, k, order)
-            assert np.array_equal(ranked.indices, expected.indices)
-            assert np.array_equal(ranked.values, expected.values)
+    def test_every_top_k_is_a_prefix_of_one_ranking(self, values, sharing_level):
+        # A seller keeps its delta ranked to its capacity int(lambda * P);
+        # every sale up to that count is bitwise the dense selection and
+        # the stable-argsort top-k, with few distinct magnitudes (ties are
+        # common), signed zeros, and NaN ranking last.
+        g = np.array(values, dtype=np.float64)
+        capacity = int(sharing_level * g.size)
+        prefix = RankedPrefix.of(g, capacity)
+        full = np.argsort(-np.abs(g), kind="stable")
+        for k in range(capacity + 1):
+            sale = select_largest(prefix, k)
+            dense = select_largest(g, k)
+            chosen = np.sort(full[:k])
+            assert sale.param_count == dense.param_count == g.size
+            assert sale.indices.tobytes() == dense.indices.tobytes() == chosen.tobytes()
+            assert sale.values.tobytes() == dense.values.tobytes() == g[chosen].tobytes()
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 3.0,
                                      np.inf, -np.inf, np.nan]), max_size=40))
@@ -356,7 +362,9 @@ class TestSelectLargest:
     def test_ranking_shorter_than_k_rejected(self):
         g = np.array([0.3, -0.1, 0.0, 2.0])
         with pytest.raises(ValueError, match="ranked"):
-            select_largest(g, 3, magnitude_order(g, 2))
+            select_largest(RankedPrefix.of(g, 2), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            select_largest(RankedPrefix.of(g, 2), -1)
 
 
 class TestApplyUpdates:

@@ -1,16 +1,17 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from faircollab import protocol
+from faircollab import numerics, protocol
 from faircollab.adversary import AdversaryConfig, AdversaryKind
 from faircollab.credibility import credibility_update
 from faircollab.ledger import Ledger, verify_chain
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
-                                 evaluate, magnitude_order, make_blobs, select_largest,
-                                 train_sgd)
+                                 evaluate, evaluate_rows, magnitude_order, make_blobs,
+                                 select_largest, train_sgd)
 from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
                                  ProtocolError, RunTrace, _leave_one_out, build_parties,
                                  copy_parties, pretrain, run_baseline, run_fdpddl,
@@ -59,6 +60,51 @@ class TestLeaveOneOut:
             else:
                 assert acc_without[j] == acc
         assert not sellers or any(acc_without[j] != acc for j in sellers)
+
+    @staticmethod
+    def _buyer(dims, seed):
+        # A model, its validation data, three sellers' updates and a peer
+        # that sold nothing.
+        rng = np.random.default_rng(seed)
+        model = MlpModel.seeded(dims, rng)
+        val = make_blobs(80, dims[-1], dims[0], rng, spread=0.7)
+        bought = {j: select_largest(rng.normal(scale=0.5, size=model.param_count),
+                                    model.param_count // 10)
+                  for j in ("p01", "p02", "p03")}
+        bought["p04"] = SparseUpdate([], [], model.param_count)
+        return model, val, bought, ["p01", "p02", "p03", "p04"]
+
+    @pytest.mark.parametrize("dims", [(32, 32, 10), (784, 128, 10)])
+    @pytest.mark.parametrize("rows_per_pass", [1, 2, 4])
+    def test_capped_passes_equal_one_pass(self, dims, rows_per_pass, monkeypatch):
+        # Row 0 and the three probes scored in passes of 1, 2 or all 4
+        # rows give exactly the scores of one stacked pass over every row.
+        model, val, bought, peers = self._buyer(dims, sum(dims))
+        rows = np.repeat(model.params[None, :], 4, axis=0)
+        for row, j in zip(rows[1:], peers[:3]):
+            row[bought[j].indices] -= bought[j].values
+        acc, *probe_accs = evaluate_rows(model.dims, rows, val)
+        expected = dict(zip(peers, probe_accs), p04=acc)
+        assert len(set(expected.values())) > 1
+        before = model.params.tobytes()
+        monkeypatch.setattr(protocol, "LOO_PASS_BYTES", rows_per_pass * model.params.nbytes)
+        assert _leave_one_out(model, bought, peers, val) == (acc, expected)
+        assert model.params.tobytes() == before
+
+    def test_paper_shape_pass_holds_one_probe_at_a_time(self):
+        # At 784-128-10 the default budget holds one row: row 0 is read
+        # from the parameters in place and each probe is stacked alone, so
+        # the pass allocates well under 2.5 parameter vectors (1 + sellers
+        # copies, 5.3 vectors, when every row is stacked at once).
+        model, val, bought, peers = self._buyer((784, 128, 10), 3)
+        assert protocol.LOO_PASS_BYTES // model.params.nbytes == 1
+        tracemalloc.start()
+        try:
+            _leave_one_out(model, bought, peers, val)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * model.params.nbytes
 
 
 class TestBuildAndPretrain:
@@ -259,7 +305,7 @@ class TestUpdateRound:
             ranked.append(k)
             return magnitude_order(gradient, k)
 
-        monkeypatch.setattr(protocol, "magnitude_order", recording_order)
+        monkeypatch.setattr(numerics, "magnitude_order", recording_order)
         datasets, test = blob_setup(9, per_party=200)
         lambdas = [0.05, 0.1, 0.2, 0.4]
         config = ProtocolConfig(**FAST)
