@@ -11,8 +11,8 @@ from .credibility import (CredibilityList, LabelMatrix, consensus_exclude, credi
                           default_threshold, download_allocation, init_credibility,
                           init_tokens, majority_vote, normalize_and_screen, sigmoid_map,
                           supplement)
-from .ledger import (Block, EncryptedPayload, KeyPair, Ledger, Transaction, decrypt_payload,
-                     dump_chain, load_chain, verify_chain)
+from .ledger import (Block, ChainState, EncryptedPayload, KeyPair, Ledger, Transaction,
+                     decrypt_payload, dump_chain, load_chain, verify_chain)
 from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freerider_gradients,
                         freerider_label, gan_attacker_setup)
 from .protocol import (Party, ProtocolConfig, RoundState, RunTrace, build_parties, pretrain,

@@ -308,13 +308,10 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
     if len(credible) < 2:
         raise ProtocolError("fewer than 2 credible parties after initialisation")
 
-    survivors = sorted(credible)
-    leader = by_id[survivors[0]]
-    for r in removed:
-        ledger.record_punishment(leader.keypair, leader.id, r, "non-credible at initialisation")
     grants = {pid: cred.init_tokens(by_id[pid].sharing_level, by_id[pid].model.param_count,
-                                    len(survivors)) for pid in survivors}
-    genesis = ledger.create_genesis(grants, {pid: by_id[pid].keypair for pid in survivors})
+                                    len(credible)) for pid in sorted(credible)}
+    genesis = ledger.create_genesis(grants, {pid: by_id[pid].keypair for pid in credible},
+                                    dict.fromkeys(removed, "non-credible at initialisation"))
     trace.token_totals.append((0, ledger.total_tokens()))
     return credible, genesis
 
@@ -394,7 +391,6 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     credibility update, banning, block seal)."""
     by_id = {p.id: p for p in parties}
     members = sorted(credible)
-    leader_id = members[round_index % len(members)]
     param_count = parties[0].model.param_count
 
     # Local training and sale capacities. No order line exceeds its
@@ -418,7 +414,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     received: dict[str, dict[str, SparseUpdate]] = {pid: {} for pid in members}
     for pid in members:
         buyer = by_id[pid]
-        balance = ledger.balance(pid)
+        balance = ledger.balances[pid]
         supply = sum(capacities[j] for j in members if j != pid)
         budget = min(balance - TOKEN_RESERVE,
                      int(config.download_fraction * supply))
@@ -471,7 +467,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
 
     # Renormalise, report, exclude, and roll back a banned peer's updates.
     new_credible, removed = _screen_and_exclude(by_id, set(members), raw_maps)
-    leader = by_id[leader_id]
+    leader = by_id[ledger.leader()]
     for r in removed:
         trace.event("excluded", r, round_index, "update")
         ledger.record_punishment(leader.keypair, leader.id, r, "non-credible")
@@ -482,23 +478,23 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                 if by_id[pid].last_received_aggregate is not None:
                     by_id[pid].last_received_aggregate[update.indices] -= update.values
 
-    block = ledger.seal_block(leader_id)
+    block = ledger.seal_block()
     trace.token_totals.append((round_index, ledger.total_tokens()))
     for pid in sorted(new_credible):
         p = by_id[pid]
         # Token stock depleted to the reserve floor: the party can only
         # recycle its round earnings and is effectively starved out.
-        if ledger.balance(pid) <= TOKEN_RESERVE and not p.token_exhaustion_reported:
+        if ledger.balances[pid] <= TOKEN_RESERVE and not p.token_exhaustion_reported:
             p.token_exhaustion_reported = True
             trace.event("token_exhausted", pid, round_index, "update")
         trace.accuracy_rows.append({"round": round_index, "party": pid,
                                     "accuracy": evaluate(p.model, test_data),
-                                    "tokens": ledger.balance(pid)})
+                                    "tokens": ledger.balances[pid]})
         for peer in sorted(p.credibility.scores):
             trace.credibility_rows.append({
                 "round": round_index, "owner": pid, "peer": peer,
                 "credibility": p.credibility.scores[peer],
-                "balance": ledger.balance(pid)})
+                "balance": ledger.balances[pid]})
     return RoundState(round_index, received, evaluations, block, new_credible)
 
 

@@ -466,7 +466,7 @@ class TestExperimentAndCli:
         ledger.fulfill_order(keys["p01"], "p01", order.order_id,
                              SparseUpdate(np.arange(2), np.ones(2), 10), rng)
         ledger.sign_fulfillment(keys["p01"], "p01")
-        ledger.seal_block("p01")
+        ledger.seal_block()
         dump = tmp_path / "chain.jsonl"
         dump_chain(ledger.chain, dump)
         dump.write_text("\n".join(mutate(dump.read_text().splitlines())) + "\n")

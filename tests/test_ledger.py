@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab.credibility import init_tokens
-from faircollab.ledger import (Ledger, LedgerError, KeyPair, Transaction, decrypt_payload,
+from faircollab.ledger import (Block, Ledger, LedgerError, KeyPair, Transaction, decrypt_payload,
                                dump_chain, encrypt_payload, load_chain, sha256_hex,
                                verify_chain)
 from faircollab.numerics import SparseUpdate
@@ -29,6 +30,36 @@ def fresh_ledger(keys, tokens=300):
     ledger = Ledger()
     ledger.create_genesis({pid: tokens for pid in keys}, keys)
     return ledger
+
+
+def fill_all(ledger, keys, orders):
+    """Fill every line of orders (seller -> line) and sign each seller's fills."""
+    rng = np.random.default_rng(7)
+    for seller, order in orders.items():
+        ledger.fulfill_order(keys[seller], seller, order.order_id,
+                             SparseUpdate(np.arange(order.count), np.ones(order.count), 1000),
+                             rng)
+    for seller in sorted(ledger.unsigned_fills):
+        ledger.sign_fulfillment(keys[seller], seller)
+
+
+def signed(keys, kind, author, **payload):
+    return Transaction.signed(kind, payload, author, keys[author])
+
+
+def trade(keys, buyer, seller, count, round_index):
+    """A validly signed order of count gradients from seller, and its fill."""
+    order = signed(keys, "purchase_order", buyer, count=count,
+                   encrypt_key=keys[buyer].encrypt_key_hex, lines=[[seller, count]],
+                   round=round_index)
+    return [order, signed(keys, "fulfillment", seller,
+                          lines=[[f"{order.tx_id}:{seller}", "0" * 64]], round=round_index)]
+
+
+def append_block(chain, txs, leader):
+    """Hash-link a block of txs under leader onto chain, checking no rule."""
+    chain.append(Block.sealed(len(chain), chain[-1].block_hash, txs, leader))
+    return chain
 
 
 def sample_update(n=5, count=30):
@@ -144,35 +175,63 @@ class TestGenesis:
         assert genesis.prev_hash == "0" * 64
         assert genesis.leader == "p00"
         assert [tx.payload["party"] for tx in genesis.transactions] == sorted(keys)
-        assert all(ledger.balance(pid) == 300 for pid in keys)
+        assert all(ledger.balances[pid] == 300 for pid in keys)
         assert verify_chain(ledger.chain)
 
     def test_single_registration_rejected(self, keys):
         with pytest.raises(LedgerError):
             Ledger().create_genesis({"p00": 10}, keys)
 
+    @pytest.mark.parametrize("grant", [-5, "lots", True], ids=["negative", "str", "bool"])
+    def test_grant_that_is_not_a_count_rejected(self, keys, grant):
+        with pytest.raises(LedgerError):
+            Ledger().create_genesis({"p00": grant, "p01": 10}, keys)
+        # The same registration, validly signed, does not verify either.
+        txs = [signed(keys, "register", pid, party=pid, verify_key=keys[pid].verify_key_hex,
+                      tokens=tokens) for pid, tokens in (("p00", grant), ("p01", 10))]
+        assert not verify_chain([Block.sealed(0, "0" * 64, txs, "p00")])
+        txs[0] = signed(keys, "register", "p00", party="p00",
+                        verify_key=keys["p00"].verify_key_hex, tokens=0)
+        assert verify_chain([Block.sealed(0, "0" * 64, txs, "p00")])
+
 
 class TestTrading:
-    def test_unfilled_order_moves_no_tokens(self, keys):
+    def test_seal_refused_while_a_line_is_open(self, keys):
+        # The order is paid in full where it is placed; its block seals
+        # only once every line of it is filled.
         ledger = fresh_ledger(keys)
         orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 10, "p01": 30})
         assert list(orders) == ["p01", "p02"]
-        assert ledger.balance("p00") == 300
-        ledger.seal_block("p00")
-        assert {pid: ledger.balance(pid) for pid in keys} == {pid: 300 for pid in keys}
-        assert all(ledger.orders[o.order_id].status == "open" for o in orders.values())
+        paid = {"p00": 260, "p01": 330, "p02": 310, "p03": 300}
+        assert ledger.balances == paid
+        rng = np.random.default_rng(1)
+        ledger.fulfill_order(keys["p01"], "p01", orders["p01"].order_id,
+                             SparseUpdate(np.arange(30), np.ones(30), 100), rng)
+        ledger.sign_fulfillment(keys["p01"], "p01")
+        pending = list(ledger.pending)
+        with pytest.raises(LedgerError):
+            ledger.seal_block()
+        assert len(ledger.chain) == 1 and ledger.pending == pending
+        assert ledger.balances == paid and orders["p02"].status == "open"
+        ledger.fulfill_order(keys["p02"], "p02", orders["p02"].order_id,
+                             SparseUpdate(np.arange(10), np.ones(10), 100), rng)
+        ledger.sign_fulfillment(keys["p02"], "p02")
+        ledger.seal_block()
+        assert ledger.balances == paid
         assert ledger.chain[1].transactions[0].payload["lines"] == [["p01", 30], ["p02", 10]]
         assert ledger.chain[1].transactions[0].payload["count"] == 40
+        assert verify_chain(ledger.chain)
 
     def test_identical_order_in_one_round_rejected(self, keys):
         ledger = fresh_ledger(keys)
-        ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 1, "p02": 2})
+        orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 1, "p02": 2})
         with pytest.raises(LedgerError):
             ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 2, "p01": 1})
         assert len(ledger.orders) == 2 and len(ledger.pending) == 1
-        assert ledger.total_tokens() == 1200
+        assert ledger.balances["p00"] == 297 and ledger.total_tokens() == 1200
+        fill_all(ledger, keys, orders)
         # The round is signed into the order, so the next round may repeat it.
-        ledger.seal_block("p00")
+        ledger.seal_block()
         ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 1, "p02": 2})
         assert len(ledger.orders) == 4
 
@@ -183,8 +242,19 @@ class TestTrading:
             ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 15, "p02": 15})
         assert not ledger.orders and not ledger.pending
 
-    # A fill for an unregistered seller would debit the buyer and then
-    # fail to credit anyone.
+    def test_second_order_the_buyer_cannot_pay_rejected(self, keys):
+        # Both orders fit the balance on their own; the first one, paid
+        # where it is placed, leaves too little for the second.
+        ledger = fresh_ledger(keys)
+        ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 200})
+        balances, pending, orders = dict(ledger.balances), list(ledger.pending), dict(ledger.orders)
+        with pytest.raises(LedgerError):
+            ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 200})
+        assert ledger.balances == balances == {"p00": 100, "p01": 500, "p02": 300, "p03": 300}
+        assert ledger.pending == pending and ledger.orders == orders
+
+    # An order paying an unregistered seller would debit the buyer and
+    # credit no one.
     @pytest.mark.parametrize("lines", [{}, {"p01": 3, "p02": 0}, {"p01": 3, "p09": 2}],
                              ids=["no_line", "zero_count", "unregistered_seller"])
     def test_bad_line_rejected(self, keys, lines):
@@ -192,6 +262,20 @@ class TestTrading:
         with pytest.raises(LedgerError):
             ledger.submit_purchase_order(keys["p00"], "p00", lines)
         assert not ledger.orders and not ledger.pending
+
+    def test_unregistered_or_banned_buyer_rejected(self, keys):
+        ledger = Ledger()
+        ledger.create_genesis({pid: 300 for pid in ("p00", "p01", "p03")}, keys)
+        with pytest.raises(LedgerError):
+            ledger.submit_purchase_order(keys["p02"], "p02", {"p01": 2})
+        assert not ledger.pending and not ledger.orders
+        # Block 1's leader punishes p03; from block 2 on it cannot buy.
+        ledger.record_punishment(keys[ledger.leader()], ledger.leader(), "p03", "test")
+        ledger.seal_block()
+        balances = dict(ledger.balances)
+        with pytest.raises(LedgerError):
+            ledger.submit_purchase_order(keys["p03"], "p03", {"p01": 2})
+        assert not ledger.pending and not ledger.orders and ledger.balances == balances
 
     def test_fulfillment_round_trip(self, keys):
         ledger = fresh_ledger(keys)
@@ -204,7 +288,8 @@ class TestTrading:
         recovered = SparseUpdate.from_bytes(blob)
         assert np.array_equal(recovered.indices, update.indices)
         assert np.array_equal(recovered.values, update.values)
-        assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
+        # Paid when the order was placed, not when its line is filled.
+        assert ledger.balances == {"p00": 265, "p01": 330, "p02": 305, "p03": 300}
         assert ledger.orders[order.order_id].status == "fulfilled"
         assert orders["p02"].status == "open"
         assert order.order_id == ledger.pending[0].tx_id + ":p01"
@@ -212,7 +297,8 @@ class TestTrading:
         assert tx.author == "p01"
         assert tx.payload["lines"] == [[order.order_id, sha256_hex(payload.ciphertext)]]
         assert not ledger.unsigned_fills
-        ledger.seal_block("p00")
+        fill_all(ledger, keys, {"p02": orders["p02"]})
+        ledger.seal_block()
         assert verify_chain(ledger.chain)
 
     def test_one_fulfillment_covers_every_fill_of_a_seller(self, keys):
@@ -237,10 +323,10 @@ class TestTrading:
                              np.random.default_rng(1))
         pending = list(ledger.pending)
         with pytest.raises(LedgerError):
-            ledger.seal_block("p00")
+            ledger.seal_block()
         assert len(ledger.chain) == 1 and ledger.pending == pending
         ledger.sign_fulfillment(keys["p01"], "p01")
-        ledger.seal_block("p00")
+        ledger.seal_block()
         assert verify_chain(ledger.chain)
 
     def test_double_fulfillment_rejected(self, keys):
@@ -249,10 +335,11 @@ class TestTrading:
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30, "p02": 30})["p01"]
         ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
                              np.random.default_rng(1))
+        balances = dict(ledger.balances)
         with pytest.raises(LedgerError):
             ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
                                  np.random.default_rng(2))
-        assert (ledger.balance("p00"), ledger.balance("p01")) == (270, 330)
+        assert ledger.balances == balances == {"p00": 240, "p01": 330, "p02": 330, "p03": 300}
         assert len(ledger.unsigned_fills["p01"]) == 1
 
     def test_wrong_count_rejected(self, keys):
@@ -263,50 +350,22 @@ class TestTrading:
                                  SparseUpdate([0], [1.0], 1000), np.random.default_rng(1))
         assert order.status == "open" and not ledger.unsigned_fills
 
-    def test_fill_the_buyer_cannot_pay_rejected(self, keys):
-        # Both orders fit the balance when placed; the first fill leaves
-        # too little for the second.
-        ledger = fresh_ledger(keys)
-        first = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 200})["p01"]
-        second = ledger.submit_purchase_order(keys["p00"], "p00", {"p02": 200})["p02"]
-        rng = np.random.default_rng(1)
-        ledger.fulfill_order(keys["p01"], "p01", first.order_id,
-                             SparseUpdate(np.arange(200), np.ones(200), 400), rng)
-        balances = dict(ledger.balances)
-        pending = list(ledger.pending)
-        store = dict(ledger.payload_store)
-        unsigned = {seller: list(lines) for seller, lines in ledger.unsigned_fills.items()}
-        state = rng.bit_generator.state
-        with pytest.raises(LedgerError):
-            ledger.fulfill_order(keys["p02"], "p02", second.order_id,
-                                 SparseUpdate(np.arange(200), np.ones(200), 400), rng)
-        assert ledger.balances == balances
-        assert ledger.pending == pending
-        assert ledger.payload_store == store
-        assert ledger.unsigned_fills == unsigned
-        assert rng.bit_generator.state == state
-        assert second.status == "open"
-
     def test_conservation_across_activity(self, keys):
         ledger = fresh_ledger(keys)
-        rng = np.random.default_rng(3)
         for round_index in range(5):
-            orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 10, "p02": 3})
-            ledger.fulfill_order(keys["p01"], "p01", orders["p01"].order_id,
-                                 SparseUpdate(np.arange(10), np.ones(10), 1000), rng)
-            ledger.submit_purchase_order(keys["p02"], "p02", {"p03": 7})  # never filled
-            ledger.sign_fulfillment(keys["p01"], "p01")
-            ledger.seal_block("p00")
+            fill_all(ledger, keys,
+                     ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 10, "p02": 3}))
+            fill_all(ledger, keys, ledger.submit_purchase_order(keys["p02"], "p02", {"p03": 7}))
+            ledger.seal_block()
             assert ledger.total_tokens() == 1200
-        assert (ledger.balance("p00"), ledger.balance("p01")) == (250, 350)
-        assert (ledger.balance("p02"), ledger.balance("p03")) == (300, 300)
+        assert ledger.balances == {"p00": 235, "p01": 350, "p02": 280, "p03": 335}
         assert verify_chain(ledger.chain)
 
-    # A round is a list of (buyer, {seller: (count, fill?)}): counts up to
-    # 200 on up to three lines overrun the 300-token balances and a batch
-    # may repeat within a round, so some orders are refused; a round's
-    # lines are filled after all are placed, so an earlier fill can leave
-    # the buyer short of a later one.
+    # A round is a list of (buyer, {seller: (count, fill first?)}): counts
+    # up to 200 on up to three lines overrun the 300-token balances and a
+    # batch may repeat within a round, so some orders are refused. The
+    # lines marked True are filled first; the seal is refused while any
+    # other line is open, and succeeds once those are filled too.
     @given(st.lists(st.lists(st.tuples(
         st.integers(0, 3),
         st.dictionaries(st.integers(0, 3), st.tuples(st.integers(1, 200), st.booleans()),
@@ -319,41 +378,41 @@ class TestTrading:
         pids = sorted(keys)
         rng = np.random.default_rng(11)
         for batches in rounds:
-            placed, to_fill = set(), []
+            placed, first, later = set(), [], []
             for b, lines in batches:
                 buyer = pids[b]
                 counts = {pids[s]: count for s, (count, _fill) in lines.items()}
                 key = (buyer, tuple(sorted(counts.items())))
-                before = dict(ledger.balances)
+                expected = dict(ledger.balances)
                 try:
                     orders = ledger.submit_purchase_order(keys[buyer], buyer, counts)
                 except LedgerError:
-                    assert sum(counts.values()) > before[buyer] or key in placed
+                    assert sum(counts.values()) > expected[buyer] or key in placed
+                    assert ledger.balances == expected
                     continue
-                finally:
-                    assert ledger.balances == before
                 placed.add(key)
-                to_fill += [orders[pids[s]] for s, (_count, fill) in lines.items() if fill]
-            for order in to_fill:
-                before = dict(ledger.balances)
-                update = SparseUpdate(np.arange(order.count), np.ones(order.count), 400)
-                try:
+                # Paid in full where it is placed.
+                expected[buyer] -= sum(counts.values())
+                for seller, count in counts.items():
+                    expected[seller] += count
+                assert ledger.balances == expected
+                assert all(balance >= 0 for balance in ledger.balances.values())
+                for s, (_count, fill) in lines.items():
+                    (first if fill else later).append(orders[pids[s]])
+            balances = dict(ledger.balances)
+            for group in (first, later):
+                for order in group:
+                    update = SparseUpdate(np.arange(order.count), np.ones(order.count), 400)
                     ledger.fulfill_order(keys[order.seller], order.seller, order.order_id,
                                          update, rng)
-                except LedgerError:
-                    # A fill may be refused only when the buyer is short.
-                    assert before[order.buyer] < order.count
-                    assert ledger.balances == before
-                    assert order.status == "open"
-                    continue
-                before[order.buyer] -= order.count
-                before[order.seller] += order.count
-                assert ledger.balances == before
-                assert order.status == "fulfilled"
-                assert all(balance >= 0 for balance in ledger.balances.values())
-            for seller in sorted(ledger.unsigned_fills):
-                ledger.sign_fulfillment(keys[seller], seller)
-            ledger.seal_block(pids[0])
+                    assert order.status == "fulfilled"
+                for seller in sorted(ledger.unsigned_fills):
+                    ledger.sign_fulfillment(keys[seller], seller)
+                if group is first and later:
+                    with pytest.raises(LedgerError):
+                        ledger.seal_block()
+            assert ledger.balances == balances  # fills move no tokens
+            ledger.seal_block()
             assert ledger.total_tokens() == 1200
         assert verify_chain(ledger.chain)
 
@@ -384,14 +443,14 @@ class TestChainVerification:
                                                       np.ones(order.count), 100), rng)
             ledger.sign_fulfillment(keys["p01"], "p01")
             ledger.sign_fulfillment(keys["p02"], "p02")
-            ledger.seal_block(f"p0{r % 4}")
+            ledger.seal_block()
         return ledger
 
     def _forge(self, ledger, keys, seller, lines):
         """Seal a validly signed fulfillment by seller naming lines."""
-        payload = {"lines": lines, "round": ledger.round_index}
+        payload = {"lines": lines, "round": len(ledger.chain)}
         ledger.pending.append(Transaction.signed("fulfillment", payload, seller, keys[seller]))
-        ledger.seal_block("p00")
+        ledger.seal_block()
 
     def test_untampered_chain_verifies(self, keys):
         ledger = self._active_chain(keys)
@@ -425,9 +484,13 @@ class TestChainVerification:
         assert not verify_chain(ledger.chain)
 
     def test_fulfillment_of_another_sellers_line_rejected(self, keys):
+        # p02 names p01's line before p01 fills it, so the line is open then.
         ledger = self._active_chain(keys, rounds=1)
-        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 2})["p01"]
-        self._forge(ledger, keys, "p02", [[order.order_id, "0" * 64]])
+        orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 2})
+        ledger.pending.append(signed(keys, "fulfillment", "p02", round=2,
+                                     lines=[[orders["p01"].order_id, "0" * 64]]))
+        fill_all(ledger, keys, orders)
+        ledger.seal_block()
         assert not verify_chain(ledger.chain)
 
     def test_line_filled_twice_rejected(self, keys):
@@ -445,10 +508,9 @@ class TestChainVerification:
             "fulfillment", {"lines": [[order_tx.tx_id + ":p01", "0" * 64]], "round": 1},
             "p01", keys["p01"])
         ledger.pending += [fill_tx, order_tx]
-        ledger.seal_block("p00")
+        ledger.seal_block()
         assert not verify_chain(ledger.chain)
-        ledger.chain[1] = type(ledger.chain[1]).sealed(
-            1, ledger.chain[0].block_hash, [order_tx, fill_tx], "p00")
+        ledger.chain[1] = Block.sealed(1, ledger.chain[0].block_hash, [order_tx, fill_tx], "p01")
         assert verify_chain(ledger.chain)
 
     def test_order_count_other_than_its_lines_rejected(self, keys):
@@ -456,7 +518,7 @@ class TestChainVerification:
         payload = {"count": 3, "encrypt_key": keys["p00"].encrypt_key_hex,
                    "lines": [["p01", 2], ["p02", 2]], "round": 1}
         ledger.pending.append(Transaction.signed("purchase_order", payload, "p00", keys["p00"]))
-        ledger.seal_block("p00")
+        ledger.seal_block()
         assert not verify_chain(ledger.chain)
 
     @pytest.mark.parametrize("lines", [None, 5, [["only-one-field"]], [[["unhashable"], "x"]]],
@@ -504,10 +566,11 @@ class TestChainVerification:
     def test_foreign_signature_rejected(self, keys):
         ledger = fresh_ledger(keys)
         intruder = KeyPair.generate(np.random.default_rng(6))
-        tx = Transaction.signed("punishment", {"against": "p01", "reason": "forged", "round": 1},
-                                "p00", intruder)  # not p00's registered key
+        # Signed for block 1's leader, p01, but not with its registered key.
+        tx = Transaction.signed("punishment", {"against": "p02", "reason": "forged", "round": 1},
+                                "p01", intruder)
         ledger.pending.append(tx)
-        ledger.seal_block("p00")
+        ledger.seal_block()
         assert not verify_chain(ledger.chain)
 
     def test_registration_after_genesis_rejected(self, keys):
@@ -516,6 +579,62 @@ class TestChainVerification:
         newcomer = KeyPair.generate(np.random.default_rng(6))
         payload = {"party": "p09", "verify_key": newcomer.verify_key_hex, "tokens": 1_000_000}
         ledger.pending.append(Transaction.signed("register", payload, "p09", newcomer))
-        ledger.seal_block("p00")
+        ledger.seal_block()
         assert not verify_chain(ledger.chain)
         assert verify_chain(ledger.chain[:1])
+
+    # Each chain below is validly signed and hash-linked, so only the rule
+    # under test decides; the first case of each keeps it and verifies.
+    @pytest.mark.parametrize("count, valid", [(10, True), (11, False), (500, False)])
+    def test_overdraft_rejected(self, keys, count, valid):
+        chain = append_block(fresh_ledger(keys, tokens=10).chain,
+                             trade(keys, "p00", "p01", count, 1), "p01")
+        assert verify_chain(chain) is valid
+
+    @pytest.mark.parametrize("buyer, seller, valid", [
+        ("p03", "p00", True), ("p02", "p00", False), ("p00", "p02", False),
+    ], ids=["active", "banned_buyer", "banned_seller"])
+    def test_party_banned_in_an_earlier_block_cannot_trade(self, keys, buyer, seller, valid):
+        # Block 1's leader, p01, punishes p02; block 2's active parties are
+        # p00, p01 and p03, so p03 leads it.
+        punishment = signed(keys, "punishment", "p01", against="p02", reason="test", round=1)
+        chain = append_block(fresh_ledger(keys).chain, [punishment], "p01")
+        assert verify_chain(append_block(chain, trade(keys, buyer, seller, 5, 2), "p03")) is valid
+
+    @pytest.mark.parametrize("leader, valid", [("p01", True), ("p99", False), ("p00", False)],
+                             ids=["in_turn", "unregistered", "out_of_turn"])
+    def test_block_sealed_by_its_leader_only(self, keys, leader, valid):
+        chain = append_block(fresh_ledger(keys).chain, trade(keys, "p00", "p02", 5, 1), leader)
+        assert verify_chain(chain) is valid
+
+    @pytest.mark.parametrize("round_index, valid", [(1, True), (0, False), (2, False)])
+    def test_round_other_than_its_block_index_rejected(self, keys, round_index, valid):
+        chain = append_block(fresh_ledger(keys).chain,
+                             trade(keys, "p00", "p02", 5, round_index), "p01")
+        assert verify_chain(chain) is valid
+
+    @pytest.mark.parametrize("author, valid", [("p01", True), ("p00", False), ("p03", False)])
+    def test_punishment_signed_by_its_blocks_leader_only(self, keys, author, valid):
+        punishment = signed(keys, "punishment", author, against="p02", reason="test", round=1)
+        chain = append_block(fresh_ledger(keys).chain, [punishment], "p01")
+        assert verify_chain(chain) is valid
+
+    def test_refused_transaction_changes_nothing(self, keys):
+        # Each is refused only at a later part of it: an unregistered second
+        # seller, an overdraft past valid lines, a second line that is not
+        # open, and a punishment by p00 while p01 leads block 1.
+        ledger = fresh_ledger(keys)
+        order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 5})["p01"]
+        refused = [
+            signed(keys, "purchase_order", "p02", count=7, encrypt_key="",
+                   lines=[["p01", 5], ["p09", 2]], round=1),
+            trade(keys, "p02", "p01", 301, 1)[0],
+            signed(keys, "fulfillment", "p01", round=1,
+                   lines=[[order.order_id, "0" * 64], ["0" * 24 + ":p01", "0" * 64]]),
+            signed(keys, "punishment", "p00", against="p02", reason="test", round=1),
+        ]
+        for tx in refused:
+            before = copy.deepcopy(vars(ledger.state))
+            with pytest.raises(LedgerError):
+                ledger.state.apply(tx)
+            assert vars(ledger.state) == before

@@ -8,7 +8,7 @@ import pytest
 from faircollab import numerics, protocol
 from faircollab.adversary import AdversaryConfig, AdversaryKind
 from faircollab.credibility import credibility_update
-from faircollab.ledger import Ledger, verify_chain
+from faircollab.ledger import ChainState, Ledger, verify_chain
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
                                  evaluate, evaluate_rows, magnitude_order, make_blobs,
                                  select_largest, train_sgd)
@@ -211,7 +211,7 @@ class TestInitialisation:
         assert verify_chain(ledger.chain)
         expected = int(0.1 * parties[0].model.param_count * (len(credible) - 1))
         for pid in credible:
-            assert ledger.balance(pid) == expected
+            assert ledger.balances[pid] == expected
 
     def _init_with_free_rider(self):
         datasets, _ = blob_setup(7, per_party=300)
@@ -365,6 +365,26 @@ class TestFullRuns:
                 # and line ids.
                 assert tx.author != "p03"
                 assert "p03" not in json.dumps(tx.payload)
+
+    def test_chain_replays_to_the_ledgers_state(self):
+        # A crafted-gradient free-rider is banned in round 2, so a rotation
+        # over three parties leads block 3.
+        datasets, test = blob_setup(41, per_party=300)
+        advs = {3: AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_GRAD, crafted_scale=0.6)}
+        config = ProtocolConfig(augment_replication=50, dp_steps_per_round=4,
+                                download_fraction=0.85)
+        trace, ledger = run_fdpddl(fresh_parties(41, config, datasets, adversaries=advs),
+                                   config, rounds=3, test_data=test)
+        banned = {e.party for e in trace.events if e.kind == "excluded"}
+        assert banned == {"p03"} and ledger.chain[3].leader == "p00"
+        state = ChainState()
+        for block in ledger.chain:
+            for tx in block.transactions:
+                state.apply(tx)
+            state.seal(block.leader)
+        assert state.balances == ledger.balances
+        assert sum(state.balances.values()) == trace.token_totals[-1][1]
+        assert state.banned == banned
 
     def test_final_accuracies_cover_all_parties(self):
         datasets, test = blob_setup(13)
