@@ -15,7 +15,7 @@ from .ledger import (Block, ChainState, EncryptedPayload, KeyPair, Ledger, Trans
                      decrypt_payload, dump_chain, load_chain, verify_chain)
 from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freerider_gradients,
                         freerider_label, gan_attacker_setup)
-from .protocol import (Party, ProtocolConfig, RoundState, RunTrace, build_parties, pretrain,
+from .protocol import (Party, ProtocolConfig, RunTrace, build_parties, pretrain,
                        run_baseline, run_fdpddl, run_initialisation, run_update_round)
 from .harness import (ExperimentConfig, SettingSpec, build_x_axis, cell_fairness, fairness,
                       fairness_report, run_cell, run_experiment)

@@ -133,8 +133,8 @@ def gan_attacker_setup(full: Dataset, victim_classes, adversary_classes,
 def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[dict]:
     """Scan a run trace's events for exclusions and token exhaustion.
 
-    events: iterable of dicts with kind, party, stage and round keys
-    (run_cell stores each protocol.TraceEvent as dataclasses.asdict gives it).
+    events: iterable of dicts with kind, party, stage and round keys, as
+    protocol.RunTrace.event appends them and a cell trace stores them.
     Returns the detection entries a cell trace stores, one per adversary in
     party order: party, kind, detected, stage (init | update | never) and
     round (None when never detected).

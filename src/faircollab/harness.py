@@ -218,9 +218,12 @@ class ExperimentConfig:
             overlap = sorted(set(classes.victim_classes) & set(classes.adversary_classes))
             if overlap:
                 errors.append(f"adversary class sets overlap on {overlap}")
-            if (adv.kind == AdversaryKind.GAN_ATTACKER and not adv.iid_control
-                    and not classes.victim_classes):
-                errors.append("gan_attacker victim_classes empty: needs at least 2 classes")
+            if adv.kind == AdversaryKind.GAN_ATTACKER and not adv.iid_control:
+                if not classes.victim_classes:
+                    errors.append("gan_attacker victim_classes empty: needs at least 2 classes")
+                if self.dataset.kind != "blobs":
+                    errors.append(f"gan_attacker splits classes of blobs data only, not of "
+                                  f"{self.dataset.kind} data; set iid_control")
         # build_cell_data splits the classes for one attacker only.
         attackers = [adv.index(self.n) for adv in self.adversaries
                      if adv.kind == AdversaryKind.GAN_ATTACKER]
@@ -413,10 +416,17 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
         test = make_blobs(ds.test_size, ds.num_classes, ds.dim, rng,
                           spread=ds.spread, centers=centers)
     else:
-        full = load_csv(ds.path) if ds.kind == "csv" else load_idx(ds.images_path, ds.labels_path)
+        source = ds.path if ds.kind == "csv" else f"{ds.images_path}, {ds.labels_path}"
+        try:
+            full = (load_csv(ds.path, ds.num_classes) if ds.kind == "csv"
+                    else load_idx(ds.images_path, ds.labels_path, ds.num_classes))
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+        if full.dim != ds.dim:
+            raise ConfigError(f"{source}: {full.dim} features, but dataset.dim is {ds.dim}")
         # The prototype release's sensitivity sqrt(dim) / n_c assumes this range.
         if full.features.size and not (0.0 <= full.features.min() and full.features.max() <= 1.0):
-            raise ConfigError(f"{ds.kind} dataset has features outside [0, 1]")
+            raise ConfigError(f"{source}: features outside [0, 1]")
         order = rng.permutation(len(full))
         test = full.subset(order[:ds.test_size])
         pool = order[ds.test_size:]
@@ -522,7 +532,7 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         "standalone_accuracies": trace.standalone_accuracies,
         "sharing_levels": {p.id: p.sharing_level for p in parties},
         "chain_valid": chain_valid,
-        "trace": {**vars(trace), "events": [asdict(e) for e in trace.events]},
+        "trace": vars(trace),
     }
     if framework in FAIRNESS_FRAMEWORKS:
         result["fairness"] = cell_fairness(result)

@@ -188,9 +188,10 @@ class EncryptedPayload:
 
 
 def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, sender: KeyPair,
-                    rng: np.random.Generator, aad: bytes = b"") -> EncryptedPayload:
+                    rng: np.random.Generator, aad: bytes) -> EncryptedPayload:
     """Seal the plaintext under a fresh key drawn from rng, wrapped under
-    the pair key of sender and recipient."""
+    the pair key of sender and recipient; both seals bind aad, which the
+    ledger sets to the order line id."""
     draw = rng.bytes(88)
     # [44:76] is drawn but unused, so the sender's later draws (DP-SGD noise) keep their values.
     content_key, nonce, wrap_nonce = draw[:32], draw[32:44], draw[76:88]
@@ -200,7 +201,7 @@ def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, sender: KeyPair,
     return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce, sender.encrypt_public)
 
 
-def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes = b"") -> bytes:
+def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes) -> bytes:
     content_key = keypair.pair_cipher(payload.ephemeral_public).decrypt(
         payload.wrap_nonce, payload.wrapped_key, aad)
     return AESGCM(content_key).decrypt(payload.nonce, payload.ciphertext, aad)
@@ -224,9 +225,9 @@ class ChainState:
       signed by itself, with an int grant >= 0; block 0 holds 2 or more;
     - no transaction comes from, and no order line names, a banned party
       (one punished in an earlier block); every round is its block's index;
-    - an order asks each of its sellers once for at least 1 gradient,
-      counts the sum of its lines, and is paid in full where it is placed,
-      so the buyer's balance must cover it there;
+    - an order asks each of its sellers, never its buyer, once for at
+      least 1 gradient, counts the sum of its lines, and is paid in full
+      where it is placed, so the buyer's balance must cover it there;
     - a fulfillment fills, once each, lines of its block open to its author;
     - a block seals once none of its lines is open, under the leader
       sorted(active)[index % len(active)] of the registered parties not
@@ -292,6 +293,8 @@ class ChainState:
         if (not sellers or len(set(sellers)) < len(sellers)
                 or not all(type(count) is int and count >= 1 for count in counts)):
             raise LedgerError("an order needs lines of at least 1 gradient, one per seller")
+        if buyer in sellers:
+            raise LedgerError(f"order of {buyer} names {buyer} as its seller")
         inactive = sorted(s for s in sellers if s not in self.verify_keys or s in self.banned)
         if inactive:
             raise LedgerError(f"order names sellers that are not active: {inactive}")

@@ -468,28 +468,28 @@ def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def make_blobs(n_examples: int, num_classes: int, dim: int, rng: np.random.Generator,
-               spread: float = 0.15, center_range: tuple[float, float] = (0.25, 0.75),
-               centers: np.ndarray | None = None) -> Dataset:
+               spread: float = 0.15, centers: np.ndarray | None = None) -> Dataset:
     """Gaussian blob classification data with features clipped to [0, 1].
 
     Pass explicit centers to draw several datasets from the same class
     geometry (train pools, test sets, per-party shards).
     """
     if centers is None:
-        centers = blob_centers(num_classes, dim, rng, center_range)
+        centers = blob_centers(num_classes, dim, rng)
     labels = rng.integers(0, num_classes, size=n_examples)
     features = rng.normal(0.0, spread, size=(n_examples, dim))
     features += centers[labels]
     return Dataset(np.clip(features, 0.0, 1.0, out=features), labels, num_classes)
 
 
-def blob_centers(num_classes: int, dim: int, rng: np.random.Generator,
-                 center_range: tuple[float, float] = (0.25, 0.75)) -> np.ndarray:
-    return rng.uniform(center_range[0], center_range[1], size=(num_classes, dim))
+def blob_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Class centres drawn uniformly from [0.25, 0.75] in every feature."""
+    return rng.uniform(0.25, 0.75, size=(num_classes, dim))
 
 
-def load_csv(path, num_classes: int | None = None) -> Dataset:
-    """CSV with a header row; last column is the integer class label."""
+def load_csv(path, num_classes: int) -> Dataset:
+    """CSV with a header row; last column is the integer class label, in
+    [0, num_classes)."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -506,13 +506,12 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     labels = arr[:, -1].astype(np.int64)
     if np.any(arr[:, -1] != labels):
         raise ValueError("label column must hold integers")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
     return Dataset(arr[:, :-1], labels, num_classes)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Big-endian IDX image/label pair; pixels scaled into [0, 1]."""
+def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
+    """Big-endian IDX image/label pair; pixels scaled into [0, 1], labels
+    in [0, num_classes)."""
     with open(images_path, "rb") as fh:
         blob = fh.read()
     magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
@@ -532,4 +531,4 @@ def load_idx(images_path, labels_path) -> Dataset:
     labels = np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
     if labels.size != n_labels or n_labels != n:
         raise ValueError("label count mismatch")
-    return Dataset(features, labels, int(labels.max()) + 1 if labels.size else 1)
+    return Dataset(features, labels, num_classes)

@@ -65,7 +65,6 @@ VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
 # q = L / N, where L = lot_size_for(N) = sqrt(N), and clips to CLIP_NORM.
 EPSILON_PER_STEP = 1.0
 CLIP_NORM = 1.0
-JITTER_STD = 0.02          # feature jitter of the initialisation release
 # Leave-one-out scoring stacks its probe rows at most this many bytes at a
 # time (at least one row): 94 rows of the 32-32-10 model, so desk shapes
 # score in one pass, and one row of the paper's 784-128-10 model.
@@ -126,18 +125,11 @@ class Party:
     last_received_aggregate: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str      # excluded | budget_exhausted | token_exhausted
-    party: str
-    round: int
-    stage: str     # init | update
-    info: str = ""
-
-
 @dataclass
 class RunTrace:
     framework: str
+    # {kind: excluded | budget_exhausted | token_exhausted, party, round,
+    #  stage: init | update, info}
     events: list = field(default_factory=list)
     accuracy_rows: list = field(default_factory=list)      # round, party, accuracy, tokens
     credibility_rows: list = field(default_factory=list)   # round, owner, peer, credibility, balance
@@ -147,16 +139,8 @@ class RunTrace:
     final_accuracies: dict = field(default_factory=dict)
 
     def event(self, kind: str, party: str, round_index: int, stage: str, info: str = "") -> None:
-        self.events.append(TraceEvent(kind, party, round_index, stage, info))
-
-
-@dataclass
-class RoundState:
-    round_index: int
-    received: dict               # buyer -> seller -> SparseUpdate, bans included
-    evaluations: dict            # buyer -> (acc, {seller: acc_without})
-    block: Block | None
-    credible: set
+        self.events.append({"kind": kind, "party": party, "round": round_index,
+                            "stage": stage, "info": info})
 
 
 def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfig,
@@ -288,11 +272,8 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
         count = int(p.sharing_level * (len(p.train_data) + len(p.val_data)))
         if count < 1:
             raise ProtocolError(f"{pid} would release zero samples; enlarge its data")
-        releases[pid] = generate_release(
-            p.train_data, p.sharing_level, budget, p.rng,
-            party_id=pid,
-            accountant=p.accountant_init, jitter_std=JITTER_STD,
-            release_count=count, replication=config.augment_replication)
+        releases[pid] = generate_release(p.train_data, count, budget, p.rng,
+                                         p.accountant_init, config.augment_replication)
 
     raw_maps: dict[str, dict[str, float]] = {}
     for pid in order:
@@ -386,9 +367,9 @@ def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list
 
 def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                      round_index: int, config: ProtocolConfig, trace: RunTrace,
-                     test_data: Dataset) -> RoundState:
+                     test_data: Dataset) -> set[str]:
     """One synchronous exchange round (gradient trading, leave-one-out
-    credibility update, banning, block seal)."""
+    credibility update, banning, block seal); returns the new credible set."""
     by_id = {p.id: p for p in parties}
     members = sorted(credible)
     param_count = parties[0].model.param_count
@@ -445,7 +426,6 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     del prefixes  # sold out for this round; freed before scoring
 
     # Apply own delta (already in the model) plus purchases; score peers.
-    evaluations: dict[str, tuple[float, dict[str, float]]] = {}
     raw_maps: dict[str, dict[str, float]] = {}
     for pid in members:
         p = by_id[pid]
@@ -463,7 +443,6 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
             prev = p.credibility.scores.get(j, 0.0)
             raw_new[j] = cred.credibility_update(prev, acc, acc_without[j])
         raw_maps[pid] = raw_new
-        evaluations[pid] = (acc, acc_without)
 
     # Renormalise, report, exclude, and roll back a banned peer's updates.
     new_credible, removed = _screen_and_exclude(by_id, set(members), raw_maps)
@@ -478,7 +457,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                 if by_id[pid].last_received_aggregate is not None:
                     by_id[pid].last_received_aggregate[update.indices] -= update.values
 
-    block = ledger.seal_block()
+    ledger.seal_block()
     trace.token_totals.append((round_index, ledger.total_tokens()))
     for pid in sorted(new_credible):
         p = by_id[pid]
@@ -495,7 +474,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                 "round": round_index, "owner": pid, "peer": peer,
                 "credibility": p.credibility.scores[peer],
                 "balance": ledger.balances[pid]})
-    return RoundState(round_index, received, evaluations, block, new_credible)
+    return new_credible
 
 
 def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
@@ -504,10 +483,8 @@ def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
     ledger = Ledger()
     credible, _genesis = run_initialisation(parties, ledger, config, trace)
     for round_index in range(1, rounds + 1):
-        # Keep only the credible set, so a round's purchases are freed
-        # before the next round trains.
         credible = run_update_round(parties, credible, ledger, round_index, config, trace,
-                                    test_data).credible
+                                    test_data)
     for p in parties:
         trace.final_accuracies[p.id] = evaluate(p.model, test_data)
     return trace, ledger

@@ -5,7 +5,7 @@ so peers can benchmark each other's standalone models. The generator
 is deliberately simple: per-class feature means perturbed by a
 Gaussian mechanism (features are expected in [0, 1], so a class mean over
 n_c rows moves by at most sqrt(dim) / n_c when one example changes), then
-u = floor(lambda * |D|) samples emitted as noisy prototype plus a small
+the caller's count of samples emitted as noisy prototype plus a small
 jitter, with classes drawn in proportion to the local class frequencies.
 It is the only generator: generate_release calls noisy_class_prototypes
 directly, and a different model means editing that function.
@@ -26,6 +26,8 @@ import numpy as np
 from .numerics import Dataset
 from .privacy import PrivacyAccountant, calibrate_sigma
 
+JITTER_STD = 0.02  # feature jitter of a released sample
+
 
 @dataclass(frozen=True)
 class SampleRelease:
@@ -36,7 +38,6 @@ class SampleRelease:
     """
 
     samples: np.ndarray
-    party_id: str
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
@@ -97,39 +98,34 @@ def noisy_class_prototypes(data: Dataset, budget: tuple[float, float],
     return prototypes, counts
 
 
-def generate_release(data: Dataset, sharing_level: float, budget: tuple[float, float],
-                     rng: np.random.Generator, party_id: str = "party",
-                     accountant: PrivacyAccountant | None = None,
-                     prototype_noise: float | None = None,
-                     jitter_std: float = 0.05,
-                     release_count: int | None = None,
-                     replication: int = 1) -> SampleRelease:
-    """Release u = floor(sharing_level * |D|) label-free synthetic samples.
+def generate_release(data: Dataset, count: int, budget: tuple[float, float],
+                     rng: np.random.Generator, accountant: PrivacyAccountant,
+                     replication: int = 1, prototype_noise: float | None = None,
+                     jitter_std: float = JITTER_STD) -> SampleRelease:
+    """Release count label-free synthetic samples of data.
 
     Debits the full budget from the accountant (as ceil(epsilon) chunked
     records) before generating; an accountant that cannot cover the
-    release refuses it. release_count pins u explicitly when the published
-    volume follows another size than len(data), such as a local size that
-    includes a held-out split. replication scales the class counts as
-    noisy_class_prototypes describes; the classes are drawn in proportion
-    to the same frequencies either way.
+    release refuses it. The caller sizes the release (the protocol's is
+    floor(lambda * |D|) over the local data, held-out split included); a
+    count below 1 raises ValueError. replication scales the class counts
+    as noisy_class_prototypes describes; the classes are drawn in
+    proportion to the same frequencies either way.
     """
-    if not 0.0 < sharing_level <= 1.0:
-        raise ValueError("sharing_level must lie in (0, 1]")
+    if count < 1:
+        raise ValueError(f"a release needs at least 1 sample, not {count}")
     epsilon, delta = budget
-    if accountant is not None:
-        chunks = max(1, math.ceil(epsilon))
-        accountant.spend(epsilon / chunks, delta / chunks, count=chunks)
+    chunks = max(1, math.ceil(epsilon))
+    accountant.spend(epsilon / chunks, delta / chunks, count=chunks)
 
     prototypes, counts = noisy_class_prototypes(data, budget, rng, prototype_noise,
                                                  replication)
-    u = int(sharing_level * len(data)) if release_count is None else int(release_count)
     present = np.flatnonzero(counts)
     if present.size == 0:
         raise ValueError("dataset has no examples to summarise")
     freqs = counts[present] / counts[present].sum()
-    drawn = present[rng.choice(present.size, size=u, p=freqs)]
+    drawn = present[rng.choice(present.size, size=count, p=freqs)]
     samples = prototypes[drawn]
     if jitter_std > 0.0:
         samples = samples + rng.normal(0.0, jitter_std, size=samples.shape)
-    return SampleRelease(samples, party_id)
+    return SampleRelease(samples)

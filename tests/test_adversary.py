@@ -8,7 +8,7 @@ from faircollab.samplegen import SampleRelease
 
 
 def release_of(n, dim=4):
-    return SampleRelease(np.zeros((n, dim)), "pub")
+    return SampleRelease(np.zeros((n, dim)))
 
 
 class TestFreeriderLabels:

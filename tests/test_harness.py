@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import weakref
@@ -758,11 +759,11 @@ class TestCellGroups:
         assert calls == [4] * 4
 
 
-def csv_config(tmp_path, rows):
+def csv_config(tmp_path, rows, **dataset):
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,label\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
-    return small_config(dataset={"kind": "csv", "path": str(data), "num_classes": 2,
-                                 "per_party": 20, "test_size": 10, "name": "csv"})
+    return small_config(dataset={"kind": "csv", "path": str(data), "num_classes": 2, "dim": 2,
+                                 "per_party": 20, "test_size": 10, "name": "csv", **dataset})
 
 
 class TestCsvFeatureRange:
@@ -777,6 +778,62 @@ class TestCsvFeatureRange:
         cfg_path = tmp_path / "cfg.json"
         save_config(csv_config(tmp_path, rows), cfg_path)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_models_have_the_configured_class_count(self, tmp_path):
+        # Two classes in the file, five configured: every model has five outputs.
+        rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
+        cfg = csv_config(tmp_path, rows, num_classes=5)
+        datasets, _spec, test, _adv = build_cell_data(cfg, 1, 0)
+        assert {d.num_classes for d in [*datasets, test]} == {5}
+        group = harness.CellGroup(cfg, 1, 0)
+        assert {p.model.dims for p in group.parties("fdpddl")} == {(2, 32, 5)}
+
+    # Each of these ran a model of the file's shape, or ended in a
+    # ValueError traceback, instead of exit 2.
+    @pytest.mark.parametrize("edit, dataset, fragment", [
+        (None, {"num_classes": 5, "dim": 7}, "2 features, but dataset.dim is 7"),
+        ((37, (0.5, 0.5, 2)), {}, "labels out of range"),
+        ((37, (0.5, 0.5, 0.5)), {}, "label column must hold integers"),
+        ("empty", {}, "no data rows")],
+        ids=["dim", "label_outside_num_classes", "non_integer_label", "no_rows"])
+    def test_file_other_than_configured_exit_code(self, tmp_path, capsys, edit, dataset,
+                                                  fragment):
+        rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
+        if edit == "empty":
+            rows = []
+        elif edit:
+            rows[edit[0]] = edit[1]
+        cfg_path = tmp_path / "cfg.json"
+        save_config(csv_config(tmp_path, rows, **dataset), cfg_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and str(tmp_path / "data.csv") in err
+        assert "Traceback" not in err
+
+    def test_idx_label_outside_num_classes_exit_code(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 60, 2, 1) + bytes(range(120)))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 60) + bytes([0, 1, 2] * 20))
+        cfg = small_config(dataset={"kind": "idx", "images_path": str(images),
+                                    "labels_path": str(labels), "num_classes": 2, "dim": 2,
+                                    "per_party": 10, "test_size": 10, "name": "idx"})
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "labels out of range" in err and str(images) in err
+
+    def test_class_split_gan_attacker_needs_blobs(self, tmp_path, capsys):
+        # Only the blobs branch splits classes; on a file the attacker
+        # would silently hold every class. The IID control arm splits none.
+        rows = [(i / 100, 1 - i / 100, i % 4) for i in range(100)]
+        cfg = csv_config(tmp_path, rows, num_classes=4).to_dict()
+        gan = {"kind": "gan_attacker", "victim_classes": [0, 1], "adversary_classes": [2, 3]}
+        ExperimentConfig.from_dict({**cfg, "adversaries": [{**gan, "iid_control": True}]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "adversaries": [gan]}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "gan_attacker splits classes of blobs data only" in capsys.readouterr().err
 
 
 class TestAveragingAndDetectionTables:

@@ -86,25 +86,26 @@ class TestKeysAndEnvelope:
         kp = KeyPair.generate(np.random.default_rng(2))
         sender = KeyPair.generate(np.random.default_rng(12))
         rng = np.random.default_rng(3)
-        payload = encrypt_payload(b"secret gradients", kp.encrypt_key_hex, sender, rng)
-        assert decrypt_payload(payload, kp) == b"secret gradients"
+        payload = encrypt_payload(b"secret gradients", kp.encrypt_key_hex, sender, rng, b"line")
+        assert decrypt_payload(payload, kp, b"line") == b"secret gradients"
         assert len(payload.nonce) == 12
 
     def test_wrong_recipient_cannot_decrypt(self):
         kp_a = KeyPair.generate(np.random.default_rng(4))
         kp_b = KeyPair.generate(np.random.default_rng(5))
         sender = KeyPair.generate(np.random.default_rng(12))
-        payload = encrypt_payload(b"x", kp_a.encrypt_key_hex, sender, np.random.default_rng(6))
+        payload = encrypt_payload(b"x", kp_a.encrypt_key_hex, sender, np.random.default_rng(6),
+                                  b"line")
         with pytest.raises(Exception):
-            decrypt_payload(payload, kp_b)
+            decrypt_payload(payload, kp_b, b"line")
 
     def test_round_trip_at_full_model_size(self):
         kp = KeyPair.generate(np.random.default_rng(8))
         sender = KeyPair.generate(np.random.default_rng(12))
         update = SparseUpdate(np.arange(5000), np.random.default_rng(9).normal(size=5000), 5000)
         payload = encrypt_payload(update.to_bytes(), kp.encrypt_key_hex, sender,
-                                  np.random.default_rng(10))
-        again = SparseUpdate.from_bytes(decrypt_payload(payload, kp))
+                                  np.random.default_rng(10), b"line")
+        again = SparseUpdate.from_bytes(decrypt_payload(payload, kp, b"line"))
         assert np.array_equal(again.values, update.values)
 
     def test_pair_cipher_cached_and_shared_by_both_sides(self, keys):
@@ -255,13 +256,15 @@ class TestTrading:
 
     # An order paying an unregistered seller would debit the buyer and
     # credit no one.
-    @pytest.mark.parametrize("lines", [{}, {"p01": 3, "p02": 0}, {"p01": 3, "p09": 2}],
-                             ids=["no_line", "zero_count", "unregistered_seller"])
+    @pytest.mark.parametrize("lines", [{}, {"p01": 3, "p02": 0}, {"p01": 3, "p09": 2},
+                                       {"p00": 5}],
+                             ids=["no_line", "zero_count", "unregistered_seller", "own_buyer"])
     def test_bad_line_rejected(self, keys, lines):
         ledger = fresh_ledger(keys)
         with pytest.raises(LedgerError):
             ledger.submit_purchase_order(keys["p00"], "p00", lines)
         assert not ledger.orders and not ledger.pending
+        assert ledger.balances == dict.fromkeys(keys, 300)
 
     def test_unregistered_or_banned_buyer_rejected(self, keys):
         ledger = Ledger()
@@ -387,7 +390,8 @@ class TestTrading:
                 try:
                     orders = ledger.submit_purchase_order(keys[buyer], buyer, counts)
                 except LedgerError:
-                    assert sum(counts.values()) > expected[buyer] or key in placed
+                    assert (sum(counts.values()) > expected[buyer] or key in placed
+                            or buyer in counts)
                     assert ledger.balances == expected
                     continue
                 placed.add(key)
@@ -600,6 +604,12 @@ class TestChainVerification:
         punishment = signed(keys, "punishment", "p01", against="p02", reason="test", round=1)
         chain = append_block(fresh_ledger(keys).chain, [punishment], "p01")
         assert verify_chain(append_block(chain, trade(keys, buyer, seller, 5, 2), "p03")) is valid
+
+    @pytest.mark.parametrize("seller, valid", [("p02", True), ("p00", False)],
+                             ids=["another_party", "its_buyer"])
+    def test_self_purchase_rejected(self, keys, seller, valid):
+        chain = append_block(fresh_ledger(keys).chain, trade(keys, "p00", seller, 5, 1), "p01")
+        assert verify_chain(chain) is valid
 
     @pytest.mark.parametrize("leader, valid", [("p01", True), ("p99", False), ("p00", False)],
                              ids=["in_turn", "unregistered", "out_of_turn"])

@@ -560,7 +560,7 @@ class TestLoaders:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b,label\n0.5,1.5,0\n2.0,3.0,1\n-1.0,0.0,1\n")
-        data = load_csv(path)
+        data = load_csv(path, 2)
         assert data.features.shape == (3, 2)
         assert list(data.labels) == [0, 1, 1]
         assert data.num_classes == 2
@@ -573,7 +573,7 @@ class TestLoaders:
         lbl_path = tmp_path / "labels.idx"
         img_path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + pixels.tobytes())
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 4) + labels.tobytes())
-        data = load_idx(img_path, lbl_path)
+        data = load_idx(img_path, lbl_path, 3)
         assert data.features.shape == (4, 4)
         assert np.allclose(data.features[0], pixels[0].ravel() / 255.0)
         assert list(data.labels) == [0, 1, 2, 1]
@@ -587,13 +587,13 @@ class TestLoaders:
         img_path.write_bytes(struct.pack(">IIII", 0x00000803, 16, 4, 4) + pixels.tobytes())
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 16) + labels.tobytes())
         expected = pixels.reshape(16, 16).astype(np.float64) / 255.0
-        assert load_idx(img_path, lbl_path).features.tobytes() == expected.tobytes()
+        assert load_idx(img_path, lbl_path, 10).features.tobytes() == expected.tobytes()
 
     def test_idx_bad_magic(self, tmp_path):
         img_path = tmp_path / "bad.idx"
         img_path.write_bytes(struct.pack(">IIII", 0xdead, 0, 0, 0))
         with pytest.raises(ValueError):
-            load_idx(img_path, img_path)
+            load_idx(img_path, img_path, 10)
 
     def test_blobs_seeded_reproducible(self):
         a = make_blobs(20, 3, 4, np.random.default_rng(11))

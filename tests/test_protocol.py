@@ -29,6 +29,22 @@ def blob_setup(seed, n=4, per_party=120, spread=0.12, test_size=150):
     return datasets, test
 
 
+def record_scoring(monkeypatch, parties):
+    """Party id -> (bought, (acc, acc_without)) of every buyer that a round
+    scores: what it bought (seller -> SparseUpdate, a banned seller's
+    included) and its leave-one-out scores, as _leave_one_out sees them."""
+    by_model = {id(p.model): p.id for p in parties}
+    scored = {}
+
+    def recording(model, bought, peers, val_data):
+        scores = _leave_one_out(model, bought, peers, val_data)
+        scored[by_model[id(model)]] = (dict(bought), scores)
+        return scores
+
+    monkeypatch.setattr(protocol, "_leave_one_out", recording)
+    return scored
+
+
 def fresh_parties(seed, config, datasets, lambdas=None, adversaries=None):
     lambdas = lambdas or [0.1] * len(datasets)
     # build_parties empties the list it is handed; callers reuse theirs.
@@ -223,7 +239,7 @@ class TestInitialisation:
     def test_free_rider_excluded_here(self):
         parties, credible, _, _, trace = self._init_with_free_rider()
         assert "p03" not in credible
-        assert any(e.kind == "excluded" and e.party == "p03" and e.stage == "init"
+        assert any(e["kind"] == "excluded" and e["party"] == "p03" and e["stage"] == "init"
                    for e in trace.events)
 
     def test_exclusion_punished_in_genesis(self):
@@ -254,24 +270,24 @@ class TestUpdateRound:
         credible, _ = run_initialisation(parties, ledger, config, trace)
         return parties, credible, ledger, config, trace, test
 
-    def test_round_state_contents(self):
+    def test_round_state_contents(self, monkeypatch):
         parties, credible, ledger, config, trace, test = self._after_init()
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        assert state.round_index == 1
-        assert state.block is not None and state.block.index == 1
-        assert state.credible == credible
-        assert set(state.evaluations) == credible
+        scored = record_scoring(monkeypatch, parties)
+        assert run_update_round(parties, credible, ledger, 1, config, trace, test) == credible
+        assert len(ledger.chain) == 2 and ledger.chain[-1].index == 1
+        assert set(scored) == credible
         assert verify_chain(ledger.chain)
 
-    def test_credibility_update_wiring(self):
+    def test_credibility_update_wiring(self, monkeypatch):
         # The new scores must be the sigmoid update applied to the prior
         # normalised score for every scored peer, renormalised over peers.
         parties, credible, ledger, config, trace, test = self._after_init()
         prior = {p.id: dict(p.credibility.scores) for p in parties}
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        assert state.credible == credible  # nobody banned: one normalisation pass
+        scored = record_scoring(monkeypatch, parties)
+        # Nobody banned: one normalisation pass.
+        assert run_update_round(parties, credible, ledger, 1, config, trace, test) == credible
         for p in parties:
-            acc, acc_without = state.evaluations[p.id]
+            _bought, (acc, acc_without) = scored[p.id]
             raw = {peer: credibility_update(prior[p.id][peer], acc, acc_j)
                    for peer, acc_j in acc_without.items()}
             for peer, value in raw.items():
@@ -282,18 +298,18 @@ class TestUpdateRound:
         parties, credible, ledger, config, trace, test = self._after_init()
         total = ledger.total_tokens()
         for rnd in range(1, 4):
-            state = run_update_round(parties, credible, ledger, rnd, config, trace, test)
-            credible = state.credible
+            credible = run_update_round(parties, credible, ledger, rnd, config, trace, test)
             assert ledger.total_tokens() == total
 
-    def test_budget_exhaustion_stops_publishing(self):
+    def test_budget_exhaustion_stops_publishing(self, monkeypatch):
         parties, credible, ledger, config, trace, test = self._after_init(
             dp_steps_per_round=1000)
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        assert any(e.kind == "budget_exhausted" for e in trace.events)
+        run_update_round(parties, credible, ledger, 1, config, trace, test)
+        assert any(e["kind"] == "budget_exhausted" for e in trace.events)
         # Next round nobody can publish, so nothing changes hands.
-        state = run_update_round(parties, credible, ledger, 2, config, trace, test)
-        assert all(not sellers for sellers in state.received.values())
+        scored = record_scoring(monkeypatch, parties)
+        run_update_round(parties, credible, ledger, 2, config, trace, test)
+        assert scored and all(not bought for bought, _scores in scored.values())
         assert all(p.publishing is False for p in parties)
 
     def test_each_seller_ranked_only_up_to_its_capacity(self, monkeypatch):
@@ -313,22 +329,24 @@ class TestUpdateRound:
         pretrain(parties, test)
         trace, ledger = RunTrace("fdpddl"), Ledger()
         credible, _ = run_initialisation(parties, ledger, config, trace)
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
+        scored = record_scoring(monkeypatch, parties)
+        run_update_round(parties, credible, ledger, 1, config, trace, test)
         caps = {p.id: int(p.sharing_level * p.model.param_count) for p in parties}
         assert ranked == [caps[pid] for pid in sorted(credible)]
-        assert any(state.received.values())
-        for sellers in state.received.values():
-            for j, update in sellers.items():
+        assert any(bought for bought, _scores in scored.values())
+        for bought, _scores in scored.values():
+            for j, update in bought.items():
                 assert len(update) <= caps[j]
 
-    def test_purchases_happen_between_credible_parties(self):
+    def test_purchases_happen_between_credible_parties(self, monkeypatch):
         parties, credible, ledger, config, trace, test = self._after_init()
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        sold = sum(len(u) for sellers in state.received.values() for u in sellers.values())
+        scored = record_scoring(monkeypatch, parties)
+        run_update_round(parties, credible, ledger, 1, config, trace, test)
+        sold = sum(len(u) for bought, _scores in scored.values() for u in bought.values())
         assert sold > 0
         cap = int(0.1 * parties[0].model.param_count)
-        for sellers in state.received.values():
-            for update in sellers.values():
+        for bought, _scores in scored.values():
+            for update in bought.values():
                 assert len(update) <= cap
 
 
@@ -354,9 +372,9 @@ class TestFullRuns:
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(12, config, datasets, adversaries=advs)
         trace, ledger = run_fdpddl(parties, config, rounds=3, test_data=test)
-        exclusions = [e for e in trace.events if e.kind == "excluded" and e.party == "p03"]
+        exclusions = [e for e in trace.events if e["kind"] == "excluded" and e["party"] == "p03"]
         assert exclusions
-        banned_round = exclusions[0].round
+        banned_round = exclusions[0]["round"]
         for block in ledger.chain:
             if block.index <= banned_round:
                 continue
@@ -375,7 +393,7 @@ class TestFullRuns:
                                 download_fraction=0.85)
         trace, ledger = run_fdpddl(fresh_parties(41, config, datasets, adversaries=advs),
                                    config, rounds=3, test_data=test)
-        banned = {e.party for e in trace.events if e.kind == "excluded"}
+        banned = {e["party"] for e in trace.events if e["kind"] == "excluded"}
         assert banned == {"p03"} and ledger.chain[3].leader == "p00"
         state = ChainState()
         for block in ledger.chain:
@@ -467,42 +485,43 @@ class TestUpdateStageExclusion:
             pytest.skip("already excluded at initialisation for this seed")
         return parties, credible, ledger, config, trace, test
 
-    def test_violent_free_rider_banned_and_rolled_back(self):
+    def test_violent_free_rider_banned_and_rolled_back(self, monkeypatch):
         parties, credible, ledger, config, trace, test = self._after_init()
         honest = [p for p in parties if p.id != "p03"]
         snapshots = {p.id: p.model.params.copy() for p in honest}
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        assert "p03" not in state.credible
-        assert any(e.kind == "excluded" and e.party == "p03" and e.stage == "update"
+        scored = record_scoring(monkeypatch, parties)
+        assert "p03" not in run_update_round(parties, credible, ledger, 1, config, trace, test)
+        assert any(e["kind"] == "excluded" and e["party"] == "p03" and e["stage"] == "update"
                    for e in trace.events)
         # Punishment transaction recorded in the sealed block.
-        kinds = [tx.kind for tx in state.block.transactions]
+        kinds = [tx.kind for tx in ledger.chain[-1].transactions]
         assert "punishment" in kinds
         # Rollback: the banned seller's update is gone from buyer models,
         # so the net round delta equals own training plus honest buys only.
         for p in honest:
             own_and_honest = p.model.params - snapshots[p.id]
             assert np.all(np.isfinite(own_and_honest))
-            bought_back = state.received.get(p.id, {}).get("p03")
+            bought, (acc_recorded, _) = scored[p.id]
+            bought_back = bought.get("p03")
             if bought_back is not None:
                 # Adding the banned update back must reproduce the
                 # pre-rollback parameters recorded in acc evaluations.
                 probe = p.model.copy()
                 apply_updates(probe, [bought_back])
                 acc_with = evaluate(probe, p.val_data)
-                acc_recorded, _ = state.evaluations[p.id]
                 assert acc_with == pytest.approx(acc_recorded, abs=1e-12)
 
     def test_one_order_and_one_fulfillment_per_party_per_block(self):
         parties, credible, ledger, config, trace, test = self._after_init()
-        state = run_update_round(parties, credible, ledger, 1, config, trace, test)
-        kinds = [tx.kind for tx in state.block.transactions]
+        run_update_round(parties, credible, ledger, 1, config, trace, test)
+        block = ledger.chain[-1]
+        kinds = [tx.kind for tx in block.transactions]
         assert kinds.count("punishment") >= 1
         assert len(kinds) <= 2 * len(credible) + kinds.count("punishment")
         for kind in ("purchase_order", "fulfillment"):
-            authors = [tx.author for tx in state.block.transactions if tx.kind == kind]
+            authors = [tx.author for tx in block.transactions if tx.kind == kind]
             assert authors and len(authors) == len(set(authors))
-        fills = [tx.payload["lines"] for tx in state.block.transactions
+        fills = [tx.payload["lines"] for tx in block.transactions
                  if tx.kind == "fulfillment"]
         assert max(len(lines) for lines in fills) > 1
         assert verify_chain(ledger.chain)

@@ -68,17 +68,21 @@ class TestPrototypes:
         assert np.mean(big_errs) < np.mean(small_errs) / 10
 
 
+def accountant():
+    """An accountant holding exactly one (4.0, 1e-5) release."""
+    return PrivacyAccountant(4.0, 1e-5)
+
+
 class TestReplicaFreeRelease:
     @pytest.mark.parametrize("replication", [1, 3, 100])
     @pytest.mark.parametrize("prototype_noise", [None, 0.0])
     def test_matches_release_over_replicated_copy(self, replication, prototype_noise):
         data = tabular_data(np.random.default_rng(17), n=60, classes=4)
-        ours = generate_release(data, 0.5, (4.0, 1e-5), np.random.default_rng(3),
-                                prototype_noise=prototype_noise, release_count=25,
-                                replication=replication)
-        oracle = generate_release(augment(data, replication), 0.5, (4.0, 1e-5),
-                                  np.random.default_rng(3), prototype_noise=prototype_noise,
-                                  release_count=25)
+        ours = generate_release(data, 25, (4.0, 1e-5), np.random.default_rng(3), accountant(),
+                                replication, prototype_noise)
+        oracle = generate_release(augment(data, replication), 25, (4.0, 1e-5),
+                                  np.random.default_rng(3), accountant(),
+                                  prototype_noise=prototype_noise)
         np.testing.assert_allclose(ours.samples, oracle.samples, rtol=0, atol=1e-12)
         protos, counts = noisy_class_prototypes(data, (4.0, 1e-5), np.random.default_rng(4),
                                                 prototype_noise, replication)
@@ -95,23 +99,17 @@ class TestReplicaFreeRelease:
 
 class TestGenerateRelease:
     def test_sample_count_follows_sharing_level(self):
+        # The protocol sizes a release as floor(lambda * |D|).
         rng = np.random.default_rng(9)
         data = tabular_data(rng, n=600, classes=10)
-        release = generate_release(data, 0.1, (4.0, 1e-5), rng)
+        release = generate_release(data, int(0.1 * len(data)), (4.0, 1e-5), rng, accountant())
         assert release.count == 60
-
-    def test_count_scales_with_lambda(self):
-        rng = np.random.default_rng(10)
-        data = tabular_data(rng, n=200)
-        r1 = generate_release(data, 0.2, (4.0, 1e-5), np.random.default_rng(0))
-        r2 = generate_release(data, 0.4, (4.0, 1e-5), np.random.default_rng(0))
-        assert r2.count == 2 * r1.count
 
     def test_zero_noise_hook_is_prototypes(self):
         rng = np.random.default_rng(11)
         data = tabular_data(rng, n=50, classes=2)
-        release = generate_release(data, 0.5, (4.0, 1e-5), np.random.default_rng(1),
-                                   prototype_noise=0.0, jitter_std=0.0)
+        release = generate_release(data, 25, (4.0, 1e-5), np.random.default_rng(1),
+                                   accountant(), prototype_noise=0.0, jitter_std=0.0)
         protos, _ = noisy_class_prototypes(data, (4.0, 1e-5),
                                            np.random.default_rng(1), noise_override=0.0)
         for row in release.samples:
@@ -120,45 +118,40 @@ class TestGenerateRelease:
     def test_deterministic_for_same_seed(self):
         rng = np.random.default_rng(12)
         data = tabular_data(rng, n=80)
-        a = generate_release(data, 0.25, (4.0, 1e-5), np.random.default_rng(5))
-        b = generate_release(data, 0.25, (4.0, 1e-5), np.random.default_rng(5))
+        a = generate_release(data, 20, (4.0, 1e-5), np.random.default_rng(5), accountant())
+        b = generate_release(data, 20, (4.0, 1e-5), np.random.default_rng(5), accountant())
         assert np.array_equal(a.samples, b.samples)
 
     def test_no_raw_row_leaks(self):
         rng = np.random.default_rng(13)
         data = tabular_data(rng, n=60)
-        release = generate_release(data, 0.5, (4.0, 1e-5), rng, jitter_std=0.05)
+        release = generate_release(data, 30, (4.0, 1e-5), rng, accountant(), jitter_std=0.05)
         assert release.count > 0
         for row in release.samples:
             assert not any(np.array_equal(row, raw) for raw in data.features)
 
     def test_release_carries_no_labels(self):
-        release = SampleRelease(np.zeros((3, 2)), "p00")
+        release = SampleRelease(np.zeros((3, 2)))
         assert not hasattr(release, "labels")
 
     def test_accountant_debited_and_refusal(self):
         rng = np.random.default_rng(14)
         data = tabular_data(rng, n=40)
-        acct = PrivacyAccountant(4.0, 1e-5)
-        generate_release(data, 0.1, (4.0, 1e-5), rng, accountant=acct)
+        acct = accountant()
+        generate_release(data, 4, (4.0, 1e-5), rng, acct)
         assert acct.exhausted()
         spent = acct.spent()
         assert spent[0] == pytest.approx(4.0)
         assert spent[1] == pytest.approx(1e-5)
         assert acct.steps == {(1.0, 1e-5 / 4, 1.0): 4}  # ceil(4) chunks
         with pytest.raises(BudgetExhaustedError):
-            generate_release(data, 0.1, (4.0, 1e-5), rng, accountant=acct)
+            generate_release(data, 4, (4.0, 1e-5), rng, acct)
 
-    def test_release_count_override(self):
-        rng = np.random.default_rng(15)
-        data = tabular_data(rng, n=500)
-        release = generate_release(data, 0.1, (4.0, 1e-5), rng, release_count=12)
-        assert release.count == 12
-
-    def test_invalid_sharing_level(self):
+    def test_count_below_one_rejected(self):
         rng = np.random.default_rng(16)
-        data = tabular_data(rng)
-        for lam in (0.0, -0.1, 1.5):
+        acct = accountant()
+        for count in (0, -1):
             with pytest.raises(ValueError):
-                generate_release(data, lam, (4.0, 1e-5), rng)
-
+                generate_release(tabular_data(rng), count=count, budget=(4.0, 1e-5), rng=rng,
+                                 accountant=acct)
+        assert acct.spent() == (0.0, 0.0)
