@@ -6,11 +6,10 @@ from .numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, backward,
                        forward, select_largest, sgd_step)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams, allocate_budgets,
                       calibrate_sigma, dp_sgd_step)
-from .samplegen import SampleRelease, augment, generate_release
-from .credibility import (CredibilityList, LabelMatrix, consensus_exclude, credibility_update,
-                          default_threshold, download_allocation, init_credibility,
-                          init_tokens, majority_vote, normalize_and_screen, sigmoid_map,
-                          supplement)
+from .samplegen import augment, generate_release
+from .credibility import (consensus_exclude, credibility_update, default_threshold,
+                          download_allocation, init_credibility, init_tokens, majority_vote,
+                          normalize_and_screen, sigmoid_map, supplement)
 from .ledger import (Block, ChainState, EncryptedPayload, KeyPair, Ledger, Transaction,
                      decrypt_payload, dump_chain, load_chain, verify_chain)
 from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freerider_gradients,

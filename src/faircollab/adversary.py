@@ -20,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from .numerics import Dataset
-from .samplegen import SampleRelease
 
 
 class AdversaryKind(str, Enum):
@@ -69,10 +68,10 @@ class AdversaryConfig:
         return self.party if self.party >= 0 else n - 1
 
 
-def freerider_label(release: SampleRelease, num_classes: int,
+def freerider_label(samples: np.ndarray, num_classes: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform random class per received sample."""
-    return rng.integers(0, num_classes, size=release.count)
+    """Uniform random class per received sample (row of samples)."""
+    return rng.integers(0, num_classes, size=len(samples))
 
 
 def freerider_gradients(kind: AdversaryKind, param_count: int, scale: float,

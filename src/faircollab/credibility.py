@@ -22,7 +22,6 @@ once at initialisation as floor(lambda * |w| * (n - 1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,44 +30,6 @@ SIGMOID_SLOPE = 15.0
 
 class ConsensusError(RuntimeError):
     """Raised when exclusion would leave the credible set empty."""
-
-
-@dataclass
-class CredibilityList:
-    """One party's private, normalised view of its peers."""
-
-    owner: str
-    scores: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for peer, value in self.scores.items():
-            if peer == self.owner:
-                raise ValueError("credibility list cannot score its owner")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"credibility for {peer} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class LabelMatrix:
-    """Predicted labels for one release: one row per sample, one column
-    per party, labelled by that party's standalone model."""
-
-    labels: np.ndarray
-    party_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "party_ids", tuple(self.party_ids))
-        if self.labels.ndim != 2:
-            raise ValueError("label matrix must be 2-D")
-        if self.labels.shape[1] != len(self.party_ids):
-            raise ValueError("one column per party required")
-        if self.labels.size and self.labels.min() < 0:
-            raise ValueError("labels must be nonnegative class indices")
-
-    @property
-    def num_rows(self) -> int:
-        return self.labels.shape[0]
 
 
 def default_threshold(n: int) -> float:
@@ -87,39 +48,40 @@ def init_tokens(sharing_level: float, param_count: int, n: int) -> int:
     return int(math.floor(sharing_level * param_count * (n - 1)))
 
 
-def majority_vote(matrix: LabelMatrix) -> np.ndarray:
-    """Most frequent label per row; ties resolve to the smallest label."""
-    if matrix.num_rows == 0:
+def majority_vote(labels: np.ndarray) -> np.ndarray:
+    """Most frequent label in each row of a (rows, parties) array of class
+    indices; ties resolve to the smallest label."""
+    rows = len(labels)
+    if rows == 0:
         raise ValueError("label matrix is empty")
-    width = int(matrix.labels.max()) + 1
-    out = np.empty(matrix.num_rows, dtype=np.int64)
-    for r in range(matrix.num_rows):
-        out[r] = np.argmax(np.bincount(matrix.labels[r], minlength=width))
-    return out
+    width = int(labels.max()) + 1
+    # Row r's count of label l lands in bin r * width + l.
+    bins = (np.arange(rows)[:, None] * width + labels).ravel()
+    return np.bincount(bins, minlength=rows * width).reshape(rows, width).argmax(axis=1)
 
 
-def init_credibility(matrix: LabelMatrix) -> dict[str, float]:
-    """Raw credibility per column: fraction of rows matching the majority."""
-    majority = majority_vote(matrix)
-    matches = (matrix.labels == majority[:, None]).sum(axis=0)
-    return {pid: matches[c] / matrix.num_rows for c, pid in enumerate(matrix.party_ids)}
+def init_credibility(labels: np.ndarray, party_ids) -> dict[str, float]:
+    """Raw credibility per column of a (rows, parties) label array, one
+    party id per column: the fraction of rows matching the majority."""
+    matches = (labels == majority_vote(labels)[:, None]).sum(axis=0)
+    return {pid: matches[c] / len(labels) for c, pid in enumerate(party_ids)}
 
 
-def normalize_and_screen(owner: str, raw: dict[str, float],
-                         threshold: float) -> tuple[CredibilityList, set[str]]:
+def normalize_and_screen(raw: dict[str, float],
+                         threshold: float) -> tuple[dict[str, float], set[str]]:
     """Divide raw scores by their sum and report peers under the threshold.
 
-    An all-zero raw map reports every peer and leaves the owner with an
-    empty list.
+    Returns (normalised scores, reports). An all-zero raw map reports
+    every peer and scores none.
     """
     if not raw:
         raise ValueError("raw credibility map is empty")
     total = sum(raw.values())
     if total <= 0.0:
-        return CredibilityList(owner, {}), set(raw)
+        return {}, set(raw)
     normalized = {peer: value / total for peer, value in raw.items()}
     reports = {peer for peer, value in normalized.items() if value < threshold}
-    return CredibilityList(owner, normalized), reports
+    return normalized, reports
 
 
 def consensus_exclude(reports: dict[str, set[str]], credible: set[str]) -> tuple[set[str], list[str]]:
@@ -151,10 +113,10 @@ def consensus_exclude(reports: dict[str, set[str]], credible: set[str]) -> tuple
 
 
 def download_allocation(credibility_score: float, download_budget: int,
-                        sharing_level: float, grad_len: int) -> int:
-    """Gradients bought from one peer: floor(min(c * d_i, lambda * |grad|))."""
-    return int(math.floor(min(credibility_score * download_budget,
-                              sharing_level * grad_len)))
+                        capacity: int) -> int:
+    """Gradients bought from one peer: min(floor(c * d_i), capacity), where
+    capacity is the most the seller offers in the round."""
+    return min(int(math.floor(credibility_score * download_budget)), capacity)
 
 
 def supplement(download_budget: int, received: dict[str, int],

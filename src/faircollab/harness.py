@@ -185,11 +185,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         num_classes = self.dataset.num_classes
+        # A party releases int(lambda * s) samples at initialisation, s its
+        # data size: per_party in settings 1 and 2, at least min_party_size
+        # in setting 3. No lambda lies below lambda_low.
+        smallest = min((self.min_party_size if s == 3 else self.dataset.per_party
+                        for s in self.settings), default=1)
         checks = (
             (self.n >= 2, "n must be at least 2"),
             (self.rounds >= 0, "rounds cannot be negative"),
             (0.0 < self.lambda_low <= self.lambda_high <= 1.0,
              "need 0 < lambda_low <= lambda_high <= 1"),
+            (int(self.lambda_low * smallest) >= 1,
+             f"lambda_low {self.lambda_low} releases no sample from a party of "
+             f"{smallest} records; need int(lambda_low * {smallest}) >= 1"),
             (self.min_party_size >= 10, "min_party_size must be at least 10"),
             (self.parallel_workers >= 0, "parallel_workers cannot be negative"),
             (self.protocol.dataset_name in ("", self.dataset.name),
@@ -559,15 +567,14 @@ def run_experiment(config: ExperimentConfig, outdir) -> dict:
     groups = [(st, sd) for st in config.settings for sd in config.seeds]
 
     traces_dir = os.path.join(outdir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
     # The tables cover every cell trace in traces_dir, so a trace left by
     # an earlier run of another grid would end up in this run's tables.
-    grid = {(fw, st, sd) for fw in config.frameworks for st, sd in groups}
-    for key, path in cell_traces(traces_dir):
-        if key not in grid:
-            raise ConfigError(f"{path} is a trace of a cell outside this run's grid; "
-                              "run into another --out")
-    _write_json(os.path.join(outdir, "config.json"), config_echo(config))
+    if os.path.isdir(traces_dir):
+        grid = {(fw, st, sd) for fw in config.frameworks for st, sd in groups}
+        for key, path in cell_traces(traces_dir):
+            if key not in grid:
+                raise ConfigError(f"{path} is a trace of a cell outside this run's grid; "
+                                  "run into another --out")
     with contextlib.ExitStack() as stack:
         map_groups = map  # serially, each group runs when the loop asks for it
         if config.parallel_workers > 1:
@@ -576,7 +583,12 @@ def run_experiment(config: ExperimentConfig, outdir) -> dict:
 
             map_groups = stack.enter_context(
                 ProcessPoolExecutor(max_workers=config.parallel_workers)).map
-        for cells in map_groups(run_group, [config] * len(groups), *zip(*groups)):
+        for i, cells in enumerate(map_groups(run_group, [config] * len(groups), *zip(*groups))):
+            # Made once the first group has run, so that a run which fails
+            # on its data file leaves no half-made outdir behind.
+            if i == 0:
+                os.makedirs(traces_dir, exist_ok=True)
+                _write_json(os.path.join(outdir, "config.json"), config_echo(config))
             for result in cells:
                 name = cell_name(result["framework"], result["setting"], result["seed"])
                 with open(os.path.join(traces_dir, f"{name}.json"), "w") as fh:

@@ -514,6 +514,8 @@ def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
     in [0, num_classes)."""
     with open(images_path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 16:
+        raise ValueError(f"image file of {len(blob)} bytes ends inside its 16-byte header")
     magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise ValueError(f"bad image magic 0x{magic:08x}")
@@ -525,6 +527,8 @@ def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
 
     with open(labels_path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 8:
+        raise ValueError(f"label file of {len(blob)} bytes ends inside its 8-byte header")
     magic, n_labels = struct.unpack(">II", blob[:8])
     if magic != IDX_LABEL_MAGIC:
         raise ValueError(f"bad label magic 0x{magic:08x}")

@@ -40,7 +40,7 @@ from .numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_upda
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
                       allocate_budgets, dp_sgd_step, lot_size_for)
 # augment is never called here; bench/tracer.py still wraps protocol.augment.
-from .samplegen import SampleRelease, augment, generate_release  # noqa: F401
+from .samplegen import augment, generate_release  # noqa: F401
 
 
 class ProtocolError(RuntimeError):
@@ -114,7 +114,7 @@ class Party:
     accountant_update: PrivacyAccountant
     privacy: PrivacyParams
     adversary: AdversaryConfig | None = None
-    credibility: cred.CredibilityList | None = None
+    credibility: dict[str, float] | None = None  # normalised score per credible peer
     standalone_accuracy: float | None = None
     sgd_steps: int = 0
     publishing: bool = True
@@ -227,10 +227,10 @@ def _pretrained_trace(framework: str, parties: list[Party], test_data: Dataset) 
     return trace
 
 
-def _label_release(labeler: Party, release: SampleRelease, num_classes: int) -> np.ndarray:
+def _label_release(labeler: Party, samples: np.ndarray, num_classes: int) -> np.ndarray:
     if labeler.adversary and labeler.adversary.kind == AdversaryKind.FREE_RIDER_RANDOM_LABEL:
-        return freerider_label(release, num_classes, labeler.rng)
-    return predict(labeler.model, release.samples)
+        return freerider_label(samples, num_classes, labeler.rng)
+    return predict(labeler.model, samples)
 
 
 def _screen_and_exclude(parties: dict[str, Party], credible: set[str],
@@ -247,9 +247,8 @@ def _screen_and_exclude(parties: dict[str, Party], credible: set[str],
                         if peer in credible and peer != pid}
             if not filtered:
                 raise ProtocolError("credible set too small to score")
-            clist, reps = cred.normalize_and_screen(pid, filtered, threshold)
-            parties[pid].credibility = clist
-            reports[pid] = reps
+            scores, reports[pid] = cred.normalize_and_screen(filtered, threshold)
+            parties[pid].credibility = scores
         credible, removed = cred.consensus_exclude(reports, credible)
         if not removed:
             return credible, removed_all
@@ -264,7 +263,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
     num_classes = parties[0].train_data.num_classes
     budget = allocate_budgets("initialisation", config.dataset_name)
 
-    releases: dict[str, SampleRelease] = {}
+    releases: dict[str, np.ndarray] = {}
     for pid in order:
         p = by_id[pid]
         # Release volume follows the full local data size; the validation
@@ -279,8 +278,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
     for pid in order:
         columns = [_label_release(by_id[labeler], releases[pid], num_classes)
                    for labeler in order]
-        matrix = cred.LabelMatrix(np.stack(columns, axis=1), order)
-        raw_maps[pid] = cred.init_credibility(matrix)
+        raw_maps[pid] = cred.init_credibility(np.stack(columns, axis=1), order)
 
     credible = set(order)
     credible, removed = _screen_and_exclude(by_id, credible, raw_maps)
@@ -375,11 +373,11 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
     param_count = parties[0].model.param_count
 
     # Local training and sale capacities. No order line exceeds its
-    # seller's capacity int(lambda * P) (download_allocation floors
-    # min(c * d, lambda * P) and supplement caps each seller at its spare
-    # room), and each buyer's top-k is a prefix of its seller's magnitude
-    # ranking. So a seller keeps only its delta's ranked prefix up to the
-    # capacity, and its dense delta dies before the next party trains.
+    # seller's capacity int(lambda * P) (download_allocation caps a line at
+    # it and supplement at the spare room left), and each buyer's top-k is
+    # a prefix of its seller's magnitude ranking. So a seller keeps only
+    # its delta's ranked prefix up to the capacity, and its dense delta
+    # dies before the next party trains.
     prefixes: dict[str, RankedPrefix] = {}
     capacities: dict[str, int] = {}
     for pid in members:
@@ -401,10 +399,9 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                      int(config.download_fraction * supply))
         if budget < 1:
             continue
-        scores = buyer.credibility.scores
+        scores = buyer.credibility
         sellers = [j for j in members if j != pid and capacities[j] > 0]
-        alloc = {j: cred.download_allocation(scores.get(j, 0.0), budget,
-                                             by_id[j].sharing_level, param_count)
+        alloc = {j: cred.download_allocation(scores.get(j, 0.0), budget, capacities[j])
                  for j in sellers}
         extra = cred.supplement(budget, alloc,
                                 {j: capacities[j] for j in sellers},
@@ -440,7 +437,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         acc, acc_without = _leave_one_out(p.model, received[pid], peers, p.val_data)
         raw_new: dict[str, float] = {}
         for j in peers:
-            prev = p.credibility.scores.get(j, 0.0)
+            prev = p.credibility.get(j, 0.0)
             raw_new[j] = cred.credibility_update(prev, acc, acc_without[j])
         raw_maps[pid] = raw_new
 
@@ -469,10 +466,10 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         trace.accuracy_rows.append({"round": round_index, "party": pid,
                                     "accuracy": evaluate(p.model, test_data),
                                     "tokens": ledger.balances[pid]})
-        for peer in sorted(p.credibility.scores):
+        for peer in sorted(p.credibility):
             trace.credibility_rows.append({
                 "round": round_index, "owner": pid, "peer": peer,
-                "credibility": p.credibility.scores[peer],
+                "credibility": p.credibility[peer],
                 "balance": ledger.balances[pid]})
     return new_credible
 

@@ -19,7 +19,6 @@ while the chunks still compose to the full (epsilon, delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +26,6 @@ from .numerics import Dataset
 from .privacy import PrivacyAccountant, calibrate_sigma
 
 JITTER_STD = 0.02  # feature jitter of a released sample
-
-
-@dataclass(frozen=True)
-class SampleRelease:
-    """Label-free sample matrix published by one party.
-
-    Carries no label field by construction; receivers attach their own
-    predictions when benchmarking.
-    """
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 2:
-            raise ValueError("samples must be a 2-D matrix")
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
 
 
 def augment(data: Dataset, replication: int) -> Dataset:
@@ -101,8 +80,9 @@ def noisy_class_prototypes(data: Dataset, budget: tuple[float, float],
 def generate_release(data: Dataset, count: int, budget: tuple[float, float],
                      rng: np.random.Generator, accountant: PrivacyAccountant,
                      replication: int = 1, prototype_noise: float | None = None,
-                     jitter_std: float = JITTER_STD) -> SampleRelease:
-    """Release count label-free synthetic samples of data.
+                     jitter_std: float = JITTER_STD) -> np.ndarray:
+    """Release count label-free synthetic samples of data, as a
+    (count, dim) array; receivers attach their own predictions.
 
     Debits the full budget from the accountant (as ceil(epsilon) chunked
     records) before generating; an accountant that cannot cover the
@@ -128,4 +108,4 @@ def generate_release(data: Dataset, count: int, budget: tuple[float, float],
     samples = prototypes[drawn]
     if jitter_std > 0.0:
         samples = samples + rng.normal(0.0, jitter_std, size=samples.shape)
-    return SampleRelease(samples)
+    return samples

@@ -12,8 +12,8 @@ from collections import Counter
 
 import numpy as np
 
-from faircollab.credibility import (LabelMatrix, download_allocation, init_credibility,
-                                    init_tokens, majority_vote, sigmoid_map, supplement)
+from faircollab.credibility import (download_allocation, init_credibility, init_tokens,
+                                    majority_vote, sigmoid_map, supplement)
 from faircollab.harness import ExperimentConfig, fairness, run_cell, run_experiment
 from faircollab.ledger import load_chain, verify_chain
 from faircollab.numerics import (MlpModel, Dataset, SparseUpdate, apply_updates, backward, loss,
@@ -316,11 +316,10 @@ def test_criterion_10_oracle_equivalence():
     for _ in range(200):
         rows = rng.integers(0, 5, size=(int(rng.integers(1, 21)), int(rng.integers(2, 6))))
         ids = tuple(f"p{i}" for i in range(rows.shape[1]))
-        matrix = LabelMatrix(rows, ids)
-        if list(majority_vote(matrix)) != _majority_oracle(rows.tolist()):
+        if list(majority_vote(rows)) != _majority_oracle(rows.tolist()):
             mismatches.append("majority_vote")
         majority = _majority_oracle(rows.tolist())
-        raw = init_credibility(matrix)
+        raw = init_credibility(rows, ids)
         for col, pid in enumerate(ids):
             expected = sum(1 for r in range(rows.shape[0])
                            if rows[r, col] == majority[r]) / rows.shape[0]
@@ -332,7 +331,7 @@ def test_criterion_10_oracle_equivalence():
         d = int(rng.integers(0, 400))
         lam = float(rng.uniform(0.05, 0.5))
         glen = int(rng.integers(10, 1500))
-        if download_allocation(c, d, lam, glen) != _allocation_oracle(c, d, lam, glen):
+        if download_allocation(c, d, int(lam * glen)) != _allocation_oracle(c, d, lam, glen):
             mismatches.append("download_allocation")
 
     for _ in range(200):

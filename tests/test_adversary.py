@@ -4,11 +4,10 @@ import pytest
 from faircollab.adversary import (AdversaryConfig, AdversaryKind, detection_report,
                                   freerider_gradients, freerider_label, gan_attacker_setup)
 from faircollab.numerics import make_blobs
-from faircollab.samplegen import SampleRelease
 
 
 def release_of(n, dim=4):
-    return SampleRelease(np.zeros((n, dim)))
+    return np.zeros((n, dim))
 
 
 class TestFreeriderLabels:

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab.credibility import (ConsensusError, CredibilityList, LabelMatrix,
-                                    consensus_exclude, credibility_update, default_threshold,
-                                    download_allocation, init_credibility, init_tokens,
-                                    majority_vote, normalize_and_screen, sigmoid_map,
-                                    supplement)
+from faircollab.credibility import (ConsensusError, consensus_exclude, credibility_update,
+                                    default_threshold, download_allocation, init_credibility,
+                                    init_tokens, majority_vote, normalize_and_screen,
+                                    sigmoid_map, supplement)
 
-HAND_MATRIX = LabelMatrix(np.array([[1, 1, 0],
-                                    [2, 2, 2],
-                                    [0, 1, 0],
-                                    [1, 1, 1]]), ("a", "b", "c"))
+HAND_LABELS = np.array([[1, 1, 0],
+                        [2, 2, 2],
+                        [0, 1, 0],
+                        [1, 1, 1]])
 
 
 # Brute-force oracles, deliberately structured differently from the
@@ -78,43 +77,39 @@ class TestInitTokens:
 
 class TestMajorityVote:
     def test_hand_counted(self):
-        assert list(majority_vote(HAND_MATRIX)) == [1, 2, 0, 1]
+        assert list(majority_vote(HAND_LABELS)) == [1, 2, 0, 1]
 
     def test_unanimity(self):
-        m = LabelMatrix(np.full((5, 4), 3), tuple("abcd"))
-        assert list(majority_vote(m)) == [3] * 5
+        assert list(majority_vote(np.full((5, 4), 3))) == [3] * 5
 
     def test_two_party_tie_takes_smaller_label(self):
-        m = LabelMatrix(np.array([[0, 1]]), ("a", "b"))
-        assert list(majority_vote(m)) == [0]
+        assert list(majority_vote(np.array([[0, 1]]))) == [0]
 
     def test_tie_rule_exhaustive_two_columns(self):
         for left in range(3):
             for right in range(3):
-                m = LabelMatrix(np.array([[left, right]]), ("a", "b"))
-                assert majority_vote(m)[0] == min(left, right) if left != right \
-                    else majority_vote(m)[0] == left
+                labels = np.array([[left, right]])
+                assert majority_vote(labels)[0] == min(left, right) if left != right \
+                    else majority_vote(labels)[0] == left
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            majority_vote(LabelMatrix(np.zeros((0, 2), dtype=int), ("a", "b")))
+            majority_vote(np.zeros((0, 2), dtype=int))
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             rows = rng.integers(0, 5, size=(int(rng.integers(1, 20)), int(rng.integers(1, 5))))
-            m = LabelMatrix(rows, tuple(f"p{i}" for i in range(rows.shape[1])))
-            assert list(majority_vote(m)) == majority_oracle(rows.tolist())
+            assert list(majority_vote(rows)) == majority_oracle(rows.tolist())
 
 
 class TestInitCredibility:
     def test_hand_counted_column(self):
-        raw = init_credibility(HAND_MATRIX)
+        raw = init_credibility(HAND_LABELS, ("a", "b", "c"))
         assert raw["c"] == pytest.approx(0.75)  # column [0,2,0,1] matches 3 of 4
 
     def test_perfect_and_never_matching(self):
-        m = LabelMatrix(np.array([[1, 1, 0], [2, 2, 0], [0, 0, 1]]), ("a", "b", "c"))
-        raw = init_credibility(m)
+        raw = init_credibility(np.array([[1, 1, 0], [2, 2, 0], [0, 0, 1]]), ("a", "b", "c"))
         assert raw["a"] == 1.0 and raw["b"] == 1.0
         assert raw["c"] == 0.0
 
@@ -123,7 +118,7 @@ class TestInitCredibility:
         for _ in range(100):
             rows = rng.integers(0, 4, size=(int(rng.integers(1, 20)), int(rng.integers(2, 6))))
             ids = tuple(f"p{i}" for i in range(rows.shape[1]))
-            raw = init_credibility(LabelMatrix(rows, ids))
+            raw = init_credibility(rows, ids)
             majority = majority_oracle(rows.tolist())
             for col, pid in enumerate(ids):
                 matches = sum(1 for r in range(rows.shape[0]) if rows[r, col] == majority[r])
@@ -132,36 +127,36 @@ class TestInitCredibility:
 
 class TestNormalizeAndScreen:
     def test_simple_normalization(self):
-        clist, reports = normalize_and_screen("me", {"x": 0.6, "y": 0.2}, 0.1)
-        assert clist.scores["x"] == pytest.approx(0.75)
-        assert clist.scores["y"] == pytest.approx(0.25)
+        scores, reports = normalize_and_screen({"x": 0.6, "y": 0.2}, 0.1)
+        assert scores["x"] == pytest.approx(0.75)
+        assert scores["y"] == pytest.approx(0.25)
         assert reports == set()
 
     def test_default_threshold_value(self):
         assert default_threshold(4) == pytest.approx(1.0 / 6.0)
 
     def test_three_equal_peers_not_reported(self):
-        clist, reports = normalize_and_screen("me", {"a": 0.5, "b": 0.5, "c": 0.5},
-                                              default_threshold(4))
-        for v in clist.scores.values():
+        scores, reports = normalize_and_screen({"a": 0.5, "b": 0.5, "c": 0.5},
+                                               default_threshold(4))
+        for v in scores.values():
             assert v == pytest.approx(1.0 / 3.0)
         assert reports == set()
 
     def test_low_scorer_reported(self):
-        _, reports = normalize_and_screen("me", {"a": 0.9, "b": 0.9, "c": 0.05},
+        _, reports = normalize_and_screen({"a": 0.9, "b": 0.9, "c": 0.05},
                                           default_threshold(4))
         assert reports == {"c"}
 
     def test_all_zero_reports_everyone(self):
-        clist, reports = normalize_and_screen("me", {"a": 0.0, "b": 0.0}, 0.1)
-        assert clist.scores == {}
+        scores, reports = normalize_and_screen({"a": 0.0, "b": 0.0}, 0.1)
+        assert scores == {}
         assert reports == {"a", "b"}
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         raw = {f"p{i}": float(v) for i, v in enumerate(rng.uniform(0.01, 1, 6))}
-        clist, _ = normalize_and_screen("me", raw, 0.01)
-        assert sum(clist.scores.values()) == pytest.approx(1.0, abs=1e-9)
+        scores, _ = normalize_and_screen(raw, 0.01)
+        assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestConsensusExclude:
@@ -209,13 +204,13 @@ class TestConsensusExclude:
 
 class TestDownloadAllocation:
     def test_budget_branch(self):
-        assert download_allocation(0.3, 100, 0.1, 500) == 30
+        assert download_allocation(0.3, 100, 50) == 30
 
     def test_seller_cap_branch(self):
-        assert download_allocation(0.8, 100, 0.1, 500) == 50
+        assert download_allocation(0.8, 100, 50) == 50
 
     def test_zero_credibility(self):
-        assert download_allocation(0.0, 100, 0.1, 500) == 0
+        assert download_allocation(0.0, 100, 50) == 0
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(4)
@@ -224,7 +219,8 @@ class TestDownloadAllocation:
             d = int(rng.integers(0, 500))
             lam = float(rng.uniform(0.05, 0.5))
             glen = int(rng.integers(10, 2000))
-            assert download_allocation(c, d, lam, glen) == allocation_oracle(c, d, lam, glen)
+            capacity = int(lam * glen)
+            assert download_allocation(c, d, capacity) == allocation_oracle(c, d, lam, glen)
 
 
 class TestSupplement:
@@ -277,7 +273,7 @@ class TestOrderLines:
         scores = {f"p{i}": score for i, (_, score) in enumerate(sellers)}
         caps = {j: int(lam * grad_len) for j, lam in lams.items() if int(lam * grad_len) > 0}
         budget = data.draw(st.integers(1, 2 * sum(caps.values()) + 10))
-        alloc = {j: download_allocation(scores[j], budget, lams[j], grad_len) for j in caps}
+        alloc = {j: download_allocation(scores[j], budget, caps[j]) for j in caps}
         extra = supplement(budget, alloc, caps, {j: scores[j] for j in caps})
         for j in caps:
             assert alloc[j] + extra.get(j, 0) <= caps[j]
@@ -322,12 +318,3 @@ class TestCredibilityUpdate:
         assert lo - 1e-12 <= out <= hi + 1e-12
         assert abs(out - f) <= abs(c_prev - f) + 1e-12
 
-
-class TestCredibilityListInvariants:
-    def test_owner_cannot_score_itself(self):
-        with pytest.raises(ValueError):
-            CredibilityList("me", {"me": 0.5})
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            CredibilityList("me", {"a": 1.5})

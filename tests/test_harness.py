@@ -156,7 +156,11 @@ class TestConfig:
         ({"n": 1}, "n must be at least 2"), ({"seeds": ()}, "seeds is empty"),
         ({"adversaries": (AdversaryConfig(AdversaryKind.GAN_ATTACKER, party=4),)},
          "party index 4"),
-        ({"protocol": ProtocolConfig(dataset_name="svhn")}, "dataset_name 'svhn'")])
+        ({"protocol": ProtocolConfig(dataset_name="svhn")}, "dataset_name 'svhn'"),
+        # int(lambda_low * s) = 0 for s = per_party 120, and for s =
+        # min_party_size 40 in setting 3, which floors party sizes there.
+        ({"lambda_low": 0.005}, "lambda_low 0.005 releases no sample"),
+        ({"settings": (1, 3), "lambda_low": 0.02}, "releases no sample from a party of 40")])
     def test_code_built_config_is_checked(self, changes, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
             dataclasses.replace(small_config(), **changes)
@@ -170,6 +174,16 @@ class TestConfig:
     def test_each_record_checks_its_own_fields(self, build, fragment):
         with pytest.raises(ValueError, match=fragment):
             build()
+
+    # A party releasing no sample ended the run in a ProtocolError traceback.
+    def test_config_releasing_no_sample_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda_low": 0.01, "lambda_high": 0.01,
+                                    "dataset": {"per_party": 40}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "lambda_low" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_protocol_carries_dataset_name(self):
         assert small_config().protocol.dataset_name == "blobs"
@@ -312,7 +326,9 @@ class TestExperimentAndCli:
         original = harness.run_group
 
         def recording(*args):
-            on_disk.append(sorted(p.name for p in (tmp_path / "traces").iterdir()))
+            # traces/ itself is made once the first group has run.
+            traces = tmp_path / "traces"
+            on_disk.append(sorted(p.name for p in traces.iterdir()) if traces.exists() else [])
             return original(*args)
 
         monkeypatch.setattr(harness, "run_group", recording)
@@ -822,6 +838,34 @@ class TestCsvFeatureRange:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "labels out of range" in err and str(images) in err
+
+    # A header cut short ended in a struct.error traceback.
+    @pytest.mark.parametrize("cut", ["images", "labels"])
+    def test_idx_truncated_header_exit_code(self, tmp_path, capsys, cut):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 60, 2, 1) + bytes(120))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 60) + bytes([0, 1] * 30))
+        (tmp_path / f"{cut}.idx").write_bytes(b"\x00\x00\x08")
+        cfg = small_config(dataset={"kind": "idx", "images_path": str(images),
+                                    "labels_path": str(labels), "num_classes": 2, "dim": 2,
+                                    "per_party": 10, "test_size": 10, "name": "idx"})
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "ends inside its" in err and str(images) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_data_file_leaves_no_out(self, tmp_path, capsys):
+        # config.json and an empty traces/ were left behind.
+        rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
+        rows[37] = (0.5, 0.5, 0.5)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(csv_config(tmp_path, rows), cfg_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_class_split_gan_attacker_needs_blobs(self, tmp_path, capsys):
         # Only the blobs branch splits classes; on a file the attacker

@@ -218,7 +218,7 @@ class TestInitialisation:
         parties, credible, _, _, _ = self._init(5, datasets=datasets)
         assert credible == {p.id for p in parties}
         for p in parties:
-            for score in p.credibility.scores.values():
+            for score in p.credibility.values():
                 assert score == pytest.approx(1.0 / 3.0, abs=0.12)
 
     def test_genesis_records_tokens_and_verifies(self):
@@ -282,7 +282,7 @@ class TestUpdateRound:
         # The new scores must be the sigmoid update applied to the prior
         # normalised score for every scored peer, renormalised over peers.
         parties, credible, ledger, config, trace, test = self._after_init()
-        prior = {p.id: dict(p.credibility.scores) for p in parties}
+        prior = {p.id: dict(p.credibility) for p in parties}
         scored = record_scoring(monkeypatch, parties)
         # Nobody banned: one normalisation pass.
         assert run_update_round(parties, credible, ledger, 1, config, trace, test) == credible
@@ -291,7 +291,7 @@ class TestUpdateRound:
             raw = {peer: credibility_update(prior[p.id][peer], acc, acc_j)
                    for peer, acc_j in acc_without.items()}
             for peer, value in raw.items():
-                assert p.credibility.scores[peer] == pytest.approx(
+                assert p.credibility[peer] == pytest.approx(
                     value / sum(raw.values()), abs=1e-12)
 
     def test_token_conservation_over_rounds(self):

@@ -3,8 +3,7 @@ import pytest
 
 from faircollab.numerics import Dataset
 from faircollab.privacy import BudgetExhaustedError, PrivacyAccountant
-from faircollab.samplegen import (SampleRelease, augment, generate_release,
-                                  noisy_class_prototypes)
+from faircollab.samplegen import augment, generate_release, noisy_class_prototypes
 
 
 def tabular_data(rng, n=20, dim=5, classes=4):
@@ -83,7 +82,7 @@ class TestReplicaFreeRelease:
         oracle = generate_release(augment(data, replication), 25, (4.0, 1e-5),
                                   np.random.default_rng(3), accountant(),
                                   prototype_noise=prototype_noise)
-        np.testing.assert_allclose(ours.samples, oracle.samples, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ours, oracle, rtol=0, atol=1e-12)
         protos, counts = noisy_class_prototypes(data, (4.0, 1e-5), np.random.default_rng(4),
                                                 prototype_noise, replication)
         oracle_protos, oracle_counts = noisy_class_prototypes(
@@ -103,7 +102,7 @@ class TestGenerateRelease:
         rng = np.random.default_rng(9)
         data = tabular_data(rng, n=600, classes=10)
         release = generate_release(data, int(0.1 * len(data)), (4.0, 1e-5), rng, accountant())
-        assert release.count == 60
+        assert release.shape == (60, data.dim)
 
     def test_zero_noise_hook_is_prototypes(self):
         rng = np.random.default_rng(11)
@@ -112,7 +111,7 @@ class TestGenerateRelease:
                                    accountant(), prototype_noise=0.0, jitter_std=0.0)
         protos, _ = noisy_class_prototypes(data, (4.0, 1e-5),
                                            np.random.default_rng(1), noise_override=0.0)
-        for row in release.samples:
+        for row in release:
             assert any(np.allclose(row, protos[c]) for c in range(2))
 
     def test_deterministic_for_same_seed(self):
@@ -120,19 +119,23 @@ class TestGenerateRelease:
         data = tabular_data(rng, n=80)
         a = generate_release(data, 20, (4.0, 1e-5), np.random.default_rng(5), accountant())
         b = generate_release(data, 20, (4.0, 1e-5), np.random.default_rng(5), accountant())
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_no_raw_row_leaks(self):
         rng = np.random.default_rng(13)
         data = tabular_data(rng, n=60)
         release = generate_release(data, 30, (4.0, 1e-5), rng, accountant(), jitter_std=0.05)
-        assert release.count > 0
-        for row in release.samples:
+        assert len(release) > 0
+        for row in release:
             assert not any(np.array_equal(row, raw) for raw in data.features)
 
     def test_release_carries_no_labels(self):
-        release = SampleRelease(np.zeros((3, 2)))
-        assert not hasattr(release, "labels")
+        # A bare (count, dim) float array: nothing beside the features.
+        rng = np.random.default_rng(15)
+        data = tabular_data(rng, n=30)
+        release = generate_release(data, 6, (4.0, 1e-5), rng, accountant())
+        assert type(release) is np.ndarray
+        assert release.dtype == np.float64 and release.shape == (6, data.dim)
 
     def test_accountant_debited_and_refusal(self):
         rng = np.random.default_rng(14)
