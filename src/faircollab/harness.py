@@ -187,7 +187,8 @@ class ExperimentConfig:
         num_classes = self.dataset.num_classes
         # A party releases int(lambda * s) samples at initialisation, s its
         # data size: per_party in settings 1 and 2, at least min_party_size
-        # in setting 3. No lambda lies below lambda_low.
+        # in setting 3. No lambda lies below lambda_low. Its validation
+        # split takes at least one record, and training needs another.
         smallest = min((self.min_party_size if s == 3 else self.dataset.per_party
                         for s in self.settings), default=1)
         checks = (
@@ -195,6 +196,8 @@ class ExperimentConfig:
             (self.rounds >= 0, "rounds cannot be negative"),
             (0.0 < self.lambda_low <= self.lambda_high <= 1.0,
              "need 0 < lambda_low <= lambda_high <= 1"),
+            (smallest >= 2, f"dataset.per_party {smallest} leaves a party no training "
+                            "record once its validation split is taken; need at least 2"),
             (int(self.lambda_low * smallest) >= 1,
              f"lambda_low {self.lambda_low} releases no sample from a party of "
              f"{smallest} records; need int(lambda_low * {smallest}) >= 1"),
@@ -319,11 +322,12 @@ def _duplicates(values) -> list:
 
 
 def _load_json(path):
-    """The JSON in the file at path; a ConfigError naming it if it does not parse."""
+    """The JSON in the file at path; a ConfigError naming it if it does not
+    parse, nesting too deep for the parser included."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -408,15 +412,9 @@ def build_cell_data(config: ExperimentConfig, setting: int, seed: int
             adv_data, victims = gan_attacker_setup(pooled, cfg.victim_classes,
                                                    cfg.adversary_classes,
                                                    config.n - 1, rng)
-            datasets = []
-            v = 0
-            for i in range(config.n):
-                if i == attacker_idx:
-                    datasets.append(adv_data.subset(np.arange(min(len(adv_data), spec.sizes[i]))))
-                else:
-                    shard = victims[v]
-                    datasets.append(shard.subset(np.arange(min(len(shard), spec.sizes[i]))))
-                    v += 1
+            victims.insert(attacker_idx, adv_data)
+            datasets = [shard.subset(np.arange(min(len(shard), size)))
+                        for shard, size in zip(victims, spec.sizes)]
         else:
             datasets = [make_blobs(size, ds.num_classes, ds.dim, rng,
                                    spread=ds.spread, centers=centers)
@@ -460,57 +458,43 @@ class CellGroup:
     """What the cells of one (setting, seed) share: one partition, built
     into parties once, and one pretraining for every pretrained framework
     among config.frameworks. Each framework of config.frameworks asks for
-    its parties once.
+    its parties once, centralised (which starts from the parties as built)
+    before any pretrained framework; run_group keeps that order.
 
     Built by the first cell that asks, so that its work happens inside
     that cell. The group keeps the setting spec and the test set; it
     hands the unsplit datasets to build_parties, which drops each one as
-    its party is built. centralised gets the parties as built, and the
-    first pretrained framework pretrains them; the parties are copied
-    (copy_parties) while the other of the two still waits for them.
-    Each pretrained framework is handed the pretrained parties, copied
-    while another pretrained framework still needs them.
+    its party is built. It holds one party list: the first pretrained
+    framework to ask pretrains it in place, each cell but the last gets a
+    copy (copy_parties) and the last takes the list itself.
     """
 
     def __init__(self, config: ExperimentConfig, setting: int, seed: int):
         self.config, self.setting, self.seed = config, setting, seed
-        self.pretrained_left = sum(fw in protocol.PRETRAINED_FRAMEWORKS
-                                   for fw in config.frameworks)
-        # The cells that start from the parties as built: each one that is
-        # not pretrained, and the one that pretrains.
-        self.built_left = (len(config.frameworks) - self.pretrained_left
-                           + (self.pretrained_left > 0))
+        self.left = len(config.frameworks)  # the cells that have not asked yet
         self.spec: SettingSpec | None = None
         self.test: Dataset | None = None
-        self.built: list[Party] | None = None
-        self.pretrained: list[Party] | None = None
-
-    def _build(self) -> None:
-        datasets, self.spec, self.test, adversaries = build_cell_data(
-            self.config, self.setting, self.seed)
-        self.built = build_parties(datasets, self.spec.sharing_levels, self.config.protocol,
-                                   np.random.SeedSequence([self.seed, self.setting, 7]),
-                                   adversaries)
-
-    def _hand_out(self, name: str, left: int) -> list[Party]:
-        """The parties stored as name, of which a copy stays while left
-        more cells wait for them."""
-        parties = getattr(self, name)
-        setattr(self, name, protocol.copy_parties(parties) if left else None)
-        return parties
+        self.held: list[Party] | None = None
 
     def parties(self, framework: str) -> list[Party]:
         if self.spec is None:
-            self._build()
-        if framework not in protocol.PRETRAINED_FRAMEWORKS or self.pretrained is None:
-            self.built_left -= 1
-            parties = self._hand_out("built", self.built_left)
-            if framework not in protocol.PRETRAINED_FRAMEWORKS:
-                return parties
-            protocol.pretrain(parties, self.test)
-            self.pretrained = parties
-        self.pretrained_left -= 1
-        return self._hand_out("pretrained", self.pretrained_left)
+            datasets, self.spec, self.test, adversaries = build_cell_data(
+                self.config, self.setting, self.seed)
+            self.held = build_parties(datasets, self.spec.sharing_levels, self.config.protocol,
+                                      np.random.SeedSequence([self.seed, self.setting, 7]),
+                                      adversaries)
+        pretrained = self.held[0].standalone_accuracy is not None
+        if framework in protocol.PRETRAINED_FRAMEWORKS:
+            if not pretrained:
+                protocol.pretrain(self.held, self.test)
+        elif pretrained:
+            raise ValueError(f"{framework} starts from the parties as built, but they are "
+                             "pretrained already; it must ask before every pretrained framework")
+        self.left -= 1
+        if self.left:
+            return protocol.copy_parties(self.held)
+        parties, self.held = self.held, None
+        return parties
 
 
 def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
@@ -555,15 +539,20 @@ def cell_name(framework: str, setting: int, seed: int) -> str:
 
 
 def run_group(config: ExperimentConfig, setting: int, seed: int) -> list[dict]:
-    """The cells of one (setting, seed), one per framework, on one CellGroup."""
+    """The cells of one (setting, seed), one per framework, on one CellGroup,
+    in config.frameworks order. They run centralised first, since it starts
+    from the parties as built (see CellGroup)."""
     group = CellGroup(config, setting, seed)
-    return [run_cell(config, fw, setting, seed, group) for fw in config.frameworks]
+    order = sorted(config.frameworks, key=lambda fw: fw in protocol.PRETRAINED_FRAMEWORKS)
+    cells = {fw: run_cell(config, fw, setting, seed, group) for fw in order}
+    return [cells[fw] for fw in config.frameworks]
 
 
 def run_experiment(config: ExperimentConfig, outdir) -> dict:
     """Run every configured cell, store each group's traces as it ends, and
     build the report tables from them. Cells run in (setting, seed) groups
-    (see CellGroup); with parallel_workers > 1, in worker processes."""
+    (see CellGroup); with parallel_workers > 1, in worker processes, at
+    most one per group."""
     groups = [(st, sd) for st in config.settings for sd in config.seeds]
 
     traces_dir = os.path.join(outdir, "traces")
@@ -577,12 +566,13 @@ def run_experiment(config: ExperimentConfig, outdir) -> dict:
                                   "run into another --out")
     with contextlib.ExitStack() as stack:
         map_groups = map  # serially, each group runs when the loop asks for it
-        if config.parallel_workers > 1:
+        # The pool starts all of its workers at the first submit.
+        workers = min(config.parallel_workers, len(groups))
+        if workers > 1:
             # Imported here: it loads multiprocessing, which a serial run never needs.
             from concurrent.futures import ProcessPoolExecutor
 
-            map_groups = stack.enter_context(
-                ProcessPoolExecutor(max_workers=config.parallel_workers)).map
+            map_groups = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for i, cells in enumerate(map_groups(run_group, [config] * len(groups), *zip(*groups))):
             # Made once the first group has run, so that a run which fails
             # on its data file leaves no half-made outdir behind.

@@ -464,7 +464,7 @@ def iter_chain(path):
                 continue
             try:
                 block = Block.from_dict(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"line {number}: {type(exc).__name__}: {exc}") from exc
             yield block
 

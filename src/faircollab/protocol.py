@@ -13,11 +13,12 @@ The same party construction also drives the three reference frameworks
 (standalone, centralised, distributed selective SGD with round-robin
 exchange) so results are comparable on identical data partitions. One
 build_parties call can serve all four: centralised starts from the
-parties as built, and FDPDDL, standalone and DSSGD start from the
-pretrained standalone models, so one pretraining, copied with
-copy_parties, serves all three; each runner pretrains only the parties
-that arrive without one. Copies share the parties' data, keys and the
-one read-only initial-parameter vector.
+parties as built, so it takes them first, and FDPDDL, standalone and
+DSSGD start from the pretrained standalone models, so one pretraining of
+the same parties, in place, serves all three. Each run but the last gets
+a copy_parties copy, and the last takes the parties themselves; each
+runner pretrains only the parties that arrive without one. Copies share
+the parties' data, keys and the one read-only initial-parameter vector.
 
 Every random draw comes from per-party generators spawned off one master
 seed, including key material, so a run is a pure function of its

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import gc
@@ -183,6 +184,17 @@ class TestConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "lambda_low" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_leaving_no_training_record_exit_code(self, tmp_path, capsys):
+        # The validation split took the one record, and build_parties ended
+        # in a ValueError traceback.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda_low": 1.0, "lambda_high": 1.0,
+                                    "dataset": {"per_party": 1}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "per_party" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_protocol_carries_dataset_name(self):
@@ -428,6 +440,48 @@ class TestExperimentAndCli:
             f"error: {path.format(run=tmp_path)}: not a cell trace: {fault}\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    # Each ended in a RecursionError traceback: the nesting is deeper than
+    # the JSON parser's recursion limit.
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{nested}", "--out", "{out}"],
+        ["fairness", "--trace", "{nested}"],
+        ["report", "--traces", "{traces}", "--out", "{out}"],
+    ], ids=["run_config", "fairness_trace", "report_cell_trace"])
+    def test_cli_nested_json_exit_code(self, tmp_path, capsys, argv):
+        (tmp_path / "traces").mkdir()
+        save_config(small_config(), tmp_path / "config.json")
+        nested = tmp_path / "traces" / "fdpddl_s1_seed0.json"
+        nested.write_text("[" * 200_000 + "]" * 200_000)
+        paths = {"nested": nested, "traces": tmp_path / "traces", "out": tmp_path / "o"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {nested}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers, seeds, made", [
+        (64, [0, 1], [2]), (64, [0], []), (2, [0, 1, 2], [2])],
+        ids=["capped_at_groups", "one_group_no_pool", "fewer_workers_than_groups"])
+    def test_no_more_workers_than_groups(self, tmp_path, monkeypatch, workers, seeds, made):
+        # A process pool forks all of its workers at the first submit.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(seeds=seeds, frameworks=["standalone"], parallel_workers=workers)
+        run_experiment(cfg, tmp_path)
+        assert pools == made
+        assert len(list((tmp_path / "traces").iterdir())) == len(seeds)
+
     def test_serial_run_loads_no_multiprocessing(self, tmp_path):
         # The process pool is imported only when a run asks for workers.
         cfg_path = tmp_path / "cfg.json"
@@ -462,17 +516,18 @@ class TestExperimentAndCli:
         assert main(["verify-chain", "--dump", str(dump)]) == 1
 
     # Each rewrites the lines of a dumped 2-block chain (genesis, then one
-    # traded round); the first five leave a line that does not parse as a block.
+    # traded round); the first six leave a line that does not parse as a block.
     @pytest.mark.parametrize("mutate, parsed", [
         (lambda lines: [lines[0], lines[1][:40]], 1),
         (_edited(1, lambda block: block["transactions"][0].update(kind="mint")), 1),
         (_edited(1, lambda block: block.pop("leader")), 1),
         (lambda lines: [lines[0], "[1, 2]"], 1),
         (_edited(1, lambda block: block.update(transactions=7)), 1),
+        (lambda lines: [lines[0], "[" * 200_000 + "]" * 200_000], 1),
         (_edited(0, lambda block: block["transactions"][0].update(payload=["p00"])), None),
         (_edited(1, lambda block: block["transactions"][0].update(signature=7)), None),
     ], ids=["truncated_line", "unknown_kind", "no_leader", "json_list", "transactions_int",
-            "register_payload_list", "int_signature"])
+            "nested_too_deep", "register_payload_list", "int_signature"])
     def test_cli_verify_chain_malformed_dump(self, tmp_path, capsys, mutate, parsed):
         from faircollab.ledger import KeyPair, Ledger, dump_chain
         rng = np.random.default_rng(0)
@@ -725,8 +780,8 @@ class TestCellGroups:
         assert len(names) == 16
 
     def test_trace_independent_of_framework_order(self):
-        # centralised first takes the parties as built while a pretrained
-        # framework still waits for them, and last after pretraining.
+        # run_group runs centralised first either way, and returns the
+        # cells in the configured order.
         first = run_group(small_config(frameworks=["centralised", "standalone", "fdpddl"]), 2, 1)
         last = run_group(small_config(frameworks=["fdpddl", "standalone", "centralised"]), 2, 1)
         assert json.dumps(first, sort_keys=True) == json.dumps(last[::-1], sort_keys=True)
@@ -759,6 +814,26 @@ class TestCellGroups:
             gc.collect()
             assert len(refs) == 4 and all(ref() is None for ref in refs)
             assert len(parties) == 4
+
+    @pytest.mark.parametrize("frameworks, copies", [(ALL_FRAMEWORKS, 3), (["fdpddl"], 0)],
+                             ids=["all_four", "fdpddl_alone"])
+    def test_one_copy_per_cell_but_the_last(self, tmp_path, monkeypatch, frameworks, copies):
+        calls = []
+        original = protocol.copy_parties
+
+        def counting(parties):
+            calls.append(len(parties))
+            return original(parties)
+
+        monkeypatch.setattr(protocol, "copy_parties", counting)
+        run_experiment(small_config(seeds=[0, 1], rounds=1, frameworks=frameworks), tmp_path)
+        assert calls == [4] * copies * 2
+
+    def test_built_parties_after_pretraining_refused(self):
+        group = harness.CellGroup(small_config(frameworks=["fdpddl", "centralised"]), 1, 0)
+        group.parties("fdpddl")
+        with pytest.raises(ValueError, match="centralised starts from the parties as built"):
+            group.parties("centralised")
 
     def test_one_pretraining_per_setting_and_seed(self, tmp_path, monkeypatch):
         calls = []
