@@ -27,6 +27,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import types
 import typing
@@ -750,8 +751,19 @@ def _cmd_report(args) -> int:
     # run_experiment writes config.json next to the traces directory.
     config = load_config(os.path.join(os.path.dirname(os.path.abspath(args.traces)),
                                       "config.json"))
+    # The topmost directory that makedirs creates, removed again on exit 2;
+    # an --out that exists already is left as it was.
+    created = None
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        created, path = path, os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
-    summary = generate_reports(args.traces, args.out, config)
+    try:
+        summary = generate_reports(args.traces, args.out, config)
+    except (ConfigError, OSError):
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     print(json.dumps({"cells": len(summary["cells"]), "out": args.out}, sort_keys=True))
     return 0
 

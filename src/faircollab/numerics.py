@@ -5,6 +5,10 @@ gradients (ReLU hidden layers, softmax output, mean cross-entropy loss),
 plain SGD with inverse-time learning-rate decay, and the sparse top-k
 update machinery used for selective gradient exchange.
 
+Every gradient comes from one kernel, _gradient, with or without a
+leading stack axis of k models; train_sgd uses the stack to train
+equal-size parties side by side, to the bits each would reach alone.
+
 Parameter flattening order is fixed and relied on by sparse updates that
 cross party boundaries: layer by layer from input to output, weight
 matrix first (row-major, shape in_dim x out_dim), then its bias vector.
@@ -82,6 +86,14 @@ def _layout(dims):
     return tuple(layout)
 
 
+def _views(flat: np.ndarray, layout):
+    """(weights, bias) views of flat per layer, input to output, in the
+    order layout sets: (in, out) and (out,) of one model's (P,) vector,
+    or (k, in, out) and (k, out) of a (k, P) stack of k of them."""
+    lead = flat.shape[:-1]
+    return tuple((flat[..., w].reshape(lead + shape), flat[..., b]) for w, shape, b in layout)
+
+
 class MlpModel:
     """Fully connected network with ReLU hidden layers and softmax output.
 
@@ -104,7 +116,7 @@ class MlpModel:
             if params.shape != (count,):
                 raise ValueError(f"expected {count} parameters, got {params.shape}")
         self.params = params
-        self._layers = tuple((params[w].reshape(shape), params[b]) for w, shape, b in self._layout)
+        self._layers = _views(params, self._layout)
 
     @property
     def param_count(self) -> int:
@@ -132,25 +144,91 @@ class MlpModel:
         return MlpModel, (self.dims, self.params)
 
 
+def _stacked(params: np.ndarray, layout):
+    """(weights, bias) per layer of the (k, P) stack params, biases shaped
+    (k, 1, out) so that each model's bias broadcasts over its own rows."""
+    return tuple((weights, bias[:, None]) for weights, bias in _views(params, layout))
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place; returns logits."""
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
-def _forward_cached(layers, features: np.ndarray):
-    """Forward pass over (weights, bias) pairs, input to output, keeping
-    every post-activation for backprop; returns (activations, logits).
-    Stacked (k, in, out) weights with (k, 1, out) biases run k models at
-    once."""
-    activations = [features]
+def _forward(layers, features: np.ndarray, hidden: list | None = None) -> np.ndarray:
+    """Logits of the MLP with these (weights, bias) layers, input to
+    output, one row per row of features. Every hidden ReLU output is
+    appended to hidden when one is given, for backprop. (k, in, out)
+    weights with (k, 1, out) biases and (k, n, in) features run a stack
+    of k models, each on its own rows."""
     h = features
     for weights, bias in layers[:-1]:
-        h = np.maximum(h @ weights + bias, 0.0)
-        activations.append(h)
+        h = np.matmul(h, weights)
+        h += bias
+        np.maximum(h, 0.0, out=h)
+        if hidden is not None:
+            hidden.append(h)
     weights, bias = layers[-1]
-    return activations, h @ weights + bias
+    logits = np.matmul(h, weights)
+    logits += bias
+    return logits
+
+
+def _gradient(layers, features: np.ndarray, targets: np.ndarray, slots,
+              clip_norm: float | None = None) -> None:
+    """The one gradient kernel: forward, softmax, output delta and
+    backprop of a batch, in place, writing each layer's input^T delta and
+    delta column sums into slots, the _views of a flat gradient. targets
+    holds the one-hot float64 labels. With a leading stack axis, (k, n,
+    in) features and (k, n, classes) targets run the k models of
+    _stacked(params) into a (k, P) gradient, each slice the same matrix
+    products, so each row has the bits its model would get alone.
+
+    With clip_norm (one model only), each single-example gradient is
+    first rescaled to g / max(1, ||g|| / clip_norm), without
+    materialising it. A dense layer's single-example gradient is the
+    outer product a d^T of its input and delta plus the bias gradient d,
+    so its squared norm is (||a||^2 + 1) * ||d||^2 ("ghost norm"); each
+    layer's clipped mean is then one reweighted a^T (d * f).
+    """
+    inputs = [features]
+    delta = _softmax(_forward(layers, features, inputs))
+    delta -= targets
+    rows = delta.shape[-2]
+    if clip_norm is None:
+        delta /= rows
+    deltas = [delta]
+    for li in range(len(layers) - 1, 0, -1):
+        delta = np.matmul(delta, layers[li][0].swapaxes(-1, -2))
+        np.putmask(delta, inputs[li] <= 0.0, 0.0)
+        deltas.append(delta)
+    deltas.reverse()
+    if clip_norm is not None:
+        factors = np.zeros(rows)
+        for inp, d in zip(inputs, deltas):
+            sq_norm = np.einsum("ni,ni->n", inp, inp)
+            sq_norm += 1.0
+            sq_norm *= np.einsum("nj,nj->n", d, d)
+            factors += sq_norm
+        np.sqrt(factors, out=factors)
+        np.maximum(factors, 1e-300, out=factors)
+        np.divide(clip_norm, factors, out=factors)
+        np.minimum(factors, 1.0, out=factors)
+        factors /= rows
+        for d in deltas:
+            d *= factors[:, None]
+    for inp, d, (weights, bias) in zip(inputs, deltas, slots):
+        np.matmul(inp.swapaxes(-1, -2), d, out=weights)
+        np.add.reduce(d, axis=-2, out=bias)
+
+
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """float64 one-hot rows of labels, along a new last axis; a label
+    beyond num_classes raises IndexError."""
+    return np.eye(num_classes).take(labels, axis=0)
 
 
 def _logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -158,7 +236,7 @@ def _logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.dims[0]:
         raise ValueError(f"features must be (n, {model.dims[0]})")
-    return _forward_cached(model._layers, features)[1]
+    return _forward(model._layers, features)
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -181,88 +259,49 @@ def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch (the quantity backward differentiates)."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    probs = _softmax(_forward_cached(model._layers, features)[1])
+    probs = _softmax(_forward(model._layers, features))
     logp = np.log(np.clip(probs[np.arange(len(labels)), labels], 1e-300, None))
     return float(-logp.mean())
 
 
-def _output_delta(model: MlpModel, features: np.ndarray, labels: np.ndarray):
-    """Forward pass of a nonempty batch: (activations, probs - onehot(labels)),
-    the unscaled delta of the summed cross-entropy at the output layer."""
+def _batch_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
+                    clip_norm: float | None = None) -> np.ndarray:
+    """_gradient of a nonempty batch into a new flat vector."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    activations, logits = _forward_cached(model._layers, features)
-    delta = _softmax(logits)
-    delta[np.arange(len(labels)), labels] -= 1.0
-    return activations, delta
-
-
-def _backprop_deltas(model: MlpModel, activations, output_delta):
-    """Shared backprop walk. output_delta is (n, out_dim); returns per-layer
-    (input_activation, delta) pairs ordered input to output."""
-    layer_list = model._layers
-    deltas = [None] * len(layer_list)
-    deltas[-1] = output_delta
-    for li in range(len(layer_list) - 1, 0, -1):
-        weights, _ = layer_list[li]
-        upstream = deltas[li] @ weights.T
-        upstream[activations[li] <= 0.0] = 0.0
-        deltas[li - 1] = upstream
-    return [(activations[li], deltas[li]) for li in range(len(layer_list))]
-
-
-def _flat_gradient(model: MlpModel, pairs) -> np.ndarray:
-    """Flat gradient holding, per (input, delta) layer pair, input^T delta
-    for the weights and delta's column sums for the bias."""
     grad = np.empty(model.param_count, dtype=np.float64)
-    for (inp, d), (w, shape, b) in zip(pairs, model._layout):
-        # Written straight into their slots: no layer-sized temporaries.
-        np.matmul(inp.T, d, out=grad[w].reshape(shape))
-        d.sum(axis=0, out=grad[b])
+    _gradient(model._layers, features, _one_hot(labels, model.dims[-1]),
+              _views(grad, model._layout), clip_norm)
     return grad
 
 
 def backward(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient over the batch, flattened in the fixed
     parameter order (weights before biases, layer by layer)."""
-    activations, delta = _output_delta(model, features, labels)
-    delta /= len(labels)
-    return _flat_gradient(model, _backprop_deltas(model, activations, delta))
+    return _batch_gradient(model, features, labels)
 
 
 def clipped_mean_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
                           clip_norm: float) -> np.ndarray:
     """Mean over the batch of single-example gradients, each first rescaled
-    to g / max(1, ||g|| / clip_norm), without materialising them.
-
-    A dense layer's single-example gradient is the outer product a d^T of
-    its input and delta plus the bias gradient d, so its squared norm is
-    (||a||^2 + 1) * ||d||^2 ("ghost norm"). The per-example norms come from
-    the activations and deltas backprop already holds, and each layer's
-    clipped mean is one reweighted a^T (d * f). Equal, up to rounding, to
-    clipping the rows of per_example_gradients() and averaging them.
-    """
-    activations, delta = _output_delta(model, features, labels)
-    pairs = _backprop_deltas(model, activations, delta)
-    sq_norms = np.zeros(len(labels), dtype=np.float64)
-    for inp, d in pairs:
-        sq_norms += (np.einsum("ni,ni->n", inp, inp) + 1.0) * np.einsum("nj,nj->n", d, d)
-    factors = np.minimum(1.0, clip_norm / np.maximum(np.sqrt(sq_norms), 1e-300)) / len(labels)
-    return _flat_gradient(model, [(inp, d * factors[:, None]) for inp, d in pairs])
+    to g / max(1, ||g|| / clip_norm), without materialising them (ghost
+    norms, see _gradient). Equal, up to rounding, to clipping the rows of
+    per_example_gradients() and averaging them."""
+    return _batch_gradient(model, features, labels, clip_norm)
 
 
 def per_example_gradients(model: MlpModel, features: np.ndarray,
                           labels: np.ndarray) -> np.ndarray:
-    """(n, param_count) matrix whose rows are single-example loss gradients.
-
-    Row mean equals backward() on the same batch.
+    """(n, param_count) matrix whose rows are single-example loss gradients:
+    the kernel run on the batch as a stack of n batches of one row, each
+    against the same model. Row mean equals backward() on the same batch.
     """
-    activations, delta = _output_delta(model, features, labels)
     n = len(labels)
+    if n == 0:
+        raise ValueError("empty batch")
     grads = np.empty((n, model.param_count), dtype=np.float64)
-    for (inp, d), (w, _, b) in zip(_backprop_deltas(model, activations, delta), model._layout):
-        grads[:, w] = np.einsum("ni,nj->nij", inp, d).reshape(n, -1)
-        grads[:, b] = d
+    _gradient(model._layers, np.asarray(features, dtype=np.float64)[:, None, :],
+              _one_hot(labels, model.dims[-1])[:, None, :], _views(grads, model._layout))
     return grads
 
 
@@ -285,18 +324,54 @@ def decayed_lr(lr0: float, decay: float, step: int) -> float:
     return lr0 / (1.0 + decay * step)
 
 
-def train_sgd(model: MlpModel, data: Dataset, epochs: int, lr0: float, decay: float,
-              batch_size: int, rng: np.random.Generator, step_offset: int = 0) -> int:
+def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: int,
+              rng, step_offset=0) -> int:
     """Plain mini-batch SGD over shuffled epochs. Returns steps performed,
-    so callers can keep the decay clock running across calls."""
+    so callers can keep the decay clock running across calls.
+
+    model, data, rng and step_offset are one model's, or lists of k each:
+    k models of one shape on datasets of one size, trained side by side as
+    a (k, P) stack (one model runs on 2-D arrays). Each draws its epoch
+    permutations from its own rng and steps on its own clock, so it ends
+    with the bits it would get alone. Steps reuse one gradient buffer.
+    """
+    if isinstance(model, MlpModel):
+        model, data, rng, step_offset = [model], [data], [rng], [step_offset]
+    size, dims = len(data[0]), model[0].dims
+    if not len(model) == len(data) == len(rng) == len(step_offset):
+        raise ValueError("one dataset, rng and step offset per model")
+    if any(m.dims != dims for m in model) or any(len(d) != size for d in data):
+        raise ValueError("models side by side need one shape and equal-size datasets")
+    stacked = len(model) > 1
+    if stacked:
+        params = np.stack([m.params for m in model])
+        layers = _stacked(params, model[0]._layout)
+        # Model i's rows start at row i * size.
+        features = np.concatenate([d.features for d in data])
+        labels = np.concatenate([d.labels for d in data])
+    else:
+        params, layers = model[0].params, model[0]._layers
+        features, labels = data[0].features, data[0].labels
+    targets = _one_hot(labels, dims[-1])
+    first_rows = size * np.arange(len(model))[:, None]
+    grad = np.empty_like(params)
+    slots = _views(grad, model[0]._layout)
     steps = 0
     for _ in range(epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), batch_size):
-            rows = order[start:start + batch_size]
-            grad = backward(model, data.features[rows], data.labels[rows])
-            sgd_step(model, grad, decayed_lr(lr0, decay, step_offset + steps))
+        orders = np.array([r.permutation(size) for r in rng]) + first_rows
+        for start in range(0, size, batch_size):
+            # Gathered batch by batch: a whole shuffled epoch would raise
+            # the peak memory of 784-d pretraining.
+            rows = orders[:, start:start + batch_size]
+            rows = rows if stacked else rows[0]
+            _gradient(layers, features.take(rows, axis=0), targets.take(rows, axis=0), slots)
+            rates = [decayed_lr(lr0, decay, offset + steps) for offset in step_offset]
+            grad *= np.array(rates)[:, None] if stacked else rates[0]
+            params -= grad
             steps += 1
+    if stacked:
+        for m, row in zip(model, params):
+            m.params[:] = row
     return steps
 
 
@@ -457,9 +532,8 @@ def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
     so every accuracy equals that of MlpModel(dims, row) exactly."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    stacked = [(param_rows[:, w].reshape(-1, *shape), param_rows[:, None, b])
-               for w, shape, b in _layout(dims)]
-    predictions = np.argmax(_forward_cached(stacked, data.features)[1], axis=-1)
+    predictions = np.argmax(_forward(_stacked(param_rows, _layout(dims)), data.features),
+                            axis=-1)
     return (np.count_nonzero(predictions == data.labels, axis=1) / len(data)).tolist()
 
 

@@ -180,8 +180,8 @@ def dp_sgd_step(model: MlpModel, data: Dataset, params: PrivacyParams,
     replication = params.dataset_size // len(data)
     accountant.spend(params.epsilon_per_step, params.delta_per_step, params.sample_ratio)
     rows = rng.integers(0, params.dataset_size, size=params.lot_size) // replication
-    mean_grad = clipped_mean_gradient(model, data.features[rows], data.labels[rows],
-                                      params.clip_norm)
+    mean_grad = clipped_mean_gradient(model, data.features.take(rows, axis=0),
+                                      data.labels.take(rows), params.clip_norm)
     if sigma is None:
         sigma = params.sigma
     noise_std = sigma * params.clip_norm / params.lot_size

@@ -20,6 +20,11 @@ a copy_parties copy, and the last takes the parties themselves; each
 runner pretrains only the parties that arrive without one. Copies share
 the parties' data, keys and the one read-only initial-parameter vector.
 
+Pretraining and the standalone baseline's rounds train the parties whose
+training splits have equal size side by side, in stacks capped by
+LOO_PASS_BYTES (_train_side_by_side); DP-SGD (one dp_sgd_step per party
+per step), DSSGD and centralised train one model at a time.
+
 Every random draw comes from per-party generators spawned off one master
 seed, including key material, so a run is a pure function of its
 configuration and seed.
@@ -66,9 +71,10 @@ VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
 # q = L / N, where L = lot_size_for(N) = sqrt(N), and clips to CLIP_NORM.
 EPSILON_PER_STEP = 1.0
 CLIP_NORM = 1.0
-# Leave-one-out scoring stacks its probe rows at most this many bytes at a
-# time (at least one row): 94 rows of the 32-32-10 model, so desk shapes
-# score in one pass, and one row of the paper's 784-128-10 model.
+# Leave-one-out scoring stacks its probe rows, and side-by-side plain SGD
+# its models' parameters, at most this many bytes at a time (at least one
+# row): 94 rows of the 32-32-10 model, so desk shapes run in one pass, and
+# one row of the paper's 784-128-10 model.
 LOO_PASS_BYTES = 1 << 20
 
 
@@ -206,12 +212,33 @@ def copy_parties(parties: list[Party]) -> list[Party]:
     return copy.deepcopy(parties, shared)
 
 
-def pretrain(parties: list[Party], test_data: Dataset) -> None:
-    """Standalone pretraining from the shared initial parameters; records
-    each party's standalone accuracy for the fairness axis."""
+def _train_side_by_side(parties: list[Party], epochs: int) -> None:
+    """epochs of plain SGD for each party on its training split, on its
+    own rng and decay clock. Parties whose splits have equal size train
+    side by side, in one train_sgd call per stack of at most
+    LOO_PASS_BYTES of parameters (at least one party): 94 parties of the
+    32-32-10 model, one of the paper's 784-128-10 model, which so trains
+    on 2-D arrays. Every party ends with the bits it would get alone."""
+    per_pass = max(1, LOO_PASS_BYTES // parties[0].model.params.nbytes)
+    by_size: dict[int, list[Party]] = {}
     for p in parties:
-        p.sgd_steps += train_sgd(p.model, p.train_data, PRETRAIN_EPOCHS, LEARNING_RATE,
-                                 LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
+        by_size.setdefault(len(p.train_data), []).append(p)
+    for group in by_size.values():
+        for start in range(0, len(group), per_pass):
+            stack = group[start:start + per_pass]
+            steps = train_sgd([p.model for p in stack], [p.train_data for p in stack], epochs,
+                              LEARNING_RATE, LR_DECAY, BATCH_SIZE, [p.rng for p in stack],
+                              [p.sgd_steps for p in stack])
+            for p in stack:
+                p.sgd_steps += steps
+
+
+def pretrain(parties: list[Party], test_data: Dataset) -> None:
+    """Standalone pretraining from the shared initial parameters, side by
+    side (_train_side_by_side); records each party's standalone accuracy
+    for the fairness axis."""
+    _train_side_by_side(parties, PRETRAIN_EPOCHS)
+    for p in parties:
         p.standalone_accuracy = evaluate(p.model, test_data)
 
 
@@ -508,9 +535,7 @@ def _record_round(trace: RunTrace, round_index: int, parties, test_data) -> None
 def _run_standalone(parties, rounds, test_data) -> RunTrace:
     trace = _pretrained_trace("standalone", parties, test_data)
     for round_index in range(1, rounds + 1):
-        for p in parties:
-            p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
-                                     LEARNING_RATE, LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
+        _train_side_by_side(parties, BASELINE_EPOCHS_PER_ROUND)
         _record_round(trace, round_index, parties, test_data)
     for p in parties:
         trace.final_accuracies[p.id] = evaluate(p.model, test_data)

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. Desk-scale configurations keep the whole suite within minutes.
 """
 
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -173,7 +175,17 @@ def test_criterion_06_collaboration_gain():
            f"({time.time() - t0:.1f}s)")
 
 
-def test_criterion_07_free_rider_robustness():
+def _p03_detections(cfg, outdir):
+    """(detected, stage) of party p03 in each cell of cfg, one per seed,
+    read from detection.csv of one run_experiment with two workers."""
+    run_experiment(dataclasses.replace(cfg, parallel_workers=2), outdir)
+    with open(os.path.join(outdir, "detection.csv"), newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["party"] == "p03"]
+    assert sorted(int(row["seed"]) for row in rows) == list(cfg.seeds)
+    return [(row["detected"] == "True", row["stage"]) for row in rows]
+
+
+def test_criterion_07_free_rider_robustness(tmp_path):
     t0 = time.time()
     # A generous sharing level sharpens both stages at desk scale: more
     # benchmarking samples at initialisation and larger traded updates,
@@ -184,17 +196,14 @@ def test_criterion_07_free_rider_robustness():
         seeds=list(range(50)), rounds=12,
         lambda_low=0.3, lambda_high=0.3,
         adversaries=[{"kind": "free_rider_random_label", "party": 3}])
-    init_hits = caught = 0
-    for seed in range(50):
-        result = run_cell(cfg, "fdpddl", 1, seed)
-        [rec] = [r for r in result["detection"] if r["party"] == "p03"]
-        init_hits += rec["detected"] and rec["stage"] == "init"
-        caught += rec["detected"]
+    detections = _p03_detections(cfg, tmp_path)
+    init_hits = sum(detected and stage == "init" for detected, stage in detections)
+    caught = sum(detected for detected, _ in detections)
     report(7, "free-rider robustness", init_hits >= 45 and caught == 50,
            f"init {init_hits}/50, caught-overall {caught}/50 ({time.time() - t0:.1f}s)")
 
 
-def test_criterion_08_gan_attacker_proxy():
+def test_criterion_08_gan_attacker_proxy(tmp_path):
     t0 = time.time()
     base = dict(
         dataset={"kind": "blobs", "num_classes": 10, "dim": 32, "spread": 0.15,
@@ -207,21 +216,16 @@ def test_criterion_08_gan_attacker_proxy():
     control_cfg = desk_config(adversaries=[{"kind": "gan_attacker", "party": 3,
                                             "iid_control": True}],
                               **base)
-    split_hits = control_hits = 0
-    for seed in range(50):
-        [rec] = [r for r in run_cell(split_cfg, "fdpddl", 1, seed)["detection"]
-                 if r["party"] == "p03"]
-        split_hits += rec["detected"] and rec["stage"] == "init"
-        [rec] = [r for r in run_cell(control_cfg, "fdpddl", 1, seed)["detection"]
-                 if r["party"] == "p03"]
-        control_hits += rec["detected"]
+    split_hits = sum(detected and stage == "init"
+                     for detected, stage in _p03_detections(split_cfg, tmp_path / "split"))
+    control_hits = sum(detected for detected, _ in _p03_detections(control_cfg,
+                                                                   tmp_path / "control"))
     report(8, "inference-attacker proxy", split_hits >= 45 and control_hits <= 5,
            f"split init {split_hits}/50, control {control_hits}/50 ({time.time() - t0:.1f}s)")
 
 
 def test_criterion_09_determinism(tmp_path):
     t0 = time.time()
-    import dataclasses
     cfg = desk_config(settings=[1, 3], seeds=[0, 1], rounds=3,
                       frameworks=["fdpddl", "distributed_dssgd"],
                       protocol={"augment_replication": 30, "dp_steps_per_round": 3,

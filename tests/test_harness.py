@@ -418,6 +418,22 @@ class TestExperimentAndCli:
         assert repr(key) in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    def test_report_exit_2_removes_only_the_out_it_made(self, tmp_path, capsys):
+        # It used to leave the --out it had made before reading a trace.
+        (tmp_path / "run" / "traces").mkdir(parents=True)
+        save_config(small_config(), tmp_path / "run" / "config.json")
+        (tmp_path / "run" / "traces" / "fdpddl_s1_seed0.json").write_text('{"framework": 1}')
+        report = ["report", "--traces", str(tmp_path / "run" / "traces"), "--out"]
+        assert main(report + [str(tmp_path / "new" / "out")]) == 2
+        assert not (tmp_path / "new").exists()
+        # An --out that was there already stays as it was.
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "accuracy.csv").write_text("earlier")
+        assert main(report + [str(tmp_path / "kept")]) == 2
+        assert [(p.name, p.read_text()) for p in (tmp_path / "kept").iterdir()] == [
+            ("accuracy.csv", "earlier")]
+        assert "'party_ids'" in capsys.readouterr().err
+
     # Each ended in a TypeError traceback.
     @pytest.mark.parametrize("argv, path, fault", [
         (["fairness", "--trace", "{run}/list.json"], "{run}/list.json",

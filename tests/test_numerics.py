@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab import numerics
 from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
                                  backward, clipped_mean_gradient, decayed_lr, evaluate,
                                  evaluate_rows, forward, load_csv, load_idx, loss,
@@ -116,6 +115,16 @@ class TestBackward:
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError):
             backward(model, empty.features, empty.labels)
+
+    def test_label_outside_the_model_classes_rejected(self):
+        model = MlpModel((2, 3))
+        data = Dataset(np.ones((2, 2)), np.array([0, 3]), 4)
+        for gradient in (backward, per_example_gradients,
+                         lambda m, x, y: clipped_mean_gradient(m, x, y, 1.0)):
+            with pytest.raises(IndexError):
+                gradient(model, data.features, data.labels)
+        with pytest.raises(IndexError):
+            train_sgd(model, data, 1, 0.1, 0.0, 2, np.random.default_rng(0))
 
     def test_per_example_mean_equals_backward(self):
         rng = np.random.default_rng(4)
@@ -236,12 +245,25 @@ class TestSgdStep:
 
 
 def _fresh_backward(model, features, labels):
-    """backward() with a fresh matmul and column sum per layer, copied into
-    a flat vector in the parameter order."""
-    activations, delta = numerics._output_delta(model, features, labels)
+    """backward() with fresh temporaries throughout, independent of the
+    numerics kernel: forward, softmax, output delta, backprop, and a fresh
+    matmul and column sum per layer, concatenated in the parameter order."""
+    layers = list(model.layers())
+    activations = [features]
+    for weights, bias in layers[:-1]:
+        activations.append(np.maximum(activations[-1] @ weights + bias, 0.0))
+    logits = activations[-1] @ layers[-1][0] + layers[-1][1]
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = exps / exps.sum(axis=1, keepdims=True)
+    delta[np.arange(len(labels)), labels] -= 1.0
     delta /= len(labels)
-    pairs = numerics._backprop_deltas(model, activations, delta)
-    return np.concatenate([part for inp, d in pairs for part in ((inp.T @ d).ravel(), d.sum(axis=0))])
+    deltas = [delta]
+    for li in range(len(layers) - 1, 0, -1):
+        upstream = deltas[0] @ layers[li][0].T
+        upstream[activations[li] <= 0.0] = 0.0
+        deltas.insert(0, upstream)
+    return np.concatenate([part for inp, d in zip(activations, deltas)
+                           for part in ((inp.T @ d).ravel(), d.sum(axis=0))])
 
 
 @pytest.mark.parametrize("dims", [(784, 128, 10), (32, 32, 10)])
@@ -272,6 +294,29 @@ class TestInPlaceTraining:
                 ref_steps += 1
         assert steps == ref_steps == 6
         assert model.params.tobytes() == reference.params.tobytes()
+
+    def test_stacked_train_sgd_equals_each_model_alone(self, dims):
+        # Four models side by side, each on its own data, rng and decay
+        # clock; 75 rows leave a short last batch.
+        rng = np.random.default_rng(24)
+        models = [MlpModel.seeded(dims, rng) for _ in range(4)]
+        datasets = [make_blobs(75, dims[-1], dims[0], rng, spread=0.3) for _ in range(4)]
+        alone = [m.copy() for m in models]
+        offsets = [0, 3, 3, 9]
+        rngs = [np.random.default_rng(30 + i) for i in range(4)]
+        steps = train_sgd(models, datasets, 2, 0.1, 1e-3, 32, rngs, offsets)
+        for i, model in enumerate(alone):
+            ref_rng = np.random.default_rng(30 + i)
+            assert train_sgd(model, datasets[i], 2, 0.1, 1e-3, 32, ref_rng, offsets[i]) == steps
+            assert model.params.tobytes() == models[i].params.tobytes()
+            assert ref_rng.bit_generator.state == rngs[i].bit_generator.state
+
+    def test_side_by_side_needs_equal_sizes(self, dims):
+        rng = np.random.default_rng(25)
+        models = [MlpModel(dims) for _ in range(2)]
+        datasets = [make_blobs(size, dims[-1], dims[0], rng) for size in (40, 41)]
+        with pytest.raises(ValueError):
+            train_sgd(models, datasets, 1, 0.1, 1e-3, 32, [rng, rng], [0, 0])
 
 
 class TestSelectLargest:

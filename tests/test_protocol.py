@@ -412,6 +412,79 @@ class TestFullRuns:
         assert set(trace.final_accuracies) == {p.id for p in parties}
 
 
+def _one_party_at_a_time(parties, epochs):
+    """The reference for side-by-side training: each party alone, step by
+    step, with backward and sgd_step on its own rng and decay clock."""
+    for p in parties:
+        data = p.train_data
+        for _ in range(epochs):
+            order = p.rng.permutation(len(data))
+            for start in range(0, len(data), BATCH_SIZE):
+                rows = order[start:start + BATCH_SIZE]
+                grad = numerics.backward(p.model, data.features[rows], data.labels[rows])
+                numerics.sgd_step(p.model, grad, numerics.decayed_lr(LEARNING_RATE, LR_DECAY,
+                                                                     p.sgd_steps))
+                p.sgd_steps += 1
+
+
+class TestSideBySideTraining:
+    """Parties with equal-size training splits pretrain and run standalone
+    rounds in one stacked train_sgd call; each ends with the bits, rng
+    state and decay clock it would reach alone."""
+
+    # (model dims, raw data size per party, expected models per train_sgd call)
+    CASES = {
+        "four_equal_desk_parties": ((32, 32, 10), [150] * 4, [4]),
+        "setting3_mix_one_equal_pair": ((32, 32, 10), [60, 95, 95, 130], [1, 2, 1]),
+        "paper_shape_one_per_pass": ((784, 128, 10), [50] * 4, [1, 1, 1, 1]),
+    }
+
+    @pytest.fixture(params=list(CASES), ids=list(CASES))
+    def case(self, request, monkeypatch):
+        dims, sizes, stacks = self.CASES[request.param]
+        rng = np.random.default_rng(np.random.SeedSequence([len(request.param), 102]))
+        centers = blob_centers(10, dims[0], rng)
+        datasets = [make_blobs(size, 10, dims[0], rng, spread=0.3, centers=centers)
+                    for size in sizes]
+        test = make_blobs(100, 10, dims[0], rng, spread=0.3, centers=centers)
+        config = ProtocolConfig(hidden_dims=dims[1:-1], **FAST)
+        parties = fresh_parties(5, config, datasets)
+        calls = []
+
+        def recording(model, *args):
+            calls.append(len(model))
+            return train_sgd(model, *args)
+
+        monkeypatch.setattr(protocol, "train_sgd", recording)
+        return parties, copy_parties(parties), test, stacks, calls
+
+    @staticmethod
+    def assert_same_state(parties, reference):
+        for p, q in zip(parties, reference):
+            assert p.model.params.tobytes() == q.model.params.tobytes()
+            assert p.rng.bit_generator.state == q.rng.bit_generator.state
+            assert p.sgd_steps == q.sgd_steps
+
+    def test_pretraining_equals_one_party_at_a_time(self, case):
+        parties, reference, test, stacks, calls = case
+        pretrain(parties, test)
+        _one_party_at_a_time(reference, protocol.PRETRAIN_EPOCHS)
+        assert calls == stacks
+        self.assert_same_state(parties, reference)
+        assert [p.standalone_accuracy for p in parties] == [evaluate(q.model, test)
+                                                             for q in reference]
+
+    def test_standalone_rounds_equal_one_party_at_a_time(self, case):
+        parties, reference, test, stacks, calls = case
+        trace = run_baseline("standalone", parties, rounds=2, test_data=test)
+        _one_party_at_a_time(reference, protocol.PRETRAIN_EPOCHS)
+        for _ in range(2):
+            _one_party_at_a_time(reference, protocol.BASELINE_EPOCHS_PER_ROUND)
+        assert calls == stacks * 3
+        self.assert_same_state(parties, reference)
+        assert trace.final_accuracies == {q.id: evaluate(q.model, test) for q in reference}
+
+
 class TestBaselines:
     def test_standalone_has_no_cross_terms(self):
         datasets, test = blob_setup(14)
