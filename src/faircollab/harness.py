@@ -752,14 +752,15 @@ def _cmd_report(args) -> int:
     config = load_config(os.path.join(os.path.dirname(os.path.abspath(args.traces)),
                                       "config.json"))
     # The topmost directory that makedirs creates, removed again on exit 2;
-    # an --out that exists already is left as it was.
-    created = None
-    path = os.path.abspath(args.out)
+    # an --out that exists already is left as it was. Both use the
+    # normalised path, so that "missing/.." makes no "missing".
+    out = os.path.abspath(args.out)
+    created, path = None, out
     while not os.path.exists(path):
         created, path = path, os.path.dirname(path)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     try:
-        summary = generate_reports(args.traces, args.out, config)
+        summary = generate_reports(args.traces, out, config)
     except (ConfigError, OSError):
         if created:
             shutil.rmtree(created, ignore_errors=True)

@@ -21,9 +21,9 @@ runner pretrains only the parties that arrive without one. Copies share
 the parties' data, keys and the one read-only initial-parameter vector.
 
 Pretraining and the standalone baseline's rounds train the parties whose
-training splits have equal size side by side, in stacks capped by
-LOO_PASS_BYTES (_train_side_by_side); DP-SGD (one dp_sgd_step per party
-per step), DSSGD and centralised train one model at a time.
+training splits have equal size side by side when the model is at most
+SIDE_BY_SIDE_MAX_BYTES (_train_side_by_side); DP-SGD (one dp_sgd_step per
+party per step), DSSGD and centralised train one model at a time.
 
 Every random draw comes from per-party generators spawned off one master
 seed, including key material, so a run is a pure function of its
@@ -71,11 +71,18 @@ VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
 # q = L / N, where L = lot_size_for(N) = sqrt(N), and clips to CLIP_NORM.
 EPSILON_PER_STEP = 1.0
 CLIP_NORM = 1.0
-# Leave-one-out scoring stacks its probe rows, and side-by-side plain SGD
-# its models' parameters, at most this many bytes at a time (at least one
-# row): 94 rows of the 32-32-10 model, so desk shapes run in one pass, and
-# one row of the paper's 784-128-10 model.
+# Leave-one-out scoring stacks its probe rows at most this many bytes at a
+# time (at least one row): 94 rows of the 32-32-10 model, so desk shapes
+# score in one pass, and one row of the paper's 784-128-10 model.
 LOO_PASS_BYTES = 1 << 20
+# Plain SGD trains equal-size parties side by side only for a model of at
+# most this many parameter bytes. The 32-32-10 desk model (11 KB) gains:
+# pretraining and standalone rounds of the desk_grid groups took 0.77-0.80x
+# the time of one party per call on a 2-core host. The paper's 784-128-10
+# model (814 KB) trains one party at a time: a stack copies every party's
+# 784-wide training rows, and four side by side raised paper_shape's peak
+# RSS from 75.8 to 85.1 MB.
+SIDE_BY_SIDE_MAX_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,23 +221,23 @@ def copy_parties(parties: list[Party]) -> list[Party]:
 
 def _train_side_by_side(parties: list[Party], epochs: int) -> None:
     """epochs of plain SGD for each party on its training split, on its
-    own rng and decay clock. Parties whose splits have equal size train
-    side by side, in one train_sgd call per stack of at most
-    LOO_PASS_BYTES of parameters (at least one party): 94 parties of the
-    32-32-10 model, one of the paper's 784-128-10 model, which so trains
-    on 2-D arrays. Every party ends with the bits it would get alone."""
-    per_pass = max(1, LOO_PASS_BYTES // parties[0].model.params.nbytes)
-    by_size: dict[int, list[Party]] = {}
-    for p in parties:
-        by_size.setdefault(len(p.train_data), []).append(p)
-    for group in by_size.values():
-        for start in range(0, len(group), per_pass):
-            stack = group[start:start + per_pass]
-            steps = train_sgd([p.model for p in stack], [p.train_data for p in stack], epochs,
-                              LEARNING_RATE, LR_DECAY, BATCH_SIZE, [p.rng for p in stack],
-                              [p.sgd_steps for p in stack])
-            for p in stack:
-                p.sgd_steps += steps
+    own rng and decay clock. With a model of at most SIDE_BY_SIDE_MAX_BYTES,
+    the parties whose splits have equal size train side by side in one
+    train_sgd call; a larger model trains one party per call, on 2-D
+    arrays. Every party ends with the bits it would get alone."""
+    if parties[0].model.params.nbytes > SIDE_BY_SIDE_MAX_BYTES:
+        stacks = [[p] for p in parties]
+    else:
+        by_size: dict[int, list[Party]] = {}
+        for p in parties:
+            by_size.setdefault(len(p.train_data), []).append(p)
+        stacks = by_size.values()
+    for stack in stacks:
+        steps = train_sgd([p.model for p in stack], [p.train_data for p in stack], epochs,
+                          LEARNING_RATE, LR_DECAY, BATCH_SIZE, [p.rng for p in stack],
+                          [p.sgd_steps for p in stack])
+        for p in stack:
+            p.sgd_steps += steps
 
 
 def pretrain(parties: list[Party], test_data: Dataset) -> None:

@@ -426,6 +426,9 @@ class TestExperimentAndCli:
         report = ["report", "--traces", str(tmp_path / "run" / "traces"), "--out"]
         assert main(report + [str(tmp_path / "new" / "out")]) == 2
         assert not (tmp_path / "new").exists()
+        # A ".." in --out makes no directory on the way.
+        assert main(report + [str(tmp_path / "missing" / ".." / "out2")]) == 2
+        assert not (tmp_path / "missing").exists() and not (tmp_path / "out2").exists()
         # An --out that was there already stays as it was.
         (tmp_path / "kept").mkdir()
         (tmp_path / "kept" / "accuracy.csv").write_text("earlier")

@@ -436,7 +436,7 @@ class TestSideBySideTraining:
     CASES = {
         "four_equal_desk_parties": ((32, 32, 10), [150] * 4, [4]),
         "setting3_mix_one_equal_pair": ((32, 32, 10), [60, 95, 95, 130], [1, 2, 1]),
-        "paper_shape_one_per_pass": ((784, 128, 10), [50] * 4, [1, 1, 1, 1]),
+        "paper_shape_one_per_call": ((784, 128, 10), [50] * 4, [1, 1, 1, 1]),
     }
 
     @pytest.fixture(params=list(CASES), ids=list(CASES))

@@ -1,6 +1,6 @@
 """Check that this checkout's runs write the same bytes as another commit's.
 
-    python3 tools/same_bytes.py BASE [--expect-moved GLOB ...]
+    python3 tools/same_bytes.py BASE
 
 BASE is any commit git can name (a branch, a tag, a sha). It is checked
 out with ``git worktree add`` into a temporary directory, and each side,
@@ -13,17 +13,11 @@ and 1, plus its own ``configs/desk_freerider.json``, each through
 byte. The script prints the number of files compared and the first
 files that differ or exist on one side only, and exits 1 if any does
 (or if no file was written), 0 otherwise.
-
-``--expect-moved GLOB`` (repeatable) is for a change that moves floating
-point on purpose: files whose path under the run directory matches one
-of the globs (for example ``desk_grid-seed0-*/traces/*``) may differ; they
-are counted and listed, and do not fail the check.
 """
 
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import os
 import subprocess
@@ -61,19 +55,14 @@ def _files(top: Path) -> dict[str, Path]:
             if path.is_file()}
 
 
-def compare(base: Path, change: Path, expect_moved=()) -> tuple[int, list[str], list[str]]:
-    """(files compared, paths that differ unexpectedly, paths that differ
-    and match one of the expect_moved globs), over the union of the files
+def compare(base: Path, change: Path) -> tuple[int, list[str]]:
+    """(files compared, paths that differ), over the union of the files
     under base and change. A file on one side only differs."""
     left, right = _files(Path(base)), _files(Path(change))
-    differing, moved = [], []
-    for rel in sorted(left.keys() | right.keys()):
-        same = (rel in left and rel in right
-                and left[rel].read_bytes() == right[rel].read_bytes())
-        if not same:
-            expected = any(fnmatch.fnmatch(rel, glob) for glob in expect_moved)
-            (moved if expected else differing).append(rel)
-    return len(left.keys() | right.keys()), differing, moved
+    differing = [rel for rel in sorted(left.keys() | right.keys())
+                 if not (rel in left and rel in right
+                         and left[rel].read_bytes() == right[rel].read_bytes())]
+    return len(left.keys() | right.keys()), differing
 
 
 def _run_side(side: Path, out: Path) -> None:
@@ -91,8 +80,6 @@ def _git(*args: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the commit to compare this working tree with")
-    parser.add_argument("--expect-moved", action="append", default=[], metavar="GLOB",
-                        help="files under the run directories that may differ (repeatable)")
     args = parser.parse_args(argv)
     sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
 
@@ -106,14 +93,11 @@ def main(argv=None) -> int:
             _run_side(ROOT, out / "change")
         finally:
             _git("worktree", "remove", "--force", str(checkout))
-        count, differing, moved = compare(out / "base", out / "change", args.expect_moved)
+        count, differing = compare(out / "base", out / "change")
 
-    print(f"{count} files compared against {sha[:12]}: {len(differing)} differ"
-          + (f", {len(moved)} moved as expected" if args.expect_moved else ""))
+    print(f"{count} files compared against {sha[:12]}: {len(differing)} differ")
     for rel in differing[:10]:
         print(f"  differs: {rel}")
-    for rel in moved[:10]:
-        print(f"  moved as expected: {rel}")
     return 1 if differing or not count else 0
 
 
