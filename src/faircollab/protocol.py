@@ -81,7 +81,10 @@ LOO_PASS_BYTES = 1 << 20
 # the time of one party per call on a 2-core host. The paper's 784-128-10
 # model (814 KB) trains one party at a time: a stack copies every party's
 # 784-wide training rows, and four side by side raised paper_shape's peak
-# RSS from 75.8 to 85.1 MB.
+# RSS from 75.8 to 85.1 MB. Gathering each batch from the parties' own rows
+# instead cut paper_shape's wall_s from 0.70 to 0.64 s but raised its peak
+# RSS from 75.9 to 78.6 MB (6 of 6 pairs each), for the stacked copy of
+# parameters and gradients, so the limit stays.
 SIDE_BY_SIDE_MAX_BYTES = 1 << 16
 
 

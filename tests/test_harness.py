@@ -45,6 +45,13 @@ def small_config(**overrides):
     return ExperimentConfig.from_dict(base)
 
 
+def _subprocess_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's src/."""
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def pearson_oracle(x, y):
     n = len(x)
     mx = sum(x) / n
@@ -459,6 +466,39 @@ class TestExperimentAndCli:
             f"error: {path.format(run=tmp_path)}: not a cell trace: {fault}\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    # Each ended in a ValueError or TypeError traceback, report's leaving
+    # its --out behind, or ran on: fairness printed "r_xy": NaN for a null
+    # accuracy, and report counted a chain_valid of "yes" as valid.
+    @pytest.mark.parametrize("command, edit, fragment", [
+        ("fairness", lambda t: t.update(setting=5), "unknown setting 5"),
+        ("fairness", lambda t: t.update(setting="1"), "unknown setting '1'"),
+        ("fairness", lambda t: t["sharing_levels"].update(p00="high"), "'high'"),
+        ("fairness", lambda t: t.update(party_ids=["p00"]), "at least two parties"),
+        ("fairness", lambda t: t["final_accuracies"].update(p00=None), "must be finite"),
+        ("report", lambda t: t["final_accuracies"].update(p00=None), "unsupported operand"),
+        ("report", lambda t: t["final_accuracies"].update(p00="0.9"), "unsupported operand"),
+        ("report", lambda t: t.update(fairness=[1]), "list indices"),
+        ("report", lambda t: t["trace"].update(accuracy_rows=[5]), "not subscriptable"),
+        ("report", lambda t: t.update(chain_valid="yes"),
+         "chain_valid is str, not true, false or null")],
+        ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
+             "fairness_one_party", "fairness_null_accuracy", "report_null_accuracy",
+             "report_str_accuracy", "report_list_fairness", "report_int_accuracy_row",
+             "report_str_chain_valid"])
+    def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, command, edit, fragment):
+        run_experiment(small_config(), tmp_path)
+        trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
+        trace = json.loads(trace_path.read_text())
+        edit(trace)
+        trace_path.write_text(json.dumps(trace))
+        argv = {"fairness": ["fairness", "--trace", str(trace_path)],
+                "report": ["report", "--traces", str(tmp_path / "traces"),
+                           "--out", str(tmp_path / "o")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace_path}: not a cell trace: ") and fragment in err
+        assert not (tmp_path / "o").exists()
+
     # Each ended in a RecursionError traceback: the nesting is deeper than
     # the JSON parser's recursion limit.
     @pytest.mark.parametrize("argv", [
@@ -475,6 +515,7 @@ class TestExperimentAndCli:
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {nested}: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("workers, seeds, made", [
         (64, [0, 1], [2]), (64, [0], []), (2, [0, 1, 2], [2])],
@@ -509,13 +550,39 @@ class TestExperimentAndCli:
                   "from faircollab import harness\n"
                   "harness.run_experiment(harness.load_config(sys.argv[1]), sys.argv[2])\n"
                   "sys.exit('multiprocessing' in sys.modules)\n")
-        src = str(Path(harness.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script, str(cfg_path), str(tmp_path / "o")],
-                              env=env, capture_output=True, text=True)
+                              env=_subprocess_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "summary.json").is_file()
+
+    # In-process main() tests cannot see python -m faircollab's own exit
+    # path: the code that reaches the shell, and stderr without a traceback.
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (["run", "--config", "{bad}", "--out", "{out}"], 2, ""),
+        (["report", "--traces", "{traces}", "--out", "{out}"], 2, ""),
+        (["verify-chain", "--dump", "{cut}"], 1, '"valid": false')],
+        ids=["run_config_not_json", "report_of_non_trace", "verify_chain_cut_dump"])
+    def test_module_entry_point_exit_code(self, tmp_path, argv, code, stdout):
+        from faircollab.ledger import KeyPair, Ledger, dump_chain
+        (tmp_path / "bad.json").write_text('{"name": ')
+        (tmp_path / "traces").mkdir()
+        save_config(small_config(), tmp_path / "config.json")
+        (tmp_path / "traces" / "fdpddl_s1_seed0.json").write_text('{"framework": 1}')
+        rng = np.random.default_rng(0)
+        keys = {pid: KeyPair.generate(rng) for pid in ("p00", "p01")}
+        ledger = Ledger()
+        ledger.create_genesis({pid: 10 for pid in keys}, keys)
+        dump_chain(ledger.chain, tmp_path / "chain.jsonl")
+        (tmp_path / "cut.jsonl").write_text((tmp_path / "chain.jsonl").read_text()[:300])
+        paths = {"bad": tmp_path / "bad.json", "traces": tmp_path / "traces",
+                 "out": tmp_path / "o", "cut": tmp_path / "cut.jsonl"}
+        proc = subprocess.run([sys.executable, "-m", "faircollab",
+                               *(arg.format(**paths) for arg in argv)],
+                              env=_subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert stdout in proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_cli_verify_chain(self, tmp_path, capsys):
         from faircollab.ledger import Ledger, KeyPair, dump_chain
@@ -588,7 +655,7 @@ class TestExperimentAndCli:
         (["report", "--traces", "{traces}", "--out", "{out}"],
          "run/traces/centralised_s1_seed0.json", "{traces}/centralised_s1_seed0.json: "),
         (["fairness", "--trace", "{traces}/centralised_s1_seed0.json"], None,
-         "a centralised cell carries no fairness"),
+         "error: {traces}/centralised_s1_seed0.json: a centralised cell carries no fairness"),
         (["run", "--config", "{svhn}", "--out", "{out}"], None,
          "protocol.dataset_name 'svhn' is not dataset.name 'blobs'")],
         ids=["run_config_not_json", "fairness_trace_not_json", "report_cell_trace_not_json",
@@ -683,16 +750,26 @@ class TestExperimentAndCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "adversaries repeat party" in capsys.readouterr().err
 
-    # Each of these ended in a ValueError traceback from the data split,
-    # the noise draw or the lot sampler instead of exit 2.
+    # The first five ended in a ValueError traceback from the data split,
+    # the noise draw or the lot sampler instead of exit 2. Of the NaN and
+    # Infinity that json reads, an infinite spread ran on data clipped to
+    # 0 and 1, a NaN or infinite crafted_scale ran selling NaN gradients,
+    # and a NaN spread was refused as negative.
     @pytest.mark.parametrize("dataset, adversary, fragment", [
         ({"spread": -0.1}, None, "spread"),
         ({}, {"kind": "free_rider_random_grad", "crafted_scale": -1.0}, "crafted_scale"),
         ({"num_classes": 4}, {"kind": "gan_attacker", "victim_classes": [50]}, "victim_classes"),
         ({}, {"kind": "gan_attacker", "adversary_classes": [50]}, "adversary_classes"),
         ({}, {"kind": "gan_attacker", "victim_classes": [0, 1, 2],
-              "adversary_classes": [2, 3]}, "overlap")],
-        ids=["spread", "crafted_scale", "victim_classes", "adversary_classes", "overlap"])
+              "adversary_classes": [2, 3]}, "overlap"),
+        ({"spread": math.inf}, None, "dataset.spread must be a finite number"),
+        ({"spread": math.nan}, None, "dataset.spread must be a finite number"),
+        ({}, {"kind": "free_rider_random_grad", "crafted_scale": math.nan},
+         "adversaries[0].crafted_scale must be a finite number"),
+        ({}, {"kind": "free_rider_random_grad", "crafted_scale": math.inf},
+         "adversaries[0].crafted_scale must be a finite number")],
+        ids=["spread", "crafted_scale", "victim_classes", "adversary_classes", "overlap",
+             "infinite_spread", "nan_spread", "nan_crafted_scale", "infinite_crafted_scale"])
     def test_cli_bad_adversary_or_dataset_exit_code(self, tmp_path, capsys, dataset, adversary,
                                                     fragment):
         cfg = small_config(n=3).to_dict()
@@ -701,7 +778,9 @@ class TestExperimentAndCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert fragment in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert fragment in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     # Each of these ended in a traceback from validation or mid-run, or (a
     # fractional min_party_size, a negative parallel_workers, a second
