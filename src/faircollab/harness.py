@@ -641,21 +641,38 @@ _TRACE_SHAPE = {"party_ids": (list, "a list"), "final_accuracies": (dict, "an ob
                 "standalone_accuracies": (dict, "an object"),
                 "sharing_levels": (dict, "an object"), "trace": (dict, "an object"),
                 "chain_valid": ((bool, type(None)), "true, false or null")}
+# The per-party entries the readers compute with.
+_TRACE_NUMBERS = ("sharing_levels", "standalone_accuracies", "final_accuracies")
+
+
+def _trace_fault(trace) -> str | None:
+    """Why trace is no cell trace the readers can use, or None: a top
+    level that is not an object, an entry of _TRACE_SHAPE of another JSON
+    type, a setting that is not an int, or a _TRACE_NUMBERS value that is
+    not a finite number (JSON true and false are neither)."""
+    if not isinstance(trace, dict):
+        return f"the top level is {type(trace).__name__}, not an object"
+    for key, (kinds, name) in _TRACE_SHAPE.items():
+        if key in trace and not isinstance(trace[key], kinds):
+            return f"{key} is {type(trace[key]).__name__}, not {name}"
+    if "setting" in trace and type(trace["setting"]) is not int:
+        return f"unknown setting {trace['setting']!r}"
+    for key in _TRACE_NUMBERS:
+        for pid, value in trace.get(key, {}).items():
+            if type(value) is not int and not (type(value) is float and math.isfinite(value)):
+                return (f"{key}[{pid!r}] is {value!r}: accuracies and sharing levels "
+                        f"must be finite numbers")
+    return None
 
 
 @contextlib.contextmanager
 def _reading_trace(path):
-    """Yields the cell trace at path. A file that is not a JSON object, an
-    entry of _TRACE_SHAPE of another JSON type, a key missing from the
-    trace and a value its reader cannot use (a TypeError or ValueError)
-    each become a ConfigError that names path and the fault."""
+    """Yields the cell trace at path. A trace with a _trace_fault, a key
+    missing from the trace and a value its reader cannot use (a TypeError
+    or ValueError) each become a ConfigError that names path and the
+    fault."""
     trace = _load_json(path)
-    if not isinstance(trace, dict):
-        fault = f"the top level is {type(trace).__name__}, not an object"
-    else:
-        fault = next((f"{key} is {type(trace[key]).__name__}, not {name}"
-                      for key, (kinds, name) in _TRACE_SHAPE.items()
-                      if key in trace and not isinstance(trace[key], kinds)), None)
+    fault = _trace_fault(trace)
     if fault:
         raise ConfigError(f"{path}: not a cell trace: {fault}")
     try:

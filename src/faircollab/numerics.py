@@ -407,20 +407,33 @@ class SparseUpdate:
         return SparseUpdate(self.indices, -self.values, self.param_count)
 
     def to_bytes(self) -> bytes:
+        """Header >u4 param_count, >u4 n; then the n indices, each in
+        the narrowest big-endian unsigned type that holds every index
+        below param_count (>u2 up to 65,536 parameters, >u4 above); then
+        the n values as >f8. 8 + 10n bytes at desk scale, 8 + 12n at
+        paper scale."""
         header = struct.pack(">II", self.param_count, len(self.indices))
-        return header + self.indices.astype(">i8").tobytes() + self.values.astype(">f8").tobytes()
+        indices = self.indices.astype(_index_type(self.param_count))
+        return header + indices.tobytes() + self.values.astype(">f8").tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SparseUpdate":
         if len(blob) < 8:
             raise ValueError("truncated sparse update blob")
         param_count, n = struct.unpack(">II", blob[:8])
-        need = 8 + 16 * n
-        if len(blob) != need:
+        index_type = _index_type(param_count)
+        split = 8 + index_type.itemsize * n
+        if len(blob) != split + 8 * n:
             raise ValueError("sparse update blob has wrong length")
-        indices = np.frombuffer(blob[8:8 + 8 * n], dtype=">i8").astype(np.int64)
-        values = np.frombuffer(blob[8 + 8 * n:], dtype=">f8").astype(np.float64)
+        indices = np.frombuffer(blob[8:split], dtype=index_type).astype(np.int64)
+        values = np.frombuffer(blob[split:], dtype=">f8").astype(np.float64)
         return cls(indices, values, param_count)
+
+
+def _index_type(param_count: int) -> np.dtype:
+    """The wire type of a payload's indices: every index is below
+    param_count, which the >u4 header bounds."""
+    return np.dtype(">u2" if param_count <= 1 << 16 else ">u4")
 
 
 def magnitude_order(gradient: np.ndarray, k: int) -> np.ndarray:

@@ -475,16 +475,38 @@ class TestExperimentAndCli:
         ("fairness", lambda t: t["sharing_levels"].update(p00="high"), "'high'"),
         ("fairness", lambda t: t.update(party_ids=["p00"]), "at least two parties"),
         ("fairness", lambda t: t["final_accuracies"].update(p00=None), "must be finite"),
-        ("report", lambda t: t["final_accuracies"].update(p00=None), "unsupported operand"),
-        ("report", lambda t: t["final_accuracies"].update(p00="0.9"), "unsupported operand"),
+        ("report", lambda t: t["final_accuracies"].update(p00=None),
+         "final_accuracies['p00'] is None"),
+        ("report", lambda t: t["final_accuracies"].update(p00="0.9"),
+         "final_accuracies['p00'] is '0.9'"),
         ("report", lambda t: t.update(fairness=[1]), "list indices"),
         ("report", lambda t: t["trace"].update(accuracy_rows=[5]), "not subscriptable"),
         ("report", lambda t: t.update(chain_valid="yes"),
-         "chain_valid is str, not true, false or null")],
+         "chain_valid is str, not true, false or null"),
+        # These exited 0: a JSON true read as 1, a string passed through to
+        # the output, a float setting matched setting 1 and a NaN accuracy
+        # was averaged into the summary.
+        ("fairness", lambda t: t.update(setting=True), "unknown setting True"),
+        ("fairness", lambda t: t.update(setting=1.0), "unknown setting 1.0"),
+        ("fairness", lambda t: t["sharing_levels"].update(p00=True),
+         "sharing_levels['p00'] is True"),
+        ("fairness", lambda t: t["final_accuracies"].update(p00="0.9"),
+         "final_accuracies['p00'] is '0.9'"),
+        ("fairness", lambda t: t["standalone_accuracies"].update(p00=False),
+         "standalone_accuracies['p00'] is False"),
+        ("report", lambda t: t["final_accuracies"].update(p00=True),
+         "final_accuracies['p00'] is True"),
+        ("report", lambda t: t["final_accuracies"].update(p00=math.nan),
+         "final_accuracies['p00'] is nan"),
+        ("report", lambda t: t["standalone_accuracies"].update(p00="0.5"),
+         "standalone_accuracies['p00'] is '0.5'")],
         ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
              "fairness_one_party", "fairness_null_accuracy", "report_null_accuracy",
              "report_str_accuracy", "report_list_fairness", "report_int_accuracy_row",
-             "report_str_chain_valid"])
+             "report_str_chain_valid", "fairness_bool_setting", "fairness_float_setting",
+             "fairness_bool_sharing_level", "fairness_str_accuracy",
+             "fairness_bool_standalone_accuracy", "report_bool_accuracy",
+             "report_nan_accuracy", "report_str_standalone_accuracy"])
     def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, command, edit, fragment):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"

@@ -592,6 +592,42 @@ class TestSparseUpdateCodec:
         assert np.array_equal(again.indices, u.indices)
         assert np.array_equal(again.values, u.values)
 
+    @pytest.mark.parametrize("param_count, width", [(65_536, 2), (65_537, 4)])
+    def test_index_width_set_by_param_count(self, param_count, width):
+        u = SparseUpdate([0, 1_385, param_count - 1], [0.5, -2.0, 1e-300], param_count)
+        blob = u.to_bytes()
+        assert len(blob) == 8 + (width + 8) * len(u)
+        assert blob[8:8 + width] == b"\0" * width
+        assert blob[8 + 2 * width:8 + 3 * width] == (param_count - 1).to_bytes(width, "big")
+        again = SparseUpdate.from_bytes(blob)
+        assert again.param_count == param_count
+        assert np.array_equal(again.indices, u.indices)
+        assert np.array_equal(again.values, u.values)
+
+    def test_empty_update_is_its_header(self):
+        blob = SparseUpdate([], [], 1_386).to_bytes()
+        assert blob == struct.pack(">II", 1_386, 0)
+        assert len(SparseUpdate.from_bytes(blob)) == 0
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"", "truncated"),
+        (struct.pack(">I", 1_386), "truncated"),
+        (SparseUpdate([2, 5], [1.0, 2.0], 1_386).to_bytes()[:-1], "wrong length"),
+        (SparseUpdate([2, 5], [1.0, 2.0], 1_386).to_bytes() + b"\0", "wrong length"),
+        # the 16-bytes-per-entry layout: >i8 indices
+        (struct.pack(">IIqqdd", 1_386, 2, 2, 5, 1.0, 2.0), "wrong length"),
+        (struct.pack(">IIqqdd", 101_770, 2, 2, 5, 1.0, 2.0), "wrong length"),
+        (struct.pack(">IIHHdd", 1_386, 2, 5, 5, 1.0, 2.0), "strictly increasing"),
+        (struct.pack(">IIHHdd", 1_386, 2, 5, 2, 1.0, 2.0), "strictly increasing"),
+        (struct.pack(">IIHHdd", 1_386, 2, 2, 1_386, 1.0, 2.0), "out of range"),
+        (struct.pack(">IIIIdd", 101_770, 2, 2, 101_770, 1.0, 2.0), "out of range"),
+    ], ids=["empty", "half_header", "cut_short", "one_byte_over", "old_layout",
+            "old_layout_paper_scale", "repeated", "falling", "at_param_count",
+            "at_param_count_paper_scale"])
+    def test_bad_blob_refused(self, blob, message):
+        with pytest.raises(ValueError, match=message):
+            SparseUpdate.from_bytes(blob)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             SparseUpdate([3, 1], [1.0, 1.0], 5)

@@ -1,7 +1,10 @@
 """The comparison that tools/same_bytes.py makes, on two small directories."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "same_bytes", Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py")
@@ -39,3 +42,34 @@ def test_a_file_on_one_side_only_differs(tmp_path):
         4, ["desk_grid-seed0-serial/traces/standalone_s1_seed0.json"])
     assert same_bytes.compare(change, base)[1] == [
         "desk_grid-seed0-serial/traces/standalone_s1_seed0.json"]
+
+
+def test_bad_ref_is_an_error_not_a_difference(capsys):
+    # It ended in a CalledProcessError traceback and exit 1, the code for
+    # outputs that differ.
+    assert same_bytes.main(["no-such-ref"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: git names no commit 'no-such-ref'\n"
+    assert "differ" not in captured.out
+
+
+@pytest.mark.parametrize("failing", ["base", "change"])
+def test_failed_side_is_an_error_and_the_worktree_goes(monkeypatch, capsys, failing):
+    calls = []
+
+    def git(*args):
+        calls.append(args[:2])
+        return "0123456789abcdef" if args[0] == "rev-parse" else ""
+
+    def run_side(side, out):
+        if out.name == failing:
+            raise subprocess.CalledProcessError(1, ["python3"])
+        out.mkdir()
+        (out / "summary.json").write_bytes(b"{}")
+
+    monkeypatch.setattr(same_bytes, "_git", git)
+    monkeypatch.setattr(same_bytes, "_run_side", run_side)
+    assert same_bytes.main(["HEAD"]) == 2
+    label = {"base": "0123456789ab", "change": "this working tree"}[failing]
+    assert capsys.readouterr().err == f"error: the run of {label} failed with exit 1\n"
+    assert calls == [("rev-parse", "--verify"), ("worktree", "add"), ("worktree", "remove")]

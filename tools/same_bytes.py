@@ -11,8 +11,15 @@ and 1, plus its own ``configs/desk_freerider.json``, each through
 ``harness.run_experiment`` once serially and once with
 ``parallel_workers=2``. Every file the runs write is compared byte for
 byte. The script prints the number of files compared and the first
-files that differ or exist on one side only, and exits 1 if any does
-(or if no file was written), 0 otherwise.
+files that differ or exist on one side only. The temporary worktree is
+removed however the script ends.
+
+Exit codes:
+    0  every file is the same on both sides
+    1  some file differs or exists on one side only
+    2  no comparison: BASE names no commit, it cannot be checked out, a
+       side's run fails or the runs write no file; one ``error:`` line
+       on stderr says which
 """
 
 from __future__ import annotations
@@ -77,28 +84,44 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the commit to compare this working tree with")
     args = parser.parse_args(argv)
-    sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    try:
+        sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        return _error(f"git names no commit {args.base!r}")
 
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
         out, checkout = Path(tmp), Path(tmp) / "checkout"
-        _git("worktree", "add", "--detach", str(checkout), sha)
         try:
-            print(f"running {sha[:12]} ...", flush=True)
-            _run_side(checkout, out / "base")
-            print("running this working tree ...", flush=True)
-            _run_side(ROOT, out / "change")
+            _git("worktree", "add", "--detach", str(checkout), sha)
+        except subprocess.CalledProcessError as exc:
+            return _error(f"cannot check out {sha[:12]}: {' '.join(exc.stderr.split())}")
+        try:
+            for side, label, name in ((checkout, sha[:12], "base"),
+                                      (ROOT, "this working tree", "change")):
+                print(f"running {label} ...", flush=True)
+                try:
+                    _run_side(side, out / name)
+                except subprocess.CalledProcessError as exc:
+                    return _error(f"the run of {label} failed with exit {exc.returncode}")
         finally:
             _git("worktree", "remove", "--force", str(checkout))
         count, differing = compare(out / "base", out / "change")
 
+    if not count:
+        return _error("the runs wrote no file")
     print(f"{count} files compared against {sha[:12]}: {len(differing)} differ")
     for rel in differing[:10]:
         print(f"  differs: {rel}")
-    return 1 if differing or not count else 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
