@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Dataset
+from .numerics import FLOAT, Dataset
 
 
 class AdversaryKind(str, Enum):
@@ -77,7 +77,7 @@ def freerider_label(samples: np.ndarray, num_classes: int,
 def freerider_gradients(kind: AdversaryKind, param_count: int, scale: float,
                         rng: np.random.Generator,
                         echo: np.ndarray | None = None) -> np.ndarray:
-    """Meaningless published gradients.
+    """Meaningless published gradients, a FLOAT vector of param_count.
 
     random (and random-label, which has no gradient strategy of its own):
     zero-mean Gaussian at the configured scale.
@@ -87,14 +87,15 @@ def freerider_gradients(kind: AdversaryKind, param_count: int, scale: float,
     kind = AdversaryKind(kind)
     if kind in (AdversaryKind.FREE_RIDER_RANDOM_GRAD, AdversaryKind.FREE_RIDER_RANDOM_LABEL):
         if scale == 0.0:
-            return np.zeros(param_count)
-        return rng.normal(0.0, scale, size=param_count)
+            return np.zeros(param_count, dtype=FLOAT)
+        return rng.normal(0.0, scale, size=param_count).astype(FLOAT)
     if kind == AdversaryKind.FREE_RIDER_CRAFTED_GRAD:
-        base = np.zeros(param_count) if echo is None else np.asarray(echo, dtype=np.float64)
+        base = (np.zeros(param_count, dtype=FLOAT) if echo is None
+                else np.asarray(echo, dtype=FLOAT))
         if base.shape != (param_count,):
             raise ValueError("echo source sized for a different model")
         noise = rng.normal(0.0, scale, size=param_count) if scale > 0.0 else 0.0
-        return base + noise
+        return (base + noise).astype(FLOAT, copy=False)
     raise ValueError(f"{kind.value} does not publish via freerider_gradients")
 
 

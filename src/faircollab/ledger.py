@@ -14,8 +14,9 @@ seller publishes an encrypted payload to a content-addressed store, and
 its signature over its fills is added once trading ends. A payload's
 plaintext is the line's SparseUpdate.to_bytes: an 8-byte header, then
 per gradient entry its index (2 bytes up to 65,536 parameters, 4 above)
-and its >f8 value, so k entries of the desk model ship as 8 + 10k bytes
-of plaintext and 24 + 10k of ciphertext with the AES-GCM tag. ChainState
+and its >f4 value, so k entries of the desk model ship as 8 + 6k bytes
+of plaintext and 24 + 6k of ciphertext with the AES-GCM tag (8 + 8k and
+24 + 8k for the 101,770-parameter paper model). ChainState
 holds the market's rules, which the Ledger and verify_chain both apply.
 
 Primitives are real, not stubs: Ed25519 signatures, SHA-256 chaining, and

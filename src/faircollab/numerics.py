@@ -13,6 +13,14 @@ Parameter flattening order is fixed and relied on by sparse updates that
 cross party boundaries: layer by layer from input to output, weight
 matrix first (row-major, shape in_dim x out_dim), then its bias vector.
 _layout sets that order; every model view and flat gradient reads it.
+
+FLOAT (float32) is the one floating dtype of the simulator's arrays:
+features, parameters, activations, one-hot targets, gradients and sold
+values. Random draws stay float64 and are rounded once where they enter
+an array, so every rng stream is the same whatever the dtype. Kernels
+compute in the dtype of the parameters they are given, so a model built
+from float64 parameters runs the same code in float64; the tests use it
+as their reference.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FLOAT = np.dtype(np.float32)
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -31,7 +40,7 @@ IDX_LABEL_MAGIC = 0x00000801
 class Dataset:
     """Feature matrix plus integer class labels.
 
-    features: (n, dim) float64 array, finite values.
+    features: (n, dim) FLOAT array, finite values.
     labels:   (n,) integer array with every value in [0, num_classes).
     """
 
@@ -40,7 +49,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=FLOAT)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -97,10 +106,12 @@ def _views(flat: np.ndarray, layout):
 class MlpModel:
     """Fully connected network with ReLU hidden layers and softmax output.
 
-    All parameters live in one flat float64 vector; per-layer weight and
-    bias arrays are views into it, built once, so flat-vector operations
-    (SGD steps, sparse updates) and layer-wise ones (forward, backward)
-    stay in sync. params is therefore only ever updated in place.
+    All parameters live in one flat vector; per-layer weight and bias
+    arrays are views into it, built once, so flat-vector operations (SGD
+    steps, sparse updates) and layer-wise ones (forward, backward) stay in
+    sync. params is therefore only ever updated in place. It is FLOAT
+    unless given as float64 parameters, which are kept as they are: the
+    float64 reference model of the tests.
     """
 
     def __init__(self, dims, params: np.ndarray | None = None):
@@ -110,9 +121,11 @@ class MlpModel:
         self._layout = _layout(self.dims)
         count = self._layout[-1][2].stop
         if params is None:
-            params = np.zeros(count, dtype=np.float64)
+            params = np.zeros(count, dtype=FLOAT)
         else:
-            params = np.asarray(params, dtype=np.float64)
+            params = np.asarray(params)
+            if params.dtype != np.float64:
+                params = params.astype(FLOAT, copy=False)
             if params.shape != (count,):
                 raise ValueError(f"expected {count} parameters, got {params.shape}")
         self.params = params
@@ -182,7 +195,7 @@ def _gradient(layers, features: np.ndarray, targets: np.ndarray, slots,
     """The one gradient kernel: forward, softmax, output delta and
     backprop of a batch, in place, writing each layer's input^T delta and
     delta column sums into slots, the _views of a flat gradient. targets
-    holds the one-hot float64 labels. With a leading stack axis, (k, n,
+    holds the one-hot labels. With a leading stack axis, (k, n,
     in) features and (k, n, classes) targets run the k models of
     _stacked(params) into a (k, P) gradient, each slice the same matrix
     products, so each row has the bits its model would get alone.
@@ -192,7 +205,10 @@ def _gradient(layers, features: np.ndarray, targets: np.ndarray, slots,
     materialising it. A dense layer's single-example gradient is the
     outer product a d^T of its input and delta plus the bias gradient d,
     so its squared norm is (||a||^2 + 1) * ||d||^2 ("ghost norm"); each
-    layer's clipped mean is then one reweighted a^T (d * f).
+    layer's clipped mean is then one reweighted a^T (d * f). The norms
+    and factors are float64, and the factors aim at clip_norm less
+    _clip_margin of the parameters' dtype, so that each rescaled
+    gradient, rounded into that dtype, still measures at most clip_norm.
     """
     inputs = [features]
     delta = _softmax(_forward(layers, features, inputs))
@@ -209,14 +225,16 @@ def _gradient(layers, features: np.ndarray, targets: np.ndarray, slots,
     if clip_norm is not None:
         factors = np.zeros(rows)
         for inp, d in zip(inputs, deltas):
-            sq_norm = np.einsum("ni,ni->n", inp, inp)
+            sq_norm = np.einsum("ni,ni->n", inp, inp, dtype=np.float64)
             sq_norm += 1.0
-            sq_norm *= np.einsum("nj,nj->n", d, d)
+            sq_norm *= np.einsum("nj,nj->n", d, d, dtype=np.float64)
             factors += sq_norm
         np.sqrt(factors, out=factors)
-        np.maximum(factors, 1e-300, out=factors)
-        np.divide(clip_norm, factors, out=factors)
-        np.minimum(factors, 1.0, out=factors)
+        # target / max(||g||, target) is min(1, target / ||g||), and 1.0
+        # exactly for a zero gradient.
+        target = clip_norm * (1.0 - _clip_margin(layers[0][0].dtype))
+        np.maximum(factors, target, out=factors)
+        np.divide(target, factors, out=factors)
         factors /= rows
         for d in deltas:
             d *= factors[:, None]
@@ -225,15 +243,27 @@ def _gradient(layers, features: np.ndarray, targets: np.ndarray, slots,
         np.add.reduce(d, axis=-2, out=bias)
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """float64 one-hot rows of labels, along a new last axis; a label
+def _clip_margin(dtype) -> float:
+    """The share of the clip norm that _gradient keeps free for rounding:
+    4 epsilons of the parameters' dtype, 8 roundings of half an epsilon.
+    Two go to each clipped entry (d * f, then a * (d * f)), one to the
+    clip norm rounded into the dtype, and five to measuring the norm in
+    the dtype (squares, sums, square root). Without a margin, float32
+    single-example gradients of the 784-128-10 model measured up to 1.2
+    epsilons above clip_norm; with 2 epsilons, none of 8,200 across four
+    shapes did."""
+    return 4.0 * float(np.finfo(dtype).eps)
+
+
+def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
+    """One-hot rows of labels in dtype, along a new last axis; a label
     beyond num_classes raises IndexError."""
-    return np.eye(num_classes).take(labels, axis=0)
+    return np.eye(num_classes, dtype=dtype).take(labels, axis=0)
 
 
 def _logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Output-layer logits of model, one row per row of features."""
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=model.params.dtype)
     if features.ndim != 2 or features.shape[1] != model.dims[0]:
         raise ValueError(f"features must be (n, {model.dims[0]})")
     return _forward(model._layers, features)
@@ -252,7 +282,7 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 
 # A batch is a row selection of a validated Dataset: features (n, dim)
-# float64 and labels (n,) int64, passed as two arrays so that training
+# FLOAT and labels (n,) int64, passed as two arrays so that training
 # loops index rows without building and re-checking a Dataset per step.
 
 def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
@@ -260,7 +290,8 @@ def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         raise ValueError("empty batch")
     probs = _softmax(_forward(model._layers, features))
-    logp = np.log(np.clip(probs[np.arange(len(labels)), labels], 1e-300, None))
+    tiny = np.finfo(probs.dtype).tiny
+    logp = np.log(np.maximum(probs[np.arange(len(labels)), labels], tiny))
     return float(-logp.mean())
 
 
@@ -269,8 +300,8 @@ def _batch_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
     """_gradient of a nonempty batch into a new flat vector."""
     if len(labels) == 0:
         raise ValueError("empty batch")
-    grad = np.empty(model.param_count, dtype=np.float64)
-    _gradient(model._layers, features, _one_hot(labels, model.dims[-1]),
+    grad = np.empty_like(model.params)
+    _gradient(model._layers, features, _one_hot(labels, model.dims[-1], grad.dtype),
               _views(grad, model._layout), clip_norm)
     return grad
 
@@ -299,19 +330,20 @@ def per_example_gradients(model: MlpModel, features: np.ndarray,
     n = len(labels)
     if n == 0:
         raise ValueError("empty batch")
-    grads = np.empty((n, model.param_count), dtype=np.float64)
-    _gradient(model._layers, np.asarray(features, dtype=np.float64)[:, None, :],
-              _one_hot(labels, model.dims[-1])[:, None, :], _views(grads, model._layout))
+    grads = np.empty((n, model.param_count), dtype=model.params.dtype)
+    _gradient(model._layers, np.asarray(features, dtype=grads.dtype)[:, None, :],
+              _one_hot(labels, model.dims[-1], grads.dtype)[:, None, :],
+              _views(grads, model._layout))
     return grads
 
 
 def sgd_step(model: MlpModel, gradient: np.ndarray, learning_rate: float) -> MlpModel:
     """In-place step w <- w - lr * g. Returns the same model.
 
-    The caller hands the gradient over: a float64 gradient is scaled by lr
-    in place, so it holds lr * g afterwards. No model-sized temporary is
-    allocated."""
-    gradient = np.asarray(gradient, dtype=np.float64)
+    The caller hands the gradient over: a gradient of the parameters'
+    dtype is scaled by lr, taken in that dtype, in place, so it holds
+    lr * g afterwards. No model-sized temporary is allocated."""
+    gradient = np.asarray(gradient, dtype=model.params.dtype)
     if gradient.shape != model.params.shape:
         raise ValueError("gradient length must equal the parameter count")
     gradient *= learning_rate
@@ -351,11 +383,11 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
         labels = np.concatenate([d.labels for d in data])
     else:
         # One model as a (1, P) stack gives the same bits and saves one
-        # line, but single 32-d calls ran 4% slower (in 254 of 300 pairs;
-        # a tie at 784-d), so one model keeps its 2-D arrays.
+        # line, but single 32-d calls ran 6% slower (in 249 and 272 of 300
+        # pairs; a tie at 784-d), so one model keeps its 2-D arrays.
         params, layers = model[0].params, model[0]._layers
         features, labels = data[0].features, data[0].labels
-    targets = _one_hot(labels, dims[-1])
+    targets = _one_hot(labels, dims[-1], params.dtype)
     first_rows = size * np.arange(len(model))[:, None]
     grad = np.empty_like(params)
     slots = _views(grad, model[0]._layout)
@@ -368,8 +400,10 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
             rows = orders[:, start:start + batch_size]
             rows = rows if stacked else rows[0]
             _gradient(layers, features.take(rows, axis=0), targets.take(rows, axis=0), slots)
+            # Rates in the parameters' dtype, as a Python float meets a
+            # 2-D array, so a stack keeps each model's bits.
             rates = [decayed_lr(lr0, decay, offset + steps) for offset in step_offset]
-            grad *= np.array(rates)[:, None] if stacked else rates[0]
+            grad *= np.array(rates, dtype=grad.dtype)[:, None] if stacked else rates[0]
             params -= grad
             steps += 1
     if stacked:
@@ -391,7 +425,7 @@ class SparseUpdate:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=FLOAT))
         if self.indices.shape != self.values.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be equal-length vectors")
         if len(self.indices):
@@ -410,11 +444,11 @@ class SparseUpdate:
         """Header >u4 param_count, >u4 n; then the n indices, each in
         the narrowest big-endian unsigned type that holds every index
         below param_count (>u2 up to 65,536 parameters, >u4 above); then
-        the n values as >f8. 8 + 10n bytes at desk scale, 8 + 12n at
+        the n values as >f4. 8 + 6n bytes at desk scale, 8 + 8n at
         paper scale."""
         header = struct.pack(">II", self.param_count, len(self.indices))
         indices = self.indices.astype(_index_type(self.param_count))
-        return header + indices.tobytes() + self.values.astype(">f8").tobytes()
+        return header + indices.tobytes() + self.values.astype(">f4").tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SparseUpdate":
@@ -423,10 +457,10 @@ class SparseUpdate:
         param_count, n = struct.unpack(">II", blob[:8])
         index_type = _index_type(param_count)
         split = 8 + index_type.itemsize * n
-        if len(blob) != split + 8 * n:
+        if len(blob) != split + 4 * n:
             raise ValueError("sparse update blob has wrong length")
         indices = np.frombuffer(blob[8:split], dtype=index_type).astype(np.int64)
-        values = np.frombuffer(blob[split:], dtype=">f8").astype(np.float64)
+        values = np.frombuffer(blob[split:], dtype=">f4").astype(FLOAT)
         return cls(indices, values, param_count)
 
 
@@ -467,7 +501,8 @@ def magnitude_order(gradient: np.ndarray, k: int) -> np.ndarray:
 class RankedPrefix:
     """The m largest-magnitude entries of a gradient, in rank order.
 
-    order is magnitude_order(gradient, m) and values is gradient[order].
+    order is magnitude_order(gradient, m) and values is gradient[order],
+    both taken on the gradient rounded to FLOAT, the values sold.
     Every top-k selection with k <= m is a prefix of it, so whoever keeps
     this in place of the dense gradient can still serve each of them.
     """
@@ -478,7 +513,7 @@ class RankedPrefix:
 
     @classmethod
     def of(cls, gradient: np.ndarray, m: int) -> "RankedPrefix":
-        gradient = np.asarray(gradient, dtype=np.float64)
+        gradient = np.asarray(gradient, dtype=FLOAT)
         order = magnitude_order(gradient, m)
         return cls(order, gradient[order], gradient.size)
 
@@ -612,7 +647,7 @@ def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
     pixels = np.frombuffer(blob, dtype=np.uint8, offset=16)
     if pixels.size != n * rows * cols:
         raise ValueError("image payload size mismatch")
-    features = pixels.reshape(n, rows * cols).astype(np.float64)
+    features = pixels.reshape(n, rows * cols).astype(FLOAT)
     features /= 255.0
 
     with open(labels_path, "rb") as fh:

@@ -11,6 +11,13 @@ per-coordinate Gaussian noise with standard deviation sigma * C / L,
 where sigma = sqrt(2 * ln(1.25 / delta)) / epsilon. That calibration is
 only valid for epsilon <= 1, which the parameter container enforces.
 
+Gradients are float32 (numerics.FLOAT). The clip norms and factors are
+computed in float64 and aim at C less a margin of a few float32 epsilons
+(numerics._clip_margin), so every clipped example, rounded into float32,
+still measures at most C. The noise is drawn in float64, in chunks of
+NOISE_CHUNK values, and each sum of gradient and noise is rounded once
+into float32.
+
 Budgets compose by one rule: each release first maps to
 (q * eps_i, q * delta_i) using its sample ratio q = L / N (q = 1 for a
 release that reads the whole local dataset), and the maps are summed.
@@ -50,6 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import Dataset, MlpModel, clipped_mean_gradient
+
+# Noise values drawn per rng.normal call in dp_sgd_step: a 128 KB float64
+# temporary, where one draw for the 101,770-parameter model would take 814 KB.
+NOISE_CHUNK = 1 << 14
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -186,5 +197,9 @@ def dp_sgd_step(model: MlpModel, data: Dataset, params: PrivacyParams,
         sigma = params.sigma
     noise_std = sigma * params.clip_norm / params.lot_size
     if noise_std > 0.0:
-        mean_grad += rng.normal(0.0, noise_std, size=mean_grad.shape)
+        # Drawn chunk by chunk straight into the gradient: the draws equal
+        # one draw of the whole vector, without its model-sized temporary.
+        for start in range(0, mean_grad.size, NOISE_CHUNK):
+            chunk = mean_grad[start:start + NOISE_CHUNK]
+            chunk += rng.normal(0.0, noise_std, size=chunk.size)
     return mean_grad

@@ -40,7 +40,7 @@ import numpy as np
 from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
 from .ledger import Block, KeyPair, Ledger, decrypt_payload
-from .numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
+from .numerics import (FLOAT, Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
                        decayed_lr, evaluate, evaluate_rows, predict, select_largest, sgd_step,
                        train_sgd)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
@@ -72,19 +72,21 @@ VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
 EPSILON_PER_STEP = 1.0
 CLIP_NORM = 1.0
 # Leave-one-out scoring stacks its probe rows at most this many bytes at a
-# time (at least one row): 94 rows of the 32-32-10 model, so desk shapes
-# score in one pass, and one row of the paper's 784-128-10 model.
+# time (at least one row): 189 rows of the 32-32-10 model (5.5 KB each), so
+# desk shapes score in one pass, and two rows of the paper's 784-128-10
+# model (407 KB each).
 LOO_PASS_BYTES = 1 << 20
 # Plain SGD trains equal-size parties side by side only for a model of at
-# most this many parameter bytes. The 32-32-10 desk model (11 KB) gains:
+# most this many parameter bytes. The 32-32-10 desk model (5.5 KB) gains:
 # pretraining and standalone rounds of the desk_grid groups took 0.77-0.80x
 # the time of one party per call on a 2-core host. The paper's 784-128-10
-# model (814 KB) trains one party at a time: a stack copies every party's
+# model (407 KB) trains one party at a time: a stack copies every party's
 # 784-wide training rows, and four side by side raised paper_shape's peak
-# RSS from 75.8 to 85.1 MB. Gathering each batch from the parties' own rows
-# instead cut paper_shape's wall_s from 0.70 to 0.64 s but raised its peak
-# RSS from 75.9 to 78.6 MB (6 of 6 pairs each), for the stacked copy of
-# parameters and gradients, so the limit stays.
+# RSS from 75.8 to 85.1 MB (with float64 arrays). Gathering each batch
+# from the parties' own rows instead cut paper_shape's wall_s from 0.50 to
+# 0.41 s (medians) but raised its peak RSS from 62.7 to 63.5 MB, in 6 of 6
+# pairs each, for the stacked copy of parameters and gradients, so the
+# limit stays.
 SIDE_BY_SIDE_MAX_BYTES = 1 << 16
 
 
@@ -382,10 +384,10 @@ def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list
     its accuracy without that peer's update. Row 0 holds the parameters
     and each further row the parameters minus one update. The rows are
     scored in stacked forward passes of at most LOO_PASS_BYTES each, but
-    at least one row, so desk shapes score in one pass. When a pass holds
-    one row, as at 784-128-10, row 0 is read from model.params without a
-    copy and each probe is stacked alone. A peer that sold nothing keeps
-    acc."""
+    at least one row, so desk shapes score in one pass and 784-128-10
+    scores two rows a pass. When a pass holds one row, row 0 is read from
+    model.params without a copy and each probe is stacked alone. A peer
+    that sold nothing keeps acc."""
     probed = [j for j in peers if len(bought.get(j, ())) > 0]
     removed = [None, *(bought[j] for j in probed)]
     per_pass = max(1, LOO_PASS_BYTES // model.params.nbytes)
@@ -467,7 +469,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         updates = [received[pid][j] for j in sorted(received[pid])]
         apply_updates(p.model, updates)
         if p.adversary and p.adversary.kind.echoes_aggregate:
-            aggregate = np.zeros(param_count)
+            aggregate = np.zeros(param_count, dtype=FLOAT)
             for u in updates:
                 aggregate[u.indices] += u.values
             p.last_received_aggregate = aggregate

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .numerics import Dataset
+from .numerics import FLOAT, Dataset
 from .privacy import PrivacyAccountant, calibrate_sigma
 
 JITTER_STD = 0.02  # feature jitter of a released sample
@@ -42,7 +42,8 @@ def noisy_class_prototypes(data: Dataset, budget: tuple[float, float],
                            replication: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean features under the Gaussian mechanism.
 
-    Returns (prototypes, class_counts); absent classes keep a zero row and
+    Returns (prototypes, class_counts): the class means, taken in
+    float64, plus the float64 noise; absent classes keep a zero row and
     a zero count. noise_override replaces the calibrated noise std (0.0 is
     the zero-noise testing hook).
 
@@ -66,7 +67,7 @@ def noisy_class_prototypes(data: Dataset, budget: tuple[float, float],
     for cls in range(data.num_classes):
         if counts[cls] == 0:
             continue
-        mean = data.features[data.labels == cls].mean(axis=0)
+        mean = data.features[data.labels == cls].mean(axis=0, dtype=np.float64)
         sensitivity = math.sqrt(data.dim) / counts[cls]
         std = sigma * sensitivity / math.sqrt(chunks)
         if noise_override is not None:
@@ -82,7 +83,8 @@ def generate_release(data: Dataset, count: int, budget: tuple[float, float],
                      replication: int = 1, prototype_noise: float | None = None,
                      jitter_std: float = JITTER_STD) -> np.ndarray:
     """Release count label-free synthetic samples of data, as a
-    (count, dim) array; receivers attach their own predictions.
+    (count, dim) FLOAT array, rounded once from the float64 prototypes
+    and jitter; receivers attach their own predictions.
 
     Debits the full budget from the accountant (as ceil(epsilon) chunked
     records) before generating; an accountant that cannot cover the
@@ -108,4 +110,4 @@ def generate_release(data: Dataset, count: int, budget: tuple[float, float],
     samples = prototypes[drawn]
     if jitter_std > 0.0:
         samples = samples + rng.normal(0.0, jitter_std, size=samples.shape)
-    return samples
+    return samples.astype(FLOAT)

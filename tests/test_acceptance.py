@@ -63,7 +63,10 @@ def test_criterion_02_gradient_correctness():
     for trial in range(20):
         hidden = int(rng.integers(2, 6))
         dims = (int(rng.integers(2, 5)), hidden, int(rng.integers(2, 4)))
-        model = MlpModel.seeded(dims, rng)
+        # Central differences need float64: the reference model widens
+        # the float32 seeded parameters and runs the same kernels.
+        seeded = MlpModel.seeded(dims, rng)
+        model = MlpModel(dims, seeded.params.astype(np.float64))
         n = int(rng.integers(3, 9))
         data = Dataset(rng.normal(size=(n, dims[0])), rng.integers(0, dims[-1], n), dims[-1])
         analytic = backward(model, data.features, data.labels)
@@ -358,7 +361,10 @@ def test_criterion_10_oracle_equivalence():
 
     pool = [0.0, -0.0, 0.1, -0.1, 0.3, 1.0, -2.5, 1e-17, 1e16, -1e16]
     for _ in range(200):
-        model = MlpModel((1, int(rng.integers(1, 6))))
+        # A float64 model, so each sum is the oracle's float64 sum of the
+        # float32 values sold.
+        width = int(rng.integers(1, 6))
+        model = MlpModel((1, width), np.zeros(2 * width))
         count = model.param_count
         model.params[:] = rng.choice(pool, count)
         updates = []

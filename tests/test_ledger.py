@@ -305,15 +305,15 @@ class TestTrading:
         assert verify_chain(ledger.chain)
 
     @pytest.mark.parametrize("k", [1, 138])
-    def test_filled_line_ciphertext_is_ten_bytes_an_entry(self, keys, k):
+    def test_filled_line_ciphertext_is_six_bytes_an_entry(self, keys, k):
         # Desk-scale model (1,386 parameters): 8-byte header, a >u2 index
-        # and a >f8 value per entry, and the 16-byte AES-GCM tag.
+        # and a >f4 value per entry, and the 16-byte AES-GCM tag.
         ledger = fresh_ledger(keys)
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": k})["p01"]
         update = SparseUpdate(np.linspace(0, 1_385, k).astype(np.int64), np.ones(k), 1_386)
         payload = ledger.fulfill_order(keys["p01"], "p01", order.order_id, update,
                                        np.random.default_rng(1))
-        assert len(payload.ciphertext) == 8 + 10 * k + 16
+        assert len(payload.ciphertext) == 8 + 6 * k + 16
         assert ledger.payload_store[payload.payload_hash] is payload
 
     def test_one_fulfillment_covers_every_fill_of_a_seller(self, keys):

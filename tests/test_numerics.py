@@ -19,6 +19,12 @@ def small_dataset(rng, n=8, dim=3, classes=3):
     return Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes)
 
 
+def float64_twin(model):
+    """model with its parameters widened to float64: the reference that
+    runs the same kernels in float64."""
+    return MlpModel(model.dims, model.params.astype(np.float64))
+
+
 def finite_difference_gradient(model, batch, step=1e-5):
     """Central-difference oracle for the mean cross-entropy gradient."""
     grad = np.zeros(model.param_count)
@@ -76,7 +82,7 @@ class TestForward:
 class TestBackward:
     def test_matches_finite_differences_six_params(self):
         rng = np.random.default_rng(1)
-        model = MlpModel.seeded((2, 2), rng)  # 6 parameters
+        model = float64_twin(MlpModel.seeded((2, 2), rng))  # 6 parameters
         batch = small_dataset(rng, n=5, dim=2, classes=2)
         analytic = backward(model, batch.features, batch.labels)
         numeric = finite_difference_gradient(model, batch)
@@ -87,7 +93,7 @@ class TestBackward:
         for case in range(6):
             # The last case has two hidden layers, so the flat layout spans three.
             dims = (3, int(rng.integers(2, 5)), 3) if case < 5 else (3, 4, 3, 3)
-            model = MlpModel.seeded(dims, rng)
+            model = float64_twin(MlpModel.seeded(dims, rng))
             batch = small_dataset(rng, n=6, dim=3, classes=3)
             analytic = backward(model, batch.features, batch.labels)
             numeric = finite_difference_gradient(model, batch)
@@ -146,7 +152,7 @@ class TestClippedMeanGradient:
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
     def test_matches_per_example_oracle_with_mixed_clipping(self, dims):
         rng = np.random.default_rng(11)
-        model = MlpModel.seeded(dims, rng)
+        model = float64_twin(MlpModel.seeded(dims, rng))
         batch = small_dataset(rng, n=9, dim=dims[0], classes=dims[-1])
         norms = np.linalg.norm(per_example_gradients(model, batch.features, batch.labels), axis=1)
         clip = float(np.median(norms))
@@ -157,7 +163,7 @@ class TestClippedMeanGradient:
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
     def test_nothing_clips_at_large_bound(self, dims):
         rng = np.random.default_rng(12)
-        model = MlpModel.seeded(dims, rng)
+        model = float64_twin(MlpModel.seeded(dims, rng))
         batch = small_dataset(rng, n=6, dim=dims[0], classes=dims[-1])
         out = clipped_mean_gradient(model, batch.features, batch.labels, 100.0)
         assert np.allclose(out, clipped_mean_oracle(model, batch, 100.0), atol=1e-12)
@@ -166,7 +172,7 @@ class TestClippedMeanGradient:
     def test_zero_gradient_row(self):
         # Row 0 sits on a saturated softmax of its true class, so its
         # gradient is exactly zero; the other rows still count in the mean.
-        model = MlpModel.seeded((2, 4, 3), np.random.default_rng(13))
+        model = float64_twin(MlpModel.seeded((2, 4, 3), np.random.default_rng(13)))
         model.params[-3:] = [0.0, 0.0, 1000.0]
         batch = Dataset(np.array([[0.2, 0.9], [0.5, 0.1], [0.7, 0.4]]),
                         np.array([2, 0, 1]), 3)
@@ -208,7 +214,7 @@ class TestSgdStep:
         # The caller hands the gradient over; it ends scaled by lr in place.
         model = MlpModel((1, 1))
         model.params[:] = [1.0, 1.0]
-        grad = np.array([1.0, 2.0])
+        grad = np.array([1.0, 2.0], dtype=np.float32)
         sgd_step(model, grad, 0.5)
         assert np.array_equal(grad, [0.5, 1.0])
         assert np.array_equal(model.params, [0.5, 0.0])
@@ -326,7 +332,7 @@ class TestSelectLargest:
         assert np.allclose(update.values, [-0.9, 0.5])
 
     def test_full_selection_is_identity(self):
-        g = np.array([0.3, -0.1, 0.0, 2.0])
+        g = np.array([0.3, -0.1, 0.0, 2.0], dtype=np.float32)
         update = select_largest(g, 4)
         assert list(update.indices) == [0, 1, 2, 3]
         assert np.array_equal(update.values, g)
@@ -348,13 +354,13 @@ class TestSelectLargest:
         with pytest.raises(ValueError):
             select_largest(np.zeros(3), 4)
 
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=12),
+    # Distinct float32 magnitudes, the values sold, so the tie rule never fires.
+    @given(st.lists(st.floats(-10, 10, allow_nan=False, width=32), min_size=1, max_size=12,
+                    unique_by=abs),
            st.data())
     @settings(max_examples=60, deadline=None)
     def test_permutation_equivariance(self, values, data):
-        g = np.array(values)
-        # Perturb so magnitudes are distinct and the tie rule never fires.
-        g = g + np.linspace(0, 1e-9, g.size)
+        g = np.array(values, dtype=np.float32)
         k = data.draw(st.integers(0, g.size))
         perm = data.draw(st.permutations(range(g.size)))
         perm = np.array(perm)
@@ -372,7 +378,7 @@ class TestSelectLargest:
         # every sale up to that count is bitwise the dense selection and
         # the stable-argsort top-k, with few distinct magnitudes (ties are
         # common), signed zeros, and NaN ranking last.
-        g = np.array(values, dtype=np.float64)
+        g = np.array(values, dtype=np.float32)
         capacity = int(sharing_level * g.size)
         prefix = RankedPrefix.of(g, capacity)
         full = np.argsort(-np.abs(g), kind="stable")
@@ -594,11 +600,13 @@ class TestSparseUpdateCodec:
 
     @pytest.mark.parametrize("param_count, width", [(65_536, 2), (65_537, 4)])
     def test_index_width_set_by_param_count(self, param_count, width):
-        u = SparseUpdate([0, 1_385, param_count - 1], [0.5, -2.0, 1e-300], param_count)
+        # A >u2 or >u4 index and a >f4 value: 8 + 6n bytes, or 8 + 8n.
+        u = SparseUpdate([0, 1_385, param_count - 1], [0.5, -2.0, 1e-30], param_count)
         blob = u.to_bytes()
-        assert len(blob) == 8 + (width + 8) * len(u)
+        assert len(blob) == 8 + (width + 4) * len(u)
         assert blob[8:8 + width] == b"\0" * width
         assert blob[8 + 2 * width:8 + 3 * width] == (param_count - 1).to_bytes(width, "big")
+        assert blob[-4:] == struct.pack(">f", 1e-30)
         again = SparseUpdate.from_bytes(blob)
         assert again.param_count == param_count
         assert np.array_equal(again.indices, u.indices)
@@ -617,13 +625,16 @@ class TestSparseUpdateCodec:
         # the 16-bytes-per-entry layout: >i8 indices
         (struct.pack(">IIqqdd", 1_386, 2, 2, 5, 1.0, 2.0), "wrong length"),
         (struct.pack(">IIqqdd", 101_770, 2, 2, 5, 1.0, 2.0), "wrong length"),
-        (struct.pack(">IIHHdd", 1_386, 2, 5, 5, 1.0, 2.0), "strictly increasing"),
-        (struct.pack(">IIHHdd", 1_386, 2, 5, 2, 1.0, 2.0), "strictly increasing"),
-        (struct.pack(">IIHHdd", 1_386, 2, 2, 1_386, 1.0, 2.0), "out of range"),
-        (struct.pack(">IIIIdd", 101_770, 2, 2, 101_770, 1.0, 2.0), "out of range"),
+        (struct.pack(">IIHHff", 1_386, 2, 5, 5, 1.0, 2.0), "strictly increasing"),
+        (struct.pack(">IIHHff", 1_386, 2, 5, 2, 1.0, 2.0), "strictly increasing"),
+        (struct.pack(">IIHHff", 1_386, 2, 2, 1_386, 1.0, 2.0), "out of range"),
+        (struct.pack(">IIIIff", 101_770, 2, 2, 101_770, 1.0, 2.0), "out of range"),
+        # >f8 values: 8 + 10n bytes at desk scale, 8 + 12n at paper scale
+        (struct.pack(">IIHHdd", 1_386, 2, 2, 5, 1.0, 2.0), "wrong length"),
+        (struct.pack(">IIIIdd", 101_770, 2, 2, 5, 1.0, 2.0), "wrong length"),
     ], ids=["empty", "half_header", "cut_short", "one_byte_over", "old_layout",
             "old_layout_paper_scale", "repeated", "falling", "at_param_count",
-            "at_param_count_paper_scale"])
+            "at_param_count_paper_scale", "f8_values", "f8_values_paper_scale"])
     def test_bad_blob_refused(self, blob, message):
         with pytest.raises(ValueError, match=message):
             SparseUpdate.from_bytes(blob)
@@ -667,7 +678,7 @@ class TestLoaders:
         lbl_path = tmp_path / "labels.idx"
         img_path.write_bytes(struct.pack(">IIII", 0x00000803, 16, 4, 4) + pixels.tobytes())
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 16) + labels.tobytes())
-        expected = pixels.reshape(16, 16).astype(np.float64) / 255.0
+        expected = pixels.reshape(16, 16).astype(np.float32) / 255.0
         assert load_idx(img_path, lbl_path, 10).features.tobytes() == expected.tobytes()
 
     def test_idx_bad_magic(self, tmp_path):
@@ -683,12 +694,13 @@ class TestLoaders:
         assert np.array_equal(a.labels, b.labels)
 
     def test_blobs_equal_clipped_centers_plus_noise(self):
-        # Centres, labels, then noise, drawn in that order from one stream.
+        # Centres, labels, then noise, drawn in that order from one stream,
+        # summed and clipped in float64 and rounded once into float32.
         data = make_blobs(200, 3, 4, np.random.default_rng(12), spread=0.4)
         rng = np.random.default_rng(12)
         centers = rng.uniform(0.25, 0.75, size=(3, 4))
         labels = rng.integers(0, 3, size=200)
         expected = np.clip(centers[labels] + rng.normal(0.0, 0.4, size=(200, 4)), 0.0, 1.0)
-        assert data.features.tobytes() == expected.tobytes()
+        assert data.features.tobytes() == expected.astype(np.float32).tobytes()
         assert np.array_equal(data.labels, labels)
         assert 0.0 in data.features and 1.0 in data.features

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, backward, clipped_mean_gradient,
                                  make_blobs, per_example_gradients)
-from faircollab.privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
-                                allocate_budgets, calibrate_sigma, dp_sgd_step, lot_size_for)
+from faircollab.privacy import (NOISE_CHUNK, BudgetExhaustedError, PrivacyAccountant,
+                                PrivacyParams, allocate_budgets, calibrate_sigma, dp_sgd_step,
+                                lot_size_for)
 from faircollab.samplegen import augment
 
 
@@ -40,10 +41,17 @@ class TestCalibrateSigma:
             calibrate_sigma(eps, delta)
 
 
+def float64_twin(model):
+    """model with its parameters widened to float64: the reference that
+    runs the same kernels in float64."""
+    return MlpModel(model.dims, model.params.astype(np.float64))
+
+
 def _single_example(seed=0):
-    """A one-layer model and a one-example batch with a nonzero gradient g."""
+    """A one-layer float64 model and a one-example batch with a nonzero
+    gradient g."""
     rng = np.random.default_rng(seed)
-    model = MlpModel.seeded((3, 4), rng)
+    model = float64_twin(MlpModel.seeded((3, 4), rng))
     batch = Dataset(rng.uniform(size=(1, 3)), np.array([1]), 4)
     return model, batch, backward(model, batch.features, batch.labels)
 
@@ -76,6 +84,68 @@ class TestClipping:
         for scale in (0.1, 1.0, 10.0):
             batch = Dataset(rng.normal(size=(1, 8)) * scale, np.array([2]), 3)
             assert np.linalg.norm(clipped_mean_gradient(model, batch.features, batch.labels, 0.7)) <= 0.7 + 1e-9
+
+    @pytest.mark.parametrize("dims", [(32, 32, 10), (784, 128, 10)])
+    def test_float32_example_measures_at_most_the_clip_norm(self, dims):
+        # The factors aim below C by the clip margin, so a clipped float32
+        # single-example gradient measures at most C both in float32 and
+        # in float64, at the desk and the paper shape.
+        rng = np.random.default_rng(sum(dims))
+        model = MlpModel.seeded(dims, rng)
+        for _ in range(50):
+            clip = float(rng.uniform(1e-3, 10.0))
+            batch = Dataset(rng.normal(size=(1, dims[0])) * rng.uniform(0.01, 100.0),
+                            rng.integers(0, dims[-1], 1), dims[-1])
+            out = clipped_mean_gradient(model, batch.features, batch.labels, clip)
+            assert out.dtype == np.float32
+            assert np.linalg.norm(out) <= np.float32(clip)
+            assert np.linalg.norm(out.astype(np.float64)) <= clip
+
+
+# Each float32 result, as a vector, lies within 16 float32 epsilons of the
+# float64 reference model's, relative to the reference's norm: 4 for the
+# clip margin, which float32 aims at and float64 all but skips, the rest for
+# rounding parameters, activations, sums and noise into float32.
+FLOAT32_TOLERANCE = 16 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 10), (784, 128, 10)])
+class TestFloat32AgainstFloat64:
+    def _models(self, dims):
+        rng = np.random.default_rng(dims[0])
+        model = MlpModel.seeded(dims, rng)
+        data = make_blobs(64, dims[-1], dims[0], rng, spread=0.3)
+        return model, float64_twin(model), data
+
+    @staticmethod
+    def _close(result, reference):
+        assert result.dtype == np.float32 and reference.dtype == np.float64
+        assert (np.linalg.norm(result - reference)
+                <= FLOAT32_TOLERANCE * np.linalg.norm(reference))
+
+    def test_gradient(self, dims):
+        model, reference, data = self._models(dims)
+        self._close(backward(model, data.features, data.labels),
+                    backward(reference, data.features, data.labels))
+
+    def test_clipped_mean(self, dims):
+        # The median norm clips half of the 64 examples.
+        model, reference, data = self._models(dims)
+        norms = np.linalg.norm(per_example_gradients(reference, data.features, data.labels),
+                               axis=1)
+        clip = float(np.median(norms))
+        self._close(clipped_mean_gradient(model, data.features, data.labels, clip),
+                    clipped_mean_gradient(reference, data.features, data.labels, clip))
+
+    def test_dp_step(self, dims):
+        # Both draw the same lot and the same float64 noise, at a sigma that
+        # keeps the noise near the size of the clipped mean.
+        model, reference, data = self._models(dims)
+        params = PrivacyParams(1.0, 1e-5, 1.0, 8, len(data))
+        self._close(dp_sgd_step(model, data, params, np.random.default_rng(5),
+                                PrivacyAccountant(10.0, 1.0), sigma=0.05),
+                    dp_sgd_step(reference, data, params, np.random.default_rng(5),
+                                PrivacyAccountant(10.0, 1.0), sigma=0.05))
 
 
 class TestAccountant:
@@ -173,6 +243,7 @@ def _setup_step(seed=0, n=64, lot=None):
 class TestDpSgdStep:
     def test_zero_noise_hook_equals_clipped_lot_mean(self):
         rng, data, model, params, acct = _setup_step()
+        model = float64_twin(model)
         check_rng = np.random.default_rng(1234)
         result = dp_sgd_step(model, data, params, np.random.default_rng(1234), acct, sigma=0.0)
         # Reproduce the lot draw with an identical generator.
@@ -187,6 +258,7 @@ class TestDpSgdStep:
         # Lots drawn over r * N virtual rows read raw record i // r: the
         # same rows a draw from augment(data, r) would pick.
         _, data, model, _, acct = _setup_step(seed=6, n=30)
+        model = float64_twin(model)
         r = 7
         params = PrivacyParams(1.0, 1e-5, 0.5, lot_size_for(r * len(data)), r * len(data))
         result = dp_sgd_step(model, data, params, np.random.default_rng(99), acct, sigma=0.0)
@@ -241,6 +313,7 @@ class TestDpSgdStep:
     def test_equals_clipped_mean_plus_noise(self):
         # The noise is added in place; the bits are those of mean + noise.
         _, data, model, params, acct = _setup_step(seed=8, n=30)
+        model = float64_twin(model)
         result = dp_sgd_step(model, data, params, np.random.default_rng(43), acct)
         rng = np.random.default_rng(43)
         rows = rng.integers(0, params.dataset_size, size=params.lot_size)
@@ -249,6 +322,24 @@ class TestDpSgdStep:
         noise = rng.normal(0.0, params.sigma * params.clip_norm / params.lot_size,
                            size=mean.shape)
         assert result.tobytes() == (mean + noise).tobytes()
+
+    def test_float32_step_is_mean_plus_noise_rounded_once(self):
+        # 101,770 parameters take seven noise chunks; the bits are those of
+        # one float64 draw added to the float32 mean and rounded once.
+        rng = np.random.default_rng(9)
+        data = make_blobs(30, 10, 784, rng, spread=0.3)
+        model = MlpModel.seeded((784, 128, 10), rng)
+        params = PrivacyParams(1.0, 1e-5, 1.0, 5, len(data))
+        result = dp_sgd_step(model, data, params, np.random.default_rng(44),
+                             PrivacyAccountant(10.0, 1.0))
+        rng = np.random.default_rng(44)
+        rows = rng.integers(0, params.dataset_size, size=params.lot_size)
+        mean = clipped_mean_gradient(model, data.features[rows], data.labels[rows],
+                                     params.clip_norm)
+        noise = rng.normal(0.0, params.sigma * params.clip_norm / params.lot_size,
+                           size=mean.shape)
+        assert model.param_count > 6 * NOISE_CHUNK
+        assert result.tobytes() == (mean + noise).astype(np.float32).tobytes()
 
     def test_bit_reproducible_with_fixed_seed(self):
         _, data, model, params, _ = _setup_step(seed=5)

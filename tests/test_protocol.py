@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from faircollab import numerics, protocol
-from faircollab.adversary import AdversaryConfig, AdversaryKind
+from faircollab.adversary import AdversaryConfig, AdversaryKind, freerider_gradients
 from faircollab.credibility import credibility_update
 from faircollab.ledger import ChainState, Ledger, verify_chain
 from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
@@ -107,13 +108,13 @@ class TestLeaveOneOut:
         assert _leave_one_out(model, bought, peers, val) == (acc, expected)
         assert model.params.tobytes() == before
 
-    def test_paper_shape_pass_holds_one_probe_at_a_time(self):
-        # At 784-128-10 the default budget holds one row: row 0 is read
-        # from the parameters in place and each probe is stacked alone, so
-        # the pass allocates well under 2.5 parameter vectors (1 + sellers
-        # copies, 5.3 vectors, when every row is stacked at once).
+    def test_paper_shape_pass_holds_two_rows(self):
+        # At 784-128-10 the default budget holds two rows (407 KB each):
+        # row 0 with the first probe, then the other two probes, so scoring
+        # allocates well under 2.5 parameter vectors (1 + sellers copies,
+        # 5.3 vectors, when every row is stacked at once).
         model, val, bought, peers = self._buyer((784, 128, 10), 3)
-        assert protocol.LOO_PASS_BYTES // model.params.nbytes == 1
+        assert protocol.LOO_PASS_BYTES // model.params.nbytes == 2
         tracemalloc.start()
         try:
             _leave_one_out(model, bought, peers, val)
@@ -410,6 +411,44 @@ class TestFullRuns:
         parties = fresh_parties(13, config, datasets)
         trace, _ = run_fdpddl(parties, config, rounds=2, test_data=test)
         assert set(trace.final_accuracies) == {p.id for p in parties}
+
+
+class TestFloat32Arrays:
+    def test_every_built_array_is_float32(self, monkeypatch, tmp_path):
+        # Blob, CSV and IDX features, seeded parameters, releases, private
+        # and faked gradients, and the values sold in a tiny run.
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,b,label\n0.5,0.25,0\n1.0,0.0,1\n")
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8)))
+        labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+        datasets, test = blob_setup(9)
+        features = [d.features for d in datasets + [test]] + [
+            numerics.load_csv(csv_path, 2).features,
+            numerics.load_idx(images, labels, 2).features]
+        config = ProtocolConfig(**FAST)
+        parties = fresh_parties(9, config, datasets)
+        built = {"release": [], "dp_step": []}
+
+        def recording(name, fn):
+            def record(*args, **kwargs):
+                built[name].append(fn(*args, **kwargs))
+                return built[name][-1]
+            return record
+
+        monkeypatch.setattr(protocol, "generate_release",
+                            recording("release", protocol.generate_release))
+        monkeypatch.setattr(protocol, "dp_sgd_step", recording("dp_step", protocol.dp_sgd_step))
+        scored = record_scoring(monkeypatch, parties)
+        run_fdpddl(parties, config, 1, test)
+        sold = [u.values for bought, _ in scored.values() for u in bought.values()]
+        assert built["release"] and built["dp_step"] and sum(map(len, sold))
+        faked = [freerider_gradients(kind, 20, 0.05, np.random.default_rng(0), np.ones(20))
+                 for kind in AdversaryKind if kind.free_rider]
+        arrays = (features + [p.model.params for p in parties] + [parties[0].initial_params]
+                  + [p.train_data.features for p in parties] + built["release"]
+                  + built["dp_step"] + sold + faked)
+        assert {array.dtype for array in arrays} == {np.dtype(np.float32)}
 
 
 def _one_party_at_a_time(parties, epochs):

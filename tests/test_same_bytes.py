@@ -73,3 +73,43 @@ def test_failed_side_is_an_error_and_the_worktree_goes(monkeypatch, capsys, fail
     label = {"base": "0123456789ab", "change": "this working tree"}[failing]
     assert capsys.readouterr().err == f"error: the run of {label} failed with exit 1\n"
     assert calls == [("rev-parse", "--verify"), ("worktree", "add"), ("worktree", "remove")]
+
+
+def _sides(monkeypatch, base_files, change_files):
+    """main() with git stubbed out and each side's run writing its files."""
+    monkeypatch.setattr(same_bytes, "_git", lambda *args: "0123456789abcdef"
+                        if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(same_bytes, "_run_side", lambda side, out: _tree(
+        out, base_files if out.name == "base" else change_files))
+
+
+MOVED = {**FILES, "desk_grid-seed0-serial/summary.json": b'{"mean_final_accuracy": 0.8126}'}
+
+
+def test_expected_move_passes(monkeypatch, capsys):
+    _sides(monkeypatch, FILES, MOVED)
+    assert same_bytes.main(["HEAD", "--expect-moved", "desk_grid-seed0-*/summary.json"]) == 0
+    out = capsys.readouterr().out
+    assert "3 files compared against 0123456789ab: 1 differ, 1 of them expected" in out
+    assert "  expected: desk_grid-seed0-serial/summary.json\n" in out
+
+
+def test_unexpected_move_fails(monkeypatch, capsys):
+    # The glob expects the summary to move; the trace moves too.
+    moved = {**MOVED, "desk_grid-seed0-serial/traces/fdpddl_s1_seed0.json": b'{"seed": 1}'}
+    _sides(monkeypatch, FILES, moved)
+    assert same_bytes.main(["HEAD", "--expect-moved", "desk_grid-seed0-*/summary.json"]) == 1
+    out = capsys.readouterr().out
+    assert "  expected: desk_grid-seed0-serial/summary.json\n" in out
+    assert "  differs: desk_grid-seed0-serial/traces/fdpddl_s1_seed0.json\n" in out
+
+
+def test_glob_matching_no_differing_file_fails(monkeypatch, capsys):
+    # A stale glob fails the check even where nothing else differs.
+    _sides(monkeypatch, FILES, MOVED)
+    assert same_bytes.main(["HEAD", "--expect-moved", "desk_grid-seed0-*/summary.json",
+                            "--expect-moved", "market-seed1-*/rounds.csv"]) == 1
+    out = capsys.readouterr().out
+    assert "  no differing file matches --expect-moved market-seed1-*/rounds.csv\n" in out
+    _sides(monkeypatch, FILES, FILES)
+    assert same_bytes.main(["HEAD", "--expect-moved", "market-seed1-*/rounds.csv"]) == 1

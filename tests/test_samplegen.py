@@ -135,7 +135,7 @@ class TestGenerateRelease:
         data = tabular_data(rng, n=30)
         release = generate_release(data, 6, (4.0, 1e-5), rng, accountant())
         assert type(release) is np.ndarray
-        assert release.dtype == np.float64 and release.shape == (6, data.dim)
+        assert release.dtype == np.float32 and release.shape == (6, data.dim)
 
     def test_accountant_debited_and_refusal(self):
         rng = np.random.default_rng(14)

@@ -1,6 +1,6 @@
 """Check that this checkout's runs write the same bytes as another commit's.
 
-    python3 tools/same_bytes.py BASE
+    python3 tools/same_bytes.py BASE [--expect-moved GLOB ...]
 
 BASE is any commit git can name (a branch, a tag, a sha). It is checked
 out with ``git worktree add`` into a temporary directory, and each side,
@@ -14,9 +14,18 @@ byte. The script prints the number of files compared and the first
 files that differ or exist on one side only. The temporary worktree is
 removed however the script ends.
 
+A change that moves outputs on purpose names them with --expect-moved
+GLOB, once per glob. GLOB is matched with fnmatch against each path
+relative to the output directory, such as
+``desk_grid-seed0-serial/summary.json``; ``*`` also matches ``/``.
+Every differing file that a glob matches is listed as expected, and any
+other differing file still fails the check. A glob that matches no
+differing file fails it too, so a stale list hides nothing.
+
 Exit codes:
-    0  every file is the same on both sides
-    1  some file differs or exists on one side only
+    0  every file is the same on both sides, or differs as expected
+    1  some file differs or exists on one side only and no glob expects
+       it, or some glob matches no differing file
     2  no comparison: BASE names no commit, it cannot be checked out, a
        side's run fails or the runs write no file; one ``error:`` line
        on stderr says which
@@ -25,6 +34,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import subprocess
@@ -72,6 +82,19 @@ def compare(base: Path, change: Path) -> tuple[int, list[str]]:
     return len(left.keys() | right.keys()), differing
 
 
+def judge(differing: list[str], globs: list[str]
+          ) -> tuple[list[str], list[str], list[str]]:
+    """(expected, unexpected, unmatched): the differing paths that some
+    glob matches, those that none matches, and the globs that match no
+    differing path."""
+    expected = [rel for rel in differing
+                if any(fnmatch.fnmatchcase(rel, glob) for glob in globs)]
+    unexpected = [rel for rel in differing if rel not in expected]
+    unmatched = [glob for glob in globs
+                 if not any(fnmatch.fnmatchcase(rel, glob) for rel in differing)]
+    return expected, unexpected, unmatched
+
+
 def _run_side(side: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
     grid = json.dumps([WORKLOADS, WORKLOAD_SEEDS])
@@ -92,6 +115,8 @@ def _error(message: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the commit to compare this working tree with")
+    parser.add_argument("--expect-moved", action="append", default=[], metavar="GLOB",
+                        help="output paths this change moves on purpose (repeatable)")
     args = parser.parse_args(argv)
     try:
         sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
@@ -118,10 +143,18 @@ def main(argv=None) -> int:
 
     if not count:
         return _error("the runs wrote no file")
-    print(f"{count} files compared against {sha[:12]}: {len(differing)} differ")
-    for rel in differing[:10]:
+    expected, unexpected, unmatched = judge(differing, args.expect_moved)
+    print(f"{count} files compared against {sha[:12]}: {len(differing)} differ, "
+          f"{len(expected)} of them expected")
+    for rel in expected:
+        print(f"  expected: {rel}")
+    for rel in unexpected[:10]:
         print(f"  differs: {rel}")
-    return 1 if differing else 0
+    if len(unexpected) > 10:
+        print(f"  ... and {len(unexpected) - 10} more")
+    for glob in unmatched:
+        print(f"  no differing file matches --expect-moved {glob}")
+    return 1 if unexpected or unmatched else 0
 
 
 if __name__ == "__main__":
