@@ -16,7 +16,7 @@ from .adversary import (AdversaryConfig, AdversaryKind, detection_report, freeri
                         freerider_label, gan_attacker_setup)
 from .protocol import (Party, ProtocolConfig, RunTrace, build_parties, pretrain,
                        run_baseline, run_fdpddl, run_initialisation, run_update_round)
-from .harness import (ExperimentConfig, SettingSpec, build_x_axis, cell_fairness, fairness,
+from .harness import (CellTrace, ExperimentConfig, SettingSpec, build_x_axis, fairness,
                       fairness_report, run_cell, run_experiment)
 
 __version__ = "0.1.0"

@@ -130,24 +130,30 @@ def gan_attacker_setup(full: Dataset, victim_classes, adversary_classes,
     return full.subset(np.flatnonzero(adversary_mask)), victims
 
 
-def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[dict]:
-    """Scan a run trace's events for exclusions and token exhaustion.
+@dataclass
+class Detection:
+    """When, if ever, the protocol caught one adversary: stage init,
+    update or never, and round None when never."""
+    party: str
+    kind: AdversaryKind
+    detected: bool
+    stage: str
+    round: int | None
 
-    events: iterable of dicts with kind, party, stage and round keys, as
-    protocol.RunTrace.event appends them and a cell trace stores them.
-    Returns the detection entries a cell trace stores, one per adversary in
-    party order: party, kind, detected, stage (init | update | never) and
-    round (None when never detected).
-    """
+
+def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[Detection]:
+    """Scan a run trace's events (protocol.Event records) for exclusions
+    and token exhaustion. Returns the detection entries a cell trace
+    stores, one per adversary in party order."""
     records = []
     for party_id in sorted(adversaries):
         hit = None
         for ev in events:
-            if ev["party"] != party_id or ev["kind"] not in ("excluded", "token_exhausted"):
+            if ev.party != party_id or ev.kind not in ("excluded", "token_exhausted"):
                 continue
-            if hit is None or ev["round"] < hit[1]:
-                hit = (ev["stage"], ev["round"])
+            if hit is None or ev.round < hit[1]:
+                hit = (ev.stage, ev.round)
         stage, round_index = hit or ("never", None)
-        records.append({"party": party_id, "kind": adversaries[party_id].kind.value,
-                        "detected": hit is not None, "stage": stage, "round": round_index})
+        records.append(Detection(party_id, adversaries[party_id].kind, hit is not None,
+                                 stage, round_index))
     return records

@@ -5,9 +5,10 @@ levels, Dirichlet-imbalanced sizes), runs the framework comparison over
 seeds, computes the contribution/reward correlation, and writes CSV
 tables plus a JSON summary. `run` writes each group's cell traces as the
 group ends and then builds its tables with `report`'s reader
-(`generate_reports`), so `report` regenerates them byte for byte. `run`
-exits 2 when --out already holds a trace of a cell outside its grid, and
-`report` exits 2 when --traces holds no cell trace.
+(`generate_reports`), so `report` regenerates them byte for byte. A cell
+trace is a CellTrace record, read like a config (`_read`). `run` exits 2
+when --out already holds a trace of a cell outside its grid, and `report`
+exits 2 when --traces holds no cell trace or a trace it cannot read.
 
 The cells of one (setting, seed) run together as a group: they share one
 partition, built into parties once, and the frameworks that start from
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -36,7 +38,8 @@ from enum import Enum
 
 import numpy as np
 
-from .adversary import AdversaryConfig, AdversaryKind, detection_report, gan_attacker_setup
+from .adversary import (AdversaryConfig, AdversaryKind, Detection, detection_report,
+                        gan_attacker_setup)
 from .ledger import iter_chain, verify_chain
 from .numerics import Dataset, blob_centers, load_csv, load_idx, make_blobs
 from . import protocol
@@ -105,26 +108,26 @@ def build_x_axis(setting: int, sharing_levels, standalone_accuracies) -> np.ndar
     raise ValueError(f"unknown setting {setting!r}")
 
 
-def fairness_report(setting: int, sharing_levels, standalone_accuracies, final_accuracies) -> dict:
+@dataclass
+class FairnessReport:
     """The fairness entry a cell trace stores: the contribution axis x, the
     reward axis y, r_xy, and, when r_xy is undefined (None), why."""
+    x: list[float]
+    y: list[float]
+    r_xy: float | None
+    degenerate: bool
+    reason: str
+
+
+def fairness_report(setting: int, sharing_levels, standalone_accuracies,
+                    final_accuracies) -> FairnessReport:
     try:
         x = build_x_axis(setting, sharing_levels, standalone_accuracies)
         r_xy, reason = fairness(x, final_accuracies), ""
     except ZeroVarianceError as exc:
         x = np.asarray(standalone_accuracies, dtype=np.float64)
         r_xy, reason = None, str(exc)
-    return {"x": list(x), "y": list(final_accuracies), "r_xy": r_xy,
-            "degenerate": r_xy is None, "reason": reason}
-
-
-def cell_fairness(result: dict) -> dict:
-    """The fairness entry of one cell result, as run_cell builds it and a
-    cell trace stores it."""
-    ids = result["party_ids"]
-    lams, saccs, finals = ([result[key][pid] for pid in ids] for key in (
-        "sharing_levels", "standalone_accuracies", "final_accuracies"))
-    return fairness_report(result["setting"], lams, saccs, finals)
+    return FairnessReport(list(x), list(final_accuracies), r_xy, r_xy is None, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -268,40 +271,73 @@ class ExperimentConfig:
         return config
 
 
+@functools.cache
+def _shape(record_type) -> tuple[dict, frozenset[str], frozenset[str]]:
+    """A record type's field types, its required fields, and its optional
+    fields that JSON leaves out while they are None (_entries)."""
+    record_fields = fields(record_type)
+    return (typing.get_type_hints(record_type),
+            frozenset(f.name for f in record_fields
+                      if f.default is MISSING and f.default_factory is MISSING),
+            frozenset(f.name for f in record_fields if f.default is None))
+
+
+def _entries(record) -> dict:
+    """The JSON object of a record: its fields, less each optional one that
+    is None, which stays absent rather than null."""
+    absent = _shape(type(record))[2]
+    return {key: value for key, value in vars(record).items()
+            if value is not None or key not in absent}
+
+
+@functools.cache
+def _parts(hint) -> tuple:
+    """typing.get_origin and typing.get_args of hint, computed once per hint."""
+    return typing.get_origin(hint), typing.get_args(hint)
+
+
 def _read(hint, value, where: str, errors: list[str]):
     """value, parsed from JSON, read as type hint: an object becomes a
-    record (built once its fields read without fault), a list a tuple and
-    a string an enum member. Each fault appends to errors one message that
-    names its dotted path (where). A bool is no number; an int can be a
-    float, and a float must be finite."""
-    if is_dataclass(hint):
+    record (built once its fields read without fault) or a dict, a list a
+    list or tuple, and a string an enum member. Each fault appends to
+    errors one message that names its dotted path (where). A bool is no
+    number; an int can be a float, and a float must be finite."""
+    # Most values are numbers and strings of the type asked for.
+    if type(value) is hint and (hint is not float or math.isfinite(value)):
+        return value
+    origin, args = _parts(hint)
+    if origin is types.UnionType:  # T | None
+        return None if value is None else _read(args[0], value, where, errors)
+    if origin is dict or is_dataclass(hint):
         if not isinstance(value, dict):
             errors.append(f"{where or 'the top level'} must be a JSON object, "
                           f"not {type(value).__name__}")
             return None
+        if origin is dict:
+            return {key: _read(args[1], item, f"{where}[{key!r}]", errors)
+                    for key, item in value.items()}
         found = len(errors)
         prefix = f"{where}." if where else ""
-        hints = typing.get_type_hints(hint)
+        hints, required, _ = _shape(hint)
         record = {}
         for key, item in value.items():
             if key in hints:
                 record[key] = _read(hints[key], item, prefix + key, errors)
             else:
-                errors.append(f"unknown config key {prefix + key!r}")
-        errors.extend(f"{prefix + f.name} is required" for f in fields(hint) if f.name not in value
-                      and f.default is MISSING and f.default_factory is MISSING)
+                errors.append(f"unknown key {prefix + key!r}")
+        missing = required - value.keys()
+        if missing:
+            errors.extend(f"{prefix + name} is required" for name in hints if name in missing)
         if len(errors) == found:
             try:
                 return hint(**record)
             except ValueError as exc:
                 errors.append(f"{where}: {exc}" if where else str(exc))
         return None
-    if typing.get_origin(hint) is types.UnionType:  # T | None
-        return None if value is None else _read(typing.get_args(hint)[0], value, where, errors)
-    if typing.get_origin(hint) is tuple:
+    if origin in (list, tuple):  # list[T] or tuple[T, ...]
         if isinstance(value, (list, tuple)):
-            item = typing.get_args(hint)[0]
-            return tuple(_read(item, v, f"{where}[{i}]", errors) for i, v in enumerate(value))
+            items = [_read(args[0], v, f"{where}[{i}]", errors) for i, v in enumerate(value)]
+            return items if origin is list else tuple(items)
         expected = "a list"
     elif issubclass(hint, Enum):
         try:
@@ -505,11 +541,47 @@ class CellGroup:
         return parties
 
 
+@dataclass
+class CellTrace:
+    """One cell's trace: its parties, the run trace, whether the ledger
+    verified (fdpddl only), fairness (FAIRNESS_FRAMEWORKS only) and
+    detection (with adversaries only). Checks the entries that span fields."""
+
+    framework: str
+    setting: int
+    seed: int
+    party_ids: list[str]
+    sizes: list[int]
+    final_accuracies: dict[str, float]
+    standalone_accuracies: dict[str, float]  # {} for a centralised cell
+    sharing_levels: dict[str, float]
+    chain_valid: bool | None
+    trace: protocol.RunTrace
+    fairness: FairnessReport | None = None
+    detection: list[Detection] | None = None
+
+    def __post_init__(self):
+        ids = set(self.party_ids)
+        checks = (
+            (self.setting in (1, 2, 3), f"setting {self.setting} not in {{1, 2, 3}}"),
+            (len(self.party_ids) >= 2, "a cell needs at least two parties"),
+            (len(ids) == len(self.party_ids), f"party_ids repeats {_duplicates(self.party_ids)}"),
+            *((set(entries) == ids, f"{key} is keyed by {sorted(entries)}, not by party_ids")
+              for key, entries in (("final_accuracies", self.final_accuracies),
+                                   ("sharing_levels", self.sharing_levels),
+                                   # empty for a centralised cell
+                                   ("standalone_accuracies", self.standalone_accuracies or ids))),
+        )
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
+
+
 def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
-             group: CellGroup | None = None) -> dict:
-    """One (framework, setting, seed) run; returns the serialisable trace.
-    `group` is the set-up this cell shares with the other cells of its
-    (setting, seed); without one the cell builds its own."""
+             group: CellGroup | None = None) -> CellTrace:
+    """One (framework, setting, seed) run and its trace. `group` is the
+    set-up this cell shares with the other cells of its (setting, seed);
+    without one the cell builds its own."""
     group = group or CellGroup(replace(config, frameworks=(framework,)), setting, seed)
     parties = group.parties(framework)
     spec, test = group.spec, group.test
@@ -522,31 +594,42 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         # protocol.run_baseline sees the call.
         trace = protocol.run_baseline(framework, parties, config.rounds, test)
 
-    result = {
-        "framework": framework,
-        "setting": setting,
-        "seed": seed,
-        "party_ids": sorted(p.id for p in parties),
-        "sizes": list(spec.sizes),
-        "final_accuracies": trace.final_accuracies,
-        "standalone_accuracies": trace.standalone_accuracies,
-        "sharing_levels": {p.id: p.sharing_level for p in parties},
-        "chain_valid": chain_valid,
-        "trace": vars(trace),
-    }
+    cell = CellTrace(framework, setting, seed, sorted(p.id for p in parties), list(spec.sizes),
+                     trace.final_accuracies, trace.standalone_accuracies,
+                     {p.id: p.sharing_level for p in parties}, chain_valid, trace)
     if framework in FAIRNESS_FRAMEWORKS:
-        result["fairness"] = cell_fairness(result)
+        per_party = ([entries[pid] for pid in cell.party_ids] for entries in (
+            cell.sharing_levels, cell.standalone_accuracies, cell.final_accuracies))
+        cell.fairness = fairness_report(setting, *per_party)
     adversaries_by_id = {p.id: p.adversary for p in parties if p.adversary}
     if adversaries_by_id:
-        result["detection"] = detection_report(result["trace"]["events"], adversaries_by_id)
-    return result
+        cell.detection = detection_report(trace.events, adversaries_by_id)
+    return cell
 
 
 def cell_name(framework: str, setting: int, seed: int) -> str:
     return f"{framework}_s{setting}_seed{seed}"
 
 
-def run_group(config: ExperimentConfig, setting: int, seed: int) -> list[dict]:
+def trace_json(cell: CellTrace) -> str:
+    """The text of a cell trace file."""
+    return json.dumps(cell, default=_entries, sort_keys=True, separators=(",", ":"))
+
+
+def read_trace(path, key: tuple[str, int, int]) -> CellTrace:
+    """The trace at path of cell key, (framework, setting, seed); a
+    ConfigError naming path and every fault, or the trace's own cell."""
+    errors: list[str] = []
+    cell = _read(CellTrace, _load_json(path), "", errors)
+    if errors:
+        raise ConfigError(f"{path}: not a cell trace: " + "; ".join(errors))
+    name = cell_name(cell.framework, cell.setting, cell.seed)
+    if name != cell_name(*key):
+        raise ConfigError(f"{path}: the trace of cell {name}, not of {cell_name(*key)}")
+    return cell
+
+
+def run_group(config: ExperimentConfig, setting: int, seed: int) -> list[CellTrace]:
     """The cells of one (setting, seed), one per framework, on one CellGroup,
     in config.frameworks order. They run centralised first, since it starts
     from the parties as built (see CellGroup)."""
@@ -587,11 +670,11 @@ def run_experiment(config: ExperimentConfig, outdir) -> dict:
             if i == 0:
                 os.makedirs(traces_dir, exist_ok=True)
                 _write_json(os.path.join(outdir, "config.json"), config_echo(config))
-            for result in cells:
-                name = cell_name(result["framework"], result["setting"], result["seed"])
+            for cell in cells:
+                name = cell_name(cell.framework, cell.setting, cell.seed)
                 with open(os.path.join(traces_dir, f"{name}.json"), "w") as fh:
-                    fh.write(json.dumps(result, sort_keys=True, separators=(",", ":")))
-            cells = result = None  # drop this group before the next one runs
+                    fh.write(trace_json(cell))
+            cells = cell = None  # drop this group before the next one runs
     return generate_reports(traces_dir, outdir, config)
 
 
@@ -622,67 +705,18 @@ _TABLES = {
 }
 
 
-def _table_rows(r: dict) -> dict[str, list[dict]]:
-    """The rows one stored cell result adds to each table, keyed by column."""
+def _table_rows(cell: CellTrace) -> dict[str, typing.Iterable[dict]]:
+    """The rows one cell trace adds to each table, keyed by column."""
     return {
-        "accuracy.csv": [{"party": pid, "standalone_accuracy": r["standalone_accuracies"].get(pid, ""),
-                          "final_accuracy": r["final_accuracies"][pid]} for pid in r["party_ids"]],
-        "fairness.csv": [r["fairness"]] if "fairness" in r else [],
-        "detection.csv": [{**rec, "round": "-" if rec["round"] is None else rec["round"]}
-                          for rec in r.get("detection", [])],
-        "rounds.csv": r["trace"]["accuracy_rows"],
-        "credibility.csv": r["trace"].get("credibility_rows", []),
+        "accuracy.csv": [{"party": pid, "final_accuracy": cell.final_accuracies[pid],
+                          "standalone_accuracy": cell.standalone_accuracies.get(pid, "")}
+                         for pid in cell.party_ids],
+        "fairness.csv": [vars(cell.fairness)] if cell.fairness else [],
+        "detection.csv": [{**vars(rec), "round": "-" if rec.round is None else rec.round}
+                          for rec in cell.detection or []],
+        "rounds.csv": map(vars, cell.trace.accuracy_rows),
+        "credibility.csv": map(vars, cell.trace.credibility_rows),
     }
-
-
-# The JSON types of each cell-trace entry the readers index into or count
-# on, and how a message names them.
-_TRACE_SHAPE = {"party_ids": (list, "a list"), "final_accuracies": (dict, "an object"),
-                "standalone_accuracies": (dict, "an object"),
-                "sharing_levels": (dict, "an object"), "trace": (dict, "an object"),
-                "chain_valid": ((bool, type(None)), "true, false or null")}
-# The per-party entries the readers compute with.
-_TRACE_NUMBERS = ("sharing_levels", "standalone_accuracies", "final_accuracies")
-
-
-def _trace_fault(trace) -> str | None:
-    """Why trace is no cell trace the readers can use, or None: a top
-    level that is not an object, an entry of _TRACE_SHAPE of another JSON
-    type, a setting that is not an int, or a _TRACE_NUMBERS value that is
-    not a finite number (JSON true and false are neither)."""
-    if not isinstance(trace, dict):
-        return f"the top level is {type(trace).__name__}, not an object"
-    for key, (kinds, name) in _TRACE_SHAPE.items():
-        if key in trace and not isinstance(trace[key], kinds):
-            return f"{key} is {type(trace[key]).__name__}, not {name}"
-    if "setting" in trace and type(trace["setting"]) is not int:
-        return f"unknown setting {trace['setting']!r}"
-    for key in _TRACE_NUMBERS:
-        for pid, value in trace.get(key, {}).items():
-            if type(value) is not int and not (type(value) is float and math.isfinite(value)):
-                return (f"{key}[{pid!r}] is {value!r}: accuracies and sharing levels "
-                        f"must be finite numbers")
-    return None
-
-
-@contextlib.contextmanager
-def _reading_trace(path):
-    """Yields the cell trace at path. A trace with a _trace_fault, a key
-    missing from the trace and a value its reader cannot use (a TypeError
-    or ValueError) each become a ConfigError that names path and the
-    fault."""
-    trace = _load_json(path)
-    fault = _trace_fault(trace)
-    if fault:
-        raise ConfigError(f"{path}: not a cell trace: {fault}")
-    try:
-        yield trace
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{path}: not a cell trace: no key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a cell trace: {exc}") from None
 
 
 def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
@@ -701,16 +735,16 @@ def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
                 writers[name] = csv.writer(stack.enter_context(open(partial[name], "w", newline="")))
                 writers[name].writerow(["framework", "setting", "seed", *columns])
             for key, path in cell_traces(traces_dir):
-                with _reading_trace(path) as r:
-                    for name, rows in _table_rows(r).items():
-                        writers[name].writerows([*key, *(row[c] for c in _TABLES[name])]
-                                                for row in rows)
-                    mean_accuracy.setdefault(key[:2], []).append(
-                        sum(r["final_accuracies"].values()) / len(r["final_accuracies"]))
-                    if "fairness" in r and r["fairness"]["r_xy"] is not None:
-                        grouped.setdefault(key[:2], []).append(r["fairness"]["r_xy"])
-                    if r["chain_valid"] is not None:
-                        chain_flags.append(r["chain_valid"])
+                cell = read_trace(path, key)
+                for name, rows in _table_rows(cell).items():
+                    writers[name].writerows([*key, *(row[c] for c in _TABLES[name])]
+                                            for row in rows)
+                finals = cell.final_accuracies
+                mean_accuracy.setdefault(key[:2], []).append(sum(finals.values()) / len(finals))
+                if cell.fairness and cell.fairness.r_xy is not None:
+                    grouped.setdefault(key[:2], []).append(cell.fairness.r_xy)
+                if cell.chain_valid is not None:
+                    chain_flags.append(cell.chain_valid)
                 cells.append(list(key))
         for name, path in partial.items():
             os.replace(path, os.path.join(outdir, name))
@@ -749,16 +783,6 @@ def _cmd_run(args) -> int:
     summary = run_experiment(config, args.out)
     print(json.dumps({"cells_completed": len(summary["cells"]),
                       "out": args.out}, sort_keys=True))
-    return 0
-
-
-def _cmd_fairness(args) -> int:
-    with _reading_trace(args.trace) as result:
-        if result["framework"] not in FAIRNESS_FRAMEWORKS:
-            raise ConfigError(f"{args.trace}: a {result['framework']} cell carries no fairness; "
-                              f"those of {FAIRNESS_FRAMEWORKS} do")
-        report = cell_fairness(result)
-    print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -813,10 +837,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--framework", action="append", choices=FRAMEWORKS,
                        help="restrict to these frameworks (repeatable)")
     p_run.set_defaults(func=_cmd_run)
-
-    p_fair = sub.add_parser("fairness", help="recompute fairness from a stored cell trace")
-    p_fair.add_argument("--trace", required=True)
-    p_fair.set_defaults(func=_cmd_fairness)
 
     p_verify = sub.add_parser("verify-chain", help="verify a ledger dump")
     p_verify.add_argument("--dump", required=True)

@@ -145,21 +145,45 @@ class Party:
 
 
 @dataclass
+class Event:
+    kind: str  # excluded | budget_exhausted | token_exhausted
+    party: str
+    round: int
+    stage: str  # init | update
+    info: str = ""
+
+
+@dataclass
+class AccuracyRow:
+    round: int
+    party: str
+    accuracy: float
+    tokens: int
+
+
+@dataclass
+class CredibilityRow:
+    round: int
+    owner: str
+    peer: str
+    credibility: float
+    balance: int
+
+
+@dataclass
 class RunTrace:
+    """What a run records; a cell trace stores it as its trace entry."""
     framework: str
-    # {kind: excluded | budget_exhausted | token_exhausted, party, round,
-    #  stage: init | update, info}
-    events: list = field(default_factory=list)
-    accuracy_rows: list = field(default_factory=list)      # round, party, accuracy, tokens
-    credibility_rows: list = field(default_factory=list)   # round, owner, peer, credibility, balance
-    token_totals: list = field(default_factory=list)       # (round, total tokens)
-    standalone_accuracies: dict = field(default_factory=dict)
-    sharing_levels: dict = field(default_factory=dict)
-    final_accuracies: dict = field(default_factory=dict)
+    events: list[Event] = field(default_factory=list)
+    accuracy_rows: list[AccuracyRow] = field(default_factory=list)
+    credibility_rows: list[CredibilityRow] = field(default_factory=list)
+    token_totals: list[list[int]] = field(default_factory=list)  # [round, total tokens]
+    standalone_accuracies: dict[str, float] = field(default_factory=dict)
+    sharing_levels: dict[str, float] = field(default_factory=dict)
+    final_accuracies: dict[str, float] = field(default_factory=dict)
 
     def event(self, kind: str, party: str, round_index: int, stage: str, info: str = "") -> None:
-        self.events.append({"kind": kind, "party": party, "round": round_index,
-                            "stage": stage, "info": info})
+        self.events.append(Event(kind, party, round_index, stage, info))
 
 
 def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfig,
@@ -495,7 +519,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
                     by_id[pid].last_received_aggregate[update.indices] -= update.values
 
     ledger.seal_block()
-    trace.token_totals.append((round_index, ledger.total_tokens()))
+    trace.token_totals.append([round_index, ledger.total_tokens()])
     for pid in sorted(new_credible):
         p = by_id[pid]
         # Token stock depleted to the reserve floor: the party can only
@@ -503,14 +527,11 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         if ledger.balances[pid] <= TOKEN_RESERVE and not p.token_exhaustion_reported:
             p.token_exhaustion_reported = True
             trace.event("token_exhausted", pid, round_index, "update")
-        trace.accuracy_rows.append({"round": round_index, "party": pid,
-                                    "accuracy": evaluate(p.model, test_data),
-                                    "tokens": ledger.balances[pid]})
+        trace.accuracy_rows.append(AccuracyRow(round_index, pid, evaluate(p.model, test_data),
+                                               ledger.balances[pid]))
         for peer in sorted(p.credibility):
-            trace.credibility_rows.append({
-                "round": round_index, "owner": pid, "peer": peer,
-                "credibility": p.credibility[peer],
-                "balance": ledger.balances[pid]})
+            trace.credibility_rows.append(CredibilityRow(
+                round_index, pid, peer, p.credibility[peer], ledger.balances[pid]))
     return new_credible
 
 
@@ -540,8 +561,7 @@ def run_baseline(kind: str, parties: list[Party], rounds: int, test_data: Datase
 
 def _record_round(trace: RunTrace, round_index: int, parties, test_data) -> None:
     for p in parties:
-        trace.accuracy_rows.append({"round": round_index, "party": p.id,
-                                    "accuracy": evaluate(p.model, test_data), "tokens": 0})
+        trace.accuracy_rows.append(AccuracyRow(round_index, p.id, evaluate(p.model, test_data), 0))
 
 
 def _run_standalone(parties, rounds, test_data) -> RunTrace:
@@ -572,8 +592,7 @@ def _run_centralised(parties, rounds, test_data) -> RunTrace:
                            LEARNING_RATE, LR_DECAY, BATCH_SIZE, rng, steps)
         acc = evaluate(model, test_data)
         for p in parties:
-            trace.accuracy_rows.append({"round": round_index, "party": p.id,
-                                        "accuracy": acc, "tokens": 0})
+            trace.accuracy_rows.append(AccuracyRow(round_index, p.id, acc, 0))
     final = evaluate(model, test_data)
     for p in parties:
         trace.final_accuracies[p.id] = final

@@ -152,8 +152,8 @@ def test_criterion_05_fairness_directionality():
     wins = 0
     rows = []
     for seed in range(5):
-        r_f = run_cell(cfg, "fdpddl", 3, seed)["fairness"]["r_xy"]
-        r_d = run_cell(cfg, "distributed_dssgd", 3, seed)["fairness"]["r_xy"]
+        r_f = run_cell(cfg, "fdpddl", 3, seed).fairness.r_xy
+        r_d = run_cell(cfg, "distributed_dssgd", 3, seed).fairness.r_xy
         win = r_f is not None and r_f >= 0.5 and (r_d is None or r_f > r_d)
         wins += win
         rows.append(f"seed{seed}: fdpddl={r_f and round(r_f, 3)} dssgd={r_d and round(r_d, 3)}")
@@ -167,9 +167,8 @@ def test_criterion_06_collaboration_gain():
     finals, saccs = [], []
     for seed in range(5):
         result = run_cell(cfg, "fdpddl", 1, seed)
-        ids = result["party_ids"]
-        finals.append([result["final_accuracies"][p] for p in ids])
-        saccs.append([result["standalone_accuracies"][p] for p in ids])
+        finals.append([result.final_accuracies[p] for p in result.party_ids])
+        saccs.append([result.standalone_accuracies[p] for p in result.party_ids])
     med_final = np.median(np.array(finals), axis=0)
     med_sacc = np.median(np.array(saccs), axis=0)
     ok = bool(np.all(med_final >= med_sacc))

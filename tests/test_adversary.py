@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from faircollab.adversary import (AdversaryConfig, AdversaryKind, detection_report,
+from faircollab.adversary import (AdversaryConfig, AdversaryKind, Detection, detection_report,
                                   freerider_gradients, freerider_label, gan_attacker_setup)
 from faircollab.numerics import make_blobs
+from faircollab.protocol import Event
 
 
 def release_of(n, dim=4):
@@ -104,36 +105,32 @@ class TestGanAttackerSetup:
 
 class TestDetectionReport:
     def test_init_exclusion(self):
-        events = [{"kind": "excluded", "party": "p03", "round": 0, "stage": "init"}]
+        events = [Event("excluded", "p03", 0, "init")]
         advs = {"p03": AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_LABEL)}
         [rec] = detection_report(events, advs)
-        assert rec == {"party": "p03", "kind": "free_rider_random_label", "detected": True,
-                       "stage": "init", "round": 0}
+        assert rec == Detection("p03", AdversaryKind.FREE_RIDER_RANDOM_LABEL, True, "init", 0)
 
     def test_token_drain_at_round_seven(self):
-        events = [{"kind": "token_exhausted", "party": "p02", "round": 7, "stage": "update"}]
+        events = [Event("token_exhausted", "p02", 7, "update")]
         advs = {"p02": AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_GRAD)}
         [rec] = detection_report(events, advs)
-        assert rec["detected"] and rec["stage"] == "update" and rec["round"] == 7
+        assert rec.detected and rec.stage == "update" and rec.round == 7
 
     def test_earliest_event_wins(self):
-        events = [
-            {"kind": "token_exhausted", "party": "p01", "round": 9, "stage": "update"},
-            {"kind": "excluded", "party": "p01", "round": 4, "stage": "update"},
-        ]
+        events = [Event("token_exhausted", "p01", 9, "update"),
+                  Event("excluded", "p01", 4, "update")]
         advs = {"p01": AdversaryConfig(AdversaryKind.GAN_ATTACKER)}
         [rec] = detection_report(events, advs)
-        assert rec["round"] == 4
+        assert rec.round == 4
 
     def test_honest_only_run(self):
         advs = {"p01": AdversaryConfig(AdversaryKind.GAN_ATTACKER)}
         [rec] = detection_report([], advs)
-        assert rec == {"party": "p01", "kind": "gan_attacker", "detected": False,
-                       "stage": "never", "round": None}
+        assert rec == Detection("p01", AdversaryKind.GAN_ATTACKER, False, "never", None)
 
     def test_unrelated_events_ignored(self):
-        events = [{"kind": "budget_exhausted", "party": "p01", "round": 2, "stage": "update"},
-                  {"kind": "excluded", "party": "p00", "round": 3, "stage": "update"}]
+        events = [Event("budget_exhausted", "p01", 2, "update"),
+                  Event("excluded", "p00", 3, "update")]
         advs = {"p01": AdversaryConfig(AdversaryKind.FREE_RIDER_CRAFTED_GRAD)}
         [rec] = detection_report(events, advs)
-        assert not rec["detected"]
+        assert not rec.detected

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
@@ -30,6 +31,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_PROTOCOL = {"augment_replication": 20, "dp_steps_per_round": 2,
                  "download_fraction": 0.85}
+ALL_FRAMEWORKS = ["fdpddl", "distributed_dssgd", "standalone", "centralised"]
 
 
 def small_config(**overrides):
@@ -82,7 +84,7 @@ class TestFairness:
 
     def test_report_sentinel_never_silent_zero(self):
         report = fairness_report(1, [0.1] * 3, [0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
-        assert report["degenerate"] and report["r_xy"] is None and report["reason"]
+        assert report.degenerate and report.r_xy is None and report.reason
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -155,7 +157,7 @@ class TestConfig:
         ({"dataset": {"dim": 4, "colour": "red"}}, "dataset.colour"),
         ({"adversaries": [{"kind": "gan_attacker", "scale": 1.0}]}, "adversaries[0].scale")])
     def test_unknown_nested_key_named_by_dotted_path(self, section, path):
-        with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{path}'")):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}'")):
             small_config(**section)
 
     # A config built in code is checked as it is built, as one read from JSON is.
@@ -280,15 +282,32 @@ class TestCellData:
 class TestRunCell:
     def test_fdpddl_cell_contents(self):
         result = run_cell(small_config(), "fdpddl", 1, 0)
-        assert result["chain_valid"] is True
-        assert set(result["final_accuracies"]) == {"p00", "p01", "p02", "p03"}
-        assert "fairness" in result
-        assert result["trace"]["framework"] == "fdpddl"
+        assert result.chain_valid is True
+        assert set(result.final_accuracies) == {"p00", "p01", "p02", "p03"}
+        assert result.fairness is not None
+        assert result.trace.framework == "fdpddl"
 
     def test_standalone_cell_has_no_fairness(self):
         result = run_cell(small_config(frameworks=["standalone"]), "standalone", 1, 0)
-        assert "fairness" not in result
-        assert result["chain_valid"] is None
+        assert result.fairness is None
+        assert result.chain_valid is None
+
+    # The one schema, CellTrace, both writes and reads every trace: reading
+    # a written trace and writing it again gives the same bytes, with the
+    # entries a cell lacks (fairness, detection) absent rather than null.
+    @pytest.mark.parametrize("frameworks, adversaries", [
+        (ALL_FRAMEWORKS, []),
+        (["fdpddl"], [{"kind": "free_rider_random_label", "party": 3}])],
+        ids=["each_framework", "adversary"])
+    def test_trace_reads_back_to_the_same_bytes(self, tmp_path, frameworks, adversaries):
+        run_experiment(small_config(frameworks=frameworks, adversaries=adversaries), tmp_path)
+        cells = harness.cell_traces(tmp_path / "traces")
+        assert len(cells) == len(frameworks)
+        for key, path in cells:
+            cell = harness.read_trace(path, key)
+            assert harness.trace_json(cell) == Path(path).read_text()
+            assert (cell.fairness is None) == (key[0] not in harness.FAIRNESS_FRAMEWORKS)
+            assert (cell.detection is None) == (not adversaries)
 
 
 def _edited(index, edit):
@@ -389,8 +408,8 @@ class TestExperimentAndCli:
         assert main(["report", "--traces", str(tmp_path / "a" / "traces"),
                      "--out", str(tmp_path / "b")]) == 2
 
-    def test_cli_run_and_fairness(self, tmp_path, capsys):
-        cfg = small_config(seeds=[0, 1], frameworks=["fdpddl", "standalone"])
+    def test_cli_run_and_fairness(self, tmp_path):
+        cfg = small_config(settings=[1, 2], seeds=[0, 1], frameworks=["fdpddl", "standalone"])
         cfg_path = tmp_path / "cfg.json"
         save_config(cfg, cfg_path)
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
@@ -401,28 +420,39 @@ class TestExperimentAndCli:
         assert load_config(tmp_path / "out" / "config.json") == ran
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert (summary["config"]["seeds"], summary["config"]["frameworks"]) == ([0], ["fdpddl"])
-        trace_path = tmp_path / "out" / "traces" / "fdpddl_s1_seed0.json"
-        assert trace_path.exists()
-        rc = main(["fairness", "--trace", str(trace_path)])
-        assert rc == 0
-        out = capsys.readouterr().out.strip().splitlines()[-1]
-        assert json.loads(out) == json.loads(trace_path.read_text())["fairness"]
+        # fairness.csv holds, for each trace, what fairness_report computes
+        # from its setting and per-party entries.
+        expected = io.StringIO()
+        rows = csv.writer(expected)
+        rows.writerow(["framework", "setting", "seed", "r_xy", "degenerate", "reason"])
+        traces = sorted((tmp_path / "out" / "traces").iterdir())
+        assert [path.name for path in traces] == ["fdpddl_s1_seed0.json", "fdpddl_s2_seed0.json"]
+        for path in traces:
+            t = json.loads(path.read_text())
+            per_party = ([t[key][pid] for pid in t["party_ids"]]
+                         for key in ("sharing_levels", "standalone_accuracies", "final_accuracies"))
+            report = fairness_report(t["setting"], *per_party)
+            rows.writerow([t["framework"], t["setting"], t["seed"], report.r_xy,
+                           report.degenerate, report.reason])
+        assert (tmp_path / "out" / "fairness.csv").read_bytes() == expected.getvalue().encode()
 
     # Each ended in a KeyError traceback, and the failed report had by then
-    # cut every table in --out short.
-    @pytest.mark.parametrize("argv, path, key", [
-        (["fairness", "--trace", "{run}/config.json"], "{run}/config.json", "framework"),
-        (["report", "--traces", "{run}/traces", "--out", "{run}"],
-         "{run}/traces/standalone_s1_seed0.json", "party_ids")],
+    # cut every table in --out short. The ids that begin fairness_ name
+    # cases first written for the fairness subcommand, which report's
+    # reader of the same trace now covers.
+    @pytest.mark.parametrize("content, key", [
+        (lambda run: (run / "config.json").read_text(), "framework"),
+        (lambda run: '{"x": 1}', "party_ids")],
         ids=["fairness_of_config", "report_over_non_trace"])
-    def test_cli_not_a_cell_trace_exit_code(self, tmp_path, capsys, argv, path, key):
+    def test_cli_not_a_cell_trace_exit_code(self, tmp_path, capsys, content, key):
         run_experiment(small_config(frameworks=["fdpddl", "standalone"]), tmp_path)
-        (tmp_path / "traces" / "standalone_s1_seed0.json").write_text('{"x": 1}')
+        path = tmp_path / "traces" / "standalone_s1_seed0.json"
+        path.write_text(content(tmp_path))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        assert main([arg.format(run=tmp_path) for arg in argv]) == 2
+        assert main(["report", "--traces", str(tmp_path / "traces"), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path.format(run=tmp_path)}: ")
-        assert repr(key) in err
+        assert err.startswith(f"error: {path}: not a cell trace: ")
+        assert f"{key} is required" in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_report_exit_2_removes_only_the_out_it_made(self, tmp_path, capsys):
@@ -442,92 +472,99 @@ class TestExperimentAndCli:
         assert main(report + [str(tmp_path / "kept")]) == 2
         assert [(p.name, p.read_text()) for p in (tmp_path / "kept").iterdir()] == [
             ("accuracy.csv", "earlier")]
-        assert "'party_ids'" in capsys.readouterr().err
+        assert "party_ids is required" in capsys.readouterr().err
 
     # Each ended in a TypeError traceback.
-    @pytest.mark.parametrize("argv, path, fault", [
-        (["fairness", "--trace", "{run}/list.json"], "{run}/list.json",
-         "the top level is list, not an object"),
-        (["fairness", "--trace", "{run}/traces/fdpddl_s1_seed0.json"],
-         "{run}/traces/fdpddl_s1_seed0.json", "final_accuracies is list, not an object"),
-        (["report", "--traces", "{run}/traces", "--out", "{run}"],
-         "{run}/traces/fdpddl_s1_seed0.json", "final_accuracies is list, not an object")],
-        ids=["fairness_of_list", "fairness_of_list_accuracies", "report_of_list_accuracies"])
-    def test_cli_trace_of_wrong_shape_exit_code(self, tmp_path, capsys, argv, path, fault):
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda t: [1], "the top level must be a JSON object, not list"),
+        (lambda t: {**t, "final_accuracies": list(t["final_accuracies"].values())},
+         "final_accuracies must be a JSON object, not list")],
+        ids=["fairness_of_list", "report_of_list_accuracies"])
+    def test_cli_trace_of_wrong_shape_exit_code(self, tmp_path, capsys, edit, fault):
         run_experiment(small_config(), tmp_path)
-        (tmp_path / "list.json").write_text("[1]")
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
-        trace = json.loads(trace_path.read_text())
-        trace["final_accuracies"] = list(trace["final_accuracies"].values())
-        trace_path.write_text(json.dumps(trace))
+        trace_path.write_text(json.dumps(edit(json.loads(trace_path.read_text()))))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        assert main([arg.format(run=tmp_path) for arg in argv]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path.format(run=tmp_path)}: not a cell trace: {fault}\n")
+        assert main(["report", "--traces", str(tmp_path / "traces"), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {trace_path}: not a cell trace: {fault}\n"
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
-    # Each ended in a ValueError or TypeError traceback, report's leaving
-    # its --out behind, or ran on: fairness printed "r_xy": NaN for a null
-    # accuracy, and report counted a chain_valid of "yes" as valid.
-    @pytest.mark.parametrize("command, edit, fragment", [
-        ("fairness", lambda t: t.update(setting=5), "unknown setting 5"),
-        ("fairness", lambda t: t.update(setting="1"), "unknown setting '1'"),
-        ("fairness", lambda t: t["sharing_levels"].update(p00="high"), "'high'"),
-        ("fairness", lambda t: t.update(party_ids=["p00"]), "at least two parties"),
-        ("fairness", lambda t: t["final_accuracies"].update(p00=None), "must be finite"),
-        ("report", lambda t: t["final_accuracies"].update(p00=None),
-         "final_accuracies['p00'] is None"),
-        ("report", lambda t: t["final_accuracies"].update(p00="0.9"),
-         "final_accuracies['p00'] is '0.9'"),
-        ("report", lambda t: t.update(fairness=[1]), "list indices"),
-        ("report", lambda t: t["trace"].update(accuracy_rows=[5]), "not subscriptable"),
-        ("report", lambda t: t.update(chain_valid="yes"),
-         "chain_valid is str, not true, false or null"),
+    # Each ended in a ValueError, TypeError or KeyError traceback, report's
+    # leaving its --out behind, or ran on: fairness printed "r_xy": NaN for
+    # a null accuracy, and report counted a chain_valid of "yes" as valid.
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda t: t.update(setting=5), "setting 5 not in {1, 2, 3}"),
+        (lambda t: t.update(setting="1"), "setting must be int, not '1'"),
+        (lambda t: t["sharing_levels"].update(p00="high"),
+         "sharing_levels['p00'] must be float, not 'high'"),
+        (lambda t: t.update(party_ids=["p00"]), "a cell needs at least two parties"),
+        (lambda t: t["final_accuracies"].update(p00=None),
+         "final_accuracies['p00'] must be float, not None"),
+        (lambda t: t["final_accuracies"].update(p00="0.9"),
+         "final_accuracies['p00'] must be float, not '0.9'"),
+        (lambda t: t.update(fairness=[1]), "fairness must be a JSON object, not list"),
+        (lambda t: t["trace"].update(accuracy_rows=[5]),
+         "trace.accuracy_rows[0] must be a JSON object, not int"),
+        (lambda t: t.update(chain_valid="yes"), "chain_valid must be bool, not 'yes'"),
+        (lambda t: t["final_accuracies"].pop("p00"),
+         "final_accuracies is keyed by ['p01', 'p02', 'p03'], not by party_ids"),
         # These exited 0: a JSON true read as 1, a string passed through to
         # the output, a float setting matched setting 1 and a NaN accuracy
         # was averaged into the summary.
-        ("fairness", lambda t: t.update(setting=True), "unknown setting True"),
-        ("fairness", lambda t: t.update(setting=1.0), "unknown setting 1.0"),
-        ("fairness", lambda t: t["sharing_levels"].update(p00=True),
-         "sharing_levels['p00'] is True"),
-        ("fairness", lambda t: t["final_accuracies"].update(p00="0.9"),
-         "final_accuracies['p00'] is '0.9'"),
-        ("fairness", lambda t: t["standalone_accuracies"].update(p00=False),
-         "standalone_accuracies['p00'] is False"),
-        ("report", lambda t: t["final_accuracies"].update(p00=True),
-         "final_accuracies['p00'] is True"),
-        ("report", lambda t: t["final_accuracies"].update(p00=math.nan),
-         "final_accuracies['p00'] is nan"),
-        ("report", lambda t: t["standalone_accuracies"].update(p00="0.5"),
-         "standalone_accuracies['p00'] is '0.5'")],
+        (lambda t: t.update(setting=True), "setting must be int, not True"),
+        (lambda t: t.update(setting=1.0), "setting must be int, not 1.0"),
+        (lambda t: t["sharing_levels"].update(p00=True),
+         "sharing_levels['p00'] must be float, not True"),
+        (lambda t: t["standalone_accuracies"].update(p00=False),
+         "standalone_accuracies['p00'] must be float, not False"),
+        (lambda t: t["final_accuracies"].update(p00=True),
+         "final_accuracies['p00'] must be float, not True"),
+        (lambda t: t["final_accuracies"].update(p00=math.nan),
+         "final_accuracies['p00'] must be a finite number, not nan"),
+        (lambda t: t["standalone_accuracies"].update(p00="0.5"),
+         "standalone_accuracies['p00'] must be float, not '0.5'")],
         ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
-             "fairness_one_party", "fairness_null_accuracy", "report_null_accuracy",
-             "report_str_accuracy", "report_list_fairness", "report_int_accuracy_row",
-             "report_str_chain_valid", "fairness_bool_setting", "fairness_float_setting",
-             "fairness_bool_sharing_level", "fairness_str_accuracy",
-             "fairness_bool_standalone_accuracy", "report_bool_accuracy",
-             "report_nan_accuracy", "report_str_standalone_accuracy"])
-    def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, command, edit, fragment):
+             "fairness_one_party", "report_null_accuracy", "report_str_accuracy",
+             "report_list_fairness", "report_int_accuracy_row", "report_str_chain_valid",
+             "report_missing_party", "fairness_bool_setting", "fairness_float_setting",
+             "fairness_bool_sharing_level", "fairness_bool_standalone_accuracy",
+             "report_bool_accuracy", "report_nan_accuracy", "report_str_standalone_accuracy"])
+    def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, edit, fragment):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
         trace = json.loads(trace_path.read_text())
         edit(trace)
         trace_path.write_text(json.dumps(trace))
-        argv = {"fairness": ["fairness", "--trace", str(trace_path)],
-                "report": ["report", "--traces", str(tmp_path / "traces"),
-                           "--out", str(tmp_path / "o")]}[command]
-        assert main(argv) == 2
+        assert main(["report", "--traces", str(tmp_path / "traces"),
+                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace_path}: not a cell trace: ") and fragment in err
+        assert not (tmp_path / "o").exists()
+
+    # report tabulated a trace under its file's cell, whichever cell it was
+    # the trace of: a copy of seed 0's trace over seed 1's wrote seed 0's
+    # r_xy as seed 1's and exited 0.
+    @pytest.mark.parametrize("source, target", [
+        ("fdpddl_s1_seed0", "fdpddl_s1_seed1"), ("fdpddl_s1_seed0", "fdpddl_s2_seed0"),
+        ("standalone_s1_seed0", "fdpddl_s1_seed0")])
+    def test_report_of_trace_filed_under_another_cell_exit_code(self, tmp_path, capsys, source,
+                                                                 target):
+        cfg = small_config(settings=[1, 2], seeds=[0, 1], frameworks=["fdpddl", "standalone"])
+        run_experiment(cfg, tmp_path)
+        path = tmp_path / "traces" / f"{target}.json"
+        path.write_bytes((tmp_path / "traces" / f"{source}.json").read_bytes())
+        assert main(["report", "--traces", str(tmp_path / "traces"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: the trace of cell {source}, not of {target}\n")
         assert not (tmp_path / "o").exists()
 
     # Each ended in a RecursionError traceback: the nesting is deeper than
     # the JSON parser's recursion limit.
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "{nested}", "--out", "{out}"],
-        ["fairness", "--trace", "{nested}"],
         ["report", "--traces", "{traces}", "--out", "{out}"],
-    ], ids=["run_config", "fairness_trace", "report_cell_trace"])
+    ], ids=["run_config", "report_cell_trace"])
     def test_cli_nested_json_exit_code(self, tmp_path, capsys, argv):
         (tmp_path / "traces").mkdir()
         save_config(small_config(), tmp_path / "config.json")
@@ -579,11 +616,15 @@ class TestExperimentAndCli:
 
     # In-process main() tests cannot see python -m faircollab's own exit
     # path: the code that reaches the shell, and stderr without a traceback.
+    # fairness, which recomputed the fairness entry that run stores and
+    # report writes to fairness.csv, is no command.
     @pytest.mark.parametrize("argv, code, stdout", [
         (["run", "--config", "{bad}", "--out", "{out}"], 2, ""),
         (["report", "--traces", "{traces}", "--out", "{out}"], 2, ""),
-        (["verify-chain", "--dump", "{cut}"], 1, '"valid": false')],
-        ids=["run_config_not_json", "report_of_non_trace", "verify_chain_cut_dump"])
+        (["verify-chain", "--dump", "{cut}"], 1, '"valid": false'),
+        (["fairness", "--trace", "{traces}/fdpddl_s1_seed0.json"], 2, "")],
+        ids=["run_config_not_json", "report_of_non_trace", "verify_chain_cut_dump",
+             "fairness_is_no_command"])
     def test_module_entry_point_exit_code(self, tmp_path, argv, code, stdout):
         from faircollab.ledger import KeyPair, Ledger, dump_chain
         (tmp_path / "bad.json").write_text('{"name": ')
@@ -667,21 +708,15 @@ class TestExperimentAndCli:
         assert ((tmp_path / "a" / "summary.json").read_bytes()
                 == (tmp_path / "b" / "summary.json").read_bytes())
 
-    # Each of these ended in a traceback (a JSON file cut short, fairness
-    # of a cell that carries none) or ran as if valid while config.json
-    # echoed a dataset_name the run did not use.
+    # Each of these ended in a traceback (a JSON file cut short) or ran as
+    # if valid while config.json echoed a dataset_name the run did not use.
     @pytest.mark.parametrize("argv, cut, fragment", [
         (["run", "--config", "{cfg}", "--out", "{out}"], "cfg.json", "{cfg}: "),
-        (["fairness", "--trace", "{traces}/fdpddl_s1_seed0.json"],
-         "run/traces/fdpddl_s1_seed0.json", "{traces}/fdpddl_s1_seed0.json: "),
         (["report", "--traces", "{traces}", "--out", "{out}"],
          "run/traces/centralised_s1_seed0.json", "{traces}/centralised_s1_seed0.json: "),
-        (["fairness", "--trace", "{traces}/centralised_s1_seed0.json"], None,
-         "error: {traces}/centralised_s1_seed0.json: a centralised cell carries no fairness"),
         (["run", "--config", "{svhn}", "--out", "{out}"], None,
          "protocol.dataset_name 'svhn' is not dataset.name 'blobs'")],
-        ids=["run_config_not_json", "fairness_trace_not_json", "report_cell_trace_not_json",
-             "fairness_of_centralised_cell", "dataset_name_disagrees"])
+        ids=["run_config_not_json", "report_cell_trace_not_json", "dataset_name_disagrees"])
     def test_cli_unusable_input_exit_code(self, tmp_path, capsys, argv, cut, fragment):
         cfg = small_config(frameworks=["fdpddl", "centralised"])
         run_experiment(cfg, tmp_path / "run")
@@ -878,9 +913,6 @@ class TestExperimentAndCli:
         assert not (tmp_path / "o").exists()
 
 
-ALL_FRAMEWORKS = ["fdpddl", "distributed_dssgd", "standalone", "centralised"]
-
-
 class TestCellGroups:
     """The cells of one (setting, seed) share their partition and one
     pretraining; each trace must not depend on which cells ran with it."""
@@ -904,7 +936,7 @@ class TestCellGroups:
         # cells in the configured order.
         first = run_group(small_config(frameworks=["centralised", "standalone", "fdpddl"]), 2, 1)
         last = run_group(small_config(frameworks=["fdpddl", "standalone", "centralised"]), 2, 1)
-        assert json.dumps(first, sort_keys=True) == json.dumps(last[::-1], sort_keys=True)
+        assert [harness.trace_json(c) for c in first] == [harness.trace_json(c) for c in last[::-1]]
 
     def test_one_build_per_setting_and_seed(self, tmp_path, monkeypatch):
         calls = []

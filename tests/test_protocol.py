@@ -240,7 +240,7 @@ class TestInitialisation:
     def test_free_rider_excluded_here(self):
         parties, credible, _, _, trace = self._init_with_free_rider()
         assert "p03" not in credible
-        assert any(e["kind"] == "excluded" and e["party"] == "p03" and e["stage"] == "init"
+        assert any(e.kind == "excluded" and e.party == "p03" and e.stage == "init"
                    for e in trace.events)
 
     def test_exclusion_punished_in_genesis(self):
@@ -306,7 +306,7 @@ class TestUpdateRound:
         parties, credible, ledger, config, trace, test = self._after_init(
             dp_steps_per_round=1000)
         run_update_round(parties, credible, ledger, 1, config, trace, test)
-        assert any(e["kind"] == "budget_exhausted" for e in trace.events)
+        assert any(e.kind == "budget_exhausted" for e in trace.events)
         # Next round nobody can publish, so nothing changes hands.
         scored = record_scoring(monkeypatch, parties)
         run_update_round(parties, credible, ledger, 2, config, trace, test)
@@ -373,9 +373,9 @@ class TestFullRuns:
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(12, config, datasets, adversaries=advs)
         trace, ledger = run_fdpddl(parties, config, rounds=3, test_data=test)
-        exclusions = [e for e in trace.events if e["kind"] == "excluded" and e["party"] == "p03"]
+        exclusions = [e for e in trace.events if e.kind == "excluded" and e.party == "p03"]
         assert exclusions
-        banned_round = exclusions[0]["round"]
+        banned_round = exclusions[0].round
         for block in ledger.chain:
             if block.index <= banned_round:
                 continue
@@ -394,7 +394,7 @@ class TestFullRuns:
                                 download_fraction=0.85)
         trace, ledger = run_fdpddl(fresh_parties(41, config, datasets, adversaries=advs),
                                    config, rounds=3, test_data=test)
-        banned = {e["party"] for e in trace.events if e["kind"] == "excluded"}
+        banned = {e.party for e in trace.events if e.kind == "excluded"}
         assert banned == {"p03"} and ledger.chain[3].leader == "p00"
         state = ChainState()
         for block in ledger.chain:
@@ -603,7 +603,7 @@ class TestUpdateStageExclusion:
         snapshots = {p.id: p.model.params.copy() for p in honest}
         scored = record_scoring(monkeypatch, parties)
         assert "p03" not in run_update_round(parties, credible, ledger, 1, config, trace, test)
-        assert any(e["kind"] == "excluded" and e["party"] == "p03" and e["stage"] == "update"
+        assert any(e.kind == "excluded" and e.party == "p03" and e.stage == "update"
                    for e in trace.events)
         # Punishment transaction recorded in the sealed block.
         kinds = [tx.kind for tx in ledger.chain[-1].transactions]
