@@ -478,8 +478,10 @@ class TestExperimentAndCli:
     @pytest.mark.parametrize("edit, fault", [
         (lambda t: [1], "the top level must be a JSON object, not list"),
         (lambda t: {**t, "final_accuracies": list(t["final_accuracies"].values())},
-         "final_accuracies must be a JSON object, not list")],
-        ids=["fairness_of_list", "report_of_list_accuracies"])
+         "final_accuracies must be a JSON object, not list"),
+        (lambda t: {**t, "standalone_accuracies": list(t["standalone_accuracies"].values())},
+         "standalone_accuracies must be a JSON object, not list")],
+        ids=["fairness_of_list", "report_of_list_accuracies", "fairness_of_list_accuracies"])
     def test_cli_trace_of_wrong_shape_exit_code(self, tmp_path, capsys, edit, fault):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
@@ -522,13 +524,19 @@ class TestExperimentAndCli:
         (lambda t: t["final_accuracies"].update(p00=math.nan),
          "final_accuracies['p00'] must be a finite number, not nan"),
         (lambda t: t["standalone_accuracies"].update(p00="0.5"),
-         "standalone_accuracies['p00'] must be float, not '0.5'")],
+         "standalone_accuracies['p00'] must be float, not '0.5'"),
+        # The stored fairness entry's reward axis is read as strictly.
+        (lambda t: t["fairness"]["y"].__setitem__(0, None),
+         "fairness.y[0] must be float, not None"),
+        (lambda t: t["fairness"]["y"].__setitem__(0, "0.9"),
+         "fairness.y[0] must be float, not '0.9'")],
         ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
              "fairness_one_party", "report_null_accuracy", "report_str_accuracy",
              "report_list_fairness", "report_int_accuracy_row", "report_str_chain_valid",
              "report_missing_party", "fairness_bool_setting", "fairness_float_setting",
              "fairness_bool_sharing_level", "fairness_bool_standalone_accuracy",
-             "report_bool_accuracy", "report_nan_accuracy", "report_str_standalone_accuracy"])
+             "report_bool_accuracy", "report_nan_accuracy", "report_str_standalone_accuracy",
+             "fairness_null_accuracy", "fairness_str_accuracy"])
     def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, edit, fragment):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
