@@ -110,12 +110,10 @@ def build_x_axis(setting: int, sharing_levels, standalone_accuracies) -> np.ndar
 
 @dataclass
 class FairnessReport:
-    """The fairness entry a cell trace stores: the contribution axis x, the
-    reward axis y, r_xy, and, when r_xy is undefined (None), why."""
+    """The fairness entry a cell trace stores: the contribution axis x, r_xy,
+    and, when r_xy is undefined (None), why. The reward axis is trace.final_accuracies."""
     x: list[float]
-    y: list[float]
     r_xy: float | None
-    degenerate: bool
     reason: str
 
 
@@ -127,7 +125,7 @@ def fairness_report(setting: int, sharing_levels, standalone_accuracies,
     except ZeroVarianceError as exc:
         x = np.asarray(standalone_accuracies, dtype=np.float64)
         r_xy, reason = None, str(exc)
-    return FairnessReport(list(x), list(final_accuracies), r_xy, r_xy is None, reason)
+    return FairnessReport(list(x), r_xy, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +350,8 @@ def _read(hint, value, where: str, errors: list[str]):
         expected = "a finite number"
     else:
         expected = hint.__name__
-    errors.append(f"{where} must be {expected}, not {value!r}")
+    shown = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+    errors.append(f"{where} must be {expected}, not {shown}")
     return None
 
 
@@ -543,34 +542,33 @@ class CellGroup:
 
 @dataclass
 class CellTrace:
-    """One cell's trace: its parties, the run trace, whether the ledger
-    verified (fdpddl only), fairness (FAIRNESS_FRAMEWORKS only) and
-    detection (with adversaries only). Checks the entries that span fields."""
+    """One cell's trace, each fact once: its parties, the run trace (with the
+    per-party maps), whether the ledger verified (fdpddl only), fairness
+    (FAIRNESS_FRAMEWORKS only) and detection (with adversaries only)."""
 
     framework: str
     setting: int
     seed: int
     party_ids: list[str]
     sizes: list[int]
-    final_accuracies: dict[str, float]
-    standalone_accuracies: dict[str, float]  # {} for a centralised cell
-    sharing_levels: dict[str, float]
     chain_valid: bool | None
     trace: protocol.RunTrace
     fairness: FairnessReport | None = None
     detection: list[Detection] | None = None
 
     def __post_init__(self):
-        ids = set(self.party_ids)
+        ids, trace = set(self.party_ids), self.trace
         checks = (
             (self.setting in (1, 2, 3), f"setting {self.setting} not in {{1, 2, 3}}"),
             (len(self.party_ids) >= 2, "a cell needs at least two parties"),
             (len(ids) == len(self.party_ids), f"party_ids repeats {_duplicates(self.party_ids)}"),
-            *((set(entries) == ids, f"{key} is keyed by {sorted(entries)}, not by party_ids")
-              for key, entries in (("final_accuracies", self.final_accuracies),
-                                   ("sharing_levels", self.sharing_levels),
+            *((set(entries) == ids, f"trace.{key} is keyed by {sorted(entries)}, not by party_ids")
+              for key, entries in (("final_accuracies", trace.final_accuracies),
+                                   ("sharing_levels", trace.sharing_levels),
                                    # empty for a centralised cell
-                                   ("standalone_accuracies", self.standalone_accuracies or ids))),
+                                   ("standalone_accuracies", trace.standalone_accuracies or ids))),
+            *((len(pair) == 2, f"trace.token_totals[{i}] is {pair}, not a [round, total] pair")
+              for i, pair in enumerate(trace.token_totals)),
         )
         errors = [message for ok, message in checks if not ok]
         if errors:
@@ -595,11 +593,10 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         trace = protocol.run_baseline(framework, parties, config.rounds, test)
 
     cell = CellTrace(framework, setting, seed, sorted(p.id for p in parties), list(spec.sizes),
-                     trace.final_accuracies, trace.standalone_accuracies,
-                     {p.id: p.sharing_level for p in parties}, chain_valid, trace)
+                     chain_valid, trace)
     if framework in FAIRNESS_FRAMEWORKS:
         per_party = ([entries[pid] for pid in cell.party_ids] for entries in (
-            cell.sharing_levels, cell.standalone_accuracies, cell.final_accuracies))
+            trace.sharing_levels, trace.standalone_accuracies, trace.final_accuracies))
         cell.fairness = fairness_report(setting, *per_party)
     adversaries_by_id = {p.id: p.adversary for p in parties if p.adversary}
     if adversaries_by_id:
@@ -708,10 +705,10 @@ _TABLES = {
 def _table_rows(cell: CellTrace) -> dict[str, typing.Iterable[dict]]:
     """The rows one cell trace adds to each table, keyed by column."""
     return {
-        "accuracy.csv": [{"party": pid, "final_accuracy": cell.final_accuracies[pid],
-                          "standalone_accuracy": cell.standalone_accuracies.get(pid, "")}
+        "accuracy.csv": [{"party": pid, "final_accuracy": cell.trace.final_accuracies[pid],
+                          "standalone_accuracy": cell.trace.standalone_accuracies.get(pid, "")}
                          for pid in cell.party_ids],
-        "fairness.csv": [vars(cell.fairness)] if cell.fairness else [],
+        "fairness.csv": [{**vars(f), "degenerate": f.r_xy is None} for f in [cell.fairness] if f],
         "detection.csv": [{**vars(rec), "round": "-" if rec.round is None else rec.round}
                           for rec in cell.detection or []],
         "rounds.csv": map(vars, cell.trace.accuracy_rows),
@@ -739,7 +736,7 @@ def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
                 for name, rows in _table_rows(cell).items():
                     writers[name].writerows([*key, *(row[c] for c in _TABLES[name])]
                                             for row in rows)
-                finals = cell.final_accuracies
+                finals = cell.trace.final_accuracies
                 mean_accuracy.setdefault(key[:2], []).append(sum(finals.values()) / len(finals))
                 if cell.fairness and cell.fairness.r_xy is not None:
                     grouped.setdefault(key[:2], []).append(cell.fairness.r_xy)

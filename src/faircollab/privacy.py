@@ -14,9 +14,12 @@ only valid for epsilon <= 1, which the parameter container enforces.
 Gradients are float32 (numerics.FLOAT). The clip norms and factors are
 computed in float64 and aim at C less a margin of a few float32 epsilons
 (numerics._clip_margin), so every clipped example, rounded into float32,
-still measures at most C. The noise is drawn in float64, in chunks of
-NOISE_CHUNK values, and each sum of gradient and noise is rounded once
-into float32.
+still measures at most C. The noise is drawn in float64 by numpy, in chunks
+of NOISE_CHUNK values, and each sum of gradient and noise is rounded
+once into float32. Textbook floating-point samplers are attackable
+(Mironov 2012, CCS; Jin et al. 2022, arXiv:2112.05307), so every epsilon
+here is a claim about the model of the mechanism, not about its
+implementation.
 
 Budgets compose by one rule: each release first maps to
 (q * eps_i, q * delta_i) using its sample ratio q = L / N (q = 1 for a

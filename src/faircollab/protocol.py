@@ -172,8 +172,7 @@ class CredibilityRow:
 
 @dataclass
 class RunTrace:
-    """What a run records; a cell trace stores it as its trace entry."""
-    framework: str
+    """What a run records: a cell trace's trace entry, the home of its per-party maps."""
     events: list[Event] = field(default_factory=list)
     accuracy_rows: list[AccuracyRow] = field(default_factory=list)
     credibility_rows: list[CredibilityRow] = field(default_factory=list)
@@ -278,13 +277,13 @@ def pretrain(parties: list[Party], test_data: Dataset) -> None:
         p.standalone_accuracy = evaluate(p.model, test_data)
 
 
-def _pretrained_trace(framework: str, parties: list[Party], test_data: Dataset) -> RunTrace:
+def _pretrained_trace(parties: list[Party], test_data: Dataset) -> RunTrace:
     """A new trace holding each party's standalone accuracy and sharing
     level, after pretraining the parties that are not pretrained yet."""
     fresh = [p for p in parties if p.standalone_accuracy is None]
     if fresh:
         pretrain(fresh, test_data)
-    trace = RunTrace(framework)
+    trace = RunTrace()
     for p in parties:
         trace.standalone_accuracies[p.id] = p.standalone_accuracy
         trace.sharing_levels[p.id] = p.sharing_level
@@ -355,7 +354,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
                                     len(credible)) for pid in sorted(credible)}
     genesis = ledger.create_genesis(grants, {pid: by_id[pid].keypair for pid in credible},
                                     dict.fromkeys(removed, "non-credible at initialisation"))
-    trace.token_totals.append((0, ledger.total_tokens()))
+    trace.token_totals.append([0, ledger.total_tokens()])
     return credible, genesis
 
 
@@ -537,7 +536,7 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
 
 def run_fdpddl(parties: list[Party], config: ProtocolConfig, rounds: int,
                test_data: Dataset) -> tuple[RunTrace, Ledger]:
-    trace = _pretrained_trace("fdpddl", parties, test_data)
+    trace = _pretrained_trace(parties, test_data)
     ledger = Ledger()
     credible, _genesis = run_initialisation(parties, ledger, config, trace)
     for round_index in range(1, rounds + 1):
@@ -565,7 +564,7 @@ def _record_round(trace: RunTrace, round_index: int, parties, test_data) -> None
 
 
 def _run_standalone(parties, rounds, test_data) -> RunTrace:
-    trace = _pretrained_trace("standalone", parties, test_data)
+    trace = _pretrained_trace(parties, test_data)
     for round_index in range(1, rounds + 1):
         _train_side_by_side(parties, BASELINE_EPOCHS_PER_ROUND)
         _record_round(trace, round_index, parties, test_data)
@@ -577,7 +576,7 @@ def _run_standalone(parties, rounds, test_data) -> RunTrace:
 def _run_centralised(parties, rounds, test_data) -> RunTrace:
     """All local data pooled into one model; every party reads the same
     accuracy (model access itself stays with the operator)."""
-    trace = RunTrace("centralised")
+    trace = RunTrace()
     pooled = Dataset(
         np.concatenate([p.train_data.features for p in parties]),
         np.concatenate([p.train_data.labels for p in parties]),
@@ -585,8 +584,6 @@ def _run_centralised(parties, rounds, test_data) -> RunTrace:
     model = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
     rng = parties[0].rng
     steps = train_sgd(model, pooled, PRETRAIN_EPOCHS, LEARNING_RATE, LR_DECAY, BATCH_SIZE, rng)
-    for p in parties:
-        trace.sharing_levels[p.id] = p.sharing_level
     for round_index in range(1, rounds + 1):
         steps += train_sgd(model, pooled, BASELINE_EPOCHS_PER_ROUND,
                            LEARNING_RATE, LR_DECAY, BATCH_SIZE, rng, steps)
@@ -595,6 +592,7 @@ def _run_centralised(parties, rounds, test_data) -> RunTrace:
             trace.accuracy_rows.append(AccuracyRow(round_index, p.id, acc, 0))
     final = evaluate(model, test_data)
     for p in parties:
+        trace.sharing_levels[p.id] = p.sharing_level
         trace.final_accuracies[p.id] = final
     return trace
 
@@ -603,7 +601,7 @@ def _run_dssgd(parties, rounds, test_data) -> RunTrace:
     """Distributed selective SGD, round-robin order, no differential
     privacy: download the full latest server parameters, train locally,
     upload the largest-magnitude fraction of the delta."""
-    trace = _pretrained_trace("distributed_dssgd", parties, test_data)
+    trace = _pretrained_trace(parties, test_data)
     server = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
     k = int(DSSGD_UPLOAD_RATE * server.param_count)
     for round_index in range(1, rounds + 1):

@@ -167,8 +167,8 @@ def test_criterion_06_collaboration_gain():
     finals, saccs = [], []
     for seed in range(5):
         result = run_cell(cfg, "fdpddl", 1, seed)
-        finals.append([result.final_accuracies[p] for p in result.party_ids])
-        saccs.append([result.standalone_accuracies[p] for p in result.party_ids])
+        finals.append([result.trace.final_accuracies[p] for p in result.party_ids])
+        saccs.append([result.trace.standalone_accuracies[p] for p in result.party_ids])
     med_final = np.median(np.array(finals), axis=0)
     med_sacc = np.median(np.array(saccs), axis=0)
     ok = bool(np.all(med_final >= med_sacc))

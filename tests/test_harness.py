@@ -84,7 +84,7 @@ class TestFairness:
 
     def test_report_sentinel_never_silent_zero(self):
         report = fairness_report(1, [0.1] * 3, [0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
-        assert report.degenerate and report.r_xy is None and report.reason
+        assert report.r_xy is None and report.reason
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -283,9 +283,9 @@ class TestRunCell:
     def test_fdpddl_cell_contents(self):
         result = run_cell(small_config(), "fdpddl", 1, 0)
         assert result.chain_valid is True
-        assert set(result.final_accuracies) == {"p00", "p01", "p02", "p03"}
+        assert set(result.trace.final_accuracies) == {"p00", "p01", "p02", "p03"}
         assert result.fairness is not None
-        assert result.trace.framework == "fdpddl"
+        assert result.framework == "fdpddl"
 
     def test_standalone_cell_has_no_fairness(self):
         result = run_cell(small_config(frameworks=["standalone"]), "standalone", 1, 0)
@@ -294,7 +294,8 @@ class TestRunCell:
 
     # The one schema, CellTrace, both writes and reads every trace: reading
     # a written trace and writing it again gives the same bytes, with the
-    # entries a cell lacks (fairness, detection) absent rather than null.
+    # entries a cell lacks (fairness, detection) absent rather than null,
+    # and no entry of the run trace repeated at the top level.
     @pytest.mark.parametrize("frameworks, adversaries", [
         (ALL_FRAMEWORKS, []),
         (["fdpddl"], [{"kind": "free_rider_random_label", "party": 3}])],
@@ -306,8 +307,19 @@ class TestRunCell:
         for key, path in cells:
             cell = harness.read_trace(path, key)
             assert harness.trace_json(cell) == Path(path).read_text()
+            written = json.loads(Path(path).read_text())
+            assert not written.keys() & written["trace"].keys()
             assert (cell.fairness is None) == (key[0] not in harness.FAIRNESS_FRAMEWORKS)
             assert (cell.detection is None) == (not adversaries)
+
+
+def _listed(key):
+    """A trace edit that turns the run trace's per-party map key into the
+    list of its values."""
+    def edit(trace):
+        trace["trace"][key] = list(trace["trace"][key].values())
+        return trace
+    return edit
 
 
 def _edited(index, edit):
@@ -429,11 +441,11 @@ class TestExperimentAndCli:
         assert [path.name for path in traces] == ["fdpddl_s1_seed0.json", "fdpddl_s2_seed0.json"]
         for path in traces:
             t = json.loads(path.read_text())
-            per_party = ([t[key][pid] for pid in t["party_ids"]]
+            per_party = ([t["trace"][key][pid] for pid in t["party_ids"]]
                          for key in ("sharing_levels", "standalone_accuracies", "final_accuracies"))
             report = fairness_report(t["setting"], *per_party)
             rows.writerow([t["framework"], t["setting"], t["seed"], report.r_xy,
-                           report.degenerate, report.reason])
+                           report.r_xy is None, report.reason])
         assert (tmp_path / "out" / "fairness.csv").read_bytes() == expected.getvalue().encode()
 
     # Each ended in a KeyError traceback, and the failed report had by then
@@ -477,11 +489,13 @@ class TestExperimentAndCli:
     # Each ended in a TypeError traceback.
     @pytest.mark.parametrize("edit, fault", [
         (lambda t: [1], "the top level must be a JSON object, not list"),
-        (lambda t: {**t, "final_accuracies": list(t["final_accuracies"].values())},
-         "final_accuracies must be a JSON object, not list"),
-        (lambda t: {**t, "standalone_accuracies": list(t["standalone_accuracies"].values())},
-         "standalone_accuracies must be a JSON object, not list")],
-        ids=["fairness_of_list", "report_of_list_accuracies", "fairness_of_list_accuracies"])
+        (_listed("final_accuracies"), "trace.final_accuracies must be a JSON object, not list"),
+        (_listed("standalone_accuracies"),
+         "trace.standalone_accuracies must be a JSON object, not list"),
+        (lambda t: {**t, "fairness": {**t["fairness"], "x": dict(enumerate(t["fairness"]["x"]))}},
+         "fairness.x must be a list, not dict")],
+        ids=["fairness_of_list", "report_of_list_accuracies", "fairness_of_list_accuracies",
+             "report_of_object_axis"])
     def test_cli_trace_of_wrong_shape_exit_code(self, tmp_path, capsys, edit, fault):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
@@ -497,46 +511,53 @@ class TestExperimentAndCli:
     @pytest.mark.parametrize("edit, fragment", [
         (lambda t: t.update(setting=5), "setting 5 not in {1, 2, 3}"),
         (lambda t: t.update(setting="1"), "setting must be int, not '1'"),
-        (lambda t: t["sharing_levels"].update(p00="high"),
-         "sharing_levels['p00'] must be float, not 'high'"),
+        (lambda t: t["trace"]["sharing_levels"].update(p00="high"),
+         "trace.sharing_levels['p00'] must be float, not 'high'"),
         (lambda t: t.update(party_ids=["p00"]), "a cell needs at least two parties"),
-        (lambda t: t["final_accuracies"].update(p00=None),
-         "final_accuracies['p00'] must be float, not None"),
-        (lambda t: t["final_accuracies"].update(p00="0.9"),
-         "final_accuracies['p00'] must be float, not '0.9'"),
+        (lambda t: t["trace"]["final_accuracies"].update(p00=None),
+         "trace.final_accuracies['p00'] must be float, not None"),
+        (lambda t: t["trace"]["final_accuracies"].update(p00="0.9"),
+         "trace.final_accuracies['p00'] must be float, not '0.9'"),
         (lambda t: t.update(fairness=[1]), "fairness must be a JSON object, not list"),
         (lambda t: t["trace"].update(accuracy_rows=[5]),
          "trace.accuracy_rows[0] must be a JSON object, not int"),
         (lambda t: t.update(chain_valid="yes"), "chain_valid must be bool, not 'yes'"),
-        (lambda t: t["final_accuracies"].pop("p00"),
-         "final_accuracies is keyed by ['p01', 'p02', 'p03'], not by party_ids"),
+        (lambda t: t["trace"]["final_accuracies"].pop("p00"),
+         "trace.final_accuracies is keyed by ['p01', 'p02', 'p03'], not by party_ids"),
         # These exited 0: a JSON true read as 1, a string passed through to
         # the output, a float setting matched setting 1 and a NaN accuracy
         # was averaged into the summary.
         (lambda t: t.update(setting=True), "setting must be int, not True"),
         (lambda t: t.update(setting=1.0), "setting must be int, not 1.0"),
-        (lambda t: t["sharing_levels"].update(p00=True),
-         "sharing_levels['p00'] must be float, not True"),
-        (lambda t: t["standalone_accuracies"].update(p00=False),
-         "standalone_accuracies['p00'] must be float, not False"),
-        (lambda t: t["final_accuracies"].update(p00=True),
-         "final_accuracies['p00'] must be float, not True"),
-        (lambda t: t["final_accuracies"].update(p00=math.nan),
-         "final_accuracies['p00'] must be a finite number, not nan"),
-        (lambda t: t["standalone_accuracies"].update(p00="0.5"),
-         "standalone_accuracies['p00'] must be float, not '0.5'"),
-        # The stored fairness entry's reward axis is read as strictly.
-        (lambda t: t["fairness"]["y"].__setitem__(0, None),
-         "fairness.y[0] must be float, not None"),
-        (lambda t: t["fairness"]["y"].__setitem__(0, "0.9"),
-         "fairness.y[0] must be float, not '0.9'")],
+        (lambda t: t["trace"]["sharing_levels"].update(p00=True),
+         "trace.sharing_levels['p00'] must be float, not True"),
+        (lambda t: t["trace"]["standalone_accuracies"].update(p00=False),
+         "trace.standalone_accuracies['p00'] must be float, not False"),
+        (lambda t: t["trace"]["final_accuracies"].update(p00=True),
+         "trace.final_accuracies['p00'] must be float, not True"),
+        (lambda t: t["trace"]["final_accuracies"].update(p00=math.nan),
+         "trace.final_accuracies['p00'] must be a finite number, not nan"),
+        (lambda t: t["trace"]["standalone_accuracies"].update(p00="0.5"),
+         "trace.standalone_accuracies['p00'] must be float, not '0.5'"),
+        # The stored fairness entry's contribution axis is read as strictly.
+        (lambda t: t["fairness"]["x"].__setitem__(0, None),
+         "fairness.x[0] must be float, not None"),
+        (lambda t: t["fairness"]["x"].__setitem__(0, "0.9"),
+         "fairness.x[0] must be float, not '0.9'"),
+        # These exited 0: a token total with no round, and a trace that also
+        # stores the final accuracies at its top level, where report read them.
+        (lambda t: t["trace"].update(token_totals=[[1]]),
+         "trace.token_totals[0] is [1], not a [round, total] pair"),
+        (lambda t: t.update(final_accuracies=t["trace"]["final_accuracies"]),
+         "unknown key 'final_accuracies'")],
         ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
              "fairness_one_party", "report_null_accuracy", "report_str_accuracy",
              "report_list_fairness", "report_int_accuracy_row", "report_str_chain_valid",
              "report_missing_party", "fairness_bool_setting", "fairness_float_setting",
              "fairness_bool_sharing_level", "fairness_bool_standalone_accuracy",
              "report_bool_accuracy", "report_nan_accuracy", "report_str_standalone_accuracy",
-             "fairness_null_accuracy", "fairness_str_accuracy"])
+             "fairness_null_accuracy", "fairness_str_accuracy", "report_unpaired_token_total",
+             "report_duplicated_final_accuracies"])
     def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, edit, fragment):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
@@ -1123,7 +1144,7 @@ class TestAveragingAndDetectionTables:
         for seed in range(5):
             with open(tmp_path / "traces" / f"fdpddl_s1_seed{seed}.json") as fh:
                 trace = json.load(fh)
-            finals = trace["final_accuracies"]
+            finals = trace["trace"]["final_accuracies"]
             per_seed.append(sum(finals.values()) / len(finals))
         assert summary["mean_final_accuracy"]["fdpddl/setting1"] == pytest.approx(
             sum(per_seed) / 5, abs=1e-12)

@@ -205,7 +205,7 @@ class TestInitialisation:
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(seed, config, datasets, adversaries=adversaries)
         pretrain(parties, test)
-        trace = RunTrace("fdpddl")
+        trace = RunTrace()
         ledger = Ledger()
         credible, genesis = run_initialisation(parties, ledger, config, trace)
         return parties, credible, genesis, ledger, trace
@@ -266,7 +266,7 @@ class TestUpdateRound:
         config = ProtocolConfig(**{**FAST, **overrides})
         parties = fresh_parties(seed, config, datasets)
         pretrain(parties, test)
-        trace = RunTrace("fdpddl")
+        trace = RunTrace()
         ledger = Ledger()
         credible, _ = run_initialisation(parties, ledger, config, trace)
         return parties, credible, ledger, config, trace, test
@@ -328,7 +328,7 @@ class TestUpdateRound:
         config = ProtocolConfig(**FAST)
         parties = fresh_parties(9, config, datasets, lambdas=lambdas)
         pretrain(parties, test)
-        trace, ledger = RunTrace("fdpddl"), Ledger()
+        trace, ledger = RunTrace(), Ledger()
         credible, _ = run_initialisation(parties, ledger, config, trace)
         scored = record_scoring(monkeypatch, parties)
         run_update_round(parties, credible, ledger, 1, config, trace, test)
@@ -590,7 +590,7 @@ class TestUpdateStageExclusion:
                                 download_fraction=0.85)
         parties = fresh_parties(40, config, datasets, adversaries=advs)
         pretrain(parties, test)
-        trace = RunTrace("fdpddl")
+        trace = RunTrace()
         ledger = Ledger()
         credible, _ = run_initialisation(parties, ledger, config, trace)
         if "p03" not in credible:

@@ -83,25 +83,32 @@ def _sides(monkeypatch, base_files, change_files):
         out, base_files if out.name == "base" else change_files))
 
 
-MOVED = {**FILES, "desk_grid-seed0-serial/summary.json": b'{"mean_final_accuracy": 0.8126}'}
+SUMMARY = "desk_grid-seed0-serial/summary.json"
+TRACE = "desk_grid-seed0-serial/traces/fdpddl_s1_seed0.json"
+MOVED = {**FILES, SUMMARY: b'{"mean_final_accuracy": 0.8126}'}
+# Each glob with the one file of FILES it matches: one workload's summary,
+# and every trace of every workload directory.
+GLOBS = (("desk_grid-seed0-*/summary.json", SUMMARY), ("*/traces/*.json", TRACE))
 
 
 def test_expected_move_passes(monkeypatch, capsys):
-    _sides(monkeypatch, FILES, MOVED)
-    assert same_bytes.main(["HEAD", "--expect-moved", "desk_grid-seed0-*/summary.json"]) == 0
-    out = capsys.readouterr().out
-    assert "3 files compared against 0123456789ab: 1 differ, 1 of them expected" in out
-    assert "  expected: desk_grid-seed0-serial/summary.json\n" in out
+    for glob, moved in GLOBS:
+        _sides(monkeypatch, FILES, {**FILES, moved: b"{}"})
+        assert same_bytes.main(["HEAD", "--expect-moved", glob]) == 0
+        out = capsys.readouterr().out
+        assert "3 files compared against 0123456789ab: 1 differ, 1 of them expected" in out
+        assert f"  expected: {moved}\n" in out
 
 
 def test_unexpected_move_fails(monkeypatch, capsys):
-    # The glob expects the summary to move; the trace moves too.
-    moved = {**MOVED, "desk_grid-seed0-serial/traces/fdpddl_s1_seed0.json": b'{"seed": 1}'}
-    _sides(monkeypatch, FILES, moved)
-    assert same_bytes.main(["HEAD", "--expect-moved", "desk_grid-seed0-*/summary.json"]) == 1
-    out = capsys.readouterr().out
-    assert "  expected: desk_grid-seed0-serial/summary.json\n" in out
-    assert "  differs: desk_grid-seed0-serial/traces/fdpddl_s1_seed0.json\n" in out
+    # Each glob expects one of the summary and the trace to move; both move.
+    _sides(monkeypatch, FILES, {**FILES, SUMMARY: b"{}", TRACE: b"{}"})
+    for glob, moved in GLOBS:
+        assert same_bytes.main(["HEAD", "--expect-moved", glob]) == 1
+        out = capsys.readouterr().out
+        other = TRACE if moved == SUMMARY else SUMMARY
+        assert f"  expected: {moved}\n" in out
+        assert f"  differs: {other}\n" in out
 
 
 def test_glob_matching_no_differing_file_fails(monkeypatch, capsys):
