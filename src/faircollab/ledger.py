@@ -11,7 +11,9 @@ line, payload hash) for every line it shipped. An order is paid in full
 where it is placed, one token per gradient from the buyer to each
 seller, and each of its lines must be filled before its block seals: the
 seller publishes an encrypted payload to a content-addressed store, and
-its signature over its fills is added once trading ends. A payload's
+its signature over its fills is added once trading ends. The store holds
+a payload only until a signed fulfillment lists its hash, so it is empty
+whenever a block seals; the chain keeps the hash. A payload's
 plaintext is the line's SparseUpdate.to_bytes: an 8-byte header, then
 per gradient entry its index (2 bytes up to 65,536 parameters, 4 above)
 and its >f4 value, so k entries of the desk model ship as 8 + 6k bytes
@@ -330,8 +332,10 @@ class ChainState:
 
 
 class Ledger:
-    """Serialized ledger facade: order lines, payload store, the block
-    chain, and the ChainState every accepted transaction goes through."""
+    """Serialized ledger facade: order lines, the payload store (each
+    payload from its fill until a signed fulfillment lists its hash), the
+    block chain, and the ChainState every accepted transaction goes
+    through."""
 
     def __init__(self):
         self.chain: list[Block] = []
@@ -385,7 +389,8 @@ class Ledger:
     def fulfill_order(self, seller_keypair: KeyPair, seller: str, order_id: str,
                       update: SparseUpdate, rng: np.random.Generator) -> EncryptedPayload:
         """Ship one order line; the fill awaits the seller's
-        sign_fulfillment. Returns the published payload."""
+        sign_fulfillment, and its payload stays in payload_store until
+        then. Returns the published payload."""
         order = self.orders.get(order_id)
         if order is None or order.status != "open" or order.seller != seller:
             raise LedgerError(f"order {order_id} is not open to {seller}")
@@ -401,13 +406,16 @@ class Ledger:
 
     def sign_fulfillment(self, seller_keypair: KeyPair, seller: str) -> Transaction:
         """One signed fulfillment listing every line seller has filled
-        since its last one."""
+        since its last one, each with its payload hash; those payloads
+        leave payload_store, and the chain keeps their hashes."""
         lines = self.unsigned_fills.get(seller)
         if not lines:
             raise LedgerError(f"{seller} has no unsigned fills")
         payload = {"lines": lines, "round": len(self.chain)}
         tx = self._accept(Transaction.signed("fulfillment", payload, seller, seller_keypair))
         del self.unsigned_fills[seller]
+        for _line_id, payload_hash in lines:
+            del self.payload_store[payload_hash]
         return tx
 
     def record_punishment(self, keypair: KeyPair, author: str, against: str,

@@ -461,6 +461,8 @@ class SparseUpdate:
             raise ValueError("sparse update blob has wrong length")
         indices = np.frombuffer(blob[8:split], dtype=index_type).astype(np.int64)
         values = np.frombuffer(blob[split:], dtype=">f4").astype(FLOAT)
+        if not np.isfinite(values).all():
+            raise ValueError("sparse update value is not finite")
         return cls(indices, values, param_count)
 
 

@@ -37,7 +37,9 @@ That total is not a proven upper bound on the privacy loss:
     and even the unscaled sum would not bound a record's loss (item 3b).
 
 The rule follows the paper's accounting and gates training for reproduction
-fidelity. ROADMAP item 3 tracks an accountant whose total is a bound.
+fidelity. rdp_epsilon gives the Renyi-DP number for the Poisson-subsampled
+Gaussian at q over raw records; it is only Poisson-equivalent while lots are
+drawn with replacement, and nothing reports it yet (ROADMAP items 3c and 4).
 
 The (6, 2e-5) claim covers the sample release and the DP-SGD steps only.
 Three uses of private data sit outside it (ROADMAP item 3e):
@@ -53,6 +55,7 @@ Three uses of private data sit outside it (ROADMAP item 3e):
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,6 +67,9 @@ from .numerics import Dataset, MlpModel, clipped_mean_gradient
 # Noise values drawn per rng.normal call in dp_sgd_step: a 128 KB float64
 # temporary, where one draw for the 101,770-parameter model would take 814 KB.
 NOISE_CHUNK = 1 << 14
+
+# The integer Renyi orders rdp_epsilon minimises over.
+RDP_ORDERS = range(2, 129)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -161,6 +167,56 @@ class PrivacyAccountant:
         self._spent_delta += count * step_delta
         if self._spent_eps >= self.epsilon_total or self._spent_delta >= self.delta_total:
             self._exhausted = True
+
+
+@functools.lru_cache(maxsize=256)  # 127 floats a curve: about 1 MB when full
+def rdp_curve(q: float, sigma: float) -> tuple[float, ...]:
+    """Renyi DP of one step of the Poisson-subsampled Gaussian (sample
+    rate q, noise multiplier sigma) at each order of RDP_ORDERS.
+
+    At integer alpha it is log(A) / (alpha - 1) with
+    A = sum_k C(alpha, k) (1 - q)^(alpha - k) q^k exp((k^2 - k) / (2 sigma^2))
+    (Mironov, Talwar & Zhang 2019, arXiv:1908.10530, section 3.3), summed
+    in log space; q = 1 gives the Gaussian's alpha / (2 sigma^2). Cached
+    per (q, sigma).
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    log_q = math.log(q) if q > 0.0 else -math.inf
+    log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
+    curve = []
+    for alpha in RDP_ORDERS:
+        logs = []
+        for k in range(alpha + 1):
+            log = (math.lgamma(alpha + 1) - math.lgamma(k + 1) - math.lgamma(alpha - k + 1)
+                   + (k * k - k) / (2.0 * sigma * sigma))
+            # A zero power is skipped: q or 1 - q may be 0, and 0 * -inf is NaN.
+            if k:
+                log += k * log_q
+            if k < alpha:
+                log += (alpha - k) * log_1mq
+            logs.append(log)
+        top = max(logs)
+        curve.append((top + math.log(sum(math.exp(log - top) for log in logs))) / (alpha - 1))
+    return tuple(curve)
+
+
+def rdp_epsilon(q: float, sigma: float, steps: int, delta: float) -> float:
+    """Poisson-equivalent epsilon at delta after `steps` releases of the
+    Gaussian with noise multiplier sigma on Poisson lots of rate q:
+    min over alpha of steps * RDP(alpha) + log(1 / delta) / (alpha - 1)
+    (Mironov 2017, arXiv:1702.07476). dp_sgd_step draws its lots with
+    replacement, which no subsampling theorem covers, so for it this is
+    the number Poisson lots at q = L / n over raw records would earn, not
+    a bound (ROADMAP item 3b)."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return min(steps * rdp + math.log(1.0 / delta) / (alpha - 1)
+               for alpha, rdp in zip(RDP_ORDERS, rdp_curve(q, sigma)))
 
 
 def allocate_budgets(stage: str, dataset_name: str) -> tuple[float, float]:

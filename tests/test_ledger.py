@@ -331,6 +331,31 @@ class TestTrading:
         with pytest.raises(LedgerError):
             ledger.sign_fulfillment(keys["p01"], "p01")  # nothing left to sign
 
+    def test_payload_stored_until_its_sellers_signature(self, keys):
+        # p01 fills a line of p00 and one of p03, p02 a line of p00; each
+        # signature drops its own seller's payloads and no other.
+        ledger = fresh_ledger(keys)
+        rng = np.random.default_rng(1)
+        orders = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 4, "p02": 4})
+        orders["p03"] = ledger.submit_purchase_order(keys["p03"], "p03", {"p01": 4})["p01"]
+        stored = {}
+        for key, seller in (("p01", "p01"), ("p02", "p02"), ("p03", "p01")):
+            payload = ledger.fulfill_order(keys[seller], seller, orders[key].order_id,
+                                           SparseUpdate(np.arange(4), np.ones(4), 10), rng)
+            stored[key] = payload.payload_hash
+            assert ledger.payload_store[payload.payload_hash] is payload
+        assert set(ledger.payload_store) == set(stored.values())
+        tx = ledger.sign_fulfillment(keys["p01"], "p01")
+        assert [line[1] for line in tx.payload["lines"]] == [stored["p01"], stored["p03"]]
+        assert set(ledger.payload_store) == {stored["p02"]}
+        ledger.sign_fulfillment(keys["p02"], "p02")
+        assert not ledger.payload_store and not ledger.unsigned_fills
+        # The sealed chain keeps each payload's hash in its fill line.
+        block = ledger.seal_block()
+        assert {line[1] for tx in block.transactions if tx.kind == "fulfillment"
+                for line in tx.payload["lines"]} == set(stored.values())
+        assert verify_chain(ledger.chain)
+
     def test_seal_refused_while_a_fill_is_unsigned(self, keys):
         ledger = fresh_ledger(keys)
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 30})["p01"]
@@ -373,6 +398,7 @@ class TestTrading:
             fill_all(ledger, keys, ledger.submit_purchase_order(keys["p02"], "p02", {"p03": 7}))
             ledger.seal_block()
             assert ledger.total_tokens() == 1200
+            assert not ledger.payload_store  # does not grow with the rounds
         assert ledger.balances == {"p00": 235, "p01": 350, "p02": 280, "p03": 335}
         assert verify_chain(ledger.chain)
 

@@ -632,9 +632,13 @@ class TestSparseUpdateCodec:
         # >f8 values: 8 + 10n bytes at desk scale, 8 + 12n at paper scale
         (struct.pack(">IIHHdd", 1_386, 2, 2, 5, 1.0, 2.0), "wrong length"),
         (struct.pack(">IIIIdd", 101_770, 2, 2, 5, 1.0, 2.0), "wrong length"),
+        (struct.pack(">IIHHff", 1_386, 2, 2, 5, 1.0, float("nan")), "not finite"),
+        (struct.pack(">IIHHff", 1_386, 2, 2, 5, float("inf"), 2.0), "not finite"),
+        (struct.pack(">IIIIff", 101_770, 2, 2, 5, 1.0, float("-inf")), "not finite"),
     ], ids=["empty", "half_header", "cut_short", "one_byte_over", "old_layout",
             "old_layout_paper_scale", "repeated", "falling", "at_param_count",
-            "at_param_count_paper_scale", "f8_values", "f8_values_paper_scale"])
+            "at_param_count_paper_scale", "f8_values", "f8_values_paper_scale",
+            "nan_value", "inf_value", "minus_inf_value_paper_scale"])
     def test_bad_blob_refused(self, blob, message):
         with pytest.raises(ValueError, match=message):
             SparseUpdate.from_bytes(blob)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, backward, clipped_mean_gradient,
                                  make_blobs, per_example_gradients)
-from faircollab.privacy import (NOISE_CHUNK, BudgetExhaustedError, PrivacyAccountant,
-                                PrivacyParams, allocate_budgets, calibrate_sigma, dp_sgd_step,
-                                lot_size_for)
+from faircollab.privacy import (NOISE_CHUNK, RDP_ORDERS, BudgetExhaustedError,
+                                PrivacyAccountant, PrivacyParams, allocate_budgets,
+                                calibrate_sigma, dp_sgd_step, lot_size_for, rdp_curve,
+                                rdp_epsilon)
 from faircollab.samplegen import augment
 
 
@@ -228,6 +229,65 @@ class TestBudgetAllocation:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             allocate_budgets("warmup", "mnist")
+
+
+class TestRdpAccountant:
+    # sigma of a (1, 5e-6) step, the per-step budget of every shipped config.
+    SIGMA = calibrate_sigma(1.0, 5e-6)
+
+    def test_full_batch_is_the_gaussian_closed_form(self):
+        curve = rdp_curve(1.0, 2.0)
+        assert curve[5 - RDP_ORDERS[0]] == pytest.approx(0.625, rel=1e-12)
+        for alpha, rdp in zip(RDP_ORDERS, curve):
+            assert rdp == pytest.approx(alpha / (2 * 2.0 ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.908])
+    @pytest.mark.parametrize("sigma", [0.8, 2.0, 4.9858])
+    def test_small_orders_match_a_plain_sum(self, q, sigma):
+        for alpha, rdp in zip(range(2, 9), rdp_curve(q, sigma)):
+            total = sum(math.comb(alpha, k) * (1 - q) ** (alpha - k) * q ** k
+                        * math.exp((k * k - k) / (2 * sigma ** 2)) for k in range(alpha + 1))
+            assert rdp == pytest.approx(math.log(total) / (alpha - 1), rel=1e-10)
+
+    def test_monotone_in_rate_steps_and_inverse_sigma(self):
+        by_q = [rdp_epsilon(q, 2.0, 50, 1e-5) for q in (0.01, 0.05, 0.2, 0.5, 1.0)]
+        by_steps = [rdp_epsilon(0.2, 2.0, steps, 1e-5) for steps in (1, 10, 100, 1000)]
+        by_sigma = [rdp_epsilon(0.2, sigma, 50, 1e-5) for sigma in (8.0, 4.0, 2.0, 1.0)]
+        for series in (by_q, by_steps, by_sigma):
+            assert all(a < b for a, b in zip(series, series[1:]))
+
+    def test_vanishing_rate_leaves_only_the_conversion_term(self):
+        # With orders capped at 128, epsilon cannot fall below
+        # log(1 / delta) / 127: the RDP part is what tends to 0 with q.
+        floor = math.log(1 / 1e-5) / (RDP_ORDERS[-1] - 1)
+        assert rdp_epsilon(0.0, 2.0, 100, 1e-5) == pytest.approx(floor, rel=1e-12)
+        assert rdp_epsilon(0.3, 2.0, 0, 1e-5) == pytest.approx(floor, rel=1e-12)
+        excess = [rdp_epsilon(q, self.SIGMA, 100, 1e-5) - floor for q in (1e-2, 1e-4, 1e-6)]
+        assert all(a > b > 0 for a, b in zip(excess, excess[1:]))
+        assert excess[-1] < 1e-9
+        assert max(rdp_curve(1e-6, self.SIGMA)) < 1e-11
+
+    # (L, n, steps) at raw q = L / n: desk_grid, criterion 07, market, paper_shape.
+    @pytest.mark.parametrize("lot, records, steps, expected", [
+        (109, 120, 80, 9.20), (154, 240, 96, 7.01), (109, 120, 20, 4.29), (219, 480, 8, 1.40),
+    ], ids=["desk_grid", "criterion_07", "market", "paper_shape"])
+    def test_reference_rows(self, lot, records, steps, expected):
+        assert self.SIGMA == pytest.approx(4.9858, abs=1e-4)
+        assert rdp_epsilon(lot / records, self.SIGMA, steps, 1e-5) == pytest.approx(
+            expected, abs=0.005)
+
+    def test_curve_cached_per_rate_and_sigma(self):
+        assert rdp_curve(0.25, 3.0) is rdp_curve(0.25, 3.0)
+        assert len(rdp_curve(0.25, 3.0)) == len(RDP_ORDERS) == 127
+
+    @pytest.mark.parametrize("q, sigma, steps, delta", [
+        (-0.1, 1.0, 1, 1e-5), (1.1, 1.0, 1, 1e-5), (0.5, 0.0, 1, 1e-5),
+        (0.5, 1.0, -1, 1e-5), (0.5, 1.0, 1, 0.0), (0.5, 1.0, 1, 1.0),
+        (math.nan, 1.0, 1, 1e-5), (0.5, math.nan, 1, 1e-5),
+    ])
+    def test_bad_input_refused(self, q, sigma, steps, delta):
+        with pytest.raises(ValueError):
+            rdp_epsilon(q, sigma, steps, delta)
 
 
 def _setup_step(seed=0, n=64, lot=None):

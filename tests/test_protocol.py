@@ -404,6 +404,8 @@ class TestFullRuns:
         assert state.balances == ledger.balances
         assert sum(state.balances.values()) == trace.token_totals[-1][1]
         assert state.banned == banned
+        # Every payload left the store when its seller signed its fills.
+        assert not ledger.payload_store and not ledger.unsigned_fills
 
     def test_final_accuracies_cover_all_parties(self):
         datasets, test = blob_setup(13)
