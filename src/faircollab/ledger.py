@@ -480,7 +480,3 @@ def iter_chain(path):
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"line {number}: {type(exc).__name__}: {exc}") from exc
             yield block
-
-
-def load_chain(path) -> list[Block]:
-    return list(iter_chain(path))

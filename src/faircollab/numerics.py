@@ -295,30 +295,23 @@ def loss(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     return float(-logp.mean())
 
 
-def _batch_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
-                    clip_norm: float | None = None) -> np.ndarray:
-    """_gradient of a nonempty batch into a new flat vector."""
+def backward(model: MlpModel, features: np.ndarray, labels: np.ndarray,
+             clip_norm: float | None = None) -> np.ndarray:
+    """Mean cross-entropy gradient over a nonempty batch, flattened in the
+    fixed parameter order (weights before biases, layer by layer), in a
+    new vector.
+
+    With clip_norm, the mean over the batch of single-example gradients,
+    each first rescaled to g / max(1, ||g|| / clip_norm), without
+    materialising them (ghost norms, see _gradient). Equal, up to
+    rounding, to clipping the rows of per_example_gradients() and
+    averaging them."""
     if len(labels) == 0:
         raise ValueError("empty batch")
     grad = np.empty_like(model.params)
     _gradient(model._layers, features, _one_hot(labels, model.dims[-1], grad.dtype),
               _views(grad, model._layout), clip_norm)
     return grad
-
-
-def backward(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy gradient over the batch, flattened in the fixed
-    parameter order (weights before biases, layer by layer)."""
-    return _batch_gradient(model, features, labels)
-
-
-def clipped_mean_gradient(model: MlpModel, features: np.ndarray, labels: np.ndarray,
-                          clip_norm: float) -> np.ndarray:
-    """Mean over the batch of single-example gradients, each first rescaled
-    to g / max(1, ||g|| / clip_norm), without materialising them (ghost
-    norms, see _gradient). Equal, up to rounding, to clipping the rows of
-    per_example_gradients() and averaging them."""
-    return _batch_gradient(model, features, labels, clip_norm)
 
 
 def per_example_gradients(model: MlpModel, features: np.ndarray,
@@ -520,25 +513,19 @@ class RankedPrefix:
         return cls(order, gradient[order], gradient.size)
 
 
-def select_largest(gradient: np.ndarray | RankedPrefix, k: int) -> SparseUpdate:
-    """Top-k entries by absolute value; ties go to the lower index and NaN
-    entries rank last.
-
-    gradient is the dense vector, of which only the k entries are ranked,
-    or a RankedPrefix of it ranked to some m >= k, for a caller that takes
-    several selections of one gradient and keeps only what it can sell.
-    Both give the same bits: the selection is the first k entries of the
-    ranking, put in index order.
+def select_largest(ranking: RankedPrefix, k: int) -> SparseUpdate:
+    """Top-k entries of a gradient by absolute value, from its ranking to
+    some m >= k (RankedPrefix.of(gradient, m)); ties go to the lower index
+    and NaN entries rank last. The selection is the first k entries of the
+    ranking, put in index order, so one ranking serves every k up to m.
     """
-    if not isinstance(gradient, RankedPrefix):
-        gradient = RankedPrefix.of(gradient, k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > len(gradient.order):
-        raise ValueError(f"k={k} exceeds the {len(gradient.order)} ranked entries")
-    by_index = np.argsort(gradient.order[:k])
-    return SparseUpdate(gradient.order[:k][by_index], gradient.values[:k][by_index],
-                        gradient.param_count)
+    if k > len(ranking.order):
+        raise ValueError(f"k={k} exceeds the {len(ranking.order)} ranked entries")
+    by_index = np.argsort(ranking.order[:k])
+    return SparseUpdate(ranking.order[:k][by_index], ranking.values[:k][by_index],
+                        ranking.param_count)
 
 
 def apply_updates(model: MlpModel, updates) -> MlpModel:

@@ -5,11 +5,11 @@ virtual rows, where n is the number of local records and r the
 replication factor (augment_replication). Virtual row i is record i // r,
 the layout augment() would store, so the replicated copies are never
 built. The step clips each example's gradient to an L2 bound C (the
-norms come from activations and deltas, see
-numerics.clipped_mean_gradient), averages the lot, and adds
-per-coordinate Gaussian noise with standard deviation sigma * C / L,
-where sigma = sqrt(2 * ln(1.25 / delta)) / epsilon. That calibration is
-only valid for epsilon <= 1, which the parameter container enforces.
+norms come from activations and deltas, see numerics.backward), averages
+the lot, and adds per-coordinate Gaussian noise with standard deviation
+sigma * C / L, where sigma = sqrt(2 * ln(1.25 / delta)) / epsilon. That
+calibration is only valid for epsilon <= 1, which the parameter container
+enforces.
 
 Gradients are float32 (numerics.FLOAT). The clip norms and factors are
 computed in float64 and aim at C less a margin of a few float32 epsilons
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Dataset, MlpModel, clipped_mean_gradient
+from .numerics import Dataset, MlpModel, backward
 
 # Noise values drawn per rng.normal call in dp_sgd_step: a 128 KB float64
 # temporary, where one draw for the 101,770-parameter model would take 814 KB.
@@ -239,7 +239,7 @@ def dp_sgd_step(model: MlpModel, data: Dataset, params: PrivacyParams,
     r * len(data) virtual rows, where row i is record i // r: the layout
     of augment(data, r), read back from the raw records without storing
     the copies. Clips per-example gradients (ghost norms, see
-    clipped_mean_gradient), averages, and perturbs with Gaussian noise of
+    numerics.backward), averages, and perturbs with Gaussian noise of
     std sigma * C / L per coordinate. The budget is debited before
     anything is computed; an exhausted accountant refuses the step.
     sigma=0.0 is a testing hook that skips the noise while still
@@ -250,8 +250,8 @@ def dp_sgd_step(model: MlpModel, data: Dataset, params: PrivacyParams,
     replication = params.dataset_size // len(data)
     accountant.spend(params.epsilon_per_step, params.delta_per_step, params.sample_ratio)
     rows = rng.integers(0, params.dataset_size, size=params.lot_size) // replication
-    mean_grad = clipped_mean_gradient(model, data.features.take(rows, axis=0),
-                                      data.labels.take(rows), params.clip_norm)
+    mean_grad = backward(model, data.features.take(rows, axis=0), data.labels.take(rows),
+                         params.clip_norm)
     if sigma is None:
         sigma = params.sigma
     noise_std = sigma * params.clip_norm / params.lot_size

@@ -610,7 +610,7 @@ def _run_dssgd(parties, rounds, test_data) -> RunTrace:
             p.sgd_steps += train_sgd(p.model, p.train_data, BASELINE_EPOCHS_PER_ROUND,
                                      LEARNING_RATE, LR_DECAY, BATCH_SIZE, p.rng, p.sgd_steps)
             delta = p.model.params - server.params
-            apply_updates(server, [select_largest(delta, k)])
+            apply_updates(server, [select_largest(RankedPrefix.of(delta, k), k)])
         _record_round(trace, round_index, parties, test_data)
     for p in parties:
         trace.final_accuracies[p.id] = evaluate(p.model, test_data)

@@ -17,7 +17,7 @@ import numpy as np
 from faircollab.credibility import (download_allocation, init_credibility, init_tokens,
                                     majority_vote, sigmoid_map, supplement)
 from faircollab.harness import ExperimentConfig, fairness, run_cell, run_experiment
-from faircollab.ledger import load_chain, verify_chain
+from faircollab.ledger import iter_chain, verify_chain
 from faircollab.numerics import (MlpModel, Dataset, SparseUpdate, apply_updates, backward, loss,
                                  make_blobs, blob_centers)
 from faircollab.privacy import PrivacyAccountant, allocate_budgets, calibrate_sigma
@@ -136,7 +136,7 @@ def test_criterion_04_ledger_integrity(tmp_path):
         blob[pos] = mutated
         dump.write_bytes(bytes(blob))
         try:
-            caught = not verify_chain(load_chain(dump))
+            caught = not verify_chain(list(iter_chain(dump)))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError):
             caught = True  # corruption that breaks parsing is detected too
         detected += caught

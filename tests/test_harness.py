@@ -793,7 +793,7 @@ class TestExperimentAndCli:
 
     # These values are module constants, so a config that sets one exits 2
     # rather than running, or, for dssgd_upload_rate 2.0, crashing in
-    # select_largest.
+    # magnitude_order.
     @pytest.mark.parametrize("section, key, value", [
         ("protocol", "dssgd_upload_rate", 2.0), ("protocol", "pretrain_epochs", 3),
         ("protocol", "baseline_epochs_per_round", 2), ("protocol", "token_reserve", 0),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faircollab.credibility import init_tokens
 from faircollab.ledger import (Block, Ledger, LedgerError, KeyPair, Transaction, decrypt_payload,
-                               dump_chain, encrypt_payload, load_chain, sha256_hex,
+                               dump_chain, encrypt_payload, iter_chain, sha256_hex,
                                verify_chain)
 from faircollab.numerics import SparseUpdate
 
@@ -580,7 +580,7 @@ class TestChainVerification:
         ledger = self._active_chain(keys)
         path = tmp_path / "chain.jsonl"
         dump_chain(ledger.chain, path)
-        loaded = load_chain(path)
+        loaded = list(iter_chain(path))
         assert len(loaded) == len(ledger.chain)
         assert verify_chain(loaded)
         assert [b.block_hash for b in loaded] == [b.block_hash for b in ledger.chain]
@@ -600,7 +600,7 @@ class TestChainVerification:
             blob[pos] = flip
             path.write_bytes(bytes(blob))
             try:
-                assert not verify_chain(load_chain(path))
+                assert not verify_chain(list(iter_chain(path)))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError):
                 pass  # corruption that breaks parsing is also detection
             blob[pos] = original

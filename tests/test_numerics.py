@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
-                                 backward, clipped_mean_gradient, decayed_lr, evaluate,
+                                 backward, decayed_lr, evaluate,
                                  evaluate_rows, forward, load_csv, load_idx, loss,
                                  magnitude_order, make_blobs, per_example_gradients, predict,
                                  select_largest, sgd_step, train_sgd)
@@ -126,7 +126,7 @@ class TestBackward:
         model = MlpModel((2, 3))
         data = Dataset(np.ones((2, 2)), np.array([0, 3]), 4)
         for gradient in (backward, per_example_gradients,
-                         lambda m, x, y: clipped_mean_gradient(m, x, y, 1.0)):
+                         lambda m, x, y: backward(m, x, y, clip_norm=1.0)):
             with pytest.raises(IndexError):
                 gradient(model, data.features, data.labels)
         with pytest.raises(IndexError):
@@ -157,7 +157,7 @@ class TestClippedMeanGradient:
         norms = np.linalg.norm(per_example_gradients(model, batch.features, batch.labels), axis=1)
         clip = float(np.median(norms))
         assert np.any(norms > clip) and np.any(norms < clip)
-        assert np.allclose(clipped_mean_gradient(model, batch.features, batch.labels, clip),
+        assert np.allclose(backward(model, batch.features, batch.labels, clip_norm=clip),
                            clipped_mean_oracle(model, batch, clip), atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
@@ -165,7 +165,7 @@ class TestClippedMeanGradient:
         rng = np.random.default_rng(12)
         model = float64_twin(MlpModel.seeded(dims, rng))
         batch = small_dataset(rng, n=6, dim=dims[0], classes=dims[-1])
-        out = clipped_mean_gradient(model, batch.features, batch.labels, 100.0)
+        out = backward(model, batch.features, batch.labels, clip_norm=100.0)
         assert np.allclose(out, clipped_mean_oracle(model, batch, 100.0), atol=1e-12)
         assert np.allclose(out, backward(model, batch.features, batch.labels), atol=1e-12)
 
@@ -177,14 +177,14 @@ class TestClippedMeanGradient:
         batch = Dataset(np.array([[0.2, 0.9], [0.5, 0.1], [0.7, 0.4]]),
                         np.array([2, 0, 1]), 3)
         assert np.all(per_example_gradients(model, batch.features, batch.labels)[0] == 0.0)
-        assert np.allclose(clipped_mean_gradient(model, batch.features, batch.labels, 0.5),
+        assert np.allclose(backward(model, batch.features, batch.labels, clip_norm=0.5),
                            clipped_mean_oracle(model, batch, 0.5), atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model = MlpModel((2, 2))
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError):
-            clipped_mean_gradient(model, empty.features, empty.labels, 1.0)
+            backward(model, empty.features, empty.labels, clip_norm=1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), clip=st.floats(1e-3, 10.0),
@@ -193,7 +193,7 @@ class TestClippedMeanGradient:
         rng = np.random.default_rng(seed)
         model = MlpModel.seeded((4, 5, 3), rng)
         batch = Dataset(rng.normal(size=(1, 4)) * scale, rng.integers(0, 3, 1), 3)
-        assert np.linalg.norm(clipped_mean_gradient(model, batch.features, batch.labels, clip)) <= clip * (1 + 1e-9)
+        assert np.linalg.norm(backward(model, batch.features, batch.labels, clip_norm=clip)) <= clip * (1 + 1e-9)
 
 
 class TestSgdStep:
@@ -327,18 +327,20 @@ class TestInPlaceTraining:
 
 class TestSelectLargest:
     def test_by_magnitude(self):
-        update = select_largest(np.array([0.1, -0.9, 0.5]), 2)
+        g = np.array([0.1, -0.9, 0.5])
+        update = select_largest(RankedPrefix.of(g, 2), 2)
         assert list(update.indices) == [1, 2]
         assert np.allclose(update.values, [-0.9, 0.5])
 
     def test_full_selection_is_identity(self):
         g = np.array([0.3, -0.1, 0.0, 2.0], dtype=np.float32)
-        update = select_largest(g, 4)
+        update = select_largest(RankedPrefix.of(g, 4), 4)
         assert list(update.indices) == [0, 1, 2, 3]
         assert np.array_equal(update.values, g)
 
     def test_tie_goes_to_lower_index(self):
-        update = select_largest(np.array([0.5, -0.5]), 1)
+        g = np.array([0.5, -0.5])
+        update = select_largest(RankedPrefix.of(g, 1), 1)
         assert list(update.indices) == [0]
 
     def test_tie_rule_exhaustive_on_permutations(self):
@@ -347,12 +349,12 @@ class TestSelectLargest:
         for signs in range(8):
             g = np.array([0.5 if signs & (1 << i) else -0.5 for i in range(3)])
             for k in range(4):
-                update = select_largest(g, k)
+                update = select_largest(RankedPrefix.of(g, k), k)
                 assert list(update.indices) == list(range(k))
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
-            select_largest(np.zeros(3), 4)
+            select_largest(RankedPrefix.of(np.zeros(3), 4), 4)
 
     # Distinct float32 magnitudes, the values sold, so the tie rule never fires.
     @given(st.lists(st.floats(-10, 10, allow_nan=False, width=32), min_size=1, max_size=12,
@@ -364,8 +366,8 @@ class TestSelectLargest:
         k = data.draw(st.integers(0, g.size))
         perm = data.draw(st.permutations(range(g.size)))
         perm = np.array(perm)
-        base = set(select_largest(g, k).indices)
-        permuted = set(select_largest(g[perm], k).indices)
+        base = set(select_largest(RankedPrefix.of(g, k), k).indices)
+        permuted = set(select_largest(RankedPrefix.of(g[perm], k), k).indices)
         # Position i of the permuted vector holds original coordinate perm[i].
         assert {int(perm[i]) for i in permuted} == {int(i) for i in base}
 
@@ -375,20 +377,18 @@ class TestSelectLargest:
     @settings(max_examples=80, deadline=None)
     def test_every_top_k_is_a_prefix_of_one_ranking(self, values, sharing_level):
         # A seller keeps its delta ranked to its capacity int(lambda * P);
-        # every sale up to that count is bitwise the dense selection and
-        # the stable-argsort top-k, with few distinct magnitudes (ties are
-        # common), signed zeros, and NaN ranking last.
+        # every sale up to that count is bitwise the stable-argsort top-k
+        # that magnitude_order documents, with few distinct magnitudes (ties
+        # are common), signed zeros, and NaN ranking last.
         g = np.array(values, dtype=np.float32)
         capacity = int(sharing_level * g.size)
         prefix = RankedPrefix.of(g, capacity)
-        full = np.argsort(-np.abs(g), kind="stable")
         for k in range(capacity + 1):
             sale = select_largest(prefix, k)
-            dense = select_largest(g, k)
-            chosen = np.sort(full[:k])
-            assert sale.param_count == dense.param_count == g.size
-            assert sale.indices.tobytes() == dense.indices.tobytes() == chosen.tobytes()
-            assert sale.values.tobytes() == dense.values.tobytes() == g[chosen].tobytes()
+            chosen = np.sort(np.argsort(-np.abs(g), kind="stable")[:k])
+            assert sale.param_count == g.size
+            assert sale.indices.tobytes() == chosen.tobytes()
+            assert sale.values.tobytes() == g[chosen].tobytes()
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 3.0,
                                      np.inf, -np.inf, np.nan]), max_size=40))
@@ -437,7 +437,7 @@ class TestApplyUpdates:
         rng = np.random.default_rng(6)
         model = MlpModel.seeded((3, 3), rng)
         before = model.params.copy()
-        u = select_largest(rng.normal(size=model.param_count), 5)
+        u = select_largest(RankedPrefix.of(rng.normal(size=model.param_count), 5), 5)
         apply_updates(model, [u])
         apply_updates(model, [u.negated()])
         assert np.allclose(model.params, before, atol=1e-12)
@@ -450,7 +450,8 @@ class TestApplyUpdates:
         updates = []
         for _ in range(n_updates):
             g = rng.normal(size=10)
-            updates.append(select_largest(g, int(rng.integers(1, 10))))
+            k = int(rng.integers(1, 10))
+            updates.append(select_largest(RankedPrefix.of(g, k), k))
         perm = data.draw(st.permutations(range(n_updates)))
         m1 = MlpModel((4, 2))  # 10 parameters
         m2 = m1.copy()
@@ -579,8 +580,10 @@ class TestEvaluate:
         rng = np.random.default_rng(sum(dims))
         model = MlpModel.seeded(dims, rng)
         data = make_blobs(120, dims[-1], dims[0], rng, spread=0.3)
-        updates = [select_largest(rng.normal(scale=0.5, size=model.param_count), k)
-                   for k in (1, model.param_count // 10, model.param_count // 2)]
+        updates = []
+        for k in (1, model.param_count // 10, model.param_count // 2):
+            g = rng.normal(scale=0.5, size=model.param_count)
+            updates.append(select_largest(RankedPrefix.of(g, k), k))
         rows = np.repeat(model.params[None, :], len(updates), axis=0)
         for row, u in zip(rows, updates):
             row[u.indices] -= u.values

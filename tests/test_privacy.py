@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab.numerics import (Dataset, MlpModel, backward, clipped_mean_gradient,
-                                 make_blobs, per_example_gradients)
+from faircollab.numerics import (Dataset, MlpModel, backward, make_blobs,
+                                 per_example_gradients)
 from faircollab.privacy import (NOISE_CHUNK, RDP_ORDERS, BudgetExhaustedError,
                                 PrivacyAccountant, PrivacyParams, allocate_budgets,
                                 calibrate_sigma, dp_sgd_step, lot_size_for, rdp_curve,
@@ -60,14 +60,14 @@ def _single_example(seed=0):
 class TestClipping:
     def test_below_bound_unchanged(self):
         model, batch, g = _single_example()
-        out = clipped_mean_gradient(model, batch.features, batch.labels, 2.0 * np.linalg.norm(g))
+        out = backward(model, batch.features, batch.labels, clip_norm=2.0 * np.linalg.norm(g))
         assert np.array_equal(out, g)
 
     def test_norm_five_rescaled(self):
         # A gradient of norm 5C comes back with norm C, direction kept.
         model, batch, g = _single_example(1)
         clip = np.linalg.norm(g) / 5.0
-        out = clipped_mean_gradient(model, batch.features, batch.labels, clip)
+        out = backward(model, batch.features, batch.labels, clip_norm=clip)
         assert np.linalg.norm(out) == pytest.approx(clip, rel=1e-12)
         assert np.allclose(out, g / 5.0, atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestClipping:
         model = MlpModel((2, 3, 3))
         model.params[-3:] = [1000.0, 0.0, 0.0]
         batch = Dataset(np.array([[0.3, 0.7]]), np.array([0]), 3)
-        out = clipped_mean_gradient(model, batch.features, batch.labels, 1.0)
+        out = backward(model, batch.features, batch.labels, clip_norm=1.0)
         assert np.array_equal(out, np.zeros(model.param_count))
 
     def test_output_norms_bounded(self):
@@ -84,7 +84,7 @@ class TestClipping:
         model = MlpModel.seeded((8, 6, 3), rng)
         for scale in (0.1, 1.0, 10.0):
             batch = Dataset(rng.normal(size=(1, 8)) * scale, np.array([2]), 3)
-            assert np.linalg.norm(clipped_mean_gradient(model, batch.features, batch.labels, 0.7)) <= 0.7 + 1e-9
+            assert np.linalg.norm(backward(model, batch.features, batch.labels, clip_norm=0.7)) <= 0.7 + 1e-9
 
     @pytest.mark.parametrize("dims", [(32, 32, 10), (784, 128, 10)])
     def test_float32_example_measures_at_most_the_clip_norm(self, dims):
@@ -97,7 +97,7 @@ class TestClipping:
             clip = float(rng.uniform(1e-3, 10.0))
             batch = Dataset(rng.normal(size=(1, dims[0])) * rng.uniform(0.01, 100.0),
                             rng.integers(0, dims[-1], 1), dims[-1])
-            out = clipped_mean_gradient(model, batch.features, batch.labels, clip)
+            out = backward(model, batch.features, batch.labels, clip_norm=clip)
             assert out.dtype == np.float32
             assert np.linalg.norm(out) <= np.float32(clip)
             assert np.linalg.norm(out.astype(np.float64)) <= clip
@@ -135,8 +135,8 @@ class TestFloat32AgainstFloat64:
         norms = np.linalg.norm(per_example_gradients(reference, data.features, data.labels),
                                axis=1)
         clip = float(np.median(norms))
-        self._close(clipped_mean_gradient(model, data.features, data.labels, clip),
-                    clipped_mean_gradient(reference, data.features, data.labels, clip))
+        self._close(backward(model, data.features, data.labels, clip_norm=clip),
+                    backward(reference, data.features, data.labels, clip_norm=clip))
 
     def test_dp_step(self, dims):
         # Both draw the same lot and the same float64 noise, at a sigma that
@@ -377,8 +377,8 @@ class TestDpSgdStep:
         result = dp_sgd_step(model, data, params, np.random.default_rng(43), acct)
         rng = np.random.default_rng(43)
         rows = rng.integers(0, params.dataset_size, size=params.lot_size)
-        mean = clipped_mean_gradient(model, data.features[rows], data.labels[rows],
-                                     params.clip_norm)
+        mean = backward(model, data.features[rows], data.labels[rows],
+                        clip_norm=params.clip_norm)
         noise = rng.normal(0.0, params.sigma * params.clip_norm / params.lot_size,
                            size=mean.shape)
         assert result.tobytes() == (mean + noise).tobytes()
@@ -394,8 +394,8 @@ class TestDpSgdStep:
                              PrivacyAccountant(10.0, 1.0))
         rng = np.random.default_rng(44)
         rows = rng.integers(0, params.dataset_size, size=params.lot_size)
-        mean = clipped_mean_gradient(model, data.features[rows], data.labels[rows],
-                                     params.clip_norm)
+        mean = backward(model, data.features[rows], data.labels[rows],
+                        clip_norm=params.clip_norm)
         noise = rng.normal(0.0, params.sigma * params.clip_norm / params.lot_size,
                            size=mean.shape)
         assert model.param_count > 6 * NOISE_CHUNK

@@ -5,20 +5,27 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from faircollab import numerics, protocol
+from faircollab import harness, numerics, protocol
 from faircollab.adversary import AdversaryConfig, AdversaryKind, freerider_gradients
-from faircollab.credibility import credibility_update
+from faircollab.credibility import ConsensusError, credibility_update
 from faircollab.ledger import ChainState, Ledger, verify_chain
-from faircollab.numerics import (Dataset, MlpModel, SparseUpdate, apply_updates, blob_centers,
-                                 evaluate, evaluate_rows, magnitude_order, make_blobs,
-                                 select_largest, train_sgd)
+from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
+                                 blob_centers, evaluate, evaluate_rows, magnitude_order,
+                                 make_blobs, select_largest, train_sgd)
 from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
                                  ProtocolError, RunTrace, _leave_one_out, build_parties,
                                  copy_parties, pretrain, run_baseline, run_fdpddl,
                                  run_initialisation, run_update_round)
 
 FAST = dict(augment_replication=20, dp_steps_per_round=2, download_fraction=0.85)
+
+# The ends a run may meet on its way, each a legitimate outcome of the rules.
+NAMED_RUN_ENDS = {"fewer than 2 credible parties after initialisation",
+                  "credible set too small to score",
+                  "exclusion would empty the credible set"}
 
 
 def blob_setup(seed, n=4, per_party=120, spread=0.12, test_size=150):
@@ -63,8 +70,10 @@ class TestLeaveOneOut:
         buyer = fresh_parties(5, ProtocolConfig(**FAST), datasets)[0]
         model, val = buyer.model, buyer.val_data
         rng = np.random.default_rng(5)
-        bought = {j: select_largest(rng.normal(scale=0.5, size=model.param_count), 300)
-                  for j in sellers}
+        bought = {}
+        for j in sellers:
+            g = rng.normal(scale=0.5, size=model.param_count)
+            bought[j] = select_largest(RankedPrefix.of(g, 300), 300)
         bought["p04"] = SparseUpdate([], [], model.param_count)  # sold nothing
         peers = ["p01", "p02", "p03", "p04"]
         acc, acc_without = _leave_one_out(model, bought, peers, val)
@@ -85,9 +94,11 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(seed)
         model = MlpModel.seeded(dims, rng)
         val = make_blobs(80, dims[-1], dims[0], rng, spread=0.7)
-        bought = {j: select_largest(rng.normal(scale=0.5, size=model.param_count),
-                                    model.param_count // 10)
-                  for j in ("p01", "p02", "p03")}
+        k = model.param_count // 10
+        bought = {}
+        for j in ("p01", "p02", "p03"):
+            g = rng.normal(scale=0.5, size=model.param_count)
+            bought[j] = select_largest(RankedPrefix.of(g, k), k)
         bought["p04"] = SparseUpdate([], [], model.param_count)
         return model, val, bought, ["p01", "p02", "p03", "p04"]
 
@@ -406,6 +417,51 @@ class TestFullRuns:
         assert state.banned == banned
         # Every payload left the store when its seller signed its fills.
         assert not ledger.payload_store and not ledger.unsigned_fills
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(2, 4), dim=st.integers(4, 8), per_party=st.integers(30, 60),
+           rounds=st.integers(1, 3), setting=st.integers(1, 3),
+           dp_steps=st.integers(1, 2), seed=st.integers(0, 2**16), data=st.data())
+    def test_whole_run_invariants(self, n, dim, per_party, rounds, setting, dp_steps, seed,
+                                  data):
+        # A tiny fdpddl cell, built as run_cell builds it, keeps the market's
+        # and the budget's rules from genesis to its last seal.
+        free_rider = data.draw(st.none() | st.integers(0, n - 1), label="free_rider")
+        adversaries = () if free_rider is None else (
+            AdversaryConfig(AdversaryKind.FREE_RIDER_RANDOM_LABEL, party=free_rider),)
+        config = harness.ExperimentConfig(
+            dataset=harness.DatasetSpec(dim=dim, per_party=per_party, test_size=40),
+            n=n, settings=(setting,), rounds=rounds, seeds=(seed,), frameworks=("fdpddl",),
+            adversaries=adversaries, protocol=ProtocolConfig(dp_steps_per_round=dp_steps))
+        group = harness.CellGroup(config, setting, seed)
+        parties = group.parties("fdpddl")
+        try:
+            trace, ledger = run_fdpddl(parties, config.protocol, rounds, group.test)
+        except (ProtocolError, ConsensusError) as exc:
+            assert str(exc) in NAMED_RUN_ENDS
+            return
+        assert verify_chain(ledger.chain)
+        state = ChainState()
+        for block in ledger.chain:
+            for tx in block.transactions:
+                state.apply(tx)
+            state.seal(block.leader)
+        assert state.balances == ledger.balances
+        granted = sum(tx.payload["tokens"] for tx in ledger.chain[0].transactions
+                      if tx.kind == "register")
+        assert [total for _, total in trace.token_totals] == [granted] * (rounds + 1)
+        assert sum(ledger.balances.values()) == granted
+        by_id = {p.id: p for p in parties}
+        for block in ledger.chain:
+            for tx in block.transactions:
+                if tx.kind == "purchase_order":
+                    for seller, count in tx.payload["lines"]:
+                        p = by_id[seller]
+                        assert count <= int(p.sharing_level * p.model.param_count)
+        for p in parties:
+            for accountant in (p.accountant_init, p.accountant_update):
+                eps, delta = accountant.spent()
+                assert eps <= accountant.epsilon_total and delta <= accountant.delta_total
 
     def test_final_accuracies_cover_all_parties(self):
         datasets, test = blob_setup(13)
