@@ -22,10 +22,20 @@ from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolCo
 
 FAST = dict(augment_replication=20, dp_steps_per_round=2, download_fraction=0.85)
 
-# The ends a run may meet on its way, each a legitimate outcome of the rules.
+# The messages of the refusals a run may legitimately end with.
 NAMED_RUN_ENDS = {"fewer than 2 credible parties after initialisation",
                   "credible set too small to score",
                   "exclusion would empty the credible set"}
+
+
+def replayed(chain) -> ChainState:
+    """A fresh ChainState after every transaction and seal of chain."""
+    state = ChainState()
+    for block in chain:
+        for tx in block.transactions:
+            state.apply(tx)
+        state.seal(block.leader)
+    return state
 
 
 def blob_setup(seed, n=4, per_party=120, spread=0.12, test_size=150):
@@ -407,11 +417,7 @@ class TestFullRuns:
                                    config, rounds=3, test_data=test)
         banned = {e.party for e in trace.events if e.kind == "excluded"}
         assert banned == {"p03"} and ledger.chain[3].leader == "p00"
-        state = ChainState()
-        for block in ledger.chain:
-            for tx in block.transactions:
-                state.apply(tx)
-            state.seal(block.leader)
+        state = replayed(ledger.chain)
         assert state.balances == ledger.balances
         assert sum(state.balances.values()) == trace.token_totals[-1][1]
         assert state.banned == banned
@@ -441,11 +447,7 @@ class TestFullRuns:
             assert str(exc) in NAMED_RUN_ENDS
             return
         assert verify_chain(ledger.chain)
-        state = ChainState()
-        for block in ledger.chain:
-            for tx in block.transactions:
-                state.apply(tx)
-            state.seal(block.leader)
+        state = replayed(ledger.chain)
         assert state.balances == ledger.balances
         granted = sum(tx.payload["tokens"] for tx in ledger.chain[0].transactions
                       if tx.kind == "register")
