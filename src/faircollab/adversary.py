@@ -132,12 +132,10 @@ def gan_attacker_setup(full: Dataset, victim_classes, adversary_classes,
 
 @dataclass
 class Detection:
-    """When, if ever, the protocol caught one adversary: stage init,
-    update or never, and round None when never."""
+    """When, if ever, the protocol caught one adversary: the round of its
+    first exclusion or token exhaustion (0 at initialisation), or None."""
     party: str
     kind: AdversaryKind
-    detected: bool
-    stage: str
     round: int | None
 
 
@@ -145,15 +143,7 @@ def detection_report(events, adversaries: dict[str, AdversaryConfig]) -> list[De
     """Scan a run trace's events (protocol.Event records) for exclusions
     and token exhaustion. Returns the detection entries a cell trace
     stores, one per adversary in party order."""
-    records = []
-    for party_id in sorted(adversaries):
-        hit = None
-        for ev in events:
-            if ev.party != party_id or ev.kind not in ("excluded", "token_exhausted"):
-                continue
-            if hit is None or ev.round < hit[1]:
-                hit = (ev.stage, ev.round)
-        stage, round_index = hit or ("never", None)
-        records.append(Detection(party_id, adversaries[party_id].kind, hit is not None,
-                                 stage, round_index))
-    return records
+    return [Detection(party_id, adversaries[party_id].kind,
+                      min((ev.round for ev in events if ev.party == party_id
+                           and ev.kind in ("excluded", "token_exhausted")), default=None))
+            for party_id in sorted(adversaries)]

@@ -33,6 +33,7 @@ import shutil
 import sys
 import types
 import typing
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
@@ -106,26 +107,6 @@ def build_x_axis(setting: int, sharing_levels, standalone_accuracies) -> np.ndar
     if setting in (1, 3):
         return sacc.copy()
     raise ValueError(f"unknown setting {setting!r}")
-
-
-@dataclass
-class FairnessReport:
-    """The fairness entry a cell trace stores: the contribution axis x, r_xy,
-    and, when r_xy is undefined (None), why. The reward axis is trace.final_accuracies."""
-    x: list[float]
-    r_xy: float | None
-    reason: str
-
-
-def fairness_report(setting: int, sharing_levels, standalone_accuracies,
-                    final_accuracies) -> FairnessReport:
-    try:
-        x = build_x_axis(setting, sharing_levels, standalone_accuracies)
-        r_xy, reason = fairness(x, final_accuracies), ""
-    except ZeroVarianceError as exc:
-        x = np.asarray(standalone_accuracies, dtype=np.float64)
-        r_xy, reason = None, str(exc)
-    return FairnessReport(list(x), r_xy, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +365,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def save_config(config: ExperimentConfig, path) -> None:
-    _write_json(path, config.to_dict())
-
-
 def config_echo(config: ExperimentConfig) -> dict:
     """The config as echoed next to a run's outputs. Execution details do
     not affect results and stay out, so parallel and serial runs emit
@@ -542,9 +519,11 @@ class CellGroup:
 
 @dataclass
 class CellTrace:
-    """One cell's trace, each fact once: its parties, the run trace (with the
-    per-party maps), whether the ledger verified (fdpddl only), fairness
-    (FAIRNESS_FRAMEWORKS only) and detection (with adversaries only)."""
+    """One cell's trace, each observed fact once: its parties, the run trace
+    (with the per-party maps), whether the ledger verified (fdpddl only) and
+    detection (with adversaries only). The report derives the rest: fairness
+    (cell_fairness), and the detection stage and credibility balance columns
+    (_table_rows)."""
 
     framework: str
     setting: int
@@ -553,11 +532,16 @@ class CellTrace:
     sizes: list[int]
     chain_valid: bool | None
     trace: protocol.RunTrace
-    fairness: FairnessReport | None = None
     detection: list[Detection] | None = None
 
     def __post_init__(self):
         ids, trace = set(self.party_ids), self.trace
+        # Each credibility row's balance is its owner's tokens in that round,
+        # held by the one accuracy row of that (round, party).
+        accuracy_keys = Counter((row.round, row.party) for row in trace.accuracy_rows)
+        repeated = sorted(key for key, count in accuracy_keys.items() if count > 1)
+        unbalanced = sorted({(row.round, row.owner) for row in trace.credibility_rows}
+                            - accuracy_keys.keys())
         checks = (
             (self.setting in (1, 2, 3), f"setting {self.setting} not in {{1, 2, 3}}"),
             (len(self.party_ids) >= 2, "a cell needs at least two parties"),
@@ -565,10 +549,14 @@ class CellTrace:
             *((set(entries) == ids, f"trace.{key} is keyed by {sorted(entries)}, not by party_ids")
               for key, entries in (("final_accuracies", trace.final_accuracies),
                                    ("sharing_levels", trace.sharing_levels),
-                                   # empty for a centralised cell
-                                   ("standalone_accuracies", trace.standalone_accuracies or ids))),
+                                   # empty for a centralised cell, which does not pretrain
+                                   ("standalone_accuracies", trace.standalone_accuracies
+                                    or (ids if self.framework == "centralised" else {})))),
             *((len(pair) == 2, f"trace.token_totals[{i}] is {pair}, not a [round, total] pair")
               for i, pair in enumerate(trace.token_totals)),
+            (not repeated, f"trace.accuracy_rows repeat (round, party) {repeated}"),
+            (not unbalanced, f"trace.credibility_rows of (round, owner) {unbalanced} "
+                             "have no accuracy row to take the balance from"),
         )
         errors = [message for ok, message in checks if not ok]
         if errors:
@@ -594,14 +582,22 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
 
     cell = CellTrace(framework, setting, seed, sorted(p.id for p in parties), list(spec.sizes),
                      chain_valid, trace)
-    if framework in FAIRNESS_FRAMEWORKS:
-        per_party = ([entries[pid] for pid in cell.party_ids] for entries in (
-            trace.sharing_levels, trace.standalone_accuracies, trace.final_accuracies))
-        cell.fairness = fairness_report(setting, *per_party)
     adversaries_by_id = {p.id: p.adversary for p in parties if p.adversary}
     if adversaries_by_id:
         cell.detection = detection_report(trace.events, adversaries_by_id)
     return cell
+
+
+def cell_fairness(cell: CellTrace) -> tuple[float | None, str]:
+    """r_xy of a cell and, when it is undefined (None), why: the correlation
+    of its contribution axis (build_x_axis of its sharing levels and
+    standalone accuracies) with its final accuracies, over party_ids."""
+    sharing, standalone, final = ([entries[pid] for pid in cell.party_ids] for entries in (
+        cell.trace.sharing_levels, cell.trace.standalone_accuracies, cell.trace.final_accuracies))
+    try:
+        return fairness(build_x_axis(cell.setting, sharing, standalone), final), ""
+    except ZeroVarianceError as exc:
+        return None, str(exc)
 
 
 def cell_name(framework: str, setting: int, seed: int) -> str:
@@ -703,16 +699,28 @@ _TABLES = {
 
 
 def _table_rows(cell: CellTrace) -> dict[str, typing.Iterable[dict]]:
-    """The rows one cell trace adds to each table, keyed by column."""
+    """The rows one cell trace adds to each table, keyed by column. The
+    report derives three kinds of column: a FAIRNESS_FRAMEWORKS cell's
+    fairness row (cell_fairness), each detection's detected and stage, and
+    each credibility row's balance, its owner's tokens that round."""
+    trace = cell.trace
+    fair = [cell_fairness(cell)] if cell.framework in FAIRNESS_FRAMEWORKS else []
+    tokens = {(row.round, row.party): row.tokens for row in trace.accuracy_rows}
     return {
-        "accuracy.csv": [{"party": pid, "final_accuracy": cell.trace.final_accuracies[pid],
-                          "standalone_accuracy": cell.trace.standalone_accuracies.get(pid, "")}
+        "accuracy.csv": [{"party": pid, "final_accuracy": trace.final_accuracies[pid],
+                          "standalone_accuracy": trace.standalone_accuracies.get(pid, "")}
                          for pid in cell.party_ids],
-        "fairness.csv": [{**vars(f), "degenerate": f.r_xy is None} for f in [cell.fairness] if f],
-        "detection.csv": [{**vars(rec), "round": "-" if rec.round is None else rec.round}
+        "fairness.csv": [{"r_xy": r_xy, "degenerate": r_xy is None, "reason": reason}
+                         for r_xy, reason in fair],
+        # Round 0 is initialisation (as in trace.token_totals).
+        "detection.csv": [{**vars(rec), "detected": rec.round is not None,
+                           "stage": ("never" if rec.round is None
+                                     else "init" if rec.round == 0 else "update"),
+                           "round": "-" if rec.round is None else rec.round}
                           for rec in cell.detection or []],
-        "rounds.csv": map(vars, cell.trace.accuracy_rows),
-        "credibility.csv": map(vars, cell.trace.credibility_rows),
+        "rounds.csv": map(vars, trace.accuracy_rows),
+        "credibility.csv": [{**vars(row), "balance": tokens[row.round, row.owner]}
+                            for row in trace.credibility_rows],
     }
 
 
@@ -733,13 +741,15 @@ def generate_reports(traces_dir, outdir, config: ExperimentConfig) -> dict:
                 writers[name].writerow(["framework", "setting", "seed", *columns])
             for key, path in cell_traces(traces_dir):
                 cell = read_trace(path, key)
-                for name, rows in _table_rows(cell).items():
+                tables = _table_rows(cell)
+                for name, rows in tables.items():
                     writers[name].writerows([*key, *(row[c] for c in _TABLES[name])]
                                             for row in rows)
                 finals = cell.trace.final_accuracies
                 mean_accuracy.setdefault(key[:2], []).append(sum(finals.values()) / len(finals))
-                if cell.fairness and cell.fairness.r_xy is not None:
-                    grouped.setdefault(key[:2], []).append(cell.fairness.r_xy)
+                for row in tables["fairness.csv"]:
+                    if row["r_xy"] is not None:
+                        grouped.setdefault(key[:2], []).append(row["r_xy"])
                 if cell.chain_valid is not None:
                     chain_flags.append(cell.chain_valid)
                 cells.append(list(key))

@@ -347,9 +347,6 @@ class Ledger:
         # seller -> [line id, payload hash] of each fill it has not signed yet
         self.unsigned_fills: dict[str, list[list[str]]] = {}
 
-    def leader(self) -> str:
-        return self.state.leader()
-
     def _accept(self, tx: Transaction) -> Transaction:
         self.state.apply(tx)
         self.pending.append(tx)
@@ -365,7 +362,8 @@ class Ledger:
                        "tokens": grants[party_id]}
             self._accept(Transaction.signed("register", payload, party_id, keypairs[party_id]))
         for against, reason in (punished or {}).items():
-            self.record_punishment(keypairs[self.leader()], self.leader(), against, reason)
+            leader = self.state.leader()
+            self.record_punishment(keypairs[leader], leader, against, reason)
         return self.seal_block()
 
     def total_tokens(self) -> int:
@@ -425,7 +423,7 @@ class Ledger:
 
     def seal_block(self) -> Block:
         """Seal what is pending under this block's leader."""
-        leader = self.leader()
+        leader = self.state.leader()
         self.state.seal(leader)
         prev = self.chain[-1].block_hash if self.chain else "0" * 64
         block = Block.sealed(len(self.chain), prev, self.pending, leader)

@@ -148,9 +148,7 @@ class Party:
 class Event:
     kind: str  # excluded | budget_exhausted | token_exhausted
     party: str
-    round: int
-    stage: str  # init | update
-    info: str = ""
+    round: int  # 0 at initialisation
 
 
 @dataclass
@@ -167,7 +165,6 @@ class CredibilityRow:
     owner: str
     peer: str
     credibility: float
-    balance: int
 
 
 @dataclass
@@ -181,8 +178,8 @@ class RunTrace:
     sharing_levels: dict[str, float] = field(default_factory=dict)
     final_accuracies: dict[str, float] = field(default_factory=dict)
 
-    def event(self, kind: str, party: str, round_index: int, stage: str, info: str = "") -> None:
-        self.events.append(Event(kind, party, round_index, stage, info))
+    def event(self, kind: str, party: str, round_index: int) -> None:
+        self.events.append(Event(kind, party, round_index))
 
 
 def build_parties(datasets: list[Dataset], sharing_levels, config: ProtocolConfig,
@@ -346,7 +343,7 @@ def run_initialisation(parties: list[Party], ledger: Ledger, config: ProtocolCon
     credible = set(order)
     credible, removed = _screen_and_exclude(by_id, credible, raw_maps)
     for r in removed:
-        trace.event("excluded", r, 0, "init")
+        trace.event("excluded", r, 0)
     if len(credible) < 2:
         raise ProtocolError("fewer than 2 credible parties after initialisation")
 
@@ -377,7 +374,7 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
             grad = dp_sgd_step(p.model, p.train_data, p.privacy, p.rng, p.accountant_update)
         except BudgetExhaustedError:
             p.publishing = False
-            trace.event("budget_exhausted", p.id, round_index, "update")
+            trace.event("budget_exhausted", p.id, round_index)
             break
         sgd_step(p.model, grad, decayed_lr(LEARNING_RATE, LR_DECAY, p.sgd_steps))
         p.sgd_steps += 1
@@ -506,9 +503,9 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
 
     # Renormalise, report, exclude, and roll back a banned peer's updates.
     new_credible, removed = _screen_and_exclude(by_id, set(members), raw_maps)
-    leader = by_id[ledger.leader()]
+    leader = by_id[ledger.state.leader()]
     for r in removed:
-        trace.event("excluded", r, round_index, "update")
+        trace.event("excluded", r, round_index)
         ledger.record_punishment(leader.keypair, leader.id, r, "non-credible")
         for pid in sorted(new_credible):
             update = received[pid].get(r)
@@ -525,12 +522,12 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         # recycle its round earnings and is effectively starved out.
         if ledger.balances[pid] <= TOKEN_RESERVE and not p.token_exhaustion_reported:
             p.token_exhaustion_reported = True
-            trace.event("token_exhausted", pid, round_index, "update")
+            trace.event("token_exhausted", pid, round_index)
+        # The owner's tokens here are the balance column of its credibility rows.
         trace.accuracy_rows.append(AccuracyRow(round_index, pid, evaluate(p.model, test_data),
                                                ledger.balances[pid]))
-        for peer in sorted(p.credibility):
-            trace.credibility_rows.append(CredibilityRow(
-                round_index, pid, peer, p.credibility[peer], ledger.balances[pid]))
+        trace.credibility_rows.extend(CredibilityRow(round_index, pid, peer, p.credibility[peer])
+                                      for peer in sorted(p.credibility))
     return new_credible
 
 

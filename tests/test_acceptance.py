@@ -10,18 +10,20 @@ import json
 import math
 import os
 import time
-from collections import Counter
 
 import numpy as np
 
 from faircollab.credibility import (download_allocation, init_credibility, init_tokens,
                                     majority_vote, sigmoid_map, supplement)
-from faircollab.harness import ExperimentConfig, fairness, run_cell, run_experiment
+from faircollab.harness import (ExperimentConfig, cell_fairness, fairness, run_cell,
+                                run_experiment)
 from faircollab.ledger import iter_chain, verify_chain
 from faircollab.numerics import (MlpModel, Dataset, SparseUpdate, apply_updates, backward, loss,
                                  make_blobs, blob_centers)
 from faircollab.privacy import PrivacyAccountant, allocate_budgets, calibrate_sigma
 from faircollab.protocol import ProtocolConfig, build_parties, run_fdpddl
+
+import oracles
 
 DESK_PROTOCOL = {"augment_replication": 100, "dp_steps_per_round": 8,
                  "download_fraction": 0.85}
@@ -152,8 +154,8 @@ def test_criterion_05_fairness_directionality():
     wins = 0
     rows = []
     for seed in range(5):
-        r_f = run_cell(cfg, "fdpddl", 3, seed).fairness.r_xy
-        r_d = run_cell(cfg, "distributed_dssgd", 3, seed).fairness.r_xy
+        r_f = cell_fairness(run_cell(cfg, "fdpddl", 3, seed))[0]
+        r_d = cell_fairness(run_cell(cfg, "distributed_dssgd", 3, seed))[0]
         win = r_f is not None and r_f >= 0.5 and (r_d is None or r_f > r_d)
         wins += win
         rows.append(f"seed{seed}: fdpddl={r_f and round(r_f, 3)} dssgd={r_d and round(r_d, 3)}")
@@ -252,56 +254,8 @@ def test_criterion_09_determinism(tmp_path):
            f"{len(a)} files byte-compared ({time.time() - t0:.1f}s)")
 
 
-# Brute-force oracles for criterion 10, independent of the library code.
-
-def _majority_oracle(rows):
-    out = []
-    for row in rows:
-        counts = Counter(row)
-        best = max(counts.values())
-        out.append(min(lbl for lbl, c in counts.items() if c == best))
-    return out
-
-
-def _allocation_oracle(c, d, lam, glen):
-    return math.floor(min(c * d, lam * glen))
-
-
-def _supplement_oracle(budget, received, capacities, credibilities):
-    extra = dict.fromkeys(capacities, 0)
-    gap = budget - sum(received.values())
-    while gap > 0:
-        live = sorted(p for p in capacities
-                      if capacities[p] - received.get(p, 0) - extra[p] > 0)
-        if not live:
-            break
-        total_w = sum(credibilities.get(p, 0.0) for p in live)
-        handed = 0
-        for p in live:
-            if total_w > 0.0:
-                want = math.floor(gap * credibilities.get(p, 0.0) / total_w)
-            else:
-                want = math.floor(gap / len(live))
-            spare = capacities[p] - received.get(p, 0) - extra[p]
-            take = want if want < spare else spare
-            extra[p] += take
-            handed += take
-        if handed == 0:
-            ranked = sorted(live, key=lambda p: (-credibilities.get(p, 0.0), p))
-            extra[ranked[0]] += 1
-            handed = 1
-        gap -= handed
-    return {p: v for p, v in extra.items() if v > 0}
-
-
-def _pearson_oracle(x, y):
-    n = len(x)
-    mx, my = sum(x) / n, sum(y) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sx = math.sqrt(sum((a - mx) ** 2 for a in x) / (n - 1))
-    sy = math.sqrt(sum((b - my) ** 2 for b in y) / (n - 1))
-    return cov / ((n - 1) * sx * sy)
-
+# Brute-force oracles for criterion 10, independent of the library code: those
+# of oracles.py, which the unit tests share, and this one.
 
 def _apply_updates_oracle(params, updates):
     """Each parameter plus its values from every (indices, values) update,
@@ -322,9 +276,9 @@ def test_criterion_10_oracle_equivalence():
     for _ in range(200):
         rows = rng.integers(0, 5, size=(int(rng.integers(1, 21)), int(rng.integers(2, 6))))
         ids = tuple(f"p{i}" for i in range(rows.shape[1]))
-        if list(majority_vote(rows)) != _majority_oracle(rows.tolist()):
+        if list(majority_vote(rows)) != oracles.majority(rows.tolist()):
             mismatches.append("majority_vote")
-        majority = _majority_oracle(rows.tolist())
+        majority = oracles.majority(rows.tolist())
         raw = init_credibility(rows, ids)
         for col, pid in enumerate(ids):
             expected = sum(1 for r in range(rows.shape[0])
@@ -337,7 +291,7 @@ def test_criterion_10_oracle_equivalence():
         d = int(rng.integers(0, 400))
         lam = float(rng.uniform(0.05, 0.5))
         glen = int(rng.integers(10, 1500))
-        if download_allocation(c, d, int(lam * glen)) != _allocation_oracle(c, d, lam, glen):
+        if download_allocation(c, d, int(lam * glen)) != oracles.allocation(c, d, lam, glen):
             mismatches.append("download_allocation")
 
     for _ in range(200):
@@ -346,7 +300,7 @@ def test_criterion_10_oracle_equivalence():
         rec = {p: int(rng.integers(0, caps[p] + 1)) for p in peers}
         cred = {p: float(rng.choice([0.0, 0.2, 0.5, 1.0, 2.0])) for p in peers}
         budget = int(rng.integers(0, 100))
-        if supplement(budget, rec, caps, cred) != _supplement_oracle(budget, rec, caps, cred):
+        if supplement(budget, rec, caps, cred) != oracles.supplement(budget, rec, caps, cred):
             mismatches.append("supplement")
 
     for _ in range(200):
@@ -355,7 +309,7 @@ def test_criterion_10_oracle_equivalence():
         y = rng.uniform(0, 1, n)
         if np.std(x) == 0 or np.std(y) == 0:
             continue
-        if abs(fairness(x, y) - _pearson_oracle(list(x), list(y))) > 1e-12:
+        if abs(fairness(x, y) - oracles.pearson(list(x), list(y))) > 1e-12:
             mismatches.append("fairness")
 
     pool = [0.0, -0.0, 0.1, -0.1, 0.3, 1.0, -2.5, 1e-17, 1e16, -1e16]

@@ -1,6 +1,3 @@
-import math
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,53 +8,12 @@ from faircollab.credibility import (ConsensusError, consensus_exclude, credibili
                                     init_tokens, majority_vote, normalize_and_screen,
                                     sigmoid_map, supplement)
 
+import oracles
+
 HAND_LABELS = np.array([[1, 1, 0],
                         [2, 2, 2],
                         [0, 1, 0],
                         [1, 1, 1]])
-
-
-# Brute-force oracles, deliberately structured differently from the
-# library implementations.
-
-def majority_oracle(rows):
-    out = []
-    for row in rows:
-        counts = Counter(row)
-        best = max(counts.values())
-        out.append(min(label for label, c in counts.items() if c == best))
-    return out
-
-
-def allocation_oracle(c, d, lam, glen):
-    return math.floor(min(c * d, lam * glen))
-
-
-def supplement_oracle(budget, received, capacities, credibilities):
-    extra = dict.fromkeys(capacities, 0)
-    gap = budget - sum(received.values())
-    while gap > 0:
-        live = sorted(p for p in capacities
-                      if capacities[p] - received.get(p, 0) - extra[p] > 0)
-        if not live:
-            break
-        total_w = sum(credibilities.get(p, 0.0) for p in live)
-        handed = 0
-        for p in live:
-            if total_w > 0.0:
-                want = math.floor(gap * credibilities.get(p, 0.0) / total_w)
-            else:
-                want = math.floor(gap / len(live))
-            spare = capacities[p] - received.get(p, 0) - extra[p]
-            take = want if want < spare else spare
-            extra[p] += take
-            handed += take
-        if handed == 0:
-            ranked = sorted(live, key=lambda p: (-credibilities.get(p, 0.0), p))
-            extra[ranked[0]] += 1
-            handed = 1
-        gap -= handed
-    return {p: v for p, v in extra.items() if v > 0}
 
 
 class TestInitTokens:
@@ -100,7 +56,7 @@ class TestMajorityVote:
         rng = np.random.default_rng(0)
         for _ in range(100):
             rows = rng.integers(0, 5, size=(int(rng.integers(1, 20)), int(rng.integers(1, 5))))
-            assert list(majority_vote(rows)) == majority_oracle(rows.tolist())
+            assert list(majority_vote(rows)) == oracles.majority(rows.tolist())
 
 
 class TestInitCredibility:
@@ -119,7 +75,7 @@ class TestInitCredibility:
             rows = rng.integers(0, 4, size=(int(rng.integers(1, 20)), int(rng.integers(2, 6))))
             ids = tuple(f"p{i}" for i in range(rows.shape[1]))
             raw = init_credibility(rows, ids)
-            majority = majority_oracle(rows.tolist())
+            majority = oracles.majority(rows.tolist())
             for col, pid in enumerate(ids):
                 matches = sum(1 for r in range(rows.shape[0]) if rows[r, col] == majority[r])
                 assert raw[pid] == pytest.approx(matches / rows.shape[0])
@@ -220,7 +176,7 @@ class TestDownloadAllocation:
             lam = float(rng.uniform(0.05, 0.5))
             glen = int(rng.integers(10, 2000))
             capacity = int(lam * glen)
-            assert download_allocation(c, d, capacity) == allocation_oracle(c, d, lam, glen)
+            assert download_allocation(c, d, capacity) == oracles.allocation(c, d, lam, glen)
 
 
 class TestSupplement:
@@ -257,7 +213,7 @@ class TestSupplement:
             cred = {p: float(rng.choice([0.0, 0.25, 0.5, 1.0, 2.0])) for p in peers}
             budget = int(rng.integers(0, 100))
             assert supplement(budget, rec, caps, cred) == \
-                supplement_oracle(budget, rec, caps, cred)
+                oracles.supplement(budget, rec, caps, cred)
 
 
 class TestOrderLines:

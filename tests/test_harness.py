@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 from faircollab import harness, protocol
 from faircollab.adversary import AdversaryConfig, AdversaryKind
 from faircollab.harness import (ConfigError, DatasetSpec, ExperimentConfig, ZeroVarianceError,
-                                build_cell_data, build_x_axis, fairness, fairness_report,
+                                build_cell_data, build_x_axis, cell_fairness, fairness,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
-                                run_group, save_config)
+                                run_group)
 from faircollab.numerics import SparseUpdate
 from faircollab.protocol import ProtocolConfig
+
+import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,16 +56,6 @@ def _subprocess_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def pearson_oracle(x, y):
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sx = math.sqrt(sum((a - mx) ** 2 for a in x) / (n - 1))
-    sy = math.sqrt(sum((b - my) ** 2 for b in y) / (n - 1))
-    return cov / ((n - 1) * sx * sy)
-
-
 class TestFairness:
     def test_perfect_positive_line(self):
         x = np.array([0.1, 0.4, 0.7])
@@ -83,8 +75,13 @@ class TestFairness:
             fairness([1, 2, 3], [0.5, 0.5, 0.5])
 
     def test_report_sentinel_never_silent_zero(self):
-        report = fairness_report(1, [0.1] * 3, [0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
-        assert report.r_xy is None and report.reason
+        ids = ["p00", "p01", "p02"]
+        trace = protocol.RunTrace(standalone_accuracies=dict.fromkeys(ids, 0.5),
+                                  sharing_levels=dict.fromkeys(ids, 0.1),
+                                  final_accuracies=dict(zip(ids, [0.1, 0.2, 0.3])))
+        cell = harness.CellTrace("fdpddl", 1, 0, ids, [10] * 3, True, trace)
+        r_xy, reason = cell_fairness(cell)
+        assert r_xy is None and reason
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -103,7 +100,7 @@ class TestFairness:
             y = rng.uniform(0, 1, n)
             if np.std(x) == 0 or np.std(y) == 0:
                 continue
-            assert fairness(x, y) == pytest.approx(pearson_oracle(list(x), list(y)),
+            assert fairness(x, y) == pytest.approx(oracles.pearson(list(x), list(y)),
                                                    abs=1e-12)
 
 
@@ -132,7 +129,7 @@ class TestConfig:
         cfg = small_config(settings=[1, 2, 3], seeds=[0, 1],
                            adversaries=[{"kind": "free_rider_random_label", "party": 3}])
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
 
     def test_errors_listed_exhaustively(self):
@@ -284,18 +281,21 @@ class TestRunCell:
         result = run_cell(small_config(), "fdpddl", 1, 0)
         assert result.chain_valid is True
         assert set(result.trace.final_accuracies) == {"p00", "p01", "p02", "p03"}
-        assert result.fairness is not None
+        r_xy, reason = cell_fairness(result)
+        assert (r_xy is None) == bool(reason)
         assert result.framework == "fdpddl"
 
-    def test_standalone_cell_has_no_fairness(self):
-        result = run_cell(small_config(frameworks=["standalone"]), "standalone", 1, 0)
-        assert result.fairness is None
-        assert result.chain_valid is None
+    def test_standalone_cell_has_no_fairness(self, tmp_path):
+        summary = run_experiment(small_config(frameworks=["standalone"]), tmp_path)
+        assert (tmp_path / "fairness.csv").read_text().splitlines() == [
+            "framework,setting,seed,r_xy,degenerate,reason"]
+        assert summary["mean_fairness"] == {} and summary["chain_valid"] is None
 
     # The one schema, CellTrace, both writes and reads every trace: reading
     # a written trace and writing it again gives the same bytes, with the
-    # entries a cell lacks (fairness, detection) absent rather than null,
-    # and no entry of the run trace repeated at the top level.
+    # entry a cell lacks (detection) absent rather than null, no entry of
+    # the run trace repeated at the top level, and nothing the report
+    # derives (fairness) stored.
     @pytest.mark.parametrize("frameworks, adversaries", [
         (ALL_FRAMEWORKS, []),
         (["fdpddl"], [{"kind": "free_rider_random_label", "party": 3}])],
@@ -309,7 +309,7 @@ class TestRunCell:
             assert harness.trace_json(cell) == Path(path).read_text()
             written = json.loads(Path(path).read_text())
             assert not written.keys() & written["trace"].keys()
-            assert (cell.fairness is None) == (key[0] not in harness.FAIRNESS_FRAMEWORKS)
+            assert "fairness" not in written
             assert (cell.detection is None) == (not adversaries)
 
 
@@ -387,7 +387,7 @@ class TestExperimentAndCli:
 
     def test_run_into_traces_of_another_grid_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        save_config(small_config(frameworks=["standalone"]), path)
+        path.write_text(json.dumps(small_config(frameworks=["standalone"]).to_dict()))
         out = tmp_path / "out"
         run = ["run", "--config", str(path), "--out", str(out)]
         assert main(run) == 0
@@ -400,7 +400,7 @@ class TestExperimentAndCli:
 
     def test_report_without_cell_traces_exit_code(self, tmp_path, capsys):
         (tmp_path / "run" / "traces").mkdir(parents=True)
-        save_config(small_config(), tmp_path / "run" / "config.json")
+        (tmp_path / "run" / "config.json").write_text(json.dumps(small_config().to_dict()))
         traces = str(tmp_path / "run" / "traces")
         assert main(["report", "--traces", traces, "--out", str(tmp_path / "b")]) == 2
         assert traces in capsys.readouterr().err
@@ -408,7 +408,7 @@ class TestExperimentAndCli:
     def test_report_of_run_directory_exit_code(self, tmp_path, capsys):
         # A config.json one level above the run directory must not be
         # read as that directory's config, nor the run's files as traces.
-        save_config(small_config(), tmp_path / "config.json")
+        (tmp_path / "config.json").write_text(json.dumps(small_config().to_dict()))
         run_experiment(small_config(frameworks=["standalone"]), tmp_path / "a")
         rundir = str(tmp_path / "a")
         assert main(["report", "--traces", rundir, "--out", str(tmp_path / "b")]) == 2
@@ -423,7 +423,7 @@ class TestExperimentAndCli:
     def test_cli_run_and_fairness(self, tmp_path):
         cfg = small_config(settings=[1, 2], seeds=[0, 1], frameworks=["fdpddl", "standalone"])
         cfg_path = tmp_path / "cfg.json"
-        save_config(cfg, cfg_path)
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                    "--seed", "0", "--framework", "fdpddl"])
         assert rc == 0
@@ -432,8 +432,8 @@ class TestExperimentAndCli:
         assert load_config(tmp_path / "out" / "config.json") == ran
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert (summary["config"]["seeds"], summary["config"]["frameworks"]) == ([0], ["fdpddl"])
-        # fairness.csv holds, for each trace, what fairness_report computes
-        # from its setting and per-party entries.
+        # fairness.csv holds, for each trace, the correlation of the contribution
+        # axis of its setting with its final accuracies, or why it is undefined.
         expected = io.StringIO()
         rows = csv.writer(expected)
         rows.writerow(["framework", "setting", "seed", "r_xy", "degenerate", "reason"])
@@ -441,11 +441,14 @@ class TestExperimentAndCli:
         assert [path.name for path in traces] == ["fdpddl_s1_seed0.json", "fdpddl_s2_seed0.json"]
         for path in traces:
             t = json.loads(path.read_text())
-            per_party = ([t["trace"][key][pid] for pid in t["party_ids"]]
-                         for key in ("sharing_levels", "standalone_accuracies", "final_accuracies"))
-            report = fairness_report(t["setting"], *per_party)
-            rows.writerow([t["framework"], t["setting"], t["seed"], report.r_xy,
-                           report.r_xy is None, report.reason])
+            sharing, standalone, final = (
+                [t["trace"][key][pid] for pid in t["party_ids"]]
+                for key in ("sharing_levels", "standalone_accuracies", "final_accuracies"))
+            try:
+                r_xy, reason = fairness(build_x_axis(t["setting"], sharing, standalone), final), ""
+            except ZeroVarianceError as exc:
+                r_xy, reason = None, str(exc)
+            rows.writerow([t["framework"], t["setting"], t["seed"], r_xy, r_xy is None, reason])
         assert (tmp_path / "out" / "fairness.csv").read_bytes() == expected.getvalue().encode()
 
     # Each ended in a KeyError traceback, and the failed report had by then
@@ -470,7 +473,7 @@ class TestExperimentAndCli:
     def test_report_exit_2_removes_only_the_out_it_made(self, tmp_path, capsys):
         # It used to leave the --out it had made before reading a trace.
         (tmp_path / "run" / "traces").mkdir(parents=True)
-        save_config(small_config(), tmp_path / "run" / "config.json")
+        (tmp_path / "run" / "config.json").write_text(json.dumps(small_config().to_dict()))
         (tmp_path / "run" / "traces" / "fdpddl_s1_seed0.json").write_text('{"framework": 1}')
         report = ["report", "--traces", str(tmp_path / "run" / "traces"), "--out"]
         assert main(report + [str(tmp_path / "new" / "out")]) == 2
@@ -491,11 +494,8 @@ class TestExperimentAndCli:
         (lambda t: [1], "the top level must be a JSON object, not list"),
         (_listed("final_accuracies"), "trace.final_accuracies must be a JSON object, not list"),
         (_listed("standalone_accuracies"),
-         "trace.standalone_accuracies must be a JSON object, not list"),
-        (lambda t: {**t, "fairness": {**t["fairness"], "x": dict(enumerate(t["fairness"]["x"]))}},
-         "fairness.x must be a list, not dict")],
-        ids=["fairness_of_list", "report_of_list_accuracies", "fairness_of_list_accuracies",
-             "report_of_object_axis"])
+         "trace.standalone_accuracies must be a JSON object, not list")],
+        ids=["fairness_of_list", "report_of_list_accuracies", "fairness_of_list_accuracies"])
     def test_cli_trace_of_wrong_shape_exit_code(self, tmp_path, capsys, edit, fault):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
@@ -518,7 +518,7 @@ class TestExperimentAndCli:
          "trace.final_accuracies['p00'] must be float, not None"),
         (lambda t: t["trace"]["final_accuracies"].update(p00="0.9"),
          "trace.final_accuracies['p00'] must be float, not '0.9'"),
-        (lambda t: t.update(fairness=[1]), "fairness must be a JSON object, not list"),
+        (lambda t: t.update(fairness=[1]), "unknown key 'fairness'"),
         (lambda t: t["trace"].update(accuracy_rows=[5]),
          "trace.accuracy_rows[0] must be a JSON object, not int"),
         (lambda t: t.update(chain_valid="yes"), "chain_valid must be bool, not 'yes'"),
@@ -539,25 +539,46 @@ class TestExperimentAndCli:
          "trace.final_accuracies['p00'] must be a finite number, not nan"),
         (lambda t: t["trace"]["standalone_accuracies"].update(p00="0.5"),
          "trace.standalone_accuracies['p00'] must be float, not '0.5'"),
-        # The stored fairness entry's contribution axis is read as strictly.
-        (lambda t: t["fairness"]["x"].__setitem__(0, None),
-         "fairness.x[0] must be float, not None"),
-        (lambda t: t["fairness"]["x"].__setitem__(0, "0.9"),
-         "fairness.x[0] must be float, not '0.9'"),
         # These exited 0: a token total with no round, and a trace that also
         # stores the final accuracies at its top level, where report read them.
         (lambda t: t["trace"].update(token_totals=[[1]]),
          "trace.token_totals[0] is [1], not a [round, total] pair"),
         (lambda t: t.update(final_accuracies=t["trace"]["final_accuracies"]),
-         "unknown key 'final_accuracies'")],
+         "unknown key 'final_accuracies'"),
+        # These ended in a KeyError traceback once the report derived a
+        # credibility row's balance and a cell's fairness from the trace.
+        (lambda t: t["trace"]["credibility_rows"][0].update(round=99),
+         "trace.credibility_rows of (round, owner) [(99, 'p00')] have no accuracy row"),
+        (lambda t: t["trace"]["standalone_accuracies"].clear(),
+         "trace.standalone_accuracies is keyed by [], not by party_ids"),
+        # This exited 0, and the credibility rows took the second row's tokens.
+        (lambda t: t["trace"]["accuracy_rows"].append({**t["trace"]["accuracy_rows"][0],
+                                                       "tokens": 1}),
+         "trace.accuracy_rows repeat (round, party) [(1, 'p00')]"),
+        # A trace written before the report derived fairness, detection and
+        # event stages and credibility balances stores them, and an unused
+        # event info; report names the first such key rather than read it.
+        (lambda t: t["trace"].update(events=[{"kind": "excluded", "party": "p03", "round": 0,
+                                              "stage": "init", "info": ""}]),
+         "unknown key 'trace.events[0].stage'; unknown key 'trace.events[0].info'"),
+        (lambda t: t["trace"]["credibility_rows"][0].update(balance=300),
+         "unknown key 'trace.credibility_rows[0].balance'"),
+        (lambda t: t.update(fairness={"x": [0.5] * 4, "r_xy": None, "reason": "zero variance"}),
+         "unknown key 'fairness'"),
+        (lambda t: t.update(detection=[{"party": "p03", "kind": "free_rider_random_label",
+                                        "detected": True, "stage": "init", "round": 0}]),
+         "unknown key 'detection[0].detected'; unknown key 'detection[0].stage'")],
         ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
              "fairness_one_party", "report_null_accuracy", "report_str_accuracy",
              "report_list_fairness", "report_int_accuracy_row", "report_str_chain_valid",
              "report_missing_party", "fairness_bool_setting", "fairness_float_setting",
              "fairness_bool_sharing_level", "fairness_bool_standalone_accuracy",
              "report_bool_accuracy", "report_nan_accuracy", "report_str_standalone_accuracy",
-             "fairness_null_accuracy", "fairness_str_accuracy", "report_unpaired_token_total",
-             "report_duplicated_final_accuracies"])
+             "report_unpaired_token_total",
+             "report_duplicated_final_accuracies", "report_credibility_row_without_accuracy_row",
+             "report_empty_standalone_accuracies", "report_repeated_accuracy_row",
+             "parent_event_stage_and_info", "parent_credibility_balance", "parent_fairness",
+             "parent_detection_stage"])
     def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, edit, fragment):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
@@ -596,7 +617,7 @@ class TestExperimentAndCli:
     ], ids=["run_config", "report_cell_trace"])
     def test_cli_nested_json_exit_code(self, tmp_path, capsys, argv):
         (tmp_path / "traces").mkdir()
-        save_config(small_config(), tmp_path / "config.json")
+        (tmp_path / "config.json").write_text(json.dumps(small_config().to_dict()))
         nested = tmp_path / "traces" / "fdpddl_s1_seed0.json"
         nested.write_text("[" * 200_000 + "]" * 200_000)
         paths = {"nested": nested, "traces": tmp_path / "traces", "out": tmp_path / "o"}
@@ -633,7 +654,7 @@ class TestExperimentAndCli:
     def test_serial_run_loads_no_multiprocessing(self, tmp_path):
         # The process pool is imported only when a run asks for workers.
         cfg_path = tmp_path / "cfg.json"
-        save_config(small_config(rounds=1), cfg_path)
+        cfg_path.write_text(json.dumps(small_config(rounds=1).to_dict()))
         script = ("import sys\n"
                   "from faircollab import harness\n"
                   "harness.run_experiment(harness.load_config(sys.argv[1]), sys.argv[2])\n"
@@ -658,7 +679,7 @@ class TestExperimentAndCli:
         from faircollab.ledger import KeyPair, Ledger, dump_chain
         (tmp_path / "bad.json").write_text('{"name": ')
         (tmp_path / "traces").mkdir()
-        save_config(small_config(), tmp_path / "config.json")
+        (tmp_path / "config.json").write_text(json.dumps(small_config().to_dict()))
         (tmp_path / "traces" / "fdpddl_s1_seed0.json").write_text('{"framework": 1}')
         rng = np.random.default_rng(0)
         keys = {pid: KeyPair.generate(rng) for pid in ("p00", "p01")}
@@ -749,7 +770,7 @@ class TestExperimentAndCli:
     def test_cli_unusable_input_exit_code(self, tmp_path, capsys, argv, cut, fragment):
         cfg = small_config(frameworks=["fdpddl", "centralised"])
         run_experiment(cfg, tmp_path / "run")
-        save_config(cfg, tmp_path / "cfg.json")
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
         svhn = cfg.to_dict()
         svhn["protocol"]["dataset_name"] = "svhn"
         (tmp_path / "svhn.json").write_text(json.dumps(svhn))
@@ -936,7 +957,7 @@ class TestExperimentAndCli:
                                        ["--seed", "-1"]])
     def test_cli_repeated_override_exit_code(self, tmp_path, capsys, flags):
         path = tmp_path / "cfg.json"
-        save_config(small_config(), path)
+        path.write_text(json.dumps(small_config().to_dict()))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
         assert flags[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -1048,7 +1069,7 @@ class TestCsvFeatureRange:
         rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
         rows[37] = (1.5, 0.5, 1)
         cfg_path = tmp_path / "cfg.json"
-        save_config(csv_config(tmp_path, rows), cfg_path)
+        cfg_path.write_text(json.dumps(csv_config(tmp_path, rows).to_dict()))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
     def test_models_have_the_configured_class_count(self, tmp_path):
@@ -1076,7 +1097,7 @@ class TestCsvFeatureRange:
         elif edit:
             rows[edit[0]] = edit[1]
         cfg_path = tmp_path / "cfg.json"
-        save_config(csv_config(tmp_path, rows, **dataset), cfg_path)
+        cfg_path.write_text(json.dumps(csv_config(tmp_path, rows, **dataset).to_dict()))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert fragment in err and str(tmp_path / "data.csv") in err
@@ -1090,7 +1111,7 @@ class TestCsvFeatureRange:
                                     "labels_path": str(labels), "num_classes": 2, "dim": 2,
                                     "per_party": 10, "test_size": 10, "name": "idx"})
         cfg_path = tmp_path / "cfg.json"
-        save_config(cfg, cfg_path)
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "labels out of range" in err and str(images) in err
@@ -1106,7 +1127,7 @@ class TestCsvFeatureRange:
                                     "labels_path": str(labels), "num_classes": 2, "dim": 2,
                                     "per_party": 10, "test_size": 10, "name": "idx"})
         cfg_path = tmp_path / "cfg.json"
-        save_config(cfg, cfg_path)
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "ends inside its" in err and str(images) in err
@@ -1118,7 +1139,7 @@ class TestCsvFeatureRange:
         rows = [(i / 100, 1 - i / 100, i % 2) for i in range(100)]
         rows[37] = (0.5, 0.5, 0.5)
         cfg_path = tmp_path / "cfg.json"
-        save_config(csv_config(tmp_path, rows), cfg_path)
+        cfg_path.write_text(json.dumps(csv_config(tmp_path, rows).to_dict()))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -1160,7 +1181,7 @@ class TestAveragingAndDetectionTables:
                                          "per_party": 80, "test_size": 40},
                            adversaries=[adversary], min_party_size=20)
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
         assert main(["report", "--traces", str(tmp_path / "a" / "traces"),
                      "--out", str(tmp_path / "b")]) == 0
@@ -1169,6 +1190,23 @@ class TestAveragingAndDetectionTables:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         [row] = csv.DictReader((tmp_path / "a" / "detection.csv").read_text().splitlines())
         assert (row["party"], row["kind"]) == ("p02", adversary["kind"])
+
+    # A detection stores its round only; report writes detected and stage.
+    @pytest.mark.parametrize("round_index, row", [
+        (0, ("True", "init", "0")), (7, ("True", "update", "7")), (None, ("False", "never", "-"))],
+        ids=["initialisation", "update", "never"])
+    def test_detection_stage_follows_round(self, tmp_path, round_index, row):
+        run_experiment(small_config(adversaries=[{"kind": "free_rider_random_label"}]), tmp_path)
+        path = tmp_path / "traces" / "fdpddl_s1_seed0.json"
+        trace = json.loads(path.read_text())
+        [detection] = trace["detection"]
+        assert detection.keys() == {"party", "kind", "round"}
+        detection["round"] = round_index
+        path.write_text(json.dumps(trace))
+        assert main(["report", "--traces", str(tmp_path / "traces"),
+                     "--out", str(tmp_path / "o")]) == 0
+        [written] = csv.DictReader((tmp_path / "o" / "detection.csv").read_text().splitlines())
+        assert (written["detected"], written["stage"], written["round"]) == row
 
     def test_no_adversaries_empty_detection_table(self, tmp_path):
         run_experiment(small_config(), tmp_path)

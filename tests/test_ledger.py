@@ -273,7 +273,7 @@ class TestTrading:
             ledger.submit_purchase_order(keys["p02"], "p02", {"p01": 2})
         assert not ledger.pending and not ledger.orders
         # Block 1's leader punishes p03; from block 2 on it cannot buy.
-        ledger.record_punishment(keys[ledger.leader()], ledger.leader(), "p03", "test")
+        ledger.record_punishment(keys[ledger.state.leader()], ledger.state.leader(), "p03", "test")
         ledger.seal_block()
         balances = dict(ledger.balances)
         with pytest.raises(LedgerError):

@@ -14,15 +14,11 @@ from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, 
                                  magnitude_order, make_blobs, per_example_gradients, predict,
                                  select_largest, sgd_step, train_sgd)
 
+import oracles
+
 
 def small_dataset(rng, n=8, dim=3, classes=3):
     return Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes)
-
-
-def float64_twin(model):
-    """model with its parameters widened to float64: the reference that
-    runs the same kernels in float64."""
-    return MlpModel(model.dims, model.params.astype(np.float64))
 
 
 def finite_difference_gradient(model, batch, step=1e-5):
@@ -82,7 +78,7 @@ class TestForward:
 class TestBackward:
     def test_matches_finite_differences_six_params(self):
         rng = np.random.default_rng(1)
-        model = float64_twin(MlpModel.seeded((2, 2), rng))  # 6 parameters
+        model = oracles.float64_twin(MlpModel.seeded((2, 2), rng))  # 6 parameters
         batch = small_dataset(rng, n=5, dim=2, classes=2)
         analytic = backward(model, batch.features, batch.labels)
         numeric = finite_difference_gradient(model, batch)
@@ -93,7 +89,7 @@ class TestBackward:
         for case in range(6):
             # The last case has two hidden layers, so the flat layout spans three.
             dims = (3, int(rng.integers(2, 5)), 3) if case < 5 else (3, 4, 3, 3)
-            model = float64_twin(MlpModel.seeded(dims, rng))
+            model = oracles.float64_twin(MlpModel.seeded(dims, rng))
             batch = small_dataset(rng, n=6, dim=3, classes=3)
             analytic = backward(model, batch.features, batch.labels)
             numeric = finite_difference_gradient(model, batch)
@@ -152,7 +148,7 @@ class TestClippedMeanGradient:
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
     def test_matches_per_example_oracle_with_mixed_clipping(self, dims):
         rng = np.random.default_rng(11)
-        model = float64_twin(MlpModel.seeded(dims, rng))
+        model = oracles.float64_twin(MlpModel.seeded(dims, rng))
         batch = small_dataset(rng, n=9, dim=dims[0], classes=dims[-1])
         norms = np.linalg.norm(per_example_gradients(model, batch.features, batch.labels), axis=1)
         clip = float(np.median(norms))
@@ -163,7 +159,7 @@ class TestClippedMeanGradient:
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 6, 5, 3)])
     def test_nothing_clips_at_large_bound(self, dims):
         rng = np.random.default_rng(12)
-        model = float64_twin(MlpModel.seeded(dims, rng))
+        model = oracles.float64_twin(MlpModel.seeded(dims, rng))
         batch = small_dataset(rng, n=6, dim=dims[0], classes=dims[-1])
         out = backward(model, batch.features, batch.labels, clip_norm=100.0)
         assert np.allclose(out, clipped_mean_oracle(model, batch, 100.0), atol=1e-12)
@@ -172,7 +168,7 @@ class TestClippedMeanGradient:
     def test_zero_gradient_row(self):
         # Row 0 sits on a saturated softmax of its true class, so its
         # gradient is exactly zero; the other rows still count in the mean.
-        model = float64_twin(MlpModel.seeded((2, 4, 3), np.random.default_rng(13)))
+        model = oracles.float64_twin(MlpModel.seeded((2, 4, 3), np.random.default_rng(13)))
         model.params[-3:] = [0.0, 0.0, 1000.0]
         batch = Dataset(np.array([[0.2, 0.9], [0.5, 0.1], [0.7, 0.4]]),
                         np.array([2, 0, 1]), 3)

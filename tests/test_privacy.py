@@ -13,6 +13,8 @@ from faircollab.privacy import (NOISE_CHUNK, RDP_ORDERS, BudgetExhaustedError,
                                 rdp_epsilon)
 from faircollab.samplegen import augment
 
+import oracles
+
 
 class TestCalibrateSigma:
     def test_golden_value(self):
@@ -42,17 +44,11 @@ class TestCalibrateSigma:
             calibrate_sigma(eps, delta)
 
 
-def float64_twin(model):
-    """model with its parameters widened to float64: the reference that
-    runs the same kernels in float64."""
-    return MlpModel(model.dims, model.params.astype(np.float64))
-
-
 def _single_example(seed=0):
     """A one-layer float64 model and a one-example batch with a nonzero
     gradient g."""
     rng = np.random.default_rng(seed)
-    model = float64_twin(MlpModel.seeded((3, 4), rng))
+    model = oracles.float64_twin(MlpModel.seeded((3, 4), rng))
     batch = Dataset(rng.uniform(size=(1, 3)), np.array([1]), 4)
     return model, batch, backward(model, batch.features, batch.labels)
 
@@ -116,7 +112,7 @@ class TestFloat32AgainstFloat64:
         rng = np.random.default_rng(dims[0])
         model = MlpModel.seeded(dims, rng)
         data = make_blobs(64, dims[-1], dims[0], rng, spread=0.3)
-        return model, float64_twin(model), data
+        return model, oracles.float64_twin(model), data
 
     @staticmethod
     def _close(result, reference):
@@ -303,7 +299,7 @@ def _setup_step(seed=0, n=64, lot=None):
 class TestDpSgdStep:
     def test_zero_noise_hook_equals_clipped_lot_mean(self):
         rng, data, model, params, acct = _setup_step()
-        model = float64_twin(model)
+        model = oracles.float64_twin(model)
         check_rng = np.random.default_rng(1234)
         result = dp_sgd_step(model, data, params, np.random.default_rng(1234), acct, sigma=0.0)
         # Reproduce the lot draw with an identical generator.
@@ -318,7 +314,7 @@ class TestDpSgdStep:
         # Lots drawn over r * N virtual rows read raw record i // r: the
         # same rows a draw from augment(data, r) would pick.
         _, data, model, _, acct = _setup_step(seed=6, n=30)
-        model = float64_twin(model)
+        model = oracles.float64_twin(model)
         r = 7
         params = PrivacyParams(1.0, 1e-5, 0.5, lot_size_for(r * len(data)), r * len(data))
         result = dp_sgd_step(model, data, params, np.random.default_rng(99), acct, sigma=0.0)
@@ -373,7 +369,7 @@ class TestDpSgdStep:
     def test_equals_clipped_mean_plus_noise(self):
         # The noise is added in place; the bits are those of mean + noise.
         _, data, model, params, acct = _setup_step(seed=8, n=30)
-        model = float64_twin(model)
+        model = oracles.float64_twin(model)
         result = dp_sgd_step(model, data, params, np.random.default_rng(43), acct)
         rng = np.random.default_rng(43)
         rows = rng.integers(0, params.dataset_size, size=params.lot_size)
