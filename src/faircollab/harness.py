@@ -542,6 +542,11 @@ class CellTrace:
         repeated = sorted(key for key, count in accuracy_keys.items() if count > 1)
         unbalanced = sorted({(row.round, row.owner) for row in trace.credibility_rows}
                             - accuracy_keys.keys())
+        named = {"trace.accuracy_rows": {row.party for row in trace.accuracy_rows},
+                 "trace.credibility_rows": {party for row in trace.credibility_rows
+                                            for party in (row.owner, row.peer)},
+                 "trace.events": {event.party for event in trace.events},
+                 "detection": {entry.party for entry in self.detection or ()}}
         checks = (
             (self.setting in (1, 2, 3), f"setting {self.setting} not in {{1, 2, 3}}"),
             (len(self.party_ids) >= 2, "a cell needs at least two parties"),
@@ -554,6 +559,8 @@ class CellTrace:
                                     or (ids if self.framework == "centralised" else {})))),
             *((len(pair) == 2, f"trace.token_totals[{i}] is {pair}, not a [round, total] pair")
               for i, pair in enumerate(trace.token_totals)),
+            *((parties <= ids, f"{key} name {sorted(parties - ids)}, not in party_ids")
+              for key, parties in named.items()),
             (not repeated, f"trace.accuracy_rows repeat (round, party) {repeated}"),
             (not unbalanced, f"trace.credibility_rows of (round, owner) {unbalanced} "
                              "have no accuracy row to take the balance from"),
@@ -580,12 +587,10 @@ def run_cell(config: ExperimentConfig, framework: str, setting: int, seed: int,
         # protocol.run_baseline sees the call.
         trace = protocol.run_baseline(framework, parties, config.rounds, test)
 
-    cell = CellTrace(framework, setting, seed, sorted(p.id for p in parties), list(spec.sizes),
-                     chain_valid, trace)
     adversaries_by_id = {p.id: p.adversary for p in parties if p.adversary}
-    if adversaries_by_id:
-        cell.detection = detection_report(trace.events, adversaries_by_id)
-    return cell
+    detection = detection_report(trace.events, adversaries_by_id) if adversaries_by_id else None
+    return CellTrace(framework, setting, seed, sorted(p.id for p in parties), list(spec.sizes),
+                     chain_valid, trace, detection)
 
 
 def cell_fairness(cell: CellTrace) -> tuple[float | None, str]:

@@ -22,16 +22,15 @@ of plaintext and 24 + 6k of ciphertext with the AES-GCM tag (8 + 8k and
 holds the market's rules, which the Ledger and verify_chain both apply.
 
 Primitives are real, not stubs: Ed25519 signatures, SHA-256 chaining, and
-a hybrid envelope: a fresh AES-256-GCM key per payload, wrapped with
-AES-GCM under a key the seller and the buyer share. That pair key comes
-from one static-static X25519 agreement per pair of parties and cell,
-through HKDF-SHA256, and each side caches it (the C(0e, 2s) scheme of
-NIST SP 800-56A rev. 3). The trade-off: a party's X25519 key is drawn
-per cell, and if it leaks, it opens every payload to or from that party
-in the cell; there is no per-payload forward secrecy against the
-sender's key. The recipient trusts the sender key carried in the
-envelope; authenticity comes from the seller's signed fulfillment over
-the payload hash.
+AES-256-GCM under a key the seller and the buyer share, one seal per
+payload. That pair key comes from one static-static X25519 agreement per
+pair of parties and cell, through HKDF-SHA256, and each side caches it
+(the C(0e, 2s) scheme of NIST SP 800-56A rev. 3). The trade-off: a
+party's X25519 key is drawn per cell, and if it leaks, it opens every
+payload to or from that party in the cell; there is no per-payload
+forward secrecy against the sender's key. The recipient trusts the
+sender key carried in the payload; authenticity comes from the seller's
+signed fulfillment over the payload hash.
 """
 
 from __future__ import annotations
@@ -178,16 +177,13 @@ class Block:
 
 @dataclass(frozen=True)
 class EncryptedPayload:
-    """Hybrid envelope: AES-GCM ciphertext under a fresh content key, that
-    key wrapped under the pair key of sender and recipient, with the same
-    aad. ephemeral_public holds the sender's X25519 key for the cell, not
-    a per-payload key; a leak of either party's key opens the payload."""
+    """AES-GCM ciphertext under the pair key of sender and recipient, bound
+    to an aad. sender_public is the sender's X25519 key for the cell, not a
+    per-payload key; a leak of either party's key opens the payload."""
 
     ciphertext: bytes
     nonce: bytes
-    wrapped_key: bytes
-    wrap_nonce: bytes
-    ephemeral_public: bytes
+    sender_public: bytes
 
     @property
     def payload_hash(self) -> str:
@@ -196,22 +192,19 @@ class EncryptedPayload:
 
 def encrypt_payload(plaintext: bytes, recipient_pk_hex: str, sender: KeyPair,
                     rng: np.random.Generator, aad: bytes) -> EncryptedPayload:
-    """Seal the plaintext under a fresh key drawn from rng, wrapped under
-    the pair key of sender and recipient; both seals bind aad, which the
-    ledger sets to the order line id."""
-    draw = rng.bytes(88)
-    # [44:76] is drawn but unused, so the sender's later draws (DP-SGD noise) keep their values.
-    content_key, nonce, wrap_nonce = draw[:32], draw[32:44], draw[76:88]
-    ciphertext = AESGCM(content_key).encrypt(nonce, plaintext, aad)
-    wrapped = sender.pair_cipher(bytes.fromhex(recipient_pk_hex)).encrypt(
-        wrap_nonce, content_key, aad)
-    return EncryptedPayload(ciphertext, nonce, wrapped, wrap_nonce, sender.encrypt_public)
+    """Seal the plaintext under the pair key of sender and recipient with a
+    nonce drawn from rng, bound to aad, which the ledger sets to the order
+    line id."""
+    # Only [32:44] is used; the full 88-byte draw keeps the sender's later
+    # draws (its DP-SGD noise), and so every output, at their values.
+    nonce = rng.bytes(88)[32:44]
+    ciphertext = sender.pair_cipher(bytes.fromhex(recipient_pk_hex)).encrypt(nonce, plaintext, aad)
+    return EncryptedPayload(ciphertext, nonce, sender.encrypt_public)
 
 
 def decrypt_payload(payload: EncryptedPayload, keypair: KeyPair, aad: bytes) -> bytes:
-    content_key = keypair.pair_cipher(payload.ephemeral_public).decrypt(
-        payload.wrap_nonce, payload.wrapped_key, aad)
-    return AESGCM(content_key).decrypt(payload.nonce, payload.ciphertext, aad)
+    cipher = keypair.pair_cipher(payload.sender_public)
+    return cipher.decrypt(payload.nonce, payload.ciphertext, aad)
 
 
 @dataclass

@@ -567,7 +567,20 @@ class TestExperimentAndCli:
          "unknown key 'fairness'"),
         (lambda t: t.update(detection=[{"party": "p03", "kind": "free_rider_random_label",
                                         "detected": True, "stage": "init", "round": 0}]),
-         "unknown key 'detection[0].detected'; unknown key 'detection[0].stage'")],
+         "unknown key 'detection[0].detected'; unknown key 'detection[0].stage'"),
+        # These exited 0, and rows of p99 landed in rounds.csv, credibility.csv
+        # and detection.csv.
+        (lambda t: t["trace"]["accuracy_rows"][0].update(party="p99"),
+         "trace.accuracy_rows name ['p99'], not in party_ids"),
+        (lambda t: t["trace"]["credibility_rows"][0].update(owner="p99"),
+         "trace.credibility_rows name ['p99'], not in party_ids"),
+        (lambda t: t["trace"]["credibility_rows"][0].update(peer="p99"),
+         "trace.credibility_rows name ['p99'], not in party_ids"),
+        (lambda t: t["trace"].update(events=[{"kind": "excluded", "party": "p99", "round": 0}]),
+         "trace.events name ['p99'], not in party_ids"),
+        (lambda t: t.update(detection=[{"party": "p99", "kind": "free_rider_random_label",
+                                        "round": 0}]),
+         "detection name ['p99'], not in party_ids")],
         ids=["fairness_setting_int", "fairness_setting_str", "fairness_str_sharing_level",
              "fairness_one_party", "report_null_accuracy", "report_str_accuracy",
              "report_list_fairness", "report_int_accuracy_row", "report_str_chain_valid",
@@ -578,7 +591,9 @@ class TestExperimentAndCli:
              "report_duplicated_final_accuracies", "report_credibility_row_without_accuracy_row",
              "report_empty_standalone_accuracies", "report_repeated_accuracy_row",
              "parent_event_stage_and_info", "parent_credibility_balance", "parent_fairness",
-             "parent_detection_stage"])
+             "parent_detection_stage", "report_outside_party_accuracy_row",
+             "report_outside_party_credibility_owner", "report_outside_party_credibility_peer",
+             "report_outside_party_event", "report_outside_party_detection"])
     def test_cli_trace_of_wrong_value_exit_code(self, tmp_path, capsys, edit, fragment):
         run_experiment(small_config(), tmp_path)
         trace_path = tmp_path / "traces" / "fdpddl_s1_seed0.json"

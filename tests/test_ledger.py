@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,20 +113,15 @@ class TestKeysAndEnvelope:
         assert a.pair_cipher(b_pub) is a.pair_cipher(b_pub)
         payload = encrypt_payload(b"line", b.encrypt_key_hex, a, np.random.default_rng(1),
                                   aad=b"batch:p00")
-        assert payload.ephemeral_public == bytes.fromhex(a.encrypt_key_hex)
+        assert payload.sender_public == bytes.fromhex(a.encrypt_key_hex)
         assert decrypt_payload(payload, b, aad=b"batch:p00") == b"line"
 
-    def test_wrap_bound_to_line_id(self, keys):
+    def test_seal_bound_to_line_id(self, keys):
         a, b = keys["p00"], keys["p01"]
         payload = encrypt_payload(b"line", b.encrypt_key_hex, a, np.random.default_rng(1),
                                   aad=b"batch:p00")
         with pytest.raises(InvalidTag):
             decrypt_payload(payload, b, aad=b"batch:p02")
-        # The key wrap on its own, not only the ciphertext, binds the line id.
-        unwrap = b.pair_cipher(payload.ephemeral_public)
-        assert len(unwrap.decrypt(payload.wrap_nonce, payload.wrapped_key, b"batch:p00")) == 32
-        with pytest.raises(InvalidTag):
-            unwrap.decrypt(payload.wrap_nonce, payload.wrapped_key, b"batch:p02")
 
     def test_two_sellers_to_one_buyer_open_for_the_buyer_only(self, keys):
         buyer, outsider = keys["p00"], keys["p03"]
@@ -140,7 +134,7 @@ class TestKeysAndEnvelope:
             with pytest.raises(InvalidTag):
                 decrypt_payload(payload, outsider, aad=seller.encode())
 
-    @pytest.mark.parametrize("field", ["ephemeral_public", "wrapped_key"])
+    @pytest.mark.parametrize("field", ["sender_public", "nonce", "ciphertext"])
     def test_flipped_envelope_byte_fails_to_open(self, keys, field):
         payload = encrypt_payload(b"line", keys["p01"].encrypt_key_hex, keys["p00"],
                                   np.random.default_rng(1), aad=b"batch:p00")
@@ -157,13 +151,11 @@ class TestKeysAndEnvelope:
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         plaintext, aad = b"secret gradients", b"batch:p01"
         payload = encrypt_payload(plaintext, b.encrypt_key_hex, a, rng, aad)
-        content_key, nonce, _unused, wrap_nonce = (twin.bytes(32), twin.bytes(12),
-                                                   twin.bytes(32), twin.bytes(12))
+        nonce = twin.bytes(88)[32:44]
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert payload.ciphertext == AESGCM(content_key).encrypt(nonce, plaintext, aad)
-        assert (payload.nonce, payload.wrap_nonce) == (nonce, wrap_nonce)
-        assert payload.wrapped_key == a.pair_cipher(
-            bytes.fromhex(b.encrypt_key_hex)).encrypt(wrap_nonce, content_key, aad)
+        assert payload.nonce == nonce
+        assert payload.ciphertext == a.pair_cipher(
+            bytes.fromhex(b.encrypt_key_hex)).encrypt(nonce, plaintext, aad)
 
 
 class TestGenesis:
