@@ -8,7 +8,8 @@ group ends and then builds its tables with `report`'s reader
 (`generate_reports`), so `report` regenerates them byte for byte. A cell
 trace is a CellTrace record, read like a config (`_read`). `run` exits 2
 when --out already holds a trace of a cell outside its grid, and `report`
-exits 2 when --traces holds no cell trace or a trace it cannot read.
+exits 2 when --traces holds no cell trace, a trace it cannot read or a
+trace of a cell outside the grid of config.json.
 
 The cells of one (setting, seed) run together as a group: they share one
 partition, built into parties once, and the frameworks that start from
@@ -645,14 +646,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> dict:
     groups = [(st, sd) for st in config.settings for sd in config.seeds]
 
     traces_dir = os.path.join(outdir, "traces")
-    # The tables cover every cell trace in traces_dir, so a trace left by
-    # an earlier run of another grid would end up in this run's tables.
     if os.path.isdir(traces_dir):
-        grid = {(fw, st, sd) for fw in config.frameworks for st, sd in groups}
-        for key, path in cell_traces(traces_dir):
-            if key not in grid:
-                raise ConfigError(f"{path} is a trace of a cell outside this run's grid; "
-                                  "run into another --out")
+        _check_grid(config, traces_dir)
     with contextlib.ExitStack() as stack:
         map_groups = map  # serially, each group runs when the loop asks for it
         # The pool starts all of its workers at the first submit.
@@ -691,6 +686,16 @@ def cell_traces(traces_dir) -> list[tuple[tuple[str, int, int], str]]:
             if name == f"{cell_name(*key)}.json":
                 cells.append((key, os.path.join(traces_dir, name)))
     return sorted(cells)
+
+
+def _check_grid(config: ExperimentConfig, traces_dir) -> None:
+    """Raise ConfigError naming a trace in traces_dir of a cell outside
+    config's grid, which the tables of traces_dir would cover as well."""
+    grid = {(fw, st, sd) for fw in config.frameworks for st in config.settings
+            for sd in config.seeds}
+    for key, path in cell_traces(traces_dir):
+        if key not in grid:
+            raise ConfigError(f"{path} is a trace of a cell outside the config's grid")
 
 
 # Each table's columns after the cell's framework, setting and seed.
@@ -818,6 +823,7 @@ def _cmd_report(args) -> int:
     # run_experiment writes config.json next to the traces directory.
     config = load_config(os.path.join(os.path.dirname(os.path.abspath(args.traces)),
                                       "config.json"))
+    _check_grid(config, args.traces)
     # The topmost directory that makedirs creates, removed again on exit 2;
     # an --out that exists already is left as it was. Both use the
     # normalised path, so that "missing/.." makes no "missing".

@@ -231,7 +231,9 @@ class ChainState:
     - a fulfillment fills, once each, lines of its block open to its author;
     - a block seals once none of its lines is open, under the leader
       sorted(active)[index % len(active)] of the registered parties not
-      banned, who signs its punishments.
+      banned, who signs its punishments;
+    - a block punishes a party at most once: block 0 only parties that
+      did not register, a later block only active ones.
     Only an int is a count or a round (JSON true and 1.0 equal 1)."""
 
     def __init__(self):
@@ -283,7 +285,11 @@ class ChainState:
             elif author != self.leader() or not isinstance(payload["against"], str):
                 raise LedgerError(f"punishment by {author}, not by block {self.index}'s leader")
             else:
-                self.punished.add(payload["against"])
+                against = payload["against"]
+                if (against in self.punished or against in self.banned
+                        or (against in self.verify_keys) != (self.index > 0)):
+                    raise LedgerError(f"block {self.index} cannot punish {against}")
+                self.punished.add(against)
         except (KeyError, TypeError, ValueError) as exc:
             raise LedgerError(f"malformed {tx.kind}: {type(exc).__name__}: {exc}") from exc
 
@@ -435,7 +441,8 @@ def verify_chain(chain) -> bool:
     prev_hash = "0" * 64
     try:
         for position, block in enumerate(chain):
-            if block.index != position or block.prev_hash != prev_hash:
+            if (type(block.index) is not int or block.index != position
+                    or block.prev_hash != prev_hash):
                 return False
             for tx in block.transactions:
                 if not verify_signature(state.signing_key(tx), Transaction.signing_bytes(

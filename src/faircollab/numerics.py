@@ -430,9 +430,6 @@ class SparseUpdate:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def negated(self) -> "SparseUpdate":
-        return SparseUpdate(self.indices, -self.values, self.param_count)
-
     def to_bytes(self) -> bytes:
         """Header >u4 param_count, >u4 n; then the n indices, each in
         the narrowest big-endian unsigned type that holds every index
@@ -563,18 +560,6 @@ def evaluate(model: MlpModel, data: Dataset) -> float:
     if len(data) == 0:
         raise ValueError("empty dataset")
     return np.count_nonzero(predict(model, data.features) == data.labels) / len(data)
-
-
-def evaluate_rows(dims, param_rows: np.ndarray, data: Dataset) -> list[float]:
-    """evaluate() of the model with these dims and each row of the
-    (k, param_count) param_rows as its parameters, in one stacked forward
-    pass. Each layer is a batch of the same matrix products evaluate() runs,
-    so every accuracy equals that of MlpModel(dims, row) exactly."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    predictions = np.argmax(_forward(_stacked(param_rows, _layout(dims)), data.features),
-                            axis=-1)
-    return (np.count_nonzero(predictions == data.labels, axis=1) / len(data)).tolist()
 
 
 # ---------------------------------------------------------------------------

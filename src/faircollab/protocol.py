@@ -41,8 +41,7 @@ from . import credibility as cred
 from .adversary import AdversaryConfig, AdversaryKind, freerider_gradients, freerider_label
 from .ledger import Block, KeyPair, Ledger, decrypt_payload
 from .numerics import (FLOAT, Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
-                       decayed_lr, evaluate, evaluate_rows, predict, select_largest, sgd_step,
-                       train_sgd)
+                       decayed_lr, evaluate, predict, select_largest, sgd_step, train_sgd)
 from .privacy import (BudgetExhaustedError, PrivacyAccountant, PrivacyParams,
                       allocate_budgets, dp_sgd_step, lot_size_for)
 # augment is never called here; bench/tracer.py still wraps protocol.augment.
@@ -71,11 +70,6 @@ VALIDATION_FRACTION = 0.2  # local data held out for leave-one-out scoring
 # q = L / N, where L = lot_size_for(N) = sqrt(N), and clips to CLIP_NORM.
 EPSILON_PER_STEP = 1.0
 CLIP_NORM = 1.0
-# Leave-one-out scoring stacks its probe rows at most this many bytes at a
-# time (at least one row): 189 rows of the 32-32-10 model (5.5 KB each), so
-# desk shapes score in one pass, and two rows of the paper's 784-128-10
-# model (407 KB each).
-LOO_PASS_BYTES = 1 << 20
 # Plain SGD trains equal-size parties side by side only for a model of at
 # most this many parameter bytes. The 32-32-10 desk model (5.5 KB) gains:
 # pretraining and standalone rounds of the desk_grid groups took 0.77-0.80x
@@ -385,41 +379,22 @@ def _local_training(p: Party, config: ProtocolConfig, round_index: int,
     return np.subtract(p.model.params, before, out=before)
 
 
-def _rows_without(params: np.ndarray, updates: list) -> np.ndarray:
-    """One row per entry of updates: params minus that update (its indices
-    are unique), or params itself for None. A lone None is params viewed
-    as one row, not a copy."""
-    if updates == [None]:
-        return params[None, :]
-    rows = np.repeat(params[None, :], len(updates), axis=0)
-    for row, update in zip(rows, updates):
-        if update is not None:
-            row[update.indices] -= update.values
-    return rows
-
-
 def _leave_one_out(model: MlpModel, bought: dict[str, SparseUpdate], peers: list[str],
                    val_data: Dataset) -> tuple[float, dict[str, float]]:
     """(acc, acc_without): the accuracy of model on val_data, and per peer
-    its accuracy without that peer's update. Row 0 holds the parameters
-    and each further row the parameters minus one update. The rows are
-    scored in stacked forward passes of at most LOO_PASS_BYTES each, but
-    at least one row, so desk shapes score in one pass and 784-128-10
-    scores two rows a pass. When a pass holds one row, row 0 is read from
-    model.params without a copy and each probe is stacked alone. A peer
-    that sold nothing keeps acc."""
-    probed = [j for j in peers if len(bought.get(j, ())) > 0]
-    removed = [None, *(bought[j] for j in probed)]
-    per_pass = max(1, LOO_PASS_BYTES // model.params.nbytes)
-    accs: list[float] = []
-    for start in range(0, len(removed), per_pass):
-        # Held by no name, a pass's rows die before the next pass stacks its own.
-        accs += evaluate_rows(model.dims,
-                              _rows_without(model.params, removed[start:start + per_pass]),
-                              val_data)
-    acc, *probe_accs = accs
+    its accuracy without that peer's update. Each probe subtracts one
+    update from a scratch copy of model, scores the copy, and puts the
+    entries back from model.params, so the copy is model again after
+    each probe. A peer that sold nothing keeps acc."""
+    acc = evaluate(model, val_data)
     acc_without = dict.fromkeys(peers, acc)
-    acc_without.update(zip(probed, probe_accs))
+    probe = model.copy()
+    for j in peers:
+        update = bought.get(j)
+        if update is not None and len(update):
+            probe.params[update.indices] -= update.values
+            acc_without[j] = evaluate(probe, val_data)
+            probe.params[update.indices] = model.params[update.indices]
     return acc, acc_without
 
 
@@ -509,8 +484,8 @@ def run_update_round(parties: list[Party], credible: set[str], ledger: Ledger,
         ledger.record_punishment(leader.keypair, leader.id, r, "non-credible")
         for pid in sorted(new_credible):
             update = received[pid].get(r)
-            if update is not None and len(update):
-                apply_updates(by_id[pid].model, [update.negated()])
+            if update is not None:
+                by_id[pid].model.params[update.indices] -= update.values
                 if by_id[pid].last_received_aggregate is not None:
                     by_id[pid].last_received_aggregate[update.indices] -= update.values
 

@@ -24,6 +24,7 @@ from faircollab.harness import (ConfigError, DatasetSpec, ExperimentConfig, Zero
                                 build_cell_data, build_x_axis, cell_fairness, fairness,
                                 load_config, main, resolve_setting, run_cell, run_experiment,
                                 run_group)
+from faircollab.ledger import Block
 from faircollab.numerics import SparseUpdate
 from faircollab.protocol import ProtocolConfig
 
@@ -331,6 +332,13 @@ def _edited(index, edit):
     return mutate
 
 
+def _resealed_with_index_true(block):
+    """Seal a parsed block again under the index JSON true, which equals 1."""
+    parsed = Block.from_dict(block)
+    block.update(Block.sealed(True, parsed.prev_hash, parsed.transactions,
+                              parsed.leader).to_dict())
+
+
 class TestExperimentAndCli:
     def test_run_experiment_outputs(self, tmp_path):
         cfg = small_config(seeds=[0, 1], frameworks=["fdpddl", "standalone"])
@@ -353,23 +361,6 @@ class TestExperimentAndCli:
         for name in ("accuracy.csv", "fairness.csv", "detection.csv", "rounds.csv",
                      "credibility.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_one_probe_per_pass_writes_the_same_files(self, tmp_path, monkeypatch):
-        # Desk shapes score every leave-one-out row in one pass; a budget
-        # of one row per pass runs the capped loop and must not move a bit
-        # of any output file.
-        cfg = small_config(settings=[2], seeds=[3])
-        run_experiment(cfg, tmp_path / "one_pass")
-        monkeypatch.setattr(protocol, "LOO_PASS_BYTES", 1)
-        run_experiment(cfg, tmp_path / "row_per_pass")
-        files = sorted(p.relative_to(tmp_path / "one_pass")
-                       for p in (tmp_path / "one_pass").rglob("*") if p.is_file())
-        assert len(files) > 1
-        assert files == sorted(p.relative_to(tmp_path / "row_per_pass")
-                               for p in (tmp_path / "row_per_pass").rglob("*") if p.is_file())
-        for name in files:
-            assert ((tmp_path / "one_pass" / name).read_bytes()
-                    == (tmp_path / "row_per_pass" / name).read_bytes())
 
     def test_each_group_is_on_disk_before_the_next_starts(self, tmp_path, monkeypatch):
         on_disk = []
@@ -397,6 +388,19 @@ class TestExperimentAndCli:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         # Rerunning the same grid into the same directory is fine.
         assert main(run) == 0
+
+    def test_report_of_a_trace_outside_the_grid_exit_code(self, tmp_path, capsys):
+        # A seed 1 trace copied into the traces of a run whose config.json
+        # lists seed 0 only: run would refuse that directory, so report does.
+        name = "standalone_s1_seed1.json"
+        for seed, run in ((0, "a"), (1, "b")):
+            run_experiment(small_config(seeds=[seed], frameworks=["standalone"]), tmp_path / run)
+        traces = tmp_path / "a" / "traces"
+        (traces / name).write_bytes((tmp_path / "b" / "traces" / name).read_bytes())
+        out = tmp_path / "c" / "d"
+        assert main(["report", "--traces", str(traces), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_report_without_cell_traces_exit_code(self, tmp_path, capsys):
         (tmp_path / "run" / "traces").mkdir(parents=True)
@@ -740,8 +744,9 @@ class TestExperimentAndCli:
         (lambda lines: [lines[0], "[" * 200_000 + "]" * 200_000], 1),
         (_edited(0, lambda block: block["transactions"][0].update(payload=["p00"])), None),
         (_edited(1, lambda block: block["transactions"][0].update(signature=7)), None),
+        (_edited(1, _resealed_with_index_true), None),
     ], ids=["truncated_line", "unknown_kind", "no_leader", "json_list", "transactions_int",
-            "nested_too_deep", "register_payload_list", "int_signature"])
+            "nested_too_deep", "register_payload_list", "int_signature", "index_true_resealed"])
     def test_cli_verify_chain_malformed_dump(self, tmp_path, capsys, mutate, parsed):
         from faircollab.ledger import KeyPair, Ledger, dump_chain
         rng = np.random.default_rng(0)

@@ -659,12 +659,53 @@ class TestChainVerification:
         chain = append_block(fresh_ledger(keys).chain, [punishment], "p01")
         assert verify_chain(chain) is valid
 
+    # Block 1's leader is p01; once it bans p02, p03 leads block 2.
+    @pytest.mark.parametrize("punished, valid", [
+        ([["p02"]], True), ([["p02"], ["p00"]], True), ([["p77"]], False),
+        ([["p02", "p02"]], False), ([["p02"], ["p02"]], False),
+    ], ids=["active", "active_in_a_later_block", "unregistered", "twice_in_a_block",
+            "banned_in_an_earlier_block"])
+    def test_punishment_of_an_active_party_only(self, keys, punished, valid):
+        chain = fresh_ledger(keys).chain
+        for index, (leader, against) in enumerate(zip(("p01", "p03"), punished), 1):
+            chain = append_block(chain, [signed(keys, "punishment", leader, against=party,
+                                                reason="test", round=index)
+                                         for party in against], leader)
+        assert verify_chain(chain) is valid
+
+    @pytest.mark.parametrize("against, valid", [
+        (["p09"], True), (["p03"], False), (["p09", "p09"], False),
+    ], ids=["unregistered", "registered", "twice"])
+    def test_genesis_punishes_parties_that_did_not_register(self, keys, against, valid):
+        registrations = [signed(keys, "register", pid, party=pid,
+                                verify_key=keys[pid].verify_key_hex, tokens=300)
+                         for pid in sorted(keys)]
+        punishments = [signed(keys, "punishment", "p00", against=party, reason="test", round=0)
+                       for party in against]
+        genesis = Block.sealed(0, "0" * 64, registrations + punishments, "p00")
+        assert verify_chain([genesis]) is valid
+
+    @pytest.mark.parametrize("index, valid", [(1, True), (True, False), (1.0, False)],
+                             ids=["int", "json_true", "float"])
+    def test_block_index_other_than_an_int_rejected(self, keys, index, valid):
+        # Block 1 is resealed under index and block 2 relinked to it, so
+        # every hash links and only the index's type is wrong.
+        chain = self._active_chain(keys, rounds=2).chain
+        block = chain[1]
+        chain[1] = Block.sealed(index, block.prev_hash, block.transactions, block.leader)
+        block = chain[2]
+        chain[2] = Block.sealed(2, chain[1].block_hash, block.transactions, block.leader)
+        assert verify_chain(chain) is valid
+
     def test_refused_transaction_changes_nothing(self, keys):
         # Each is refused only at a later part of it: an unregistered second
         # seller, an overdraft past valid lines, a second line that is not
-        # open, and a punishment by p00 while p01 leads block 1.
+        # open, a punishment by p00 while p01 leads block 1, and p01's
+        # punishments of a party that never registered and of p02, whom
+        # it has punished in this block already.
         ledger = fresh_ledger(keys)
         order = ledger.submit_purchase_order(keys["p00"], "p00", {"p01": 5})["p01"]
+        ledger.record_punishment(keys["p01"], "p01", "p02", "test")
         refused = [
             signed(keys, "purchase_order", "p02", count=7, encrypt_key="",
                    lines=[["p01", 5], ["p09", 2]], round=1),
@@ -672,6 +713,8 @@ class TestChainVerification:
             signed(keys, "fulfillment", "p01", round=1,
                    lines=[[order.order_id, "0" * 64], ["0" * 24 + ":p01", "0" * 64]]),
             signed(keys, "punishment", "p00", against="p02", reason="test", round=1),
+            signed(keys, "punishment", "p01", against="p77", reason="test", round=1),
+            signed(keys, "punishment", "p01", against="p02", reason="test", round=1),
         ]
         for tx in refused:
             before = copy.deepcopy(vars(ledger.state))

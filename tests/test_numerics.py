@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
-                                 backward, decayed_lr, evaluate,
-                                 evaluate_rows, forward, load_csv, load_idx, loss,
-                                 magnitude_order, make_blobs, per_example_gradients, predict,
+                                 backward, decayed_lr, evaluate, forward, load_csv, load_idx,
+                                 loss, magnitude_order, make_blobs, per_example_gradients, predict,
                                  select_largest, sgd_step, train_sgd)
 
 import oracles
@@ -435,7 +434,7 @@ class TestApplyUpdates:
         before = model.params.copy()
         u = select_largest(RankedPrefix.of(rng.normal(size=model.param_count), 5), 5)
         apply_updates(model, [u])
-        apply_updates(model, [u.negated()])
+        apply_updates(model, [SparseUpdate(u.indices, -u.values, u.param_count)])
         assert np.allclose(model.params, before, atol=1e-12)
 
     @given(st.data())
@@ -519,37 +518,27 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(MlpModel((1, 2)), Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2))
-        with pytest.raises(ValueError):
-            evaluate_rows((1, 2), np.zeros((1, 4)), Dataset(np.zeros((0, 1)),
-                                                            np.zeros(0, dtype=int), 2))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_scoring_equals_argmax_of_probabilities(self, data):
-        # predict, evaluate and evaluate_rows read the logits; the reference
-        # takes the argmax of forward()'s softmax probabilities. Weights and
-        # features on a grid of eighths make every logit exact, so exact
-        # ties occur and distinct logits never round to equal probabilities.
+        # predict and evaluate read the logits; the reference takes the
+        # argmax of forward()'s softmax probabilities. Weights and features
+        # on a grid of eighths make every logit exact, so exact ties occur
+        # and distinct logits never round to equal probabilities.
         grid = st.integers(-16, 16).map(lambda v: v / 8.0)
         dims = data.draw(st.sampled_from([(2, 3), (3, 4, 3), (2, 3, 3, 4)]))
-        models = [MlpModel(dims) for _ in range(data.draw(st.integers(1, 3)))]
-        for model in models:
-            model.params[:] = data.draw(st.lists(grid, min_size=model.param_count,
-                                                 max_size=model.param_count))
+        model = MlpModel(dims)
+        model.params[:] = data.draw(st.lists(grid, min_size=model.param_count,
+                                             max_size=model.param_count))
         n = data.draw(st.integers(1, 10))
         features = np.array(data.draw(st.lists(grid, min_size=n * dims[0],
                                                max_size=n * dims[0]))).reshape(n, dims[0])
         labels = np.array(data.draw(st.lists(st.integers(0, dims[-1] - 1),
                                              min_size=n, max_size=n)))
-        batch = Dataset(features, labels, dims[-1])
-        expected = []
-        for model in models:
-            oracle = np.argmax(forward(model, features), axis=1)
-            assert np.array_equal(predict(model, features), oracle)
-            expected.append(float(np.mean(oracle == labels)))
-            assert evaluate(model, batch) == expected[-1]
-        rows = np.stack([model.params for model in models])
-        assert evaluate_rows(dims, rows, batch) == expected
+        oracle = np.argmax(forward(model, features), axis=1)
+        assert np.array_equal(predict(model, features), oracle)
+        assert evaluate(model, Dataset(features, labels, dims[-1])) == np.mean(oracle == labels)
 
     def test_ties_go_to_the_lowest_class(self):
         features = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -565,28 +554,21 @@ class TestEvaluate:
         bias[:] = [0.5, 0.0, 0.0]
         assert predict(linear, features).tolist() == [1, 1, 1]
         assert evaluate(linear, data) == 2.0 / 3.0
-        rows = np.stack([np.zeros(linear.param_count), linear.params])
-        assert evaluate_rows((2, 3), rows, data) == [1.0 / 3.0, 2.0 / 3.0]
 
     @pytest.mark.parametrize("dims", [(6, 4), (32, 32, 10), (6, 8, 5, 4)])
     def test_leave_one_out_rows_match_single_evaluations(self, dims):
-        # Each row is the model minus one sparse update, the leave-one-out
-        # probe of an update round: bitwise the apply_updates result, and
-        # scored exactly as evaluate() scores a model holding that row.
+        # Each row is the model minus one sparse update, as a leave-one-out
+        # probe and a ban's rollback compute it: bitwise the apply_updates
+        # result of the negated update.
         rng = np.random.default_rng(sum(dims))
         model = MlpModel.seeded(dims, rng)
-        data = make_blobs(120, dims[-1], dims[0], rng, spread=0.3)
-        updates = []
         for k in (1, model.param_count // 10, model.param_count // 2):
             g = rng.normal(scale=0.5, size=model.param_count)
-            updates.append(select_largest(RankedPrefix.of(g, k), k))
-        rows = np.repeat(model.params[None, :], len(updates), axis=0)
-        for row, u in zip(rows, updates):
+            u = select_largest(RankedPrefix.of(g, k), k)
+            row = model.params.copy()
             row[u.indices] -= u.values
-            assert np.array_equal(row, apply_updates(model.copy(), [u.negated()]).params)
-        expected = [evaluate(MlpModel(dims, row), data) for row in rows]
-        assert evaluate_rows(dims, rows, data) == expected
-        assert len(set(expected)) > 1
+            negated = SparseUpdate(u.indices, -u.values, u.param_count)
+            assert np.array_equal(row, apply_updates(model.copy(), [negated]).params)
 
 
 class TestSparseUpdateCodec:

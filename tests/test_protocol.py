@@ -13,8 +13,8 @@ from faircollab.adversary import AdversaryConfig, AdversaryKind, freerider_gradi
 from faircollab.credibility import ConsensusError, credibility_update
 from faircollab.ledger import ChainState, Ledger, verify_chain
 from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
-                                 blob_centers, evaluate, evaluate_rows, magnitude_order,
-                                 make_blobs, select_largest, train_sgd)
+                                 blob_centers, evaluate, magnitude_order, make_blobs,
+                                 select_largest, train_sgd)
 from faircollab.protocol import (BATCH_SIZE, LEARNING_RATE, LR_DECAY, ProtocolConfig,
                                  ProtocolError, RunTrace, _leave_one_out, build_parties,
                                  copy_parties, pretrain, run_baseline, run_fdpddl,
@@ -73,9 +73,9 @@ def fresh_parties(seed, config, datasets, lambdas=None, adversaries=None):
 class TestLeaveOneOut:
     @pytest.mark.parametrize("sellers", [(), ("p02",), ("p01", "p02", "p03")])
     def test_own_accuracy_is_evaluate(self, sellers):
-        # The buyer's own parameters are row 0 of the stacked probe pass:
-        # its accuracy equals evaluate(), with or without probes, and each
-        # probe scores as a model holding the parameters minus that update.
+        # The buyer's own accuracy equals evaluate(), with or without
+        # probes, and each probe scores as a model holding the parameters
+        # minus that update.
         datasets, _ = blob_setup(5)
         buyer = fresh_parties(5, ProtocolConfig(**FAST), datasets)[0]
         model, val = buyer.model, buyer.val_data
@@ -113,36 +113,60 @@ class TestLeaveOneOut:
         return model, val, bought, ["p01", "p02", "p03", "p04"]
 
     @pytest.mark.parametrize("dims", [(32, 32, 10), (784, 128, 10)])
-    @pytest.mark.parametrize("rows_per_pass", [1, 2, 4])
-    def test_capped_passes_equal_one_pass(self, dims, rows_per_pass, monkeypatch):
-        # Row 0 and the three probes scored in passes of 1, 2 or all 4
-        # rows give exactly the scores of one stacked pass over every row.
+    @pytest.mark.parametrize("peers_per_call", [1, 2, 4])
+    def test_capped_passes_equal_one_pass(self, dims, peers_per_call):
+        # One scratch copy serves every probe, and putting the entries back
+        # after each probe leaves nothing behind: the peers scored in calls
+        # of 1, 2 or all 4 each score exactly as a fresh copy of the
+        # parameters minus that one update, and the buyer's parameters are
+        # bit for bit as they were.
         model, val, bought, peers = self._buyer(dims, sum(dims))
-        rows = np.repeat(model.params[None, :], 4, axis=0)
-        for row, j in zip(rows[1:], peers[:3]):
-            row[bought[j].indices] -= bought[j].values
-        acc, *probe_accs = evaluate_rows(model.dims, rows, val)
-        expected = dict(zip(peers, probe_accs), p04=acc)
+        expected = {}
+        for j in peers:
+            probe = model.copy()
+            probe.params[bought[j].indices] -= bought[j].values
+            expected[j] = evaluate(probe, val)
         assert len(set(expected.values())) > 1
         before = model.params.tobytes()
-        monkeypatch.setattr(protocol, "LOO_PASS_BYTES", rows_per_pass * model.params.nbytes)
-        assert _leave_one_out(model, bought, peers, val) == (acc, expected)
+        scored = {}
+        for start in range(0, len(peers), peers_per_call):
+            acc, acc_without = _leave_one_out(model, bought,
+                                              peers[start:start + peers_per_call], val)
+            assert acc == evaluate(model, val)
+            scored.update(acc_without)
+        assert scored == expected
         assert model.params.tobytes() == before
 
-    def test_paper_shape_pass_holds_two_rows(self):
-        # At 784-128-10 the default budget holds two rows (407 KB each):
-        # row 0 with the first probe, then the other two probes, so scoring
-        # allocates well under 2.5 parameter vectors (1 + sellers copies,
-        # 5.3 vectors, when every row is stacked at once).
+    def test_paper_shape_scoring_holds_one_copy(self):
+        # At 784-128-10 (407 KB of parameters) scoring allocates one
+        # scratch copy of the parameters and one probe's activations at a
+        # time, not a copy per seller.
         model, val, bought, peers = self._buyer((784, 128, 10), 3)
-        assert protocol.LOO_PASS_BYTES // model.params.nbytes == 2
+        before = model.params.tobytes()
         tracemalloc.start()
         try:
             _leave_one_out(model, bought, peers, val)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * model.params.nbytes
+        assert peak < 1.5 * model.params.nbytes
+        assert model.params.tobytes() == before
+
+    def test_scores_through_protocol_evaluate(self, monkeypatch):
+        # bench/tracer.py times scoring by wrapping protocol.evaluate: the
+        # buyer's own score and each seller's probe are one call each, and a
+        # peer that sold nothing costs none.
+        model, val, bought, peers = self._buyer((32, 32, 10), 7)
+        expected = _leave_one_out(model, bought, peers, val)
+        calls = []
+
+        def counting(m, data):
+            calls.append(m)
+            return evaluate(m, data)
+
+        monkeypatch.setattr(protocol, "evaluate", counting)
+        assert _leave_one_out(model, bought, peers, val) == expected
+        assert len(calls) == 1 + 3
 
 
 class TestBuildAndPretrain:
@@ -439,10 +463,15 @@ class TestFullRuns:
         free_rider = data.draw(st.none() | st.integers(0, n - 1), label="free_rider")
         kind = data.draw(st.sampled_from([k for k in AdversaryKind if k.free_rider]), label="kind")
         adversaries = () if free_rider is None else (AdversaryConfig(kind, party=free_rider),)
+        # Up to lambda = 1, where a seller's capacity int(lambda * P) is its
+        # whole delta; floats alone seldom draw 1.0 itself.
+        lambda_low = data.draw(st.just(1.0) | st.floats(0.05, 1.0), label="lambda_low")
+        lambda_high = data.draw(st.floats(lambda_low, 1.0), label="lambda_high")
         config = harness.ExperimentConfig(
             dataset=harness.DatasetSpec(dim=dim, per_party=per_party, test_size=40),
             n=n, settings=(setting,), rounds=rounds, seeds=(seed,), frameworks=("fdpddl",),
-            adversaries=adversaries, protocol=ProtocolConfig(dp_steps_per_round=dp_steps))
+            adversaries=adversaries, protocol=ProtocolConfig(dp_steps_per_round=dp_steps),
+            lambda_low=lambda_low, lambda_high=lambda_high)
         group = harness.CellGroup(config, setting, seed)
         parties = group.parties("fdpddl")
         try:
