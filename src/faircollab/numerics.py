@@ -21,6 +21,14 @@ an array, so every rng stream is the same whatever the dtype. Kernels
 compute in the dtype of the parameters they are given, so a model built
 from float64 parameters runs the same code in float64; the tests use it
 as their reference.
+
+Every MlpModel owns its parameter vector, and the vector's first byte
+starts a 64-byte cache line (_line_aligned); numpy alone aligns it to 16
+bytes. With two OpenBLAS threads on a 2-core host, 150 steps of
+784-128-10 pretraining at batch 32 took 61-63 ms with the parameters at
+byte 16, 32 or 48 of a line and 43-46 ms at byte 0, mostly in the
+in-place update, to the same bits. The offsets of the gradient and batch
+buffers changed nothing, so those stay where numpy puts them.
 """
 
 from __future__ import annotations
@@ -82,6 +90,16 @@ class Dataset:
         return self.subset(order[n_hold:]), self.subset(order[:n_hold])
 
 
+def _line_aligned(count: int, dtype) -> np.ndarray:
+    """An uninitialised (count,) vector of dtype whose first byte starts
+    a 64-byte cache line: a view into count * itemsize + 64 bytes, from
+    their first line boundary on."""
+    nbytes = count * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype)
+
+
 def _layout(dims):
     """Per layer, input to output: (weight slice, weight shape, bias slice)
     of the flat parameter vector. The one place that sets the flattening
@@ -110,8 +128,10 @@ class MlpModel:
     arrays are views into it, built once, so flat-vector operations (SGD
     steps, sparse updates) and layer-wise ones (forward, backward) stay in
     sync. params is therefore only ever updated in place. It is FLOAT
-    unless given as float64 parameters, which are kept as they are: the
-    float64 reference model of the tests.
+    unless given as float64 parameters, which are kept in float64: the
+    float64 reference model of the tests. The given values are always
+    copied into a vector of the model's own that starts on a cache line
+    (see the module docstring), so no model shares its caller's array.
     """
 
     def __init__(self, dims, params: np.ndarray | None = None):
@@ -120,16 +140,15 @@ class MlpModel:
             raise ValueError("dims must list at least input and output sizes, all positive")
         self._layout = _layout(self.dims)
         count = self._layout[-1][2].stop
-        if params is None:
-            params = np.zeros(count, dtype=FLOAT)
-        else:
+        dtype = FLOAT
+        if params is not None:
             params = np.asarray(params)
-            if params.dtype != np.float64:
-                params = params.astype(FLOAT, copy=False)
             if params.shape != (count,):
                 raise ValueError(f"expected {count} parameters, got {params.shape}")
-        self.params = params
-        self._layers = _views(params, self._layout)
+            dtype = params.dtype if params.dtype == np.float64 else FLOAT
+        self.params = _line_aligned(count, dtype)
+        self.params[:] = 0.0 if params is None else params
+        self._layers = _views(self.params, self._layout)
 
     @property
     def param_count(self) -> int:
@@ -149,7 +168,12 @@ class MlpModel:
         return iter(self._layers)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.dims, self.params.copy())
+        return MlpModel(self.dims, self.params)
+
+    def __deepcopy__(self, memo):
+        # The model copies its params itself; deep-copying them first, as
+        # __reduce__ would, allocates the vector twice.
+        return self.copy()
 
     def __reduce__(self):
         # Copies and pickles rebuild the layer views on the new params; a

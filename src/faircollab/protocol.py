@@ -77,10 +77,11 @@ CLIP_NORM = 1.0
 # model (407 KB) trains one party at a time: a stack copies every party's
 # 784-wide training rows, and four side by side raised paper_shape's peak
 # RSS from 75.8 to 85.1 MB (with float64 arrays). Gathering each batch
-# from the parties' own rows instead cut paper_shape's wall_s from 0.50 to
-# 0.41 s (medians) but raised its peak RSS from 62.7 to 63.5 MB, in 6 of 6
-# pairs each, for the stacked copy of parameters and gradients, so the
-# limit stays.
+# from the parties' own rows instead raises its peak RSS from 62.6 to
+# 63.0 MB (medians, higher in 12 of 12 pairs), for the stacked copy of
+# parameters and gradients, and with every model's parameters on a cache
+# line it saves no time: wall_s 0.39-0.41 s against 0.37-0.38 s (medians
+# of two sets of 6 pairs). So the limit stays.
 SIDE_BY_SIDE_MAX_BYTES = 1 << 16
 
 
@@ -553,7 +554,7 @@ def _run_centralised(parties, rounds, test_data) -> RunTrace:
         np.concatenate([p.train_data.features for p in parties]),
         np.concatenate([p.train_data.labels for p in parties]),
         parties[0].train_data.num_classes)
-    model = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
+    model = MlpModel(parties[0].model.dims, parties[0].initial_params)
     rng = parties[0].rng
     steps = train_sgd(model, pooled, PRETRAIN_EPOCHS, LEARNING_RATE, LR_DECAY, BATCH_SIZE, rng)
     for round_index in range(1, rounds + 1):
@@ -574,7 +575,7 @@ def _run_dssgd(parties, rounds, test_data) -> RunTrace:
     privacy: download the full latest server parameters, train locally,
     upload the largest-magnitude fraction of the delta."""
     trace = _pretrained_trace(parties, test_data)
-    server = MlpModel(parties[0].model.dims, parties[0].initial_params.copy())
+    server = MlpModel(parties[0].model.dims, parties[0].initial_params)
     k = int(DSSGD_UPLOAD_RATE * server.param_count)
     for round_index in range(1, rounds + 1):
         for p in parties:

@@ -2,15 +2,17 @@ import copy
 import math
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircollab.numerics import (Dataset, MlpModel, RankedPrefix, SparseUpdate, apply_updates,
-                                 backward, decayed_lr, evaluate, forward, load_csv, load_idx,
-                                 loss, magnitude_order, make_blobs, per_example_gradients, predict,
+from faircollab.numerics import (FLOAT, Dataset, MlpModel, RankedPrefix, SparseUpdate,
+                                 _gradient, _layout, _one_hot, _views, apply_updates, backward,
+                                 decayed_lr, evaluate, forward, load_csv, load_idx, loss,
+                                 magnitude_order, make_blobs, per_example_gradients, predict,
                                  select_largest, sgd_step, train_sgd)
 
 import oracles
@@ -18,6 +20,16 @@ import oracles
 
 def small_dataset(rng, n=8, dim=3, classes=3):
     return Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes)
+
+
+def placed(values, offset):
+    """A copy of the vector values whose first byte lies offset bytes past
+    the start of a 64-byte cache line."""
+    raw = np.empty(values.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    vector = raw[start:start + values.nbytes].view(values.dtype)
+    vector[:] = values
+    return vector
 
 
 def finite_difference_gradient(model, batch, step=1e-5):
@@ -243,6 +255,86 @@ class TestSgdStep:
                 ref_steps += 1
         assert steps == ref_steps == 8
         assert np.array_equal(model.params, reference.params)
+
+
+class TestParameterPlacement:
+    """Every model owns a parameter vector that starts on a 64-byte cache
+    line, whatever it was made from; the placement moves no bits."""
+
+    @staticmethod
+    def assert_owns_aligned(model, given=None):
+        assert model.params.ctypes.data % 64 == 0
+        assert model.params.flags.writeable
+        if given is not None:
+            assert not np.shares_memory(model.params, given)
+            assert model.params.tobytes() == np.asarray(given, model.params.dtype).tobytes()
+
+    def test_new_and_seeded_models(self):
+        for dims in [(1, 1), (3, 4, 2), (784, 128, 10)]:
+            self.assert_owns_aligned(MlpModel(dims))
+            self.assert_owns_aligned(MlpModel.seeded(dims, np.random.default_rng(0)))
+            assert MlpModel(dims).params.dtype == FLOAT
+            assert not MlpModel(dims).params.any()
+
+    def test_given_vectors_are_copied_to_a_line(self):
+        values = np.random.default_rng(1).normal(size=26)
+        misplaced = placed(values.astype(FLOAT), 16)
+        assert misplaced.ctypes.data % 64 == 16
+        model = MlpModel((3, 4, 2), misplaced)
+        self.assert_owns_aligned(model, misplaced)
+        assert model.params.dtype == FLOAT
+        float64 = MlpModel((3, 4, 2), values)
+        self.assert_owns_aligned(float64, values)
+        assert float64.params.dtype == np.float64
+        read_only = values.astype(FLOAT)
+        read_only.flags.writeable = False
+        self.assert_owns_aligned(MlpModel((3, 4, 2), read_only), read_only)
+
+    @pytest.mark.parametrize("clone", [MlpModel.copy, copy.deepcopy,
+                                       lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("dtype", [FLOAT, np.float64])
+    def test_copies(self, clone, dtype):
+        seeded = MlpModel.seeded((3, 4, 2), np.random.default_rng(2))
+        model = MlpModel(seeded.dims, seeded.params.astype(dtype))
+        twin = clone(model)
+        self.assert_owns_aligned(twin, model.params)
+        assert twin.params.dtype == dtype
+
+    @pytest.mark.parametrize("clone", [MlpModel.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_a_copy_allocates_one_vector(self, clone):
+        model = MlpModel.seeded((784, 128, 10), np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            clone(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model.params.nbytes
+
+    def test_placement_moves_no_bits(self):
+        # Raw 784-128-10 vectors, one on a line and one 16 bytes past it,
+        # take 20 steps of the kernel and the in-place update of train_sgd.
+        dims, batch, steps = (784, 128, 10), 32, 20
+        rng = np.random.default_rng(3)
+        start = MlpModel.seeded(dims, rng).params
+        features = rng.normal(size=(batch * steps, dims[0])).astype(FLOAT)
+        targets = _one_hot(rng.integers(0, dims[-1], batch * steps), dims[-1], FLOAT)
+        layout = _layout(dims)
+        ends = []
+        for offset in (0, 16):
+            params = placed(start, offset)
+            assert params.ctypes.data % 64 == offset
+            layers = _views(params, layout)
+            grad = np.empty_like(params)
+            slots = _views(grad, layout)
+            for step in range(steps):
+                rows = slice(step * batch, (step + 1) * batch)
+                _gradient(layers, features[rows], targets[rows], slots)
+                grad *= decayed_lr(0.1, 1e-3, step)
+                params -= grad
+            ends.append(params.tobytes())
+        assert ends[0] == ends[1] != start.tobytes()
 
 
 def _fresh_backward(model, features, labels):

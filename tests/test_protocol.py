@@ -90,7 +90,7 @@ class TestLeaveOneOut:
         assert acc == evaluate(model, val)
         for j in peers:
             if j in sellers:
-                probe = MlpModel(model.dims, model.params.copy())
+                probe = MlpModel(model.dims, model.params)
                 probe.params[bought[j].indices] -= bought[j].values
                 assert acc_without[j] == evaluate(probe, val)
             else:
@@ -196,6 +196,15 @@ class TestBuildAndPretrain:
         assert all(p.initial_params is shared for p in parties)
         assert all(p.model.params.flags.writeable for p in parties)
         assert all(p.initial_params is shared for p in copy_parties(parties))
+
+    def test_party_models_own_aligned_vectors(self):
+        # Each party model, and each copy of it, starts its parameters on
+        # a 64-byte cache line and shares no memory with initial_params.
+        datasets, _ = blob_setup(1)
+        parties = fresh_parties(1, ProtocolConfig(**FAST), datasets)
+        for p in parties + copy_parties(parties):
+            assert p.model.params.ctypes.data % 64 == 0
+            assert not np.shares_memory(p.model.params, p.initial_params)
 
     def test_standalone_beats_chance_on_blobs(self):
         datasets, test = blob_setup(2)
