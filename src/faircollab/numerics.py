@@ -29,6 +29,15 @@ bytes. With two OpenBLAS threads on a 2-core host, 150 steps of
 byte 16, 32 or 48 of a line and 43-46 ms at byte 0, mostly in the
 in-place update, to the same bits. The offsets of the gradient and batch
 buffers changed nothing, so those stay where numpy puts them.
+
+train_sgd no longer updates in place: its two parameter buffers take
+turns, so no step rewrites the parameters the second BLAS thread read in
+the forward pass. With two threads, four such parties' 600 steps took
+11-13% less time than in place (medians of 192-235 against 221-266 ms
+over five runs), to the same bits; with one thread both took 168-230
+ms, to other bits. DP-SGD's sgd_step still
+updates in place, since a model owns exactly one vector that its layer
+views point into.
 """
 
 from __future__ import annotations
@@ -382,7 +391,16 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
     k models of one shape on datasets of one size, trained side by side as
     a (k, P) stack (one model runs on 2-D arrays). Each draws its epoch
     permutations from its own rng and steps on its own clock, so it ends
-    with the bits it would get alone. Steps reuse one gradient buffer.
+    with the bits it would get alone.
+
+    Two parameter buffers take turns: the parameters (or their stack) and
+    one spare of their shape. Each step writes the gradient into the
+    buffer it does not read, scales it there by the rate, and writes
+    current - stepped over it, which the next step reads. Updating in
+    place rewrites the lines a second BLAS thread read in the forward
+    pass; see the module docstring. The arithmetic is that of
+    params -= lr * grad, to the bit, and an odd step count ends with one
+    copy back into the model's own vector.
     """
     if isinstance(model, MlpModel):
         model, data, rng, step_offset = [model], [data], [rng], [step_offset]
@@ -391,10 +409,12 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
         raise ValueError("one dataset, rng and step offset per model")
     if any(m.dims != dims for m in model) or any(len(d) != size for d in data):
         raise ValueError("models side by side need one shape and equal-size datasets")
-    stacked = len(model) > 1
+    stacked, layout = len(model) > 1, model[0]._layout
     if stacked:
-        params = np.stack([m.params for m in model])
-        layers = _stacked(params, model[0]._layout)
+        stack = np.stack([m.params for m in model])
+        buffers = stack, np.empty_like(stack)
+        layers = [_stacked(b, layout) for b in buffers]
+        slots = [_views(b, layout) for b in buffers]
         # Model i's rows start at row i * size.
         features = np.concatenate([d.features for d in data])
         labels = np.concatenate([d.labels for d in data])
@@ -402,12 +422,11 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
         # One model as a (1, P) stack gives the same bits and saves one
         # line, but single 32-d calls ran 6% slower (in 249 and 272 of 300
         # pairs; a tie at 784-d), so one model keeps its 2-D arrays.
-        params, layers = model[0].params, model[0]._layers
+        buffers = model[0].params, np.empty_like(model[0].params)
+        layers = slots = [model[0]._layers, _views(buffers[1], layout)]
         features, labels = data[0].features, data[0].labels
-    targets = _one_hot(labels, dims[-1], params.dtype)
+    targets = _one_hot(labels, dims[-1], buffers[0].dtype)
     first_rows = size * np.arange(len(model))[:, None]
-    grad = np.empty_like(params)
-    slots = _views(grad, model[0]._layout)
     steps = 0
     for _ in range(epochs):
         orders = np.array([r.permutation(size) for r in rng]) + first_rows
@@ -416,15 +435,19 @@ def train_sgd(model, data, epochs: int, lr0: float, decay: float, batch_size: in
             # the peak memory of 784-d pretraining.
             rows = orders[:, start:start + batch_size]
             rows = rows if stacked else rows[0]
-            _gradient(layers, features.take(rows, axis=0), targets.take(rows, axis=0), slots)
+            read, write = steps % 2, 1 - steps % 2
+            _gradient(layers[read], features.take(rows, axis=0), targets.take(rows, axis=0),
+                      slots[write])
             # Rates in the parameters' dtype, as a Python float meets a
             # 2-D array, so a stack keeps each model's bits.
             rates = [decayed_lr(lr0, decay, offset + steps) for offset in step_offset]
-            grad *= np.array(rates, dtype=grad.dtype)[:, None] if stacked else rates[0]
-            params -= grad
+            stepped = buffers[write]
+            stepped *= np.array(rates, dtype=stepped.dtype)[:, None] if stacked else rates[0]
+            np.subtract(buffers[read], stepped, out=stepped)
             steps += 1
-    if stacked:
-        for m, row in zip(model, params):
+    # The stack, or after an odd step count the spare, holds the result.
+    if stacked or steps % 2:
+        for m, row in zip(model, buffers[steps % 2].reshape(len(model), -1)):
             m.params[:] = row
     return steps
 

@@ -77,11 +77,11 @@ CLIP_NORM = 1.0
 # model (407 KB) trains one party at a time: a stack copies every party's
 # 784-wide training rows, and four side by side raised paper_shape's peak
 # RSS from 75.8 to 85.1 MB (with float64 arrays). Gathering each batch
-# from the parties' own rows instead raises its peak RSS from 62.6 to
-# 63.0 MB (medians, higher in 12 of 12 pairs), for the stacked copy of
-# parameters and gradients, and with every model's parameters on a cache
-# line it saves no time: wall_s 0.39-0.41 s against 0.37-0.38 s (medians
-# of two sets of 6 pairs). So the limit stays.
+# from the parties' own rows instead raises its peak RSS from 62.4 to
+# 63.3 MB (medians, higher in 6 of 6 pairs), for the stacked copy of the
+# parameters and their spare, and with train_sgd's buffers taking turns
+# it saves no time: wall_s 0.481 s against 0.488 s (medians, faster in 2
+# of 6 pairs). So the limit stays.
 SIDE_BY_SIDE_MAX_BYTES = 1 << 16
 
 

@@ -337,6 +337,73 @@ class TestParameterPlacement:
         assert ends[0] == ends[1] != start.tobytes()
 
 
+def in_place_sgd(model, data, epochs, lr0, decay, batch_size, rng, step_offset):
+    """train_sgd's schedule for one model, with its batch gathers, kernel
+    and rate, stepping the parameters in place through one gradient
+    buffer. Returns steps performed."""
+    grad = np.empty_like(model.params)
+    slots = _views(grad, model._layout)
+    targets = _one_hot(data.labels, model.dims[-1], model.params.dtype)
+    steps = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), batch_size):
+            rows = order[start:start + batch_size]
+            _gradient(model._layers, data.features.take(rows, axis=0),
+                      targets.take(rows, axis=0), slots)
+            grad *= decayed_lr(lr0, decay, step_offset + steps)
+            model.params -= grad
+            steps += 1
+    return steps
+
+
+class TestTrainSgdTurns:
+    """train_sgd's two parameter buffers take turns; every model ends with
+    the bits of in-place steps, in its own vector, which its layer views
+    still point into."""
+
+    @staticmethod
+    def assert_keeps_its_vector(model, params):
+        assert model.params is params
+        assert all(np.shares_memory(weights, params) and np.shares_memory(bias, params)
+                   for weights, bias in model._layers)
+
+    def check(self, dims, dtype, k, epochs, size, batch_size):
+        rng = np.random.default_rng(40)
+        models = [MlpModel(dims, MlpModel.seeded(dims, rng).params.astype(dtype))
+                  for _ in range(k)]
+        datasets = [make_blobs(size, dims[-1], dims[0], rng, spread=0.3) for _ in range(k)]
+        alone = [m.copy() for m in models]
+        vectors = [m.params for m in models]
+        offsets = [2 * i for i in range(k)]
+        rngs = [np.random.default_rng(50 + i) for i in range(k)]
+        if k == 1:
+            steps = train_sgd(models[0], datasets[0], epochs, 0.1, 1e-3, batch_size, rngs[0], 0)
+        else:
+            steps = train_sgd(models, datasets, epochs, 0.1, 1e-3, batch_size, rngs, offsets)
+        for i, model in enumerate(alone):
+            ref_steps = in_place_sgd(model, datasets[i], epochs, 0.1, 1e-3, batch_size,
+                                     np.random.default_rng(50 + i), offsets[i])
+            assert steps == ref_steps
+            assert models[i].params.tobytes() == model.params.tobytes()
+            self.assert_keeps_its_vector(models[i], vectors[i])
+        return steps
+
+    # (epochs, rows, batch size) for 0, 1, 2 and 3 steps; 9 rows in
+    # batches of 4 leave a short last batch.
+    @pytest.mark.parametrize("steps,epochs,size,batch_size",
+                             [(0, 0, 8, 4), (1, 1, 8, 8), (2, 2, 8, 8), (3, 1, 9, 4)])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dtype", [FLOAT, np.float64], ids=["float32", "float64"])
+    def test_turns_move_no_bit(self, steps, epochs, size, batch_size, k, dtype):
+        assert self.check((4, 6, 3), dtype, k, epochs, size, batch_size) == steps
+
+    def test_paper_shape_turns_move_no_bit(self):
+        # 784-128-10 runs its products on every BLAS thread; 3 steps end
+        # in the spare buffer.
+        assert self.check((784, 128, 10), FLOAT, 1, 1, 96, 32) == 3
+
+
 def _fresh_backward(model, features, labels):
     """backward() with fresh temporaries throughout, independent of the
     numerics kernel: forward, softmax, output delta, backprop, and a fresh
